@@ -1,8 +1,10 @@
 """Policy search over weighted doubly robust values, plus regret evaluation.
 
 Policies map covariates to actions. Finite classes are scored exhaustively;
-the linear-threshold class is scored exactly (hyperplane enumeration through
-point subsets) at desk scale and by a seeded multi-start heuristic beyond it.
+the linear-threshold class is scored exactly at desk scale (for d=1 by an
+O(n log n) sweep over sorted covariate values, for d>=2 by hyperplane
+enumeration through point subsets) and by a seeded multi-start heuristic
+beyond it.
 """
 
 from __future__ import annotations
@@ -196,47 +198,60 @@ def _realize_labels(z: np.ndarray, theta0: np.ndarray, boundary: np.ndarray,
     return None
 
 
-def _threshold_candidates_1d(z: np.ndarray):
-    """All labelings a 1-d threshold rule can realize: upper and lower sets of
-    the sorted covariate, with cut points between consecutive distinct values."""
+def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult:
+    """Exact d=1 search in O(n log n).
+
+    Candidates, in tie-break order: the two constants, the upper rules
+    x > c, then the lower rules x <= c, at cuts c running over min - 1, the
+    midpoints between consecutive distinct values, and max + 1. Their values
+    come from one prefix sum of the gains summed over groups of equal x; a
+    theta and its labels are built only for candidates tied at the maximum.
+    """
+    base, gain = _gains(w, pseudo, data)
+    z = np.hstack([np.ones((data.n, 1)), data.covariates])
     x = z[:, 1]
-    distinct = np.unique(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    distinct = xs[starts]
     cuts = np.concatenate(
         [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
     )
-    labels = x[None, :] > cuts[:, None]
-    thetas = [np.array([-c, 1.0]) for c in cuts]
-    labels_low = ~labels
-    thetas_low = [np.array([c, -1.0]) for c in cuts]
-    all_labels = np.vstack([labels, labels_low])
-    all_thetas = thetas + thetas_low
-    return all_labels, all_thetas
+    prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
+    total = prefix[-1]
+    # Gain of the rows with x <= c, located from the cut itself: a midpoint
+    # of two adjacent floats, or min - 1 at large |min|, lands on a value.
+    below = prefix[np.searchsorted(distinct, cuts, side="right")]
+    values = base + np.concatenate([[total, 0.0], total - below, below])
+    best_value = float(values.max())
+    best_theta = None
+    for r in np.flatnonzero(values == best_value):
+        if r < 2:
+            theta = np.array([1.0, 0.0]) if r == 0 else np.array([-1.0, 0.0])
+            labels = np.full(data.n, r == 0)
+        else:
+            c = cuts[(r - 2) % cuts.size]
+            upper = r - 2 < cuts.size
+            theta = np.array([-c, 1.0]) if upper else np.array([c, -1.0])
+            labels = x > c if upper else ~(x > c)
+        if not np.array_equal(z @ theta > 0, labels):
+            continue
+        theta = _unit(theta)
+        if best_theta is None or _lex_smaller(theta, best_theta):
+            best_theta = theta
+    if best_theta is None:
+        raise EstimationError("could not realize the optimal threshold labeling")
+    policy = LinearPolicy(theta=best_theta)
+    return LearnResult(best=policy, best_value=_policy_value(policy, w, pseudo, data), exact=True)
 
 
 def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult:
+    if data.d == 1:
+        return _learn_threshold_1d(w, pseudo, data)
     z = np.hstack([np.ones((data.n, 1)), data.covariates])
     base, gain = _gains(w, pseudo, data)
     const_labels = np.vstack([np.ones(data.n, bool), np.zeros(data.n, bool)])
     const_thetas = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
-
-    if data.d == 1:
-        lab, thetas = _threshold_candidates_1d(z)
-        label_rows = np.vstack([const_labels, lab])
-        values = base + label_rows @ gain
-        best_value = float(values.max())
-        tie_rows = np.flatnonzero(values == best_value)
-        best_theta = None
-        for r in tie_rows:
-            theta = const_thetas[r] if r < 2 else thetas[r - 2]
-            if not np.array_equal(z @ theta > 0, label_rows[r]):
-                continue
-            theta = _unit(theta)
-            if best_theta is None or _lex_smaller(theta, best_theta):
-                best_theta = theta
-        if best_theta is None:
-            raise EstimationError("could not realize the optimal threshold labeling")
-        policy = LinearPolicy(theta=best_theta)
-        return LearnResult(best=policy, best_value=_policy_value(policy, w, pseudo, data), exact=True)
 
     # General position: the optimum lies in some cell of the arrangement of
     # row hyperplanes {theta : theta . z_i = 0}; every cell touches a null
@@ -414,7 +429,7 @@ def load_policy_class(path: str) -> PolicyClass:
     """
     policies: list[Policy] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
@@ -422,7 +437,13 @@ def load_policy_class(path: str) -> PolicyClass:
             if parts[0] == "const":
                 if len(parts) != 2:
                     raise ValidationError(f"{path}:{lineno}: expected const,<action>")
-                policies.append(ConstantPolicy(action=int(parts[1])))
+                try:
+                    action = int(parts[1])
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{lineno}: const action must be an integer, got {parts[1]!r}"
+                    ) from None
+                policies.append(ConstantPolicy(action=action))
                 continue
             try:
                 theta = np.array([float(tok) for tok in parts])

@@ -241,8 +241,9 @@ def _replicate(
     mu_eval = scenario.mean_matrix(x_eval)
     best_eval = mu_eval.max(axis=1)
     out = np.empty(len(schemes))
+    shared: dict = {}  # this replication's w0 and gap statistics, built once
     for s, spec in enumerate(schemes):
-        w = make_weights(spec, nuis)
+        w = make_weights(spec, nuis, cache=shared)
         result = learn_linear(w, pseudo, data, seed=seed)
         chosen = mu_eval[np.arange(x_eval.shape[0]), result.best.act(x_eval)]
         out[s] = float(np.mean(best_eval - chosen))

@@ -180,20 +180,35 @@ def selection_ratio(
 
 
 def make_weights(
-    spec: str, nuis: NuisanceSet, gap_floor: float = DEFAULT_GAP_FLOOR
+    spec: str,
+    nuis: NuisanceSet,
+    gap_floor: float = DEFAULT_GAP_FLOOR,
+    cache: dict | None = None,
 ) -> WeightScheme:
-    """Build a weight scheme from its CLI name: `uniform`, `w0`, or `w0_dp:<p>`."""
+    """Build a weight scheme from its CLI name: `uniform`, `w0`, or `w0_dp:<p>`.
+
+    Calls that pass the same `cache` dict for one nuisance set build its
+    homoskedastic weights and gap statistics once.
+    """
+    cache = {} if cache is None else cache
     if spec == "uniform":
         return uniform_weights(nuis.n)
     if spec == "w0":
-        return homoskedastic_weights(nuis)
+        return _cached(cache, homoskedastic_weights, nuis)
     if spec.startswith("w0_dp:"):
         try:
             power = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad weight power in {spec!r}") from None
-        base = homoskedastic_weights(nuis)
-        return curvature_scaled_weights(base, gap_statistics(nuis), power, floor=gap_floor)
+        base = _cached(cache, homoskedastic_weights, nuis)
+        gaps = _cached(cache, gap_statistics, nuis)
+        return curvature_scaled_weights(base, gaps, power, floor=gap_floor)
     raise ValidationError(
         f"unknown weight scheme {spec!r}; expected uniform, w0, or w0_dp:<p>"
     )
+
+
+def _cached(cache: dict, build, nuis: NuisanceSet):
+    if build not in cache:
+        cache[build] = build(nuis)
+    return cache[build]

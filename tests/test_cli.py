@@ -264,3 +264,14 @@ class TestExitCodes:
         path.write_text("x1,a,y\n0.1,0,1.0\n0.1,1,2.0\n0.2,0,1.5\n0.2,1,2.5\n")
         code = main(["fit", "--equation", "cate", "--data", str(path)])
         assert code == EXIT_ESTIMATION
+
+    def test_malformed_policy_file_is_one_error_line(self, binary_csv, tmp_path, capsys):
+        policies = tmp_path / "policies.txt"
+        policies.write_text("const,0\nconst,abc\n")
+        code = main(["learn", "--data", binary_csv, "--class", f"finite:{policies}"])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error[")] == [
+            f"error[ValidationError]: {policies}:2: const action must be an integer, got 'abc'"
+        ]
+        assert "Traceback" not in err

@@ -1,7 +1,11 @@
 """Policy evaluation, finite and linear search, and true-regret evaluation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retarget import (
     ConstantPolicy,
@@ -12,13 +16,20 @@ from retarget import (
     ScenarioSpec,
     ValidationError,
     WeightScheme,
+    cross_fit,
+    default_scenarios,
+    dr_pseudo_outcomes,
+    generate,
     learn_finite,
     learn_linear,
     load_policy_class,
+    make_folds,
+    make_weights,
     true_regret,
     uniform_weights,
     weighted_value,
 )
+from retarget.simulation import DEFAULT_SCHEMES
 
 
 def plain_data(rng, n, d, psi=None):
@@ -215,6 +226,123 @@ class TestLearnLinear:
             learn_linear(uniform_weights(n), pseudo, data)
 
 
+def _realizable_threshold_labelings(x):
+    """Every 0/1 labeling of the rows that some 1-d rule sign(t0 + t1 x)
+    realizes: all labelings, kept when equal x share a label and the labels
+    are monotone in x (either direction)."""
+    order = np.argsort(x, kind="stable")
+    for bits in product((False, True), repeat=x.size):
+        labels = np.array(bits)
+        in_order = labels[order].astype(int)
+        if np.any((x[order][1:] == x[order][:-1]) & (in_order[1:] != in_order[:-1])):
+            continue
+        steps = np.diff(in_order)
+        if np.all(steps >= 0) or np.all(steps <= 0):
+            yield labels
+
+
+def _matrix_threshold_oracle(w, pseudo, data):
+    """Reference form of the d=1 exact search: a dense (2k + 4) x n label
+    matrix of every candidate (2 constants, then upper and lower rules at
+    k + 1 cuts), scored by one matrix product; among rows at the maximum,
+    the lexicographically smallest realizing unit theta."""
+    x = data.covariates[:, 0]
+    z = np.column_stack([np.ones(data.n), x])
+    base = float(np.mean(w.weights * pseudo.values[:, 0]))
+    gain = w.weights * (pseudo.values[:, 1] - pseudo.values[:, 0]) / data.n
+    distinct = np.unique(x)
+    cuts = np.concatenate(
+        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
+    )
+    upper = x[None, :] > cuts[:, None]
+    label_rows = np.vstack([np.ones(data.n, bool), np.zeros(data.n, bool), upper, ~upper])
+    thetas = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+    thetas += [np.array([-c, 1.0]) for c in cuts] + [np.array([c, -1.0]) for c in cuts]
+    values = base + label_rows @ gain
+    best = None
+    for r in np.flatnonzero(values == values.max()):
+        if not np.array_equal(z @ thetas[r] > 0, label_rows[r]):
+            continue
+        theta = thetas[r] / np.linalg.norm(thetas[r])
+        if best is None or tuple(theta) < tuple(best):
+            best = theta
+    return best
+
+
+_grid_x = st.lists(st.integers(-3, 3), min_size=1, max_size=9).map(
+    lambda v: np.array(v, dtype=float) / 2.0
+)
+
+
+@st.composite
+def _threshold_instances(draw):
+    x = draw(_grid_x)
+    n = x.size
+    gains = draw(st.sampled_from(["zero", "equal", "integer", "float"]))
+    if gains == "zero":
+        psi = np.full((n, 2), draw(st.integers(-2, 2)), dtype=float)
+    elif gains == "equal":
+        psi = np.column_stack([np.zeros(n), np.full(n, draw(st.sampled_from([-1.0, 0.5, 2.0])))])
+    elif gains == "integer":
+        psi = np.array(draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n)), float)
+        psi = psi.reshape(n, 2)
+    else:
+        psi = np.array(
+            draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=2 * n, max_size=2 * n))
+        ).reshape(n, 2)
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda r: sum(r) > 0))
+    data = Dataset(covariates=x[:, None], actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+    return data, PseudoOutcomes(values=psi), WeightScheme.from_raw("w", np.array(raw, float))
+
+
+class TestThresholdSearch1d:
+    @settings(max_examples=150, deadline=None)
+    @given(_threshold_instances())
+    def test_matches_brute_force_over_realizable_labelings(self, instance):
+        data, pseudo, w = instance
+        rows = np.arange(data.n)
+        brute = max(
+            float(np.mean(w.weights * pseudo.values[rows, labels.astype(int)]))
+            for labels in _realizable_threshold_labelings(data.covariates[:, 0])
+        )
+        res = learn_linear(w, pseudo, data)
+        assert res.exact
+        assert res.best_value == pytest.approx(brute, abs=1e-12)
+        # the returned theta realizes a labeling that attains the maximum
+        assert weighted_value(res.best, w, pseudo, data) == pytest.approx(brute, abs=1e-12)
+        assert np.linalg.norm(res.best.theta) == pytest.approx(1.0)
+        approx = learn_linear(w, pseudo, data, seed=0, force_approx=True)
+        assert res.best_value >= approx.best_value - 1e-12
+        if not np.any(w.weights * (pseudo.values[:, 1] - pseudo.values[:, 0])):
+            # every candidate ties exactly: the tie rule alone picks theta
+            oracle = _matrix_threshold_oracle(w, pseudo, data)
+            assert res.best.theta.tobytes() == oracle.tobytes()
+
+    def test_cut_between_adjacent_floats(self):
+        # The midpoint of two adjacent floats rounds onto one of them; the
+        # rule x > c at that cut still separates them and is scored as such.
+        x = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+        data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
+        pseudo = PseudoOutcomes(values=np.array([[0.0, -1.0], [0.0, 1.0]]))
+        res = learn_linear(uniform_weights(2), pseudo, data)
+        assert np.array_equal(res.best.act(x), [0, 1])
+        assert res.best_value == 0.5
+        oracle = _matrix_threshold_oracle(uniform_weights(2), pseudo, data)
+        assert res.best.theta.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+    def test_same_theta_bits_as_matrix_search_on_default_grid(self, scenario):
+        for seed in (0, 1, 2):
+            data, _ = generate(scenario, 500, seed)
+            nuis = cross_fit(data, make_folds(data.n, 2, seed=seed))
+            pseudo = dr_pseudo_outcomes(data, nuis)
+            for spec in DEFAULT_SCHEMES:
+                w = make_weights(spec, nuis)
+                res = learn_linear(w, pseudo, data)
+                oracle = _matrix_threshold_oracle(w, pseudo, data)
+                assert res.best.theta.tobytes() == oracle.tobytes(), (seed, spec)
+
+
 def _xspace_best_value(x, w, psi):
     """Independent enumeration for d=2: lines through pairs of sample points,
     both orientations, each anchor point assigned to either side."""
@@ -304,7 +432,13 @@ class TestPolicyClassFile:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "policies.txt"
         path.write_text("zero,one\n")
-        with pytest.raises(ValidationError, match="non-numeric"):
+        with pytest.raises(ValidationError, match=":1: non-numeric"):
+            load_policy_class(str(path))
+
+    def test_rejects_non_integer_action(self, tmp_path):
+        path = tmp_path / "policies.txt"
+        path.write_text("const,0\nconst,abc\n")
+        with pytest.raises(ValidationError, match=":2: const action must be an integer"):
             load_policy_class(str(path))
 
     def test_rejects_empty(self, tmp_path):

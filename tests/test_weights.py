@@ -280,3 +280,16 @@ class TestMakeWeights:
             make_weights("nope", nuis)
         with pytest.raises(ValidationError, match="bad weight power"):
             make_weights("w0_dp:abc", nuis)
+
+    def test_shared_cache_gives_identical_schemes(self):
+        rng = np.random.default_rng(6)
+        nuis = random_binary_nuis(rng, 40)
+        specs = ("uniform", "w0", "w0_dp:1", "w0_dp:2", "w0_dp:-1", "w0_dp:-2", "w0_dp:0")
+        cache = {}
+        shared = [make_weights(spec, nuis, cache=cache) for spec in specs]
+        for spec, w in zip(specs, shared):
+            alone = make_weights(spec, nuis)
+            assert w.kind == alone.kind
+            assert np.array_equal(w.weights, alone.weights)
+        assert len(cache) == 2  # w0 and the gap statistics, each built once
+        assert shared[-1] is shared[1]  # power 0 is the cached w0 itself
