@@ -265,10 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except EstimationError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (EstimationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
 

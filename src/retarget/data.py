@@ -99,34 +99,14 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of != fold)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column naming for dataset files: covariates x1..xd, action `a`, outcome `y`."""
-
-    action: str = "a"
-    outcome: str = "y"
-    covariate_prefix: str = "x"
-    covariates: tuple[str, ...] | None = None
-
-    def covariate_names(self, header: list[str]) -> list[str]:
-        if self.covariates is not None:
-            return list(self.covariates)
-        names = [h for h in header if h not in (self.action, self.outcome)]
-        expected = [f"{self.covariate_prefix}{i + 1}" for i in range(len(names))]
-        if names != expected:
-            raise ValidationError(
-                f"covariate columns must be named {self.covariate_prefix}1.."
-                f"{self.covariate_prefix}{len(names)} in order, got {names}"
-            )
-        return names
-
-
-def load_dataset(path: str, schema: CsvSchema = CsvSchema(), m: int | None = None) -> Dataset:
+def load_dataset(path: str, m: int | None = None) -> Dataset:
     """Read a comma-separated dataset file into a validated Dataset.
 
-    The file must carry a header row; the action column must parse as a
-    nonnegative integer and every other referenced column as a finite float.
-    `m` defaults to (max action label + 1).
+    The file must carry a header row with covariate columns x1..xd in order,
+    an action column `a` and an outcome column `y`; the action column must
+    parse as a nonnegative integer and every other column as a finite float.
+    Every label from 0 up to the largest one present must appear. `m`
+    defaults to (max action label + 1).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -134,13 +114,14 @@ def load_dataset(path: str, schema: CsvSchema = CsvSchema(), m: int | None = Non
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        for col in (schema.action, schema.outcome):
+        for col in ("a", "y"):
             if col not in header:
                 raise ValidationError(f"{path}: missing column {col!r}")
-        xcols = schema.covariate_names(header)
-        for col in xcols:
-            if col not in header:
-                raise ValidationError(f"{path}: missing column {col!r}")
+        xcols = [h for h in header if h not in ("a", "y")]
+        if xcols != [f"x{i + 1}" for i in range(len(xcols))]:
+            raise ValidationError(
+                f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
+            )
         idx = {name: header.index(name) for name in header}
         xs, acts, ys = [], [], []
         for rownum, row in enumerate(reader):
@@ -150,10 +131,10 @@ def load_dataset(path: str, schema: CsvSchema = CsvSchema(), m: int | None = Non
                 )
             try:
                 xs.append([float(row[idx[c]]) for c in xcols])
-                ys.append(float(row[idx[schema.outcome]]))
+                ys.append(float(row[idx["y"]]))
             except ValueError as exc:
                 raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
-            raw_a = row[idx[schema.action]]
+            raw_a = row[idx["a"]]
             try:
                 a_val = int(raw_a)
             except ValueError:
@@ -167,27 +148,33 @@ def load_dataset(path: str, schema: CsvSchema = CsvSchema(), m: int | None = Non
             raise ValidationError(f"{path}: no data rows")
         if not np.all(np.isfinite(ys)):
             bad = int(np.argmax(~np.isfinite(np.asarray(ys))))
-            raise ValidationError(f"{path}: non-finite outcome at row {bad}, column {schema.outcome!r}")
+            raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
         x_arr = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(x_arr)):
             i, j = np.argwhere(~np.isfinite(x_arr))[0]
             raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
-    inferred = max(acts) + 1
-    m_final = inferred if m is None else m
+    actions = np.asarray(acts)
+    counts = np.bincount(actions)
+    if np.any(counts == 0):
+        raise ValidationError(
+            f"{path}: action label {int(np.argmax(counts == 0))} never appears, but labels "
+            f"run up to {counts.size - 1}; every label from 0 to the largest must be present"
+        )
+    m_final = counts.size if m is None else m
     if m_final < 2:
         m_final = 2
-    return Dataset(covariates=x_arr, actions=np.asarray(acts), outcomes=np.asarray(ys), m=m_final)
+    return Dataset(covariates=x_arr, actions=actions, outcomes=np.asarray(ys), m=m_final)
 
 
-def save_dataset(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None:
-    """Write a Dataset so that load_dataset reproduces it bit-exactly.
+def save_dataset(data: Dataset, path: str) -> None:
+    """Write a Dataset as columns x1..xd, a, y so that load_dataset
+    reproduces it bit-exactly (for every label up to the largest present).
 
     Floats are written with repr, which round-trips IEEE doubles.
     """
-    xcols = [f"{schema.covariate_prefix}{i + 1}" for i in range(data.d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(xcols + [schema.action, schema.outcome])
+        writer.writerow([f"x{i + 1}" for i in range(data.d)] + ["a", "y"])
         for i in range(data.n):
             row = [repr(float(v)) for v in data.covariates[i]]
             row.append(str(int(data.actions[i])))

@@ -25,6 +25,13 @@ def add_intercept(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum so exp cannot overflow."""
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 @dataclass(frozen=True)
 class NuisanceSet:
     """Per-observation, per-arm nuisance predictions.
@@ -112,12 +119,7 @@ class PropensityModel:
         self.converged = converged
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        z = add_intercept(x)
-        scores = z @ self.coef
-        scores -= scores.max(axis=1, keepdims=True)
-        p = np.exp(scores)
-        p /= p.sum(axis=1, keepdims=True)
-        p = np.clip(p, self.clip, 1.0 - self.clip)
+        p = np.clip(_softmax(add_intercept(x) @ self.coef), self.clip, 1.0 - self.clip)
         return p / p.sum(axis=1, keepdims=True)
 
 
@@ -141,10 +143,7 @@ def fit_propensity(train: Dataset, clip: float = 0.01) -> PropensityModel:
     coef = np.zeros((p, m))
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
-        scores = z @ coef
-        scores -= scores.max(axis=1, keepdims=True)
-        prob = np.exp(scores)
-        prob /= prob.sum(axis=1, keepdims=True)
+        prob = _softmax(z @ coef)
         grad = z.T @ (onehot - prob[:, :k])  # (p, k)
         if np.max(np.abs(grad)) < _NEWTON_TOL:
             converged = True
@@ -217,17 +216,23 @@ def estimate_variance(
         raise ValidationError(f"variance mode must be 'pooled' or 'per_arm', got {mode!r}")
     if len(models) != train.m:
         raise ValidationError(f"expected {train.m} mean models, got {len(models)}")
-    sq_by_arm = []
+    resid = np.empty(train.n)
     for arm, model in enumerate(models):
-        rows = np.flatnonzero(train.actions == arm)
-        if rows.size == 0:
-            raise EstimationError(f"arm {arm} has no observations for variance estimation")
-        resid = train.outcomes[rows] - model.predict(train.covariates[rows])
-        sq_by_arm.append(resid**2)
+        rows = train.actions == arm
+        resid[rows] = train.outcomes[rows] - model.predict(train.covariates[rows])
+    return _residual_variance(resid, train.actions, train.m, mode)
+
+
+def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str) -> np.ndarray:
+    """Length-m mean squared residuals, taken arm by arm (per_arm) or over all
+    rows grouped by arm (pooled), floored at 1e-12."""
+    sq_by_arm = [resid[actions == arm] ** 2 for arm in range(m)]
     if mode == "pooled":
-        pooled = float(np.mean(np.concatenate(sq_by_arm)))
-        out = np.full(train.m, pooled)
+        out = np.full(m, float(np.mean(np.concatenate(sq_by_arm))))
     else:
+        for arm, sq in enumerate(sq_by_arm):
+            if sq.size == 0:
+                raise EstimationError(f"arm {arm} has no observations for variance estimation")
         out = np.array([float(np.mean(sq)) for sq in sq_by_arm])
     return np.maximum(out, VARIANCE_FLOOR)
 
@@ -257,15 +262,8 @@ def _oracle_passthrough(data: Dataset, config: NuisanceConfig) -> NuisanceSet:
         var = np.maximum(var, VARIANCE_FLOOR)
     else:
         resid = data.outcomes - mu[np.arange(data.n), data.actions]
-        if config.variance_mode == "pooled":
-            var = np.full(expected, max(float(np.mean(resid**2)), VARIANCE_FLOOR))
-        else:
-            var = np.empty(expected)
-            for arm in range(data.m):
-                rows = data.actions == arm
-                if not rows.any():
-                    raise EstimationError(f"arm {arm} has no observations for variance estimation")
-                var[:, arm] = max(float(np.mean(resid[rows] ** 2)), VARIANCE_FLOOR)
+        var = np.tile(_residual_variance(resid, data.actions, data.m, config.variance_mode),
+                      (data.n, 1))
     return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EstimationError, ValidationError
+from .nuisance import add_intercept
 from .pseudo import PseudoOutcomes
 from .weights import WeightScheme
 
@@ -63,29 +64,20 @@ Policy = ConstantPolicy | LinearPolicy
 
 @dataclass(frozen=True)
 class PolicyClass:
-    """Searchable policy set: an explicit finite list, or all linear thresholds."""
+    """Finite searchable policy set: a nonempty tuple of policies."""
 
-    kind: str  # "finite" | "linear"
-    policies: tuple = ()
-    d: int = 0
+    policies: tuple
+
+    def __post_init__(self):
+        if not self.policies:
+            raise ValidationError("finite policy class must be nonempty")
 
     @classmethod
     def finite(cls, policies) -> "PolicyClass":
-        policies = tuple(policies)
-        if not policies:
-            raise ValidationError("finite policy class must be nonempty")
-        return cls(kind="finite", policies=policies)
-
-    @classmethod
-    def linear(cls, d: int) -> "PolicyClass":
-        if d < 1:
-            raise ValidationError(f"covariate dimension must be >= 1, got {d}")
-        return cls(kind="linear", d=d)
+        return cls(policies=tuple(policies))
 
     @property
     def size(self) -> int:
-        if self.kind != "finite":
-            raise ValidationError("size is defined only for finite classes")
         return len(self.policies)
 
 
@@ -122,8 +114,6 @@ def learn_finite(
     strictly outside the argmax set; it is 0 (and flagged tied) when every
     policy attains the maximum.
     """
-    if policy_class.kind != "finite":
-        raise ValidationError("learn_finite requires a finite policy class")
     values = np.array(
         [weighted_value(pi, w, pseudo, data) for pi in policy_class.policies]
     )
@@ -177,7 +167,7 @@ def _unit(theta: np.ndarray) -> np.ndarray:
 def _realize_labels(z: np.ndarray, theta0: np.ndarray, boundary: np.ndarray,
                     signs: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
     """Nudge theta0 off the boundary rows so each lands on its requested side;
-    returns None when no verified parameter exists (degenerate geometry)."""
+    returns the unit parameter, or None when no verified one exists."""
     margins = z @ theta0
     if boundary.size == 0:
         theta = theta0
@@ -193,12 +183,13 @@ def _realize_labels(z: np.ndarray, theta0: np.ndarray, boundary: np.ndarray,
         if lo > hi:
             return None
         theta = theta0 + 0.5 * (lo + hi) * direction
+    theta = _unit(theta)
     if np.array_equal(z @ theta > 0, labels):
         return theta
     return None
 
 
-def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult:
+def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -208,7 +199,7 @@ def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) 
     theta and its labels are built only for candidates tied at the maximum.
     """
     base, gain = _gains(w, pseudo, data)
-    z = np.hstack([np.ones((data.n, 1)), data.covariates])
+    z = add_intercept(data.covariates)
     x = z[:, 1]
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -232,23 +223,31 @@ def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) 
         else:
             c = cuts[(r - 2) % cuts.size]
             upper = r - 2 < cuts.size
-            theta = np.array([-c, 1.0]) if upper else np.array([c, -1.0])
             labels = x > c if upper else ~(x > c)
+            # c - x > 0 misses the rows at x == c; no float lies between c and the next one.
+            lower_c = np.nextafter(c, np.inf) if np.any(x == c) else c
+            theta = np.array([-c, 1.0]) if upper else np.array([lower_c, -1.0])
+        # Checked after scaling: at large |x| the unit vector can lose a cut.
+        theta = _unit(theta)
         if not np.array_equal(z @ theta > 0, labels):
             continue
-        theta = _unit(theta)
         if best_theta is None or _lex_smaller(theta, best_theta):
             best_theta = theta
-    if best_theta is None:
-        raise EstimationError("could not realize the optimal threshold labeling")
-    policy = LinearPolicy(theta=best_theta)
-    return LearnResult(best=policy, best_value=_policy_value(policy, w, pseudo, data), exact=True)
+    return _exact_result(best_theta, w, pseudo, data)
 
 
-def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult:
+def _exact_result(theta, w, pseudo, data) -> LearnResult | None:
+    """The exact search's result, or None when no tied optimum was realized."""
+    if theta is None:
+        return None
+    policy = LinearPolicy(theta=theta)
+    return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=True)
+
+
+def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
     if data.d == 1:
         return _learn_threshold_1d(w, pseudo, data)
-    z = np.hstack([np.ones((data.n, 1)), data.covariates])
+    z = add_intercept(data.covariates)
     base, gain = _gains(w, pseudo, data)
     const_labels = np.vstack([np.ones(data.n, bool), np.zeros(data.n, bool)])
     const_thetas = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
@@ -300,18 +299,9 @@ def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) 
             theta = _realize_labels(z, theta0, boundary, signs, labels)
             if theta is None:
                 continue
-        theta = _unit(theta)
         if best_theta is None or _lex_smaller(theta, best_theta):
             best_theta = theta
-    if best_theta is None:
-        raise EstimationError("could not realize the optimal labeling numerically")
-    policy = LinearPolicy(theta=best_theta)
-    return LearnResult(best=policy, best_value=_policy_value(policy, w, pseudo, data), exact=True)
-
-
-def _policy_value(policy, w, pseudo, data) -> float:
-    rows = np.arange(data.n)
-    return float(np.mean(w.weights * pseudo.values[rows, policy.act(data.covariates)]))
+    return _exact_result(best_theta, w, pseudo, data)
 
 
 def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
@@ -336,7 +326,7 @@ def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
 
 
 def _learn_linear_approx(w, pseudo, data, seed, n_starts=32, max_passes=20) -> LearnResult:
-    z = np.hstack([np.ones((data.n, 1)), data.covariates])
+    z = add_intercept(data.covariates)
     base, gain = _gains(w, pseudo, data)
     rng = np.random.default_rng(seed)
     starts = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
@@ -360,7 +350,7 @@ def _learn_linear_approx(w, pseudo, data, seed, n_starts=32, max_passes=20) -> L
         elif value == best_value and _lex_smaller(cand, best_theta):
             best_theta = cand
     policy = LinearPolicy(theta=best_theta)
-    return LearnResult(best=policy, best_value=_policy_value(policy, w, pseudo, data), exact=False)
+    return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=False)
 
 
 def learn_linear(
@@ -372,27 +362,16 @@ def learn_linear(
 ) -> LearnResult:
     """Maximize the weighted value over linear threshold policies (m=2).
 
-    Uses the exact enumeration when d <= 4 and n <= 500; otherwise a seeded
+    Uses the exact enumeration when d <= 4 and n <= 500; otherwise, or when
+    no parameter realizing a tied optimal labeling is found, a seeded
     multi-start coordinate search, flagged exact=False. Value ties are broken
     toward the lexicographically smallest unit-norm parameter vector.
     """
-    if force_approx or data.d > EXACT_MAX_D or data.n > EXACT_MAX_N:
-        return _learn_linear_approx(w, pseudo, data, seed)
-    return _learn_linear_exact(w, pseudo, data)
-
-
-def learn(
-    policy_class: PolicyClass,
-    w: WeightScheme,
-    pseudo: PseudoOutcomes,
-    data: Dataset,
-    seed: int = 0,
-) -> LearnResult:
-    if policy_class.kind == "finite":
-        return learn_finite(policy_class, w, pseudo, data)
-    if policy_class.kind == "linear":
-        return learn_linear(w, pseudo, data, seed=seed)
-    raise ValidationError(f"unknown policy class kind {policy_class.kind!r}")
+    if not (force_approx or data.d > EXACT_MAX_D or data.n > EXACT_MAX_N):
+        result = _learn_linear_exact(w, pseudo, data)
+        if result is not None:
+            return result
+    return _learn_linear_approx(w, pseudo, data, seed)
 
 
 def true_regret(
@@ -421,35 +400,51 @@ def true_regret(
     return float(np.sum(wts * shortfall) / wts.sum())
 
 
+def _parse_policy_line(body: str) -> Policy:
+    parts = [tok.strip() for tok in body.split(",")]
+    if parts[0] == "const":
+        if len(parts) != 2:
+            raise ValidationError("expected const,<action>")
+        try:
+            action = int(parts[1])
+        except ValueError:
+            raise ValidationError(f"const action must be an integer, got {parts[1]!r}") from None
+        if action < 0:
+            raise ValidationError(f"const action must be >= 0, got {action}")
+        return ConstantPolicy(action=action)
+    try:
+        theta = np.array([float(tok) for tok in parts])
+    except ValueError:
+        raise ValidationError("non-numeric policy parameter") from None
+    return LinearPolicy(theta=theta)
+
+
 def load_policy_class(path: str) -> PolicyClass:
     """Read a finite policy class from a text file.
 
-    Each nonempty, non-comment line is either `const,<action>` or a
-    comma-separated parameter vector theta_0,...,theta_d.
+    Each nonempty, non-comment line is either `const,<action>` with a
+    nonnegative integer action or a comma-separated parameter vector
+    theta_0,...,theta_d of finite numbers, d >= 1, with the same d on every
+    line. A line that breaks these rules is named as `<path>:<line>`.
     """
     policies: list[Policy] = []
+    theta_size = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
-            parts = [tok.strip() for tok in body.split(",")]
-            if parts[0] == "const":
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected const,<action>")
-                try:
-                    action = int(parts[1])
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: const action must be an integer, got {parts[1]!r}"
-                    ) from None
-                policies.append(ConstantPolicy(action=action))
-                continue
             try:
-                theta = np.array([float(tok) for tok in parts])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric policy parameter") from None
-            policies.append(LinearPolicy(theta=theta))
+                policy = _parse_policy_line(body)
+                if isinstance(policy, LinearPolicy):
+                    theta_size = theta_size or policy.theta.size
+                    if policy.theta.size != theta_size:
+                        raise ValidationError(
+                            f"theta has {policy.theta.size} entries, the first has {theta_size}"
+                        )
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            policies.append(policy)
     if not policies:
         raise ValidationError(f"{path}: no policies found")
     return PolicyClass.finite(policies)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EstimationError, ValidationError
-from .nuisance import NuisanceSet
+from .nuisance import NuisanceSet, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
 from .weights import WeightScheme
 
@@ -101,7 +101,7 @@ class FeatureMap:
         else:
             raise ValidationError(f"unknown feature map kind {self.kind!r}")
         if self.intercept:
-            cols = np.hstack([np.ones((x.shape[0], 1)), cols])
+            cols = add_intercept(cols)
         if cols.shape[1] < 1:
             raise ValidationError("feature map must produce at least one column")
         if not np.all(np.isfinite(cols)):
@@ -153,6 +153,19 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context:
     return beta, float(np.abs(resid).max()), tol
 
 
+def _arm_design(data: Dataset, nuis: NuisanceSet, arm: int, zmap: FeatureMap):
+    """One arm's row indices and their design z, with at least as many rows as features."""
+    if nuis.n != data.n or nuis.m != data.m:
+        raise ValidationError("nuisance matrices do not conform to the dataset")
+    rows = np.flatnonzero(data.actions == arm)
+    z = zmap(data.covariates[rows])
+    if rows.size < z.shape[1]:
+        raise EstimationError(
+            f"arm {arm} has {rows.size} rows, fewer than the {z.shape[1]} features"
+        )
+    return rows, z
+
+
 def fit_best_fit(
     psi_col: np.ndarray, w: WeightScheme, zmap: FeatureMap, data: Dataset
 ) -> RegressionFit:
@@ -194,42 +207,19 @@ def fit_on_arm_precision(
         raise ValidationError(f"mode must be known_variance, ols, or irls, got {mode!r}")
     if not 0 <= arm < data.m:
         raise ValidationError(f"arm {arm} outside {{0..{data.m - 1}}}")
-    if nuis.n != data.n or nuis.m != data.m:
-        raise ValidationError("nuisance matrices do not conform to the dataset")
-    rows = np.flatnonzero(data.actions == arm)
-    z = zmap(data.covariates[rows])
-    if rows.size < z.shape[1]:
-        raise EstimationError(
-            f"arm {arm} has {rows.size} rows, fewer than the {z.shape[1]} features"
-        )
+    rows, z = _arm_design(data, nuis, arm, zmap)
     y = data.outcomes[rows]
     context = f"on-arm regression (arm {arm}, mode {mode})"
-
-    if mode == "known_variance":
-        sample_w = 1.0 / nuis.variance[rows, arm]
-        beta, norm, tol = _solve_wls(z, y, sample_w, context)
-        return RegressionFit(
-            beta=beta, equation="on_arm_precision", arm=arm,
-            residual_norm=norm, residual_tol=tol, n_used=rows.size,
-        )
-    if mode == "ols":
-        beta, norm, tol = _solve_wls(z, y, np.ones(rows.size), context)
-        return RegressionFit(
-            beta=beta, equation="on_arm_precision", arm=arm,
-            residual_norm=norm, residual_tol=tol, n_used=rows.size,
-        )
-
-    beta, norm, tol = _solve_wls(z, y, np.ones(rows.size), context)
-    converged = False
-    iterations = 0
-    for iterations in range(1, IRLS_MAX_ITER + 1):
+    # irls starts from the plain fit.
+    sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
+    beta, norm, tol = _solve_wls(z, y, sample_w, context)
+    iterations, converged = 0, mode != "irls"
+    while not converged and iterations < IRLS_MAX_ITER:
+        iterations += 1
         resid_sq = np.maximum((y - z @ beta) ** 2, IRLS_RESIDUAL_FLOOR)
         new_beta, norm, tol = _solve_wls(z, y, 1.0 / resid_sq, context)
-        step = float(np.abs(new_beta - beta).max())
+        converged = float(np.abs(new_beta - beta).max()) < IRLS_STEP_TOL
         beta = new_beta
-        if step < IRLS_STEP_TOL:
-            converged = True
-            break
     if not converged:
         warnings.warn(
             f"IRLS did not converge within {IRLS_MAX_ITER} iterations for arm {arm}; "
@@ -255,16 +245,8 @@ def fit_dv_overlap(
         raise ValidationError(f"overlap-weighted regression requires m=2, got m={data.m}")
     if not 0 <= arm < 2:
         raise ValidationError(f"arm {arm} outside {{0, 1}}")
-    if nuis.n != data.n or nuis.m != data.m:
-        raise ValidationError("nuisance matrices do not conform to the dataset")
-    rows = np.flatnonzero(data.actions == arm)
-    z = zmap(data.covariates[rows])
-    if rows.size < z.shape[1]:
-        raise EstimationError(
-            f"arm {arm} has {rows.size} rows, fewer than the {z.shape[1]} features"
-        )
-    other = 1 - arm
-    sample_w = nuis.propensity[rows, other]
+    rows, z = _arm_design(data, nuis, arm, zmap)
+    sample_w = nuis.propensity[rows, 1 - arm]
     beta, norm, tol = _solve_wls(z, data.outcomes[rows], sample_w, "overlap-weighted regression")
     return RegressionFit(
         beta=beta, equation="dv_overlap", arm=arm,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .data import Dataset, make_folds
 from .errors import ValidationError
-from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, cross_fit
+from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _softmax, cross_fit
+from .nuisance import add_intercept as _add_intercept
 from .policy import learn_linear
 from .pseudo import dr_pseudo_outcomes
 from .weights import make_weights
@@ -68,23 +69,13 @@ class ScenarioSpec:
             return rng.uniform(-1.0, 1.0, size=(n, self.d))
         return rng.standard_normal(size=(n, self.d))
 
-    def _poly_features(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        cols = [np.ones((x.shape[0], 1))]
-        cols += [x**p for p in range(1, self.mean_degree + 1)]
-        return np.hstack(cols)
-
     def mean_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self._poly_features(x) @ self.mean_coef.T
+        x = np.atleast_2d(x)
+        powers = np.hstack([x**p for p in range(1, self.mean_degree + 1)])
+        return _add_intercept(powers) @ self.mean_coef.T
 
     def propensity_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        z = np.hstack([np.ones((x.shape[0], 1)), x])
-        logits = z @ self.propensity_coef.T
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        p = np.clip(p, 1e-12, None)
+        p = np.clip(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12, None)
         return p / p.sum(axis=1, keepdims=True)
 
     def to_jsonable(self) -> dict:
@@ -240,6 +231,8 @@ def _replicate(
     x_eval = scenario.sample_covariates(regret_draws, eval_rng)
     mu_eval = scenario.mean_matrix(x_eval)
     best_eval = mu_eval.max(axis=1)
+    # Inline rather than true_regret: that draws a fresh sample on every call,
+    # and here one regret sample serves all of this replication's schemes.
     out = np.empty(len(schemes))
     shared: dict = {}  # this replication's w0 and gap statistics, built once
     for s, spec in enumerate(schemes):

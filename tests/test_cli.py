@@ -1,10 +1,20 @@
 """Command-line wiring: exit codes, determinism, and output formats."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from retarget import Dataset, ScenarioSpec, generate, save_dataset
 from retarget.cli import EXIT_ESTIMATION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+def error_lines(capsys) -> list[str]:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error[")]
 
 
 @pytest.fixture()
@@ -65,6 +75,14 @@ class TestSimulate:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "| scenario | uniform | w0 |" in out
+
+    def test_matches_reference_report(self, tmp_path):
+        # The stored seed-0 report pins every regret digit of the default grid.
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--reps", "4", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        config, body = out.read_text().split("\n", 1)
+        assert config.startswith("# config: ")
+        assert body == (REFERENCE / "simulate_seed0_reps4.csv").read_text()
 
     def test_bad_scheme_exits_invalid(self, tmp_path):
         code = main(
@@ -275,3 +293,38 @@ class TestExitCodes:
             f"error[ValidationError]: {policies}:2: const action must be an integer, got 'abc'"
         ]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("const,0\n0.5\n", 2),                    # theta shorter than 2
+            ("const,1\n\n0.5,nan\n", 3),              # non-finite theta
+            ("# policies\nconst,-1\n", 2),            # negative action
+            ("0.5,1.0\n# wider\n0.5,1.0,2.0\n", 3),  # length differs from the first theta
+        ],
+    )
+    def test_policy_file_errors_name_the_line(self, binary_csv, tmp_path, capsys, body, line):
+        policies = tmp_path / "policies.txt"
+        policies.write_text(body)
+        code = main(["learn", "--data", binary_csv, "--class", f"finite:{policies}"])
+        assert code == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert f"{policies}:{line}:" in errors[0]
+
+    def test_action_beyond_the_data_arms_is_invalid(self, binary_csv, tmp_path, capsys):
+        policies = tmp_path / "policies.txt"
+        policies.write_text("const,0\nconst,5\n")
+        code = main(["learn", "--data", binary_csv, "--class", f"finite:{policies}"])
+        assert code == EXIT_INVALID
+        assert len(error_lines(capsys)) == 1
+
+    def test_label_gap_is_invalid_at_load(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        rows = "".join(f"{i / 10},{2 * (i % 2)},{i % 3}\n" for i in range(20))  # labels 0 and 2
+        path.write_text("x1,a,y\n" + rows)
+        code = main(["fit", "--equation", "cate", "--data", str(path)])
+        assert code == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert "action label 1 never appears" in errors[0]

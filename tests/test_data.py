@@ -95,6 +95,12 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="non-numeric cell at row 0"):
             load_dataset(str(path))
 
+    def test_rejects_label_gap(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,a,y\n0.5,0,2.0\n0.6,3,3.0\n0.7,1,1.0\n")
+        with pytest.raises(ValidationError, match="label 2 never appears.*up to 3"):
+            load_dataset(str(path))
+
     def test_m_override(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,a,y\n0.5,0,2.0\n0.6,1,3.0\n")

@@ -225,6 +225,20 @@ class TestLearnLinear:
         with pytest.raises(ValidationError, match="m=2"):
             learn_linear(uniform_weights(n), pseudo, data)
 
+    def test_unrealizable_optimum_falls_back_to_heuristic_d2(self):
+        # On this integer grid no tied optimal labeling of the enumeration is
+        # realized by a parameter, so the seeded heuristic's result comes back.
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 4, (40, 2)).astype(float)
+        pseudo = PseudoOutcomes(values=rng.normal(size=(40, 2)))
+        data = Dataset(covariates=x, actions=np.zeros(40, int), outcomes=np.zeros(40), m=2)
+        w = uniform_weights(40)
+        res = learn_linear(w, pseudo, data, seed=3)
+        approx = learn_linear(w, pseudo, data, seed=3, force_approx=True)
+        assert not res.exact
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+        assert res.best.theta.tobytes() == approx.best.theta.tobytes()
+
 
 def _realizable_threshold_labelings(x):
     """Every 0/1 labeling of the rows that some 1-d rule sign(t0 + t1 x)
@@ -329,6 +343,28 @@ class TestThresholdSearch1d:
         assert res.best_value == 0.5
         oracle = _matrix_threshold_oracle(uniform_weights(2), pseudo, data)
         assert res.best.theta.tobytes() == oracle.tobytes()
+
+    def test_lower_cut_on_a_data_value(self):
+        # The midpoint of 0 and 5e-324 rounds to 0, so x <= c is realized
+        # only by a theta whose offset is the next float above c.
+        x = np.array([[0.0], [5e-324]])
+        data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
+        pseudo = PseudoOutcomes(values=np.array([[0.0, 1.0], [0.0, -1.0]]))
+        res = learn_linear(uniform_weights(2), pseudo, data)
+        assert res.exact
+        assert res.best_value == 0.5
+        assert np.array_equal(res.best.act(x), [1, 0])
+
+    def test_cut_lost_by_unit_scaling_falls_back(self):
+        # x <= 1e17 against 1e17 + 16 (one ulp apart) is realized by
+        # [1e17 + 16, -1] but not by its unit vector, so no exact result exists.
+        x = np.array([[1e17], [1e17 + 16]])
+        data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
+        pseudo = PseudoOutcomes(values=np.array([[0.0, 1.0], [0.0, -1.0]]))
+        w = uniform_weights(2)
+        res = learn_linear(w, pseudo, data)
+        assert not res.exact
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
 
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_same_theta_bits_as_matrix_search_on_default_grid(self, scenario):
