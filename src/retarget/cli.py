@@ -36,16 +36,6 @@ EXIT_INVALID = 3
 EXIT_ESTIMATION = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("RETARGET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"RETARGET_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _config_header(command: str, args: argparse.Namespace) -> str:
     # The output destination does not influence results, so it stays out of
     # the replay config and identical runs emit identical bytes anywhere.
@@ -103,7 +93,7 @@ def _prepare(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenarios = default_scenarios() if args.scenarios == "default" else load_scenarios(args.scenarios)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    threads = args.threads if args.threads else _default_threads()
+    threads = args.threads or os.cpu_count() or 1
     report = run_benchmark(
         scenarios,
         schemes=schemes,
@@ -174,7 +164,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         for j, t in enumerate(result.best.theta):
             lines.append(f"theta_{j}={float(t)!r}")
     elif args.policy_class.startswith("finite:"):
-        policy_class = load_policy_class(args.policy_class.split(":", 1)[1])
+        policy_class = load_policy_class(args.policy_class.split(":", 1)[1], m=data.m, d=data.d)
         result = learn_finite(policy_class, w, pseudo, data)
         lines.append(f"class=finite({policy_class.size})")
         lines.append(f"best_index={result.best_index}")

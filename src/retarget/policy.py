@@ -1,16 +1,16 @@
 """Policy search over weighted doubly robust values, plus regret evaluation.
 
 Policies map covariates to actions. Finite classes are scored exhaustively;
-the linear-threshold class is scored exactly at desk scale (for d=1 by an
-O(n log n) sweep over sorted covariate values, for d>=2 by hyperplane
-enumeration through point subsets) and by a seeded multi-start heuristic
-beyond it.
+the linear-threshold class exactly for d <= 4 and n <= 500 (for d=1 by an
+O(n log n) sweep over sorted covariate values, for d>=2 by a recursive search
+over the cells of the rows' hyperplane arrangement) and by a seeded
+multi-start heuristic beyond that or when the optimum cannot be realized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .weights import WeightScheme
 
 EXACT_MAX_N = 500
 EXACT_MAX_D = 4
-_BOUNDARY_TOL = 1e-9
+_BOUNDARY_TOL = 1e-12
+_RAYS_PER_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -164,31 +165,6 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return theta / norm
 
 
-def _realize_labels(z: np.ndarray, theta0: np.ndarray, boundary: np.ndarray,
-                    signs: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    """Nudge theta0 off the boundary rows so each lands on its requested side;
-    returns the unit parameter, or None when no verified one exists."""
-    margins = z @ theta0
-    if boundary.size == 0:
-        theta = theta0
-    else:
-        v = np.linalg.pinv(z[boundary])  # column k satisfies z[boundary[k]] @ v_k = 1
-        direction = v @ signs
-        off = np.delete(np.abs(margins), boundary)
-        cross = float(np.abs(z @ direction).max())
-        if cross == 0:
-            return None
-        lo = 4.0 * max(float(np.abs(margins[boundary]).max()), 1e-15)
-        hi = 0.5 * float(off.min()) / cross if off.size else max(2.0 * lo, 1e-6)
-        if lo > hi:
-            return None
-        theta = theta0 + 0.5 * (lo + hi) * direction
-    theta = _unit(theta)
-    if np.array_equal(z @ theta > 0, labels):
-        return theta
-    return None
-
-
 def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
     """Exact d=1 search in O(n log n).
 
@@ -237,71 +213,99 @@ def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) 
 
 
 def _exact_result(theta, w, pseudo, data) -> LearnResult | None:
-    """The exact search's result, or None when no tied optimum was realized."""
+    """The exact search's result, or None when its optimum was not realized."""
     if theta is None:
         return None
     policy = LinearPolicy(theta=theta)
     return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=True)
 
 
+def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
+    """The unit theta = v + eps * sub whose margins on z are nonzero and positive
+    exactly on labels, or None (v = 0 checks sub): eps exceeds the margins of v
+    that sub overturns on the tight rows and stays below an off row's flip."""
+    a, b = z @ v, z @ sub
+    flip = a * b < 0
+    with np.errstate(divide="ignore"):
+        ratio = np.abs(a) / np.abs(b)
+    lo = float(ratio[tight & flip].max(initial=0.0))
+    hi = min(float(ratio[~tight & flip].min(initial=np.inf)), 1.0)
+    if not lo < hi:
+        return None
+    theta = _unit(v + 0.5 * (lo + hi) * sub)
+    margins = z @ theta
+    return theta if np.all(margins != 0) and np.array_equal(margins > 0, labels) else None
+
+
+def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
+    """Best gain sum over the labelings z @ theta > 0 that a theta realizes, as
+    (value, unit theta, lost), lost being the best value of a candidate that
+    could not be realized (-inf if none). Every cell of the rows' arrangement
+    in span(z) touches a ray v where rank - 1 independent rows vanish: the
+    rows off v's hyperplane take v's sign, the tight rows on it take their own
+    best labeling one rank lower. Ties go to the first realized cell: +e0,
+    -e0 (every row starts with 1), then rays of row subsets in lexicographic
+    order, each both ways."""
+    n, k = z.shape
+    e0 = np.eye(k)[0]
+    total = float(gain.sum())
+    best_value, best_theta = (total, e0) if total >= 0 else (0.0, -e0)
+    lost = -np.inf
+    _, sv, vt = np.linalg.svd(z, full_matrices=False)
+    rank = int(np.sum(sv > rank_tol))
+    if rank == n:  # independent rows take any labeling through one solve
+        labels = gain > 0
+        value = float(gain[labels].sum())
+        theta = _lift(z, np.zeros(k), np.linalg.pinv(z) @ np.where(labels, 1.0, -1.0), labels, labels)
+        if value > best_value and theta is not None:
+            best_value, best_theta = value, theta
+        elif value > best_value:
+            lost = value
+    if rank in (1, n):  # rank 1: coincident rows, only the constants
+        return best_value, best_theta, lost
+    basis = vt[:rank]
+    seen = set()
+    subsets = combinations(range(n), rank - 1)
+    for chunk in iter(lambda: list(islice(subsets, _RAYS_PER_BATCH)), []):
+        _, s, null = np.linalg.svd(z[np.array(chunk)] @ basis.T)
+        rays = null[s[:, -1] > rank_tol, -1] @ basis
+        margins = z @ rays.T
+        tight = np.abs(margins) <= tol
+        # Search a hyperplane only if the gain off it plus every gain on it can win.
+        reach = np.maximum(gain @ (margins > tol), gain @ (margins < -tol))
+        reach += np.maximum(gain, 0.0) @ tight
+        for j in np.flatnonzero(reach > best_value):
+            on_plane = tight[:, j]
+            if reach[j] <= best_value or on_plane.tobytes() in seen:
+                continue
+            seen.add(on_plane.tobytes())
+            # Projected onto span(z), the tight rows' component along the ray is
+            # at most tol * sqrt(n) < rank_tol, so the rank drops at every level.
+            sub_z = z[on_plane] @ basis.T @ basis
+            sub_value, sub_theta, sub_lost = _best_cell(sub_z, gain[on_plane], tol, rank_tol)
+            for sign in (1.0, -1.0):
+                labels = sign * margins[:, j] > tol
+                head = float(gain[labels].sum())
+                lost = max(lost, head + sub_lost)
+                if head + sub_value <= best_value:
+                    continue
+                labels[on_plane] = sub_z @ sub_theta > 0
+                theta = _lift(z, sign * rays[j], sub_theta, on_plane, labels)
+                if theta is None:
+                    lost = max(lost, head + sub_value)
+                else:
+                    best_value, best_theta = head + sub_value, theta
+    return best_value, best_theta, lost
+
+
 def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
     if data.d == 1:
         return _learn_threshold_1d(w, pseudo, data)
     z = add_intercept(data.covariates)
-    base, gain = _gains(w, pseudo, data)
-    const_labels = np.vstack([np.ones(data.n, bool), np.zeros(data.n, bool)])
-    const_thetas = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
-
-    # General position: the optimum lies in some cell of the arrangement of
-    # row hyperplanes {theta : theta . z_i = 0}; every cell touches a null
-    # direction of some d-subset, so sweep those directions and every side
-    # assignment of their boundary rows.
-    scale = max(float(np.abs(z).max()), 1.0)
-    tol = _BOUNDARY_TOL * scale
-    best_value = -np.inf
-    # Degenerate instances (all gains zero) tie every labeling; the pool cap
-    # bounds memory while the fixed enumeration order keeps ties deterministic.
-    tie_cap = 64
-    tie_pool: list[tuple] = []
-    for labels, theta in zip(const_labels, const_thetas):
-        value = base + float(gain[labels].sum())
-        if value > best_value:
-            best_value = value
-            tie_pool = [(None, None, None, labels, theta)]
-        elif value == best_value and len(tie_pool) < tie_cap:
-            tie_pool.append((None, None, None, labels, theta))
-    for subset in combinations(range(data.n), data.d):
-        rows = z[list(subset)]
-        _, sv, vt = np.linalg.svd(rows)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            continue  # degenerate subset; its cells are reachable from others
-        theta0 = vt[-1]
-        margins = z @ theta0
-        boundary = np.flatnonzero(np.abs(margins) <= tol)
-        if boundary.size > data.d + 4:
-            continue
-        for orient in (1.0, -1.0):
-            oriented = orient * margins
-            for side in product((1.0, -1.0), repeat=boundary.size):
-                labels = oriented > 0
-                signs = np.asarray(side)
-                labels[boundary] = signs > 0
-                value = base + float(gain[labels].sum())
-                if value > best_value:
-                    best_value = value
-                    tie_pool = [(orient * theta0, boundary, signs, labels, None)]
-                elif value == best_value and len(tie_pool) < tie_cap:
-                    tie_pool.append((orient * theta0, boundary, signs, labels, None))
-    best_theta = None
-    for theta0, boundary, signs, labels, ready in tie_pool:
-        theta = ready
-        if theta is None:
-            theta = _realize_labels(z, theta0, boundary, signs, labels)
-            if theta is None:
-                continue
-        if best_theta is None or _lex_smaller(theta, best_theta):
-            best_theta = theta
-    return _exact_result(best_theta, w, pseudo, data)
+    _, gain = _gains(w, pseudo, data)
+    tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
+    value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
+    return _exact_result(theta if lost <= value else None, w, pseudo, data)
 
 
 def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
@@ -362,10 +366,12 @@ def learn_linear(
 ) -> LearnResult:
     """Maximize the weighted value over linear threshold policies (m=2).
 
-    Uses the exact enumeration when d <= 4 and n <= 500; otherwise, or when
-    no parameter realizing a tied optimal labeling is found, a seeded
-    multi-start coordinate search, flagged exact=False. Value ties are broken
-    toward the lexicographically smallest unit-norm parameter vector.
+    Exact when d <= 4 and n <= 500: at d=1 ties go to the lexicographically
+    smallest unit-norm theta; at d>=2 (`_best_cell`, rows within 1e-12 *
+    max|[1, x]| of a hyperplane count as on it) to the first realized cell.
+    Otherwise, or when the optimum cannot be realized numerically (rounding,
+    or a cut lost by scaling theta to unit norm at large |x|), a seeded
+    multi-start coordinate search runs instead, flagged exact=False.
     """
     if not (force_approx or data.d > EXACT_MAX_D or data.n > EXACT_MAX_N):
         result = _learn_linear_exact(w, pseudo, data)
@@ -400,7 +406,7 @@ def true_regret(
     return float(np.sum(wts * shortfall) / wts.sum())
 
 
-def _parse_policy_line(body: str) -> Policy:
+def _parse_policy_line(body: str, m: int | None) -> Policy:
     parts = [tok.strip() for tok in body.split(",")]
     if parts[0] == "const":
         if len(parts) != 2:
@@ -409,8 +415,9 @@ def _parse_policy_line(body: str) -> Policy:
             action = int(parts[1])
         except ValueError:
             raise ValidationError(f"const action must be an integer, got {parts[1]!r}") from None
-        if action < 0:
-            raise ValidationError(f"const action must be >= 0, got {action}")
+        if action < 0 or (m is not None and action >= m):
+            top = "m-1" if m is None else m - 1
+            raise ValidationError(f"const action {action} is outside 0..{top}")
         return ConstantPolicy(action=action)
     try:
         theta = np.array([float(tok) for tok in parts])
@@ -419,28 +426,29 @@ def _parse_policy_line(body: str) -> Policy:
     return LinearPolicy(theta=theta)
 
 
-def load_policy_class(path: str) -> PolicyClass:
+def load_policy_class(path: str, m: int | None = None, d: int | None = None) -> PolicyClass:
     """Read a finite policy class from a text file.
 
     Each nonempty, non-comment line is either `const,<action>` with a
     nonnegative integer action or a comma-separated parameter vector
     theta_0,...,theta_d of finite numbers, d >= 1, with the same d on every
-    line. A line that breaks these rules is named as `<path>:<line>`.
+    line (d + 1 entries and actions below m when the data's m and d are
+    given). A line that breaks these rules is named as `<path>:<line>`.
     """
     policies: list[Policy] = []
-    theta_size = None
+    theta_size = None if d is None else d + 1
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
             try:
-                policy = _parse_policy_line(body)
+                policy = _parse_policy_line(body, m)
                 if isinstance(policy, LinearPolicy):
                     theta_size = theta_size or policy.theta.size
                     if policy.theta.size != theta_size:
                         raise ValidationError(
-                            f"theta has {policy.theta.size} entries, the first has {theta_size}"
+                            f"theta has {policy.theta.size} entries, expected {theta_size}"
                         )
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None

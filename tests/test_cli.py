@@ -118,19 +118,6 @@ class TestSimulate:
         assert code == EXIT_OK
         assert '"oracle_nuisances": true' in out.read_text().splitlines()[0]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RETARGET_THREADS", "2")
-        out = tmp_path / "r.csv"
-        code = main(
-            [
-                "simulate", "--reps", "2", "--n", "60", "--schemes", "uniform",
-                "--regret-draws", "300", "--out", str(out),
-            ]
-        )
-        assert code == EXIT_OK
-        monkeypatch.setenv("RETARGET_THREADS", "zippy")
-        assert main(["simulate", "--reps", "1", "--n", "40"]) == EXIT_INVALID
-
 
 class TestFit:
     def test_dv_on_three_arms_names_requirement(self, ternary_csv, capsys):
@@ -301,6 +288,7 @@ class TestExitCodes:
             ("const,1\n\n0.5,nan\n", 3),              # non-finite theta
             ("# policies\nconst,-1\n", 2),            # negative action
             ("0.5,1.0\n# wider\n0.5,1.0,2.0\n", 3),  # length differs from the first theta
+            ("const,1\n0.5,1.0,2.0\n", 2),            # theta length is not d + 1
         ],
     )
     def test_policy_file_errors_name_the_line(self, binary_csv, tmp_path, capsys, body, line):
@@ -317,7 +305,9 @@ class TestExitCodes:
         policies.write_text("const,0\nconst,5\n")
         code = main(["learn", "--data", binary_csv, "--class", f"finite:{policies}"])
         assert code == EXIT_INVALID
-        assert len(error_lines(capsys)) == 1
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {policies}:2: const action 5 is outside 0..1"
+        ]
 
     def test_label_gap_is_invalid_at_load(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"

@@ -29,6 +29,7 @@ from retarget import (
     uniform_weights,
     weighted_value,
 )
+from retarget import policy as policy_module
 from retarget.simulation import DEFAULT_SCHEMES
 
 
@@ -156,6 +157,53 @@ class TestLearnFinite:
         assert np.allclose(res2.values, res.values + 3.25)
 
 
+def _lp_best_value(data, pseudo, w):
+    """Best value over the 0/1 labelings that linprog finds realizable,
+    z_S theta >= 1 and z_C theta <= 0, scanned from the highest value down."""
+    from scipy.optimize import linprog
+
+    z = np.column_stack([np.ones(data.n), data.covariates])
+    rows = np.arange(data.n)
+    labelings = [np.array(bits) for bits in product((False, True), repeat=data.n)]
+    values = [float(np.mean(w.weights * pseudo.values[rows, lab.astype(int)])) for lab in labelings]
+    for r in np.argsort(values, kind="stable")[::-1]:
+        lab = labelings[r]
+        fit = linprog(
+            np.zeros(z.shape[1]),
+            A_ub=np.vstack([-z[lab], z[~lab]]),
+            b_ub=np.concatenate([-np.ones(lab.sum()), np.zeros((~lab).sum())]),
+            bounds=[(None, None)] * z.shape[1],
+            method="highs",
+        )
+        if fit.status == 0:
+            return values[r]
+    raise AssertionError("no labeling is realizable")
+
+
+@st.composite
+def _degenerate_instances(draw):
+    """d in {2, 3}, n <= 9: points on a {0, 1, 2} grid, on a 0.5 grid, or a few
+    grid points repeated; integer or real gains."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["grid", "rounded", "duplicated"]))
+    if kind == "rounded":
+        cells = draw(st.lists(st.floats(-2.5, 2.5), min_size=n * d, max_size=n * d))
+        x = np.round(2.0 * np.array(cells)) / 2.0
+    else:
+        k = n if kind == "grid" else draw(st.integers(1, max(1, n // 2)))
+        x = np.array(draw(st.lists(st.integers(0, 2), min_size=k * d, max_size=k * d)), float)
+        if kind == "duplicated":
+            x = x.reshape(k, d)[draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        effect = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+    else:
+        effect = np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n)))
+    data = Dataset(covariates=x.reshape(n, d), actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+    pseudo = PseudoOutcomes(values=np.column_stack([np.zeros(n), effect]))
+    return data, pseudo, uniform_weights(n)
+
+
 class TestLearnLinear:
     def test_single_sign_change_threshold(self):
         # Effect score x - c changes sign once at c: the learned rule must
@@ -225,9 +273,8 @@ class TestLearnLinear:
         with pytest.raises(ValidationError, match="m=2"):
             learn_linear(uniform_weights(n), pseudo, data)
 
-    def test_unrealizable_optimum_falls_back_to_heuristic_d2(self):
-        # On this integer grid no tied optimal labeling of the enumeration is
-        # realized by a parameter, so the seeded heuristic's result comes back.
+    def test_integer_grid_optimum_is_exact_d2(self):
+        # Tied and duplicated grid points: the optimum is found and realized.
         rng = np.random.default_rng(0)
         x = rng.integers(0, 4, (40, 2)).astype(float)
         pseudo = PseudoOutcomes(values=rng.normal(size=(40, 2)))
@@ -235,9 +282,88 @@ class TestLearnLinear:
         w = uniform_weights(40)
         res = learn_linear(w, pseudo, data, seed=3)
         approx = learn_linear(w, pseudo, data, seed=3, force_approx=True)
-        assert not res.exact
+        assert res.exact
+        assert res.best_value >= approx.best_value
         assert res.best_value == weighted_value(res.best, w, pseudo, data)
+
+    def test_constant_covariate_reduces_to_the_1d_search(self):
+        # x1 is constant in the sample, so every hyperplane through two rows
+        # holds many more rows; the optimum is the threshold search on x2.
+        n = 40
+        x2 = np.random.default_rng(0).uniform(-1, 1, n)
+        psi = np.column_stack([np.zeros(n), x2 - 0.2])
+        w = uniform_weights(n)
+        both = Dataset(covariates=np.column_stack([np.ones(n), x2]), actions=np.zeros(n, int),
+                       outcomes=np.zeros(n), m=2)
+        only = Dataset(covariates=x2[:, None], actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+        res = learn_linear(w, PseudoOutcomes(values=psi), both)
+        one_d = learn_linear(w, PseudoOutcomes(values=psi), only)
+        assert res.exact
+        assert one_d.best_value == 0.18904982289803426
+        assert res.best_value == one_d.best_value
+
+    @staticmethod
+    def _coincident_rows():
+        # Two distinct points, each repeated: (1, 1) gains 0 + 0 + 1 + 2 and
+        # (1, 0) gains -2 - 2 + 2, so treating (1, 1) alone is worth 3.
+        x = np.array([(1.0, 1.0), (1.0, 0.0)] * 3 + [(1.0, 1.0)])
+        gain = np.array([0.0, -2.0, 0.0, -2.0, 1.0, 2.0, 2.0])
+        data = Dataset(covariates=x, actions=np.zeros(7, int), outcomes=np.zeros(7), m=2)
+        return data, PseudoOutcomes(values=np.column_stack([np.zeros(7), 7.0 * gain]))
+
+    def test_coincident_rows_share_one_label(self):
+        data, pseudo = self._coincident_rows()
+        res = learn_linear(uniform_weights(7), pseudo, data)
+        assert res.exact
+        assert res.best_value == 3.0
+        assert np.array_equal(res.best.act(data.covariates), [1, 0, 1, 0, 1, 0, 1])
+
+    def test_unrealized_optimum_falls_back_to_heuristic(self, monkeypatch):
+        # When no cell better than a constant can be realized numerically, the
+        # lost optimum (3.0) turns exact off and the heuristic's result returns.
+        monkeypatch.setattr(policy_module, "_lift", lambda *args: None)
+        data, pseudo = self._coincident_rows()
+        w = uniform_weights(7)
+        res = learn_linear(w, pseudo, data, seed=3)
+        approx = learn_linear(w, pseudo, data, seed=3, force_approx=True)
+        assert not res.exact
         assert res.best.theta.tobytes() == approx.best.theta.tobytes()
+
+    def test_nearby_points_are_separated(self):
+        # Points 1e-10 apart are distinct rows: the rule that treats only the
+        # first one is found and realized.
+        x = np.array([[0.0, 0.0], [1e-10, 0.0], [1.0, 1.0]])
+        psi = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        data = Dataset(covariates=x, actions=np.zeros(3, int), outcomes=np.zeros(3), m=2)
+        res = learn_linear(uniform_weights(3), PseudoOutcomes(values=psi), data)
+        assert res.exact
+        assert np.array_equal(res.best.act(x)[:2], [1, 0])
+
+    @settings(max_examples=120, deadline=None)
+    @given(_degenerate_instances())
+    def test_matches_lp_brute_force_d2_d3(self, instance):
+        pytest.importorskip("scipy")
+        data, pseudo, w = instance
+        res = learn_linear(w, pseudo, data)
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+        if res.exact:
+            assert res.best_value == pytest.approx(_lp_best_value(data, pseudo, w), abs=1e-9)
+            approx = learn_linear(w, pseudo, data, seed=0, force_approx=True)
+            assert res.best_value >= approx.best_value - 1e-12
+
+    @pytest.mark.parametrize("noise", [1e-10, 1e-8])
+    def test_near_collinear_covariates_return(self, noise):
+        rng = np.random.default_rng(12)
+        n = 40
+        x1 = rng.uniform(-1, 1, n)
+        x = np.column_stack([x1, 2.0 * x1 + 0.5 + noise * rng.standard_normal(n)])
+        data, pseudo = plain_data(rng, n, 2)
+        data = Dataset(covariates=x, actions=data.actions, outcomes=data.outcomes, m=2)
+        w = uniform_weights(n)
+        res = learn_linear(w, pseudo, data)
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+        if res.exact:
+            assert res.best_value >= learn_linear(w, pseudo, data, force_approx=True).best_value
 
 
 def _realizable_threshold_labelings(x):
