@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +106,13 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
 
     The file must carry a header row with covariate columns x1..xd in order,
     an action column `a` and an outcome column `y`; the action column must
-    parse as a nonnegative integer and every other column as a finite float.
-    Every label from 0 up to the largest one present must appear. `m`
-    defaults to (max action label + 1).
+    parse as a nonnegative integer and every other column as a finite float,
+    with no blank lines. Every label from 0 up to the largest one present
+    must appear. `m` defaults to (max action label + 1) and must be >= 2.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         for col in ("a", "y"):
@@ -122,48 +123,92 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
             raise ValidationError(
                 f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
             )
-        idx = {name: header.index(name) for name in header}
-        xs, acts, ys = [], [], []
-        for rownum, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
-                )
-            try:
-                xs.append([float(row[idx[c]]) for c in xcols])
-                ys.append(float(row[idx["y"]]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
-            raw_a = row[idx["a"]]
-            try:
-                a_val = int(raw_a)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: action {raw_a!r} at row {rownum} is not an integer"
-                ) from None
-            if a_val < 0:
-                raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
-            acts.append(a_val)
-        if not acts:
-            raise ValidationError(f"{path}: no data rows")
-        if not np.all(np.isfinite(ys)):
-            bad = int(np.argmax(~np.isfinite(np.asarray(ys))))
-            raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
-        x_arr = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(x_arr)):
-            i, j = np.argwhere(~np.isfinite(x_arr))[0]
-            raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
-    actions = np.asarray(acts)
+        body = fh.read()
+    x_arr, actions, y_arr = (
+        _parse_table(body, header, xcols) or _parse_rows(path, body, header, xcols)
+    )
+    if actions.size == 0:
+        raise ValidationError(f"{path}: no data rows")
+    if not np.all(np.isfinite(y_arr)):
+        bad = int(np.argmax(~np.isfinite(y_arr)))
+        raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
+    if not np.all(np.isfinite(x_arr)):
+        i, j = np.argwhere(~np.isfinite(x_arr))[0]
+        raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
     counts = np.bincount(actions)
     if np.any(counts == 0):
         raise ValidationError(
             f"{path}: action label {int(np.argmax(counts == 0))} never appears, but labels "
             f"run up to {counts.size - 1}; every label from 0 to the largest must be present"
         )
-    m_final = counts.size if m is None else m
-    if m_final < 2:
-        m_final = 2
-    return Dataset(covariates=x_arr, actions=actions, outcomes=np.asarray(ys), m=m_final)
+    if m is None and counts.size < 2:
+        raise ValidationError(f"{path}: every action is 0; at least two arms are needed")
+    if m is not None and m < 2:
+        raise ValidationError(f"{path}: action count m must be >= 2, got {m}")
+    return Dataset(
+        covariates=x_arr, actions=actions, outcomes=y_arr, m=counts.size if m is None else m
+    )
+
+
+def _parse_table(body: str, header: list[str], xcols: list[str]):
+    """Parse the data lines in one np.loadtxt call.
+
+    Returns (x, a, y), or None when the lines need the row-by-row parser:
+    a cell loadtxt rejects (including text Python's float/int accept, such as
+    `1_0`, and a lone carriage return, which ends a row for csv.reader), a
+    blank line (which loadtxt skips), or a negative action.
+    """
+    ia = header.index("a")
+    dtype = np.dtype(
+        [(f"f{j}", np.int64 if j == ia else np.float64) for j in range(len(header))]
+    )
+    with warnings.catch_warnings():
+        # numpy < 2 reads an integer column through float ("1.0" -> 1) with
+        # only a DeprecationWarning; as an error it sends the file to the row
+        # parser, which rejects the cell.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1
+            )
+        except (ValueError, Warning):
+            return None
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    actions = table[f"f{ia}"]
+    if table.size != n_lines or np.any(actions < 0):
+        return None
+    x_arr = np.empty((table.size, len(xcols)))
+    for j, name in enumerate(xcols):
+        x_arr[:, j] = table[f"f{header.index(name)}"]
+    outcomes = table[f"f{header.index('y')}"]
+    return x_arr, np.ascontiguousarray(actions), np.ascontiguousarray(outcomes)
+
+
+def _parse_rows(path: str, body: str, header: list[str], xcols: list[str]):
+    """Parse the data lines one cell at a time, naming the first bad row."""
+    idx = {name: header.index(name) for name in header}
+    xs, acts, ys = [], [], []
+    for rownum, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
+            )
+        try:
+            xs.append([float(row[idx[c]]) for c in xcols])
+            ys.append(float(row[idx["y"]]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
+        raw_a = row[idx["a"]]
+        try:
+            a_val = int(raw_a)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: action {raw_a!r} at row {rownum} is not an integer"
+            ) from None
+        if a_val < 0:
+            raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+        acts.append(a_val)
+    return np.asarray(xs, dtype=float), np.asarray(acts), np.asarray(ys)
 
 
 def save_dataset(data: Dataset, path: str) -> None:

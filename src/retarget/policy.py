@@ -1,10 +1,11 @@
 """Policy search over weighted doubly robust values, plus regret evaluation.
 
 Policies map covariates to actions. Finite classes are scored exhaustively;
-the linear-threshold class exactly for d <= 4 and n <= 500 (for d=1 by an
-O(n log n) sweep over sorted covariate values, for d>=2 by a recursive search
-over the cells of the rows' hyperplane arrangement) and by a seeded
-multi-start heuristic beyond that or when the optimum cannot be realized.
+the linear-threshold class exactly (for d=1 by an O(n log n) sweep over
+sorted covariate values at any n, for d>=2 by a recursive search over the
+cells of the rows' hyperplane arrangement while its ~n^(d+1) work stays
+within EXACT_MAX_WORK) and by a seeded multi-start heuristic beyond that or
+when the optimum cannot be realized.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .nuisance import add_intercept
 from .pseudo import PseudoOutcomes
 from .weights import WeightScheme
 
-EXACT_MAX_N = 500
-EXACT_MAX_D = 4
+EXACT_MAX_WORK = 500 ** 3  # n^(d+1) at d=2, n=500: about 1 s on 2 vCPUs
 _BOUNDARY_TOL = 1e-12
 _RAYS_PER_BATCH = 512
 
@@ -366,14 +366,15 @@ def learn_linear(
 ) -> LearnResult:
     """Maximize the weighted value over linear threshold policies (m=2).
 
-    Exact when d <= 4 and n <= 500: at d=1 ties go to the lexicographically
-    smallest unit-norm theta; at d>=2 (`_best_cell`, rows within 1e-12 *
-    max|[1, x]| of a hyperplane count as on it) to the first realized cell.
-    Otherwise, or when the optimum cannot be realized numerically (rounding,
-    or a cut lost by scaling theta to unit norm at large |x|), a seeded
-    multi-start coordinate search runs instead, flagged exact=False.
+    Exact at d=1 for any n, with ties to the lexicographically smallest
+    unit-norm theta; at d>=2 when n^(d+1) <= EXACT_MAX_WORK (n <= 500 at
+    d=2, 105 at d=3, 41 at d=4), with ties to the first realized cell of
+    `_best_cell` (rows within 1e-12 * max|[1, x]| of a hyperplane count as
+    on it). Otherwise, or when the optimum cannot be realized numerically
+    (rounding, or a cut lost by scaling theta to unit norm at large |x|), a
+    seeded multi-start coordinate search runs instead, flagged exact=False.
     """
-    if not (force_approx or data.d > EXACT_MAX_D or data.n > EXACT_MAX_N):
+    if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
         result = _learn_linear_exact(w, pseudo, data)
         if result is not None:
             return result

@@ -318,3 +318,14 @@ class TestExitCodes:
         errors = error_lines(capsys)
         assert len(errors) == 1
         assert "action label 1 never appears" in errors[0]
+
+    def test_single_label_is_invalid_at_load(self, tmp_path, capsys):
+        # One arm only: rejected naming the file, not passed on to fail in
+        # cross-fitting as "arm 1 absent" (exit 4).
+        path = tmp_path / "one_arm.csv"
+        path.write_text("x1,a,y\n" + "".join(f"{i / 10},0,{i % 3}\n" for i in range(20)))
+        code = main(["fit", "--equation", "cate", "--data", str(path)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {path}: every action is 0; at least two arms are needed"
+        ]

@@ -1,7 +1,11 @@
 """Dataset construction, CSV round trips, and fold assignment."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from retarget import Dataset, FoldAssignment, ValidationError, load_dataset, make_folds, save_dataset
 
@@ -106,6 +110,15 @@ class TestLoadDataset:
         path.write_text("x1,a,y\n0.5,0,2.0\n0.6,1,3.0\n")
         assert load_dataset(str(path), m=4).m == 4
 
+    def test_m_below_two_is_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,a,y\n0.5,0,2.0\n0.6,0,3.0\n")
+        with pytest.raises(ValidationError, match=f"^{path}: every action is 0; at least two arms"):
+            load_dataset(str(path))
+        with pytest.raises(ValidationError, match=f"^{path}: action count m must be >= 2, got 1$"):
+            load_dataset(str(path), m=1)
+        assert load_dataset(str(path), m=2).m == 2
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         data = Dataset(
@@ -121,6 +134,152 @@ class TestLoadDataset:
         assert np.array_equal(back.actions, data.actions)
         assert np.array_equal(back.outcomes, data.outcomes)
         assert back.m == data.m
+
+
+def _reference_load(path):
+    """The row-by-row loader that `load_dataset` replaced, kept as the
+    reference for its arrays and error messages (the `m` handling and the
+    Dataset construction are left out)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        for col in ("a", "y"):
+            if col not in header:
+                raise ValidationError(f"{path}: missing column {col!r}")
+        xcols = [h for h in header if h not in ("a", "y")]
+        if xcols != [f"x{i + 1}" for i in range(len(xcols))]:
+            raise ValidationError(
+                f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
+            )
+        idx = {name: header.index(name) for name in header}
+        xs, acts, ys = [], [], []
+        for rownum, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                xs.append([float(row[idx[c]]) for c in xcols])
+                ys.append(float(row[idx["y"]]))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
+            raw_a = row[idx["a"]]
+            try:
+                a_val = int(raw_a)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: action {raw_a!r} at row {rownum} is not an integer"
+                ) from None
+            if a_val < 0:
+                raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+            acts.append(a_val)
+        if not acts:
+            raise ValidationError(f"{path}: no data rows")
+        if not np.all(np.isfinite(ys)):
+            bad = int(np.argmax(~np.isfinite(np.asarray(ys))))
+            raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
+        x_arr = np.asarray(xs, dtype=float)
+        if not np.all(np.isfinite(x_arr)):
+            i, j = np.argwhere(~np.isfinite(x_arr))[0]
+            raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
+    actions = np.asarray(acts)
+    counts = np.bincount(actions)
+    if np.any(counts == 0):
+        raise ValidationError(
+            f"{path}: action label {int(np.argmax(counts == 0))} never appears, but labels "
+            f"run up to {counts.size - 1}; every label from 0 to the largest must be present"
+        )
+    return x_arr, actions, np.asarray(ys)
+
+
+def assert_loads_like_reference(path):
+    """`load_dataset` gives the reference loader's arrays bit for bit (dtype,
+    shape and bytes), or raises the same exception type with the same text."""
+    try:
+        expected = _reference_load(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            load_dataset(path)
+        assert str(info.value) == str(exc)
+        return
+    # the reference took m = max(label + 1, 2); pass it so one-label files compare too
+    data = load_dataset(path, m=max(int(expected[1].max()) + 1, 2))
+    for want, got in zip(expected, (data.covariates, data.actions, data.outcomes)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+
+def _write_repr_lines(data, path):
+    """The layout `perfbench` writes: LF line ends, floats in repr form."""
+    lines = [",".join([f"x{j + 1}" for j in range(data.d)] + ["a", "y"])]
+    for xi, ai, yi in zip(data.covariates.tolist(), data.actions.tolist(), data.outcomes.tolist()):
+        lines.append(",".join([*map(repr, xi), str(ai), repr(yi)]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 3))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)), dtype=float)
+    y = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    a = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return Dataset(covariates=x.reshape(n, d), actions=a, outcomes=y, m=max(int(a.max()) + 1, 2))
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=datasets(), writer=st.sampled_from([save_dataset, _write_repr_lines]))
+    def test_written_files(self, tmp_path, data, writer):
+        # save_dataset writes CRLF through csv.writer; the repr writer LF.
+        path = str(tmp_path / "h.csv")
+        writer(data, path)
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1,a,y\r\n0.5,0,1.0\r\n0.25,1,2.0\r\n",           # CRLF
+            "x1,a,y\r0.5,0,1.0\r0.25,1,2.0\r",                     # lone CR
+            "x1,a,y\n0.5,0,1.0\n0.25,1,2.0",                        # no trailing newline
+            "x1,a,y\n0.5,0,1.0\n\n0.25,1,2.0\n",                    # interior blank line
+            "x1,a,y\n0.5,0,1.0\n0.25,1,2.0\n\n",                    # trailing blank line
+            "x1,a,y\r\n0.5,0,1.0\r\n\r\n0.25,1,2.0\r\n",           # blank CRLF line
+            "x1,a,y\n0.5,0,1.0\n   \n0.25,1,2.0\n",                 # whitespace-only line
+            "x1,a,y\n 0.5 , 0 ,1.0 \n0.25,1 ,\t2.0\n",              # spaces around cells
+            "x1,a,y\nnan,0,1.0\n0.25,1,2.0\n",                     # nan covariate
+            "x1,a,y\n0.5,0,-inf\n0.25,1,2.0\n",                    # infinite outcome
+            "x1,a,y\n0.5,0,1.0\n0.25,-1,2.0\n",                    # negative action
+            "x1,a,y\n0.5,0,1.0\n0.25,1.0,2.0\n",                   # 1.0 action
+            "x1,a,y\n0.5,0,1.0\n0.25,1e0,2.0\n",                   # 1e0 action
+            "x1,a,y\n1_0,0,1.0\n0.25,0_1,2_0.5\n",                 # digit underscores
+            "x1,a,y\n\uff11,0,1.0\n0.25,\uff11,2.0\n",             # full-width digits
+            'x1,a,y\n"0.5",0,1.0\n0.25,"1",2.0\n',                 # quoted cells
+            '"x1",a,"y"\n0.5,0,1.0\n0.25,1,2.0\n',                  # quoted header cells
+            "a,y\n0,1.0\n1,2.0\n",                                 # d=0
+            "x1,a,y\n0.5,0,1.0\n",                                  # one row
+            "x1,a,y\n0.5,0,1.0\n0.25,99999999999999999999,2.0\n",  # action beyond int64
+            "x1,a,y\n0.5,0,1.0\n0.25,9223372036854775808,2.0\n",   # action 2**63
+            "y,x1,a,x2\n1.0,0.5,1,-2\n2.0,0.25,0,3e-300\n",          # a and y among the x's
+            "x1,a,y,y\n0.5,0,1.0,hello\n0.25,1,2.0,3\n",            # a second y is not read
+            "x1,a,y\n0.5,0,1.0,4\n0.25,1,2.0\n",                   # extra cell
+            "x1,a,y\n0.5,0\n0.25,1,2.0\n",                         # missing cell
+            "x1,a,y\n0.5,,1.0\n0.25,1,2.0\n",                      # empty action
+            "x1,a,y\n",                                            # header only
+            "x1,a,y",                                               # header, no newline
+            "x1,a,y\n0.5,0,1.0\n0.25,2,2.0\n",                     # label gap
+        ],
+    )
+    def test_pinned_files(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_like_reference(str(path))
 
 
 class TestMakeFolds:

@@ -260,6 +260,31 @@ class TestLearnLinear:
         assert np.array_equal(r1.best.theta, r2.best.theta)
         assert r1.best_value == pytest.approx(r2.best_value, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, d, tried",
+        [(600, 1, True), (500, 2, True), (501, 2, False), (105, 3, True), (106, 3, False),
+         (41, 4, True), (42, 4, False)],
+    )
+    def test_exact_search_is_bounded_by_its_work(self, monkeypatch, n, d, tried):
+        # d=1 is an O(n log n) sweep at any n; d>=2 costs ~n^(d+1).
+        calls = []
+        monkeypatch.setattr(policy_module, "_learn_linear_exact", lambda *args: calls.append(1))
+        data, pseudo = plain_data(np.random.default_rng(0), n, d)
+        res = learn_linear(uniform_weights(n), pseudo, data)
+        assert bool(calls) == tried
+        assert not res.exact  # the stub found nothing, so the heuristic answered
+
+    def test_d3_beyond_the_work_bound_returns_the_heuristic(self):
+        # The exact search took ~9 s here on 2 vCPUs; the heuristic ~0.2 s.
+        data, pseudo = plain_data(np.random.default_rng(1), 200, 3)
+        res = learn_linear(uniform_weights(200), pseudo, data)
+        assert not res.exact
+        assert res.best_value == weighted_value(res.best, uniform_weights(200), pseudo, data)
+
+    def test_d1_sweep_is_exact_beyond_500_rows(self):
+        data, pseudo = plain_data(np.random.default_rng(2), 2000, 1)
+        assert learn_linear(uniform_weights(2000), pseudo, data).exact
+
     def test_requires_binary(self):
         rng = np.random.default_rng(10)
         n = 20
