@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,30 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of != fold)
 
 
+@contextmanager
+def _open_text(path: str, newline: str | None = None):
+    """Open a UTF-8 text file for reading. A byte that does not decode, met by
+    any read inside the with-block, raises ValidationError naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
 def load_dataset(path: str, m: int | None = None) -> Dataset:
     """Read a comma-separated dataset file into a validated Dataset.
 
     The file must carry a header row with covariate columns x1..xd in order,
     an action column `a` and an outcome column `y`; the action column must
-    parse as a nonnegative integer and every other column as a finite float,
-    with no blank lines. Every label from 0 up to the largest one present
-    must appear. `m` defaults to (max action label + 1) and must be >= 2.
+    parse as a nonnegative integer within the int64 range and every other
+    column as a finite float, with no blank lines. Every label from 0 up to
+    the largest one present must appear. `m` defaults to (max action label + 1)
+    and must be >= 2. The file must be UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -135,19 +150,21 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
     if not np.all(np.isfinite(x_arr)):
         i, j = np.argwhere(~np.isfinite(x_arr))[0]
         raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
-    counts = np.bincount(actions)
-    if np.any(counts == 0):
+    top = int(actions.max())
+    # n rows cannot hold n + 1 labels, so when the top label is n or more a
+    # gap lies below n: counting labels clipped at n finds the first one
+    # without allocating a counter per label.
+    counts = np.bincount(np.minimum(actions, actions.size))
+    if np.any(counts[:top] == 0):
         raise ValidationError(
             f"{path}: action label {int(np.argmax(counts == 0))} never appears, but labels "
-            f"run up to {counts.size - 1}; every label from 0 to the largest must be present"
+            f"run up to {top}; every label from 0 to the largest must be present"
         )
-    if m is None and counts.size < 2:
+    if m is None and top < 1:
         raise ValidationError(f"{path}: every action is 0; at least two arms are needed")
     if m is not None and m < 2:
         raise ValidationError(f"{path}: action count m must be >= 2, got {m}")
-    return Dataset(
-        covariates=x_arr, actions=actions, outcomes=y_arr, m=counts.size if m is None else m
-    )
+    return Dataset(covariates=x_arr, actions=actions, outcomes=y_arr, m=top + 1 if m is None else m)
 
 
 def _parse_table(body: str, header: list[str], xcols: list[str]):
@@ -207,6 +224,10 @@ def _parse_rows(path: str, body: str, header: list[str], xcols: list[str]):
             ) from None
         if a_val < 0:
             raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+        if a_val > np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"{path}: action label {a_val} at row {rownum} is beyond the int64 range"
+            )
         acts.append(a_val)
     return np.asarray(xs, dtype=float), np.asarray(acts), np.asarray(ys)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment
+from .data import Dataset, FoldAssignment, _open_text
 from .errors import EstimationError, ValidationError
 
 VARIANCE_FLOOR = 1e-12
@@ -25,10 +25,31 @@ def add_intercept(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def _rows(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=1) for an (n, m) array, folded over its columns from
+    left to right: one ufunc call per column instead of numpy's per-row loop
+    over a short axis, which was 10-60x slower at m = 2, n = 20,000 (numpy
+    2.4 on 2 vCPUs).
+
+    The values match op.reduce bit for bit, signed zeros included (a NaN's
+    sign and payload may differ). Like op.reduce, a sum starts from op's
+    identity, so a row of -0.0 sums to +0.0.
+    """
+    m = a.shape[1]
+    if not 2 <= m < 8:
+        # From 8 columns numpy reduces in unrolled blocks, whose order a left
+        # fold does not reproduce.
+        return op.reduce(a, axis=1)
+    out = a[:, 0] if op.identity is None else op(op.identity, a[:, 0])
+    for j in range(1, m):
+        out = op(out, a[:, j])
+    return out
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's maximum so exp cannot overflow."""
-    p = np.exp(scores - scores.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
+    p = np.exp(scores - _rows(np.maximum, scores)[:, None])
+    p /= _rows(np.add, p)[:, None]
     return p
 
 
@@ -58,7 +79,7 @@ class NuisanceSet:
             raise ValidationError("nuisance matrices must be finite")
         if np.any(p <= 0.0) or np.any(p >= 1.0):
             raise ValidationError("propensity entries must lie strictly inside (0, 1)")
-        row_sums = p.sum(axis=1)
+        row_sums = _rows(np.add, p)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             bad = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValidationError(f"propensity row {bad} sums to {row_sums[bad]!r}, not 1")
@@ -120,7 +141,7 @@ class PropensityModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         p = np.clip(_softmax(add_intercept(x) @ self.coef), self.clip, 1.0 - self.clip)
-        return p / p.sum(axis=1, keepdims=True)
+        return p / _rows(np.add, p)[:, None]
 
 
 def fit_propensity(train: Dataset, clip: float = 0.01) -> PropensityModel:
@@ -311,7 +332,7 @@ def load_oracle_nuisances(path: str) -> OracleNuisances:
     """Read oracle nuisances from CSV with columns phi_0..phi_{m-1},
     mu_0..mu_{m-1}, and optionally var_0..var_{m-1}.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

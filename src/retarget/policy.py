@@ -15,9 +15,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _open_text
 from .errors import EstimationError, ValidationError
-from .nuisance import add_intercept
+from .nuisance import _rows, add_intercept
 from .pseudo import PseudoOutcomes
 from .weights import WeightScheme
 
@@ -94,16 +94,29 @@ class LearnResult:
     values: np.ndarray | None = None
 
 
-def weighted_value(pi: Policy, w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> float:
-    """Weighted sample mean of the score column the policy selects per row."""
+def _scored(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> np.ndarray:
+    """Weighted scores in arm-major order: entry a * n + i is psi_i(a) * w_i."""
     if w.n != data.n or pseudo.n != data.n:
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
+    return (pseudo.values * w.weights[:, None]).T.ravel()
+
+
+def _value(pi: Policy, scored: np.ndarray, data: Dataset) -> float:
+    """Mean of the weighted scores at the actions the policy takes, row by row."""
     actions = np.asarray(pi.act(data.covariates))
     if actions.shape != (data.n,):
         raise ValidationError(f"policy returned shape {actions.shape}, expected ({data.n},)")
     if actions.min() < 0 or actions.max() >= data.m:
         raise ValidationError("policy returned an action outside {0..m-1}")
-    return float(np.mean(w.weights * pseudo.values[np.arange(data.n), actions]))
+    return float(np.mean(scored.take(actions * data.n + np.arange(data.n))))
+
+
+def weighted_value(pi: Policy, w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> float:
+    """Weighted sample mean of the score column the policy selects per row,
+    mean_i w_i * psi_i(pi(x_i)): the one-policy case of learn_finite's scoring,
+    so both give the same bits for the same policy.
+    """
+    return _value(pi, _scored(w, pseudo, data), data)
 
 
 def learn_finite(
@@ -111,13 +124,14 @@ def learn_finite(
 ) -> LearnResult:
     """Exhaustively score a finite class; ties go to the lowest index.
 
-    The value gap is the best value minus the best value among policies
-    strictly outside the argmax set; it is 0 (and flagged tied) when every
-    policy attains the maximum.
+    Every policy is scored as in weighted_value, from one vector of weighted
+    scores built once per call: a policy's value is the mean of that vector
+    taken at its actions. The value gap is the best value minus the best value
+    among policies strictly outside the argmax set; it is 0 (and flagged tied)
+    when every policy attains the maximum.
     """
-    values = np.array(
-        [weighted_value(pi, w, pseudo, data) for pi in policy_class.policies]
-    )
+    scored = _scored(w, pseudo, data)
+    values = np.array([_value(pi, scored, data) for pi in policy_class.policies])
     best_idx = int(np.argmax(values))
     best_value = float(values[best_idx])
     at_max = values == best_value
@@ -398,7 +412,7 @@ def true_regret(
     x = scenario.sample_covariates(n_eval, rng)
     mu = scenario.mean_matrix(x)
     chosen = mu[np.arange(x.shape[0]), np.asarray(pi.act(x))]
-    shortfall = mu.max(axis=1) - chosen
+    shortfall = _rows(np.maximum, mu) - chosen
     if population is None:
         return float(shortfall.mean())
     wts = np.asarray(population(x), dtype=float)
@@ -438,7 +452,7 @@ def load_policy_class(path: str, m: int | None = None, d: int | None = None) -> 
     """
     policies: list[Policy] = []
     theta_size = None if d is None else d + 1
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, make_folds
+from .data import Dataset, _open_text, make_folds
 from .errors import ValidationError
-from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _softmax, cross_fit
+from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
 from .policy import learn_linear
 from .pseudo import dr_pseudo_outcomes
@@ -76,7 +76,7 @@ class ScenarioSpec:
 
     def propensity_matrix(self, x: np.ndarray) -> np.ndarray:
         p = np.clip(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12, None)
-        return p / p.sum(axis=1, keepdims=True)
+        return p / _rows(np.add, p)[:, None]
 
     def to_jsonable(self) -> dict:
         return {
@@ -158,7 +158,7 @@ def default_scenarios() -> list[ScenarioSpec]:
 
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Read scenarios from a JSON file holding a list of scenario objects."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -230,7 +230,7 @@ def _replicate(
     eval_rng = np.random.default_rng(seed + _REGRET_SEED_OFFSET)
     x_eval = scenario.sample_covariates(regret_draws, eval_rng)
     mu_eval = scenario.mean_matrix(x_eval)
-    best_eval = mu_eval.max(axis=1)
+    best_eval = _rows(np.maximum, mu_eval)
     # Inline rather than true_regret: that draws a fresh sample on every call,
     # and here one regret sample serves all of this replication's schemes.
     out = np.empty(len(schemes))
@@ -346,7 +346,7 @@ def render_report(report: BenchmarkReport, fmt: str = "csv") -> str:
 
 def load_report(path: str) -> BenchmarkReport:
     """Read back a CSV report written by render_report (comment lines allowed)."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(io.StringIO("".join(lines)))
     rows = []

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .nuisance import NuisanceSet
+from .nuisance import NuisanceSet, _rows
 
 DEFAULT_GAP_FLOOR = 1e-3
 
@@ -84,7 +84,7 @@ def homoskedastic_weights(nuis: NuisanceSet) -> WeightScheme:
     p = nuis.propensity
     if np.any(p <= 0):
         raise ValidationError("propensities must be strictly positive")
-    raw = 1.0 / ((1.0 / p).sum(axis=1) + nuis.m / 2.0 - 1.0)
+    raw = 1.0 / (_rows(np.add, 1.0 / p) + nuis.m / 2.0 - 1.0)
     return WeightScheme.from_raw("w0", raw)
 
 
@@ -95,10 +95,10 @@ def gap_statistics(nuis: NuisanceSet) -> GapStatistics:
     left to the consumers that need it (negative powers, ratio denominators).
     """
     mu = nuis.outcome_mean
-    top = mu.max(axis=1)
-    bottom = mu.min(axis=1)
+    top = _rows(np.maximum, mu)
+    bottom = _rows(np.minimum, mu)
     below = mu < top[:, None]
-    runner_up = np.where(below, mu, -np.inf).max(axis=1)
+    runner_up = _rows(np.maximum, np.where(below, mu, -np.inf))
     gap = np.where(np.isfinite(runner_up), top - runner_up, 0.0)
     return GapStatistics(gap=gap, spread=top - bottom)
 
@@ -130,7 +130,7 @@ def _row_noise(nuis: NuisanceSet) -> np.ndarray:
     """Per-row noise term of the variance proxy: sum_a var(a|x)/phi(a|x) plus
     the cross-arm correction (m/2 - 1) * pooled variance."""
     pooled = float(nuis.variance.mean())
-    return (nuis.variance / nuis.propensity).sum(axis=1) + (nuis.m / 2.0 - 1.0) * pooled
+    return _rows(np.add, nuis.variance / nuis.propensity) + (nuis.m / 2.0 - 1.0) * pooled
 
 
 def variance_proxy(w: WeightScheme, nuis: NuisanceSet) -> float:

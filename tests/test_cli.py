@@ -319,6 +319,53 @@ class TestExitCodes:
         assert len(errors) == 1
         assert "action label 1 never appears" in errors[0]
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("99999999999999999999", "action label 99999999999999999999 at row 1 is beyond the int64 range"),
+            ("9223372036854775808", "action label 9223372036854775808 at row 1 is beyond the int64 range"),
+            # inside int64 but far above the row count: no counter per label
+            ("1000000000000", "action label 1 never appears, but labels run up to 1000000000000"),
+        ],
+        ids=["beyond-int64", "2**63", "far-above-row-count"],
+    )
+    def test_huge_action_label_is_invalid_at_load(self, tmp_path, capsys, label, message):
+        path = tmp_path / "big.csv"
+        path.write_text(f"x1,a,y\n0.5,0,1.0\n0.25,{label},2.0\n")
+        code = main(["fit", "--equation", "cate", "--data", str(path)])
+        assert code == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error[ValidationError]: {path}: {message}")
+
+    @pytest.mark.parametrize("reader", ["data", "oracle", "policies", "scenarios", "report"])
+    def test_non_utf8_input_is_invalid(self, binary_csv, tmp_path, capsys, reader):
+        bad = tmp_path / "bad.txt"
+        body, argv = {
+            "data": (b"x1,a,y\n0.5,0,1.0\n0.2\xff5,1,2.0\n",
+                     ["fit", "--equation", "cate", "--data", str(bad)]),
+            "oracle": (b"phi_0,phi_1,mu_0,mu_1\n0.5,0.5,0.0,1\xff\n",
+                       ["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(bad)]),
+            "policies": (b"const,0\n\xff\n",
+                         ["learn", "--data", binary_csv, "--class", f"finite:{bad}"]),
+            "scenarios": (b'[{"name": "\xff"}]', ["simulate", "--scenarios", str(bad), "--reps", "2"]),
+            "report": (b"scenario,scheme,mean_regret,std_regret,R,n,seed\n\xff\n",
+                       ["report", "--in", str(bad)]),
+        }[reader]
+        bad.write_bytes(body)
+        assert main(argv) == EXIT_INVALID
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {bad}: not UTF-8 text: byte 0xff (invalid start byte)"
+        ]
+
+    def test_directory_as_input_is_invalid(self, tmp_path, capsys):
+        code = main(["fit", "--equation", "cate", "--data", str(tmp_path)])
+        assert code == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].startswith("error[IsADirectoryError]: ")
+        assert str(tmp_path) in errors[0]
+
     def test_single_label_is_invalid_at_load(self, tmp_path, capsys):
         # One arm only: rejected naming the file, not passed on to fail in
         # cross-fitting as "arm 1 absent" (exit 4).

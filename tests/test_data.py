@@ -139,7 +139,9 @@ class TestLoadDataset:
 def _reference_load(path):
     """The row-by-row loader that `load_dataset` replaced, kept as the
     reference for its arrays and error messages (the `m` handling and the
-    Dataset construction are left out)."""
+    Dataset construction are left out). It carries the row parser's int64
+    range check, without which a label beyond int64 escaped `np.bincount` as
+    a TypeError; its label-gap check keeps the full `np.bincount`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -175,6 +177,10 @@ def _reference_load(path):
                 ) from None
             if a_val < 0:
                 raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+            if a_val > np.iinfo(np.int64).max:
+                raise ValidationError(
+                    f"{path}: action label {a_val} at row {rownum} is beyond the int64 range"
+                )
             acts.append(a_val)
         if not acts:
             raise ValidationError(f"{path}: no data rows")

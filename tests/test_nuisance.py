@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retarget import (
     Dataset,
@@ -17,6 +19,7 @@ from retarget import (
     load_oracle_nuisances,
     make_folds,
 )
+from retarget.nuisance import _rows
 
 
 def balanced_random_data(n, d, m, seed, outcome=None):
@@ -237,6 +240,43 @@ class TestCrossFit:
         folds = make_folds(10, 2, seed=0)
         with pytest.raises(EstimationError, match=r"fold \d"):
             cross_fit(data, folds)
+
+
+_CELLS = [
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324]),
+    st.floats(-1e3, 1e3),  # sums whose rounding depends on the order of addition
+    st.floats(allow_nan=True, allow_infinity=True),
+]
+
+
+@st.composite
+def short_row_matrices(draw):
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 20))
+    cell = draw(st.sampled_from(_CELLS))
+    cells = draw(st.lists(cell, min_size=n * m, max_size=n * m))
+    a = np.array(cells, dtype=float).reshape(n, m)
+    # ties: copy a column onto another in some rows
+    src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a[np.array(rows), dst] = a[np.array(rows), src]
+    return a
+
+
+class TestRows:
+    @settings(max_examples=300, deadline=None)
+    @given(a=short_row_matrices())
+    def test_matches_axis_reductions_bit_for_bit(self, a):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for op, want in ((np.maximum, a.max(axis=1)), (np.minimum, a.min(axis=1)),
+                             (np.add, a.sum(axis=1))):
+                got = _rows(op, a)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                # the sign of zero too; a NaN's sign bit is not kept
+                nan = np.isnan(want)
+                assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
 
 
 class TestNuisanceSetValidation:

@@ -157,6 +157,37 @@ class TestLearnFinite:
         assert np.allclose(res2.values, res.values + 3.25)
 
 
+class TestFiniteScoring:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_values_keep_the_row_index_formula_bits(self, m):
+        """learn_finite's shared weighted-score vector gives the bits of the
+        per-policy formula mean(w * psi[arange(n), actions])."""
+        rng = np.random.default_rng(60 + m)
+        n, d = 1031, 2
+        data = Dataset(
+            covariates=rng.standard_normal((n, d)),
+            actions=np.arange(n) % m,
+            outcomes=np.zeros(n),
+            m=m,
+        )
+        psi = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, m))
+        pseudo = PseudoOutcomes(values=psi)
+        w = WeightScheme.from_raw("w", rng.uniform(0.05, 3.0, n))
+        policies = [ConstantPolicy(a) for a in range(m)]
+        policies += [LinearPolicy(rng.standard_normal(d + 1)) for _ in range(50)]
+        rows = np.arange(n)
+        want = np.array(
+            [np.mean(w.weights * psi[rows, pi.act(data.covariates)]) for pi in policies]
+        )
+        res = learn_finite(PolicyClass.finite(policies), w, pseudo, data)
+        assert res.values.tobytes() == want.tobytes()
+        assert res.best_value == want.max()
+        outside = want[want < want.max()]
+        assert res.value_gap == want.max() - outside.max()
+        for pi, value in zip(policies, want):
+            assert weighted_value(pi, w, pseudo, data) == value
+
+
 def _lp_best_value(data, pseudo, w):
     """Best value over the 0/1 labelings that linprog finds realizable,
     z_S theta >= 1 and z_C theta <= 0, scanned from the highest value down."""
