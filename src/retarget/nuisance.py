@@ -169,14 +169,13 @@ def fit_propensity(train: Dataset, clip: float = 0.01) -> PropensityModel:
         if np.max(np.abs(grad)) < _NEWTON_TOL:
             converged = True
             break
-        hess = np.empty((k * p, k * p))
+        a = np.empty((k * p, k * p))  # the negated Hessian
         for j in range(k):
             for l in range(k):
                 w = prob[:, j] * ((1.0 if j == l else 0.0) - prob[:, l])
-                hess[j * p:(j + 1) * p, l * p:(l + 1) * p] = -(z.T * w) @ z
+                a[j * p:(j + 1) * p, l * p:(l + 1) * p] = (z.T * w) @ z
         # Small damping keeps the step solvable when classes separate.
-        a = -hess
-        a[np.diag_indices_from(a)] += 1e-10 * (1.0 + np.trace(a) / a.shape[0])
+        a.flat[::a.shape[0] + 1] += 1e-10 * (1.0 + np.trace(a) / a.shape[0])
         step = np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
         coef[:, :k] += step
     if not converged:
@@ -328,6 +327,17 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     )
 
 
+def _arm_columns(path: str, header: list[str], prefix: str) -> list[str]:
+    """The header's columns named prefix + <arm number>, in arm order."""
+    cols = [h for h in header if h.startswith(prefix)]
+    for name in cols:
+        try:
+            int(name[len(prefix):])
+        except ValueError:
+            raise ValidationError(f"{path}: column {name!r} is not {prefix}<arm number>") from None
+    return sorted(cols, key=lambda name: int(name[len(prefix):]))
+
+
 def load_oracle_nuisances(path: str) -> OracleNuisances:
     """Read oracle nuisances from CSV with columns phi_0..phi_{m-1},
     mu_0..mu_{m-1}, and optionally var_0..var_{m-1}.
@@ -338,9 +348,9 @@ def load_oracle_nuisances(path: str) -> OracleNuisances:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        phi_cols = sorted([h for h in header if h.startswith("phi_")], key=lambda s: int(s[4:]))
-        mu_cols = sorted([h for h in header if h.startswith("mu_")], key=lambda s: int(s[3:]))
-        var_cols = sorted([h for h in header if h.startswith("var_")], key=lambda s: int(s[4:]))
+        phi_cols = _arm_columns(path, header, "phi_")
+        mu_cols = _arm_columns(path, header, "mu_")
+        var_cols = _arm_columns(path, header, "var_")
         if not phi_cols or len(phi_cols) != len(mu_cols):
             raise ValidationError(
                 f"{path}: need matching phi_*/mu_* column groups, got {header}"

@@ -51,12 +51,24 @@ class LinearPolicy:
         object.__setattr__(self, "theta", t)
 
     def act(self, x: np.ndarray) -> np.ndarray:
+        """Actions for the rows of x.
+
+        One covariate column takes x[:, 0] * theta[1], a plain product: numpy
+        runs an (n, 1) @ (1,) matmul through its non-BLAS loop, ~5x slower at
+        n = 20,000, and a one-term sum has the product's sign, so the actions
+        are the same (only the sign of a zero margin can differ). np.dot
+        would call BLAS gemv instead, which OpenBLAS runs multithreaded on
+        long inputs, slowing the threaded `simulate`.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.theta.size - 1:
             raise ValidationError(
                 f"policy expects {self.theta.size - 1} covariates, got {x.shape[1]}"
             )
-        margin = self.theta[0] + x @ self.theta[1:]
+        if x.shape[1] == 1:
+            margin = self.theta[0] + x[:, 0] * self.theta[1]
+        else:
+            margin = self.theta[0] + x @ self.theta[1:]
         return (margin > 0).astype(int)
 
 
@@ -179,7 +191,34 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return theta / norm
 
 
-def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
+def _sweep_1d(data: Dataset, cache: dict | None):
+    """The weight-free part of the d=1 search: [1, x], the stable order of x,
+    the starts of its groups of equal values, the cuts, and the number of
+    groups at or below each cut. Kept in `cache` with the dataset it was
+    built from, and reused only for that same Dataset object."""
+    held = None if cache is None else cache.get(_sweep_1d)
+    if held is not None and held[0] is data:
+        return held[1:]
+    z = add_intercept(data.covariates)
+    order = np.argsort(z[:, 1], kind="stable")
+    xs = z[order, 1]
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    distinct = xs[starts]
+    cuts = np.concatenate(
+        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
+    )
+    # Located from the cut itself: a midpoint of two adjacent floats, or
+    # min - 1 at large |min|, lands on a value.
+    below = np.searchsorted(distinct, cuts, side="right")
+    sweep = (z, order, starts, cuts, below)
+    if cache is not None:
+        cache[_sweep_1d] = (data, *sweep)
+    return sweep
+
+
+def _learn_threshold_1d(
+    w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, cache: dict | None
+) -> LearnResult | None:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -189,21 +228,12 @@ def _learn_threshold_1d(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) 
     theta and its labels are built only for candidates tied at the maximum.
     """
     base, gain = _gains(w, pseudo, data)
-    z = add_intercept(data.covariates)
+    z, order, starts, cuts, below = _sweep_1d(data, cache)
     x = z[:, 1]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
-    distinct = xs[starts]
-    cuts = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
-    )
     prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
     total = prefix[-1]
-    # Gain of the rows with x <= c, located from the cut itself: a midpoint
-    # of two adjacent floats, or min - 1 at large |min|, lands on a value.
-    below = prefix[np.searchsorted(distinct, cuts, side="right")]
-    values = base + np.concatenate([[total, 0.0], total - below, below])
+    # prefix[below] is the gain of the rows with x <= c.
+    values = base + np.concatenate([[total, 0.0], total - prefix[below], prefix[below]])
     best_value = float(values.max())
     best_theta = None
     for r in np.flatnonzero(values == best_value):
@@ -312,9 +342,11 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
-def _learn_linear_exact(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> LearnResult | None:
+def _learn_linear_exact(
+    w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, cache: dict | None
+) -> LearnResult | None:
     if data.d == 1:
-        return _learn_threshold_1d(w, pseudo, data)
+        return _learn_threshold_1d(w, pseudo, data, cache)
     z = add_intercept(data.covariates)
     _, gain = _gains(w, pseudo, data)
     tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
@@ -377,6 +409,7 @@ def learn_linear(
     data: Dataset,
     seed: int = 0,
     force_approx: bool = False,
+    cache: dict | None = None,
 ) -> LearnResult:
     """Maximize the weighted value over linear threshold policies (m=2).
 
@@ -387,9 +420,12 @@ def learn_linear(
     on it). Otherwise, or when the optimum cannot be realized numerically
     (rounding, or a cut lost by scaling theta to unit norm at large |x|), a
     seeded multi-start coordinate search runs instead, flagged exact=False.
+
+    Calls that pass the same `cache` dict, such as one per weight scheme on
+    one dataset, build the weight-free part of the d=1 search once.
     """
     if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
-        result = _learn_linear_exact(w, pseudo, data)
+        result = _learn_linear_exact(w, pseudo, data, cache)
         if result is not None:
             return result
     return _learn_linear_approx(w, pseudo, data, seed)

@@ -46,11 +46,14 @@ class ScenarioSpec:
     def __post_init__(self):
         pc = np.atleast_2d(np.asarray(self.propensity_coef, dtype=float))
         mc = np.atleast_2d(np.asarray(self.mean_coef, dtype=float))
-        sd = np.broadcast_to(np.asarray(self.noise_sd, dtype=float), (self.m,)).copy()
+        sd = np.asarray(self.noise_sd, dtype=float)
         if self.covariate_law not in ("uniform", "normal"):
             raise ValidationError(f"covariate_law must be uniform or normal, got {self.covariate_law!r}")
         if self.d < 1 or self.m < 2 or self.mean_degree < 1:
             raise ValidationError("need d >= 1, m >= 2, mean_degree >= 1")
+        if sd.ndim > 1 or sd.size not in (1, self.m):
+            raise ValidationError(f"noise_sd must be a scalar or ({self.m},), got {sd.shape}")
+        sd = np.broadcast_to(sd, (self.m,)).copy()
         if pc.shape != (self.m, self.d + 1):
             raise ValidationError(f"propensity_coef must be ({self.m}, {self.d + 1}), got {pc.shape}")
         k = 1 + self.d * self.mean_degree
@@ -156,6 +159,23 @@ def default_scenarios() -> list[ScenarioSpec]:
     ]
 
 
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# (key, conversion, default or None when required) of a scenario object.
+_SCENARIO_FIELDS = (
+    ("name", str, None),
+    ("d", int, None),
+    ("m", int, 2),
+    ("covariate_law", str, "uniform"),
+    ("propensity_coef", _float_array, None),
+    ("mean_coef", _float_array, None),
+    ("noise_sd", _float_array, None),
+    ("mean_degree", int, 1),
+)
+
+
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Read scenarios from a JSON file holding a list of scenario objects."""
     with _open_text(path) as fh:
@@ -168,22 +188,20 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}: expected a nonempty list of scenario objects")
     out = []
-    for entry in raw:
-        try:
-            out.append(
-                ScenarioSpec(
-                    name=str(entry["name"]),
-                    d=int(entry["d"]),
-                    m=int(entry.get("m", 2)),
-                    covariate_law=str(entry.get("covariate_law", "uniform")),
-                    propensity_coef=np.asarray(entry["propensity_coef"], dtype=float),
-                    mean_coef=np.asarray(entry["mean_coef"], dtype=float),
-                    noise_sd=np.asarray(entry["noise_sd"], dtype=float),
-                    mean_degree=int(entry.get("mean_degree", 1)),
-                )
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"{path}: scenario {i}: expected an object, got {type(entry).__name__}"
             )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: scenario missing key {exc}") from None
+        fields = {}
+        for key, convert, default in _SCENARIO_FIELDS:
+            if default is None and key not in entry:
+                raise ValidationError(f"{path}: scenario missing key {key!r}")
+            try:
+                fields[key] = convert(entry.get(key, default))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}: scenario {i}: {key}: {exc}") from None
+        out.append(ScenarioSpec(**fields))
     return out
 
 
@@ -233,13 +251,20 @@ def _replicate(
     best_eval = _rows(np.maximum, mu_eval)
     # Inline rather than true_regret: that draws a fresh sample on every call,
     # and here one regret sample serves all of this replication's schemes.
+    # Arm-major losses: entry a * draws + i is row i's shortfall under arm a,
+    # so a policy's regret is one take from it instead of a 2-d gather.
+    # Filled in place: np.concatenate of the columns measured ~7x slower.
+    loss = np.empty((scenario.m, regret_draws))
+    for a in range(scenario.m):
+        np.subtract(best_eval, mu_eval[:, a], out=loss[a])
+    loss = loss.ravel()
+    rows = np.arange(regret_draws)
     out = np.empty(len(schemes))
-    shared: dict = {}  # this replication's w0 and gap statistics, built once
+    shared: dict = {}  # this replication's w0, gap statistics and d=1 sweep, built once
     for s, spec in enumerate(schemes):
         w = make_weights(spec, nuis, cache=shared)
-        result = learn_linear(w, pseudo, data, seed=seed)
-        chosen = mu_eval[np.arange(x_eval.shape[0]), result.best.act(x_eval)]
-        out[s] = float(np.mean(best_eval - chosen))
+        result = learn_linear(w, pseudo, data, seed=seed, cache=shared)
+        out[s] = float(np.mean(loss.take(result.best.act(x_eval) * regret_draws + rows)))
     return out
 
 

@@ -106,6 +106,37 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "S-C,uniform," in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"d": "x"}, "{path}: scenario 1: d: invalid literal for int() with base 10: 'x'"),
+            ({"m": "two"}, "{path}: scenario 1: m: invalid literal for int() with base 10: 'two'"),
+            ({"noise_sd": "abc"}, "{path}: scenario 1: noise_sd: could not convert string to float: 'abc'"),
+            ({"mean_degree": None}, "{path}: scenario 1: mean_degree: int() argument must be"),
+            ({"d": 1e400}, "{path}: scenario 1: d: cannot convert float infinity to integer"),
+            ({"mean_coef": [[0.0, 0.0], [0.5]]}, "{path}: scenario 1: mean_coef: setting an array element"),
+            # ScenarioSpec's own checks do not name the file.
+            ({"noise_sd": [1.0, 1.0, 1.0]}, "noise_sd must be a scalar or (2,), got (3,)"),
+            (None, "{path}: scenario 1: expected an object, got list"),
+        ],
+        ids=["d", "m", "noise_sd", "null", "infinite-d", "ragged", "noise-length", "not-an-object"],
+    )
+    def test_malformed_scenario_is_invalid(self, tmp_path, capsys, change, message):
+        import json
+
+        from retarget import default_scenarios
+
+        good = default_scenarios()[0].to_jsonable()
+        bad = [1] if change is None else {**good, **change}
+        path = tmp_path / "scn.json"
+        # json.dumps writes 1e400 as Infinity, which json.load reads back as inf.
+        path.write_text(json.dumps([good, bad]))
+        code = main(["simulate", "--scenarios", str(path), "--reps", "2", "--threads", "1"])
+        assert code == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].startswith("error[ValidationError]: " + message.format(path=path))
+
     def test_oracle_nuisances_flag(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(
@@ -191,6 +222,21 @@ class TestFit:
             ]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("header", ["phi_a,phi_1,mu_0,mu_1", "phi_0,phi_1,mu_0,mu_x",
+                                        "phi_0,phi_1,mu_0,mu_1,var_,var_1"])
+    def test_oracle_column_without_an_arm_number_is_invalid(
+        self, binary_csv, tmp_path, capsys, header
+    ):
+        oracle = tmp_path / "oracle.csv"
+        bad = next(h for h in header.split(",") if not h[-1].isdigit())
+        oracle.write_text(header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+        code = main(["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(oracle)])
+        assert code == EXIT_INVALID
+        prefix = bad[: bad.index("_") + 1]
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {oracle}: column {bad!r} is not {prefix}<arm number>"
+        ]
 
     def test_dump_psi(self, binary_csv, tmp_path):
         psi_path = tmp_path / "psi.csv"

@@ -561,6 +561,101 @@ class TestThresholdSearch1d:
                 assert res.best.theta.tobytes() == oracle.tobytes(), (seed, spec)
 
 
+@st.composite
+def _multi_scheme_instances(draw):
+    data, pseudo, w = draw(_threshold_instances())
+    raws = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=data.n, max_size=data.n).filter(lambda r: sum(r) > 0),
+        min_size=1, max_size=4,
+    ))
+    return data, pseudo, [w] + [WeightScheme.from_raw("w", np.array(r, float)) for r in raws]
+
+
+def _assert_same_result(got, expected):
+    assert got.best.theta.tobytes() == expected.best.theta.tobytes()
+    assert np.float64(got.best_value).tobytes() == np.float64(expected.best_value).tobytes()
+    assert got.exact == expected.exact
+
+
+class TestSharedSweep:
+    """learn_linear(..., cache=) reuses the d=1 sweep of one dataset across
+    weight schemes and must give the bits of a call without a cache."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_multi_scheme_instances())
+    def test_shared_sweep_gives_the_unshared_result(self, instance):
+        data, pseudo, schemes = instance
+        cache = {}
+        for w in schemes:
+            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
+                                learn_linear(w, pseudo, data))
+
+    @pytest.mark.parametrize(
+        "x, psi",
+        [
+            ([1.0, np.nextafter(1.0, 2.0)], [[0.0, -1.0], [0.0, 1.0]]),
+            ([0.0, 5e-324], [[0.0, 1.0], [0.0, -1.0]]),
+            ([1e17, 1e17 + 16], [[0.0, 1.0], [0.0, -1.0]]),  # falls back, exact=False
+            ([-1e150, 0.0, -0.0, 1e150], [[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, -0.5]]),
+        ],
+        ids=["adjacent-floats", "subnormal-cut", "lost-cut", "extremes"],
+    )
+    def test_shared_sweep_on_edge_inputs(self, x, psi):
+        n = len(x)
+        data = Dataset(covariates=np.array(x)[:, None], actions=np.zeros(n, int),
+                       outcomes=np.zeros(n), m=2)
+        pseudo = PseudoOutcomes(values=np.array(psi))
+        cache = {}
+        for raw in ([1.0] * n, [3.0] + [1.0] * (n - 1), [1.0] * (n - 1) + [0.0]):
+            w = WeightScheme.from_raw("w", np.array(raw))
+            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
+                                learn_linear(w, pseudo, data))
+
+    def test_another_dataset_never_reuses_the_sweep(self):
+        rng = np.random.default_rng(12)
+        first, pseudo = plain_data(rng, 40, 1)
+        # Same size, other covariates: the first dataset's order and cuts
+        # would score the second wrongly.
+        second = Dataset(covariates=rng.uniform(-1, 1, (40, 1)), actions=first.actions,
+                         outcomes=first.outcomes, m=2)
+        w = uniform_weights(40)
+        cache = {}
+        for data in (first, second, first):
+            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
+                                learn_linear(w, pseudo, data))
+
+
+_act_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+class TestLinearPolicyAct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.tuples(_act_floats, _act_floats),
+        x=st.lists(_act_floats, min_size=1, max_size=12),
+    )
+    def test_one_column_matches_the_matmul_rule(self, theta, x):
+        theta, x = np.array(theta), np.array(x)[:, None]
+        with np.errstate(all="ignore"):  # products beyond 1e308 overflow either way
+            expected = (theta[0] + x @ theta[1:] > 0).astype(int)
+            got = LinearPolicy(theta).act(x)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("t0", [-0.0, 0.0, 5e-324, -5e-324])
+    @pytest.mark.parametrize("t1", [-0.0, 0.0, 1.0, -1.0, 1e308, -5e-324])
+    def test_signed_zeros_and_subnormals(self, t0, t1):
+        x = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [1e308], [-1e308], [1.0]])
+        theta = np.array([t0, t1])
+        with np.errstate(all="ignore"):
+            expected = (theta[0] + x @ theta[1:] > 0).astype(int)
+            got = LinearPolicy(theta).act(x)
+        assert np.array_equal(got, expected)
+
+
 def _xspace_best_value(x, w, psi):
     """Independent enumeration for d=2: lines through pairs of sample points,
     both orientations, each anchor point assigned to either side."""

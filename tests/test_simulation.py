@@ -6,16 +6,29 @@ import numpy as np
 import pytest
 
 from retarget import (
+    NuisanceConfig,
     ScenarioSpec,
     ValidationError,
+    cross_fit,
     default_scenarios,
+    dr_pseudo_outcomes,
     generate,
+    learn_linear,
     load_report,
     load_scenarios,
+    make_folds,
+    make_weights,
     render_report,
     run_benchmark,
 )
-from retarget.simulation import DEFAULT_SCHEMES, BenchmarkReport, BenchmarkRow
+from retarget.simulation import (
+    _FOLD_SEED_OFFSET,
+    _REGRET_SEED_OFFSET,
+    DEFAULT_SCHEMES,
+    BenchmarkReport,
+    BenchmarkRow,
+    _replicate,
+)
 
 
 def toy_scenario(noise=1.0, slope=0.5, prop_slope=1.0):
@@ -155,6 +168,58 @@ class TestRunBenchmark:
             [scenario], schemes=("uniform",), reps=1, n=80, base_seed=0, regret_draws=500
         )
         assert math.isnan(report.rows[0].std_regret)
+
+
+def _reference_replicate(scenario, schemes, n, seed, n_folds, regret_draws, oracle_nuisances):
+    """The per-scheme regret loop before the shared d=1 sweep and the loss
+    table: learn_linear with no cache, the matmul form of LinearPolicy.act,
+    a 2-d gather of the chosen arm means and the mean shortfall."""
+    data, oracle = generate(scenario, n, seed)
+    if oracle_nuisances:
+        nuis = oracle
+    else:
+        folds = make_folds(n, n_folds, seed=seed + _FOLD_SEED_OFFSET)
+        nuis = cross_fit(data, folds, NuisanceConfig(folds=n_folds))
+    pseudo = dr_pseudo_outcomes(data, nuis)
+    x_eval = scenario.sample_covariates(
+        regret_draws, np.random.default_rng(seed + _REGRET_SEED_OFFSET)
+    )
+    mu_eval = scenario.mean_matrix(x_eval)
+    best_eval = mu_eval.max(axis=1)
+    out = []
+    for spec in schemes:
+        theta = learn_linear(make_weights(spec, nuis), pseudo, data, seed=seed).best.theta
+        act = (theta[0] + x_eval @ theta[1:] > 0).astype(int)
+        chosen = mu_eval[np.arange(x_eval.shape[0]), act]
+        out.append(float(np.mean(best_eval - chosen)))
+    return np.array(out)
+
+
+class TestReplicateMatchesReference:
+    @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
+    @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+    def test_default_scenarios(self, scenario, oracle_nuisances):
+        for seed in (0, 1, 17, 123):
+            args = (scenario, DEFAULT_SCHEMES, 500, seed, 2, 20_000, oracle_nuisances)
+            got = _replicate(*args, NuisanceConfig(folds=2))
+            assert got.tobytes() == _reference_replicate(*args).tobytes(), seed
+
+    @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
+    def test_d2_scenario(self, oracle_nuisances):
+        # d=2 takes the matmul act and the exact search over cells.
+        scenario = ScenarioSpec(
+            name="d2",
+            d=2,
+            m=2,
+            covariate_law="normal",
+            propensity_coef=np.array([[0.0, 0.0, 0.0], [0.2, 1.0, -0.5]]),
+            mean_coef=np.array([[0.0, 0.0, 0.0], [0.1, 0.5, -0.4]]),
+            noise_sd=np.array([1.0, 0.7]),
+        )
+        for seed in (0, 5):
+            args = (scenario, DEFAULT_SCHEMES, 40, seed, 2, 3_000, oracle_nuisances)
+            got = _replicate(*args, NuisanceConfig(folds=2))
+            assert got.tobytes() == _reference_replicate(*args).tobytes(), seed
 
 
 class TestRenderReport:
