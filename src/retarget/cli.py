@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -93,7 +92,6 @@ def _prepare(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenarios = default_scenarios() if args.scenarios == "default" else load_scenarios(args.scenarios)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    threads = args.threads or os.cpu_count() or 1
     report = run_benchmark(
         scenarios,
         schemes=schemes,
@@ -103,7 +101,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_folds=args.folds,
         regret_draws=args.regret_draws,
         oracle_nuisances=args.oracle_nuisances,
-        threads=threads,
     )
     body = render_report(report, fmt=args.format)
     _emit(_config_header("simulate", args) + "\n" + body, args.out)
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--oracle-nuisances", action="store_true", help="use true nuisances instead of cross-fitting")
     p_sim.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p_sim.add_argument("--out", default=None, help="output path (default stdout)")
-    p_sim.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+    p_sim.add_argument("--threads", type=int, default=0, help="ignored; replications run serially")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one of the estimating equations")

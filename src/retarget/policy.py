@@ -19,7 +19,7 @@ from .data import Dataset, _open_text
 from .errors import EstimationError, ValidationError
 from .nuisance import _rows, add_intercept
 from .pseudo import PseudoOutcomes
-from .weights import WeightScheme
+from .weights import WeightScheme, _memo
 
 EXACT_MAX_WORK = 500 ** 3  # n^(d+1) at d=2, n=500: about 1 s on 2 vCPUs
 _BOUNDARY_TOL = 1e-12
@@ -57,8 +57,9 @@ class LinearPolicy:
         runs an (n, 1) @ (1,) matmul through its non-BLAS loop, ~5x slower at
         n = 20,000, and a one-term sum has the product's sign, so the actions
         are the same (only the sign of a zero margin can differ). np.dot
-        would call BLAS gemv instead, which OpenBLAS runs multithreaded on
-        long inputs, slowing the threaded `simulate`.
+        would call BLAS gemv instead, which OpenBLAS splits over its threads
+        on long inputs: ~24 us against the product's ~12 us at n = 20,000
+        (~15 us with one BLAS thread; numpy 2.4, 2 vCPUs).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.theta.size - 1:
@@ -191,14 +192,10 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return theta / norm
 
 
-def _sweep_1d(data: Dataset, cache: dict | None):
+def _sweep_1d(data: Dataset):
     """The weight-free part of the d=1 search: [1, x], the stable order of x,
     the starts of its groups of equal values, the cuts, and the number of
-    groups at or below each cut. Kept in `cache` with the dataset it was
-    built from, and reused only for that same Dataset object."""
-    held = None if cache is None else cache.get(_sweep_1d)
-    if held is not None and held[0] is data:
-        return held[1:]
+    groups at or below each cut."""
     z = add_intercept(data.covariates)
     order = np.argsort(z[:, 1], kind="stable")
     xs = z[order, 1]
@@ -210,10 +207,7 @@ def _sweep_1d(data: Dataset, cache: dict | None):
     # Located from the cut itself: a midpoint of two adjacent floats, or
     # min - 1 at large |min|, lands on a value.
     below = np.searchsorted(distinct, cuts, side="right")
-    sweep = (z, order, starts, cuts, below)
-    if cache is not None:
-        cache[_sweep_1d] = (data, *sweep)
-    return sweep
+    return z, order, starts, cuts, below
 
 
 def _learn_threshold_1d(
@@ -228,7 +222,7 @@ def _learn_threshold_1d(
     theta and its labels are built only for candidates tied at the maximum.
     """
     base, gain = _gains(w, pseudo, data)
-    z, order, starts, cuts, below = _sweep_1d(data, cache)
+    z, order, starts, cuts, below = _memo(cache, _sweep_1d, data)
     x = z[:, 1]
     prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
     total = prefix[-1]
@@ -444,17 +438,33 @@ def true_regret(
     policy's true arm mean against the pointwise-best arm mean, optionally
     weighted by a population weight function of the covariates.
     """
-    rng = np.random.default_rng(seed)
-    x = scenario.sample_covariates(n_eval, rng)
-    mu = scenario.mean_matrix(x)
-    chosen = mu[np.arange(x.shape[0]), np.asarray(pi.act(x))]
-    shortfall = _rows(np.maximum, mu) - chosen
+    x, loss = _regret_losses(scenario, n_eval, seed)
+    shortfall = _shortfall(pi, x, loss)
     if population is None:
         return float(shortfall.mean())
     wts = np.asarray(population(x), dtype=float)
     if wts.shape != shortfall.shape or np.any(wts < 0) or wts.sum() <= 0:
         raise ValidationError("population weights must be nonnegative with positive sum")
     return float(np.sum(wts * shortfall) / wts.sum())
+
+
+def _regret_losses(scenario, n_eval: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A regret evaluation sample: n_eval covariate draws x from the scenario's
+    law and their arm-major loss table, whose entry a * n_eval + i is
+    max_b mu_b(x_i) - mu_a(x_i), so that a policy's shortfalls are one take.
+    Filled in place: np.concatenate of the columns measured ~7x slower."""
+    x = scenario.sample_covariates(n_eval, np.random.default_rng(seed))
+    mu = scenario.mean_matrix(x)
+    best = _rows(np.maximum, mu)
+    loss = np.empty((mu.shape[1], n_eval))
+    for a in range(mu.shape[1]):
+        np.subtract(best, mu[:, a], out=loss[a])
+    return x, loss.ravel()
+
+
+def _shortfall(pi: Policy, x: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """Per-row regret of the policy on a sample drawn by _regret_losses."""
+    return loss.take(np.asarray(pi.act(x)) * x.shape[0] + np.arange(x.shape[0]))
 
 
 def _parse_policy_line(body: str, m: int | None) -> Policy:

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from .data import Dataset, _open_text, make_folds
 from .errors import ValidationError
 from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
-from .policy import learn_linear
+from .policy import _regret_losses, _shortfall, learn_linear
 from .pseudo import dr_pseudo_outcomes
 from .weights import make_weights
 
@@ -163,16 +162,23 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number that int() would truncate, such as 1.5."""
+    if not isinstance(value, str) and int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # (key, conversion, default or None when required) of a scenario object.
 _SCENARIO_FIELDS = (
     ("name", str, None),
-    ("d", int, None),
-    ("m", int, 2),
+    ("d", _integer, None),
+    ("m", _integer, 2),
     ("covariate_law", str, "uniform"),
     ("propensity_coef", _float_array, None),
     ("mean_coef", _float_array, None),
     ("noise_sd", _float_array, None),
-    ("mean_degree", int, 1),
+    ("mean_degree", _integer, 1),
 )
 
 
@@ -245,26 +251,14 @@ def _replicate(
         folds = make_folds(n, n_folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
-    eval_rng = np.random.default_rng(seed + _REGRET_SEED_OFFSET)
-    x_eval = scenario.sample_covariates(regret_draws, eval_rng)
-    mu_eval = scenario.mean_matrix(x_eval)
-    best_eval = _rows(np.maximum, mu_eval)
-    # Inline rather than true_regret: that draws a fresh sample on every call,
-    # and here one regret sample serves all of this replication's schemes.
-    # Arm-major losses: entry a * draws + i is row i's shortfall under arm a,
-    # so a policy's regret is one take from it instead of a 2-d gather.
-    # Filled in place: np.concatenate of the columns measured ~7x slower.
-    loss = np.empty((scenario.m, regret_draws))
-    for a in range(scenario.m):
-        np.subtract(best_eval, mu_eval[:, a], out=loss[a])
-    loss = loss.ravel()
-    rows = np.arange(regret_draws)
+    # One regret sample and loss table serve all of this replication's schemes.
+    x_eval, loss = _regret_losses(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
     out = np.empty(len(schemes))
     shared: dict = {}  # this replication's w0, gap statistics and d=1 sweep, built once
     for s, spec in enumerate(schemes):
         w = make_weights(spec, nuis, cache=shared)
         result = learn_linear(w, pseudo, data, seed=seed, cache=shared)
-        out[s] = float(np.mean(loss.take(result.best.act(x_eval) * regret_draws + rows)))
+        out[s] = float(np.mean(_shortfall(result.best, x_eval, loss)))
     return out
 
 
@@ -282,12 +276,15 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Replicated policy-learning benchmark over scenarios and weight schemes.
 
-    Replication r uses seed base_seed + r; the report is a pure function of
-    the arguments (replications may run concurrently, aggregation order is
-    fixed). Regret is evaluated on the unweighted population.
+    Replication r uses seed base_seed + r; replications run serially in seed
+    order, so the report is a pure function of the arguments. Regret is
+    evaluated on the unweighted population. `threads` is accepted for
+    compatibility with older callers and ignored.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
+    if regret_draws < 1:
+        raise ValidationError(f"regret_draws must be >= 1, got {regret_draws}")
     if not scenarios:
         raise ValidationError("need at least one scenario")
     schemes = tuple(schemes)
@@ -297,20 +294,11 @@ def run_benchmark(
     rows = []
     for scenario in scenarios:
         regrets = np.empty((reps, len(schemes)))
-
-        def one(r: int, scn=scenario) -> tuple[int, np.ndarray]:
-            return r, _replicate(
-                scn, schemes, n, base_seed + r, n_folds, regret_draws,
+        for r in range(reps):
+            regrets[r] = _replicate(
+                scenario, schemes, n, base_seed + r, n_folds, regret_draws,
                 oracle_nuisances, config,
             )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for r, values in pool.map(one, range(reps)):
-                    regrets[r] = values
-        else:
-            for r in range(reps):
-                regrets[r] = one(r)[1]
         for s, scheme in enumerate(schemes):
             col = regrets[:, s]
             rows.append(

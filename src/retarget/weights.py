@@ -190,25 +190,29 @@ def make_weights(
     Calls that pass the same `cache` dict for one nuisance set build its
     homoskedastic weights and gap statistics once.
     """
-    cache = {} if cache is None else cache
     if spec == "uniform":
         return uniform_weights(nuis.n)
     if spec == "w0":
-        return _cached(cache, homoskedastic_weights, nuis)
+        return _memo(cache, homoskedastic_weights, nuis)
     if spec.startswith("w0_dp:"):
         try:
             power = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad weight power in {spec!r}") from None
-        base = _cached(cache, homoskedastic_weights, nuis)
-        gaps = _cached(cache, gap_statistics, nuis)
+        base = _memo(cache, homoskedastic_weights, nuis)
+        gaps = _memo(cache, gap_statistics, nuis)
         return curvature_scaled_weights(base, gaps, power, floor=gap_floor)
     raise ValidationError(
         f"unknown weight scheme {spec!r}; expected uniform, w0, or w0_dp:<p>"
     )
 
 
-def _cached(cache: dict, build, nuis: NuisanceSet):
-    if build not in cache:
-        cache[build] = build(nuis)
-    return cache[build]
+def _memo(cache: dict | None, build, source):
+    """build(source), kept in `cache` under `build` with the source it came
+    from and reused only for that same source object."""
+    if cache is None:
+        return build(source)
+    held = cache.get(build)
+    if held is None or held[0] is not source:
+        held = cache[build] = (source, build(source))
+    return held[1]

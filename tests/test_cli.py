@@ -114,12 +114,16 @@ class TestSimulate:
             ({"noise_sd": "abc"}, "{path}: scenario 1: noise_sd: could not convert string to float: 'abc'"),
             ({"mean_degree": None}, "{path}: scenario 1: mean_degree: int() argument must be"),
             ({"d": 1e400}, "{path}: scenario 1: d: cannot convert float infinity to integer"),
+            ({"d": 1.5}, "{path}: scenario 1: d: expected an integer, got 1.5"),
+            ({"m": 2.9}, "{path}: scenario 1: m: expected an integer, got 2.9"),
+            ({"mean_degree": 1.5}, "{path}: scenario 1: mean_degree: expected an integer, got 1.5"),
             ({"mean_coef": [[0.0, 0.0], [0.5]]}, "{path}: scenario 1: mean_coef: setting an array element"),
             # ScenarioSpec's own checks do not name the file.
             ({"noise_sd": [1.0, 1.0, 1.0]}, "noise_sd must be a scalar or (2,), got (3,)"),
             (None, "{path}: scenario 1: expected an object, got list"),
         ],
-        ids=["d", "m", "noise_sd", "null", "infinite-d", "ragged", "noise-length", "not-an-object"],
+        ids=["d", "m", "noise_sd", "null", "infinite-d", "fractional-d", "fractional-m",
+             "fractional-degree", "ragged", "noise-length", "not-an-object"],
     )
     def test_malformed_scenario_is_invalid(self, tmp_path, capsys, change, message):
         import json
@@ -136,6 +140,28 @@ class TestSimulate:
         errors = error_lines(capsys)
         assert len(errors) == 1
         assert errors[0].startswith("error[ValidationError]: " + message.format(path=path))
+
+    @pytest.mark.parametrize("d, m", [(1, 2), (1.0, 2.0), ("1", "2")])
+    def test_integral_scenario_fields_load(self, tmp_path, d, m):
+        import json
+
+        from retarget import default_scenarios, load_scenarios
+
+        good = default_scenarios()[0]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps([{**good.to_jsonable(), "d": d, "m": m, "mean_degree": 1.0}]))
+        [loaded] = load_scenarios(str(path))
+        assert loaded.to_jsonable() == good.to_jsonable()
+        assert all(type(v) is int for v in (loaded.d, loaded.m, loaded.mean_degree))
+
+    @pytest.mark.parametrize("draws", ["-1", "0"])
+    def test_regret_draws_below_one_is_invalid(self, capsys, draws):
+        code = main(["simulate", "--reps", "1", "--n", "40", "--schemes", "uniform",
+                     "--regret-draws", draws])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[ValidationError]: regret_draws must be >= 1, got {draws}\n"
 
     def test_oracle_nuisances_flag(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -30,6 +30,7 @@ from retarget import (
     weighted_value,
 )
 from retarget import policy as policy_module
+from retarget.nuisance import _rows
 from retarget.simulation import DEFAULT_SCHEMES
 
 
@@ -731,6 +732,39 @@ class TestTrueRegret:
         for _ in range(5):
             pi = LinearPolicy(rng.standard_normal(2))
             assert true_regret(pi, scenario, n_eval=2_000, seed=6) >= 0.0
+
+    @staticmethod
+    def _reference_true_regret(pi, scenario, population=None, n_eval=100_000, seed=0):
+        """true_regret before it shared the regret sample and loss table with
+        simulate: a 2-d gather of the chosen arm means."""
+        rng = np.random.default_rng(seed)
+        x = scenario.sample_covariates(n_eval, rng)
+        mu = scenario.mean_matrix(x)
+        chosen = mu[np.arange(x.shape[0]), np.asarray(pi.act(x))]
+        shortfall = _rows(np.maximum, mu) - chosen
+        if population is None:
+            return float(shortfall.mean())
+        wts = np.asarray(population(x), dtype=float)
+        return float(np.sum(wts * shortfall) / wts.sum())
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2_024])
+    def test_bits_of_the_gather_form(self, seed):
+        three_arms = ScenarioSpec(
+            name="m3", d=2, m=3, covariate_law="normal",
+            propensity_coef=np.zeros((3, 3)),
+            mean_coef=np.array([[0.0, 0.3, -0.2], [0.1, -0.5, 0.4], [-0.1, 0.2, 0.6]]),
+            noise_sd=np.ones(3),
+        )
+        rng = np.random.default_rng(seed)
+        cases = [(self._scenario(), LinearPolicy(rng.standard_normal(2))),
+                 (self._scenario(), ConstantPolicy(1))]
+        cases += [(three_arms, ConstantPolicy(a)) for a in range(3)]
+        cases += [(three_arms, LinearPolicy(rng.standard_normal(3)))]
+        for scenario, pi in cases:
+            for population in (None, lambda x: np.exp(-np.abs(x).sum(axis=1))):
+                kwargs = dict(population=population, n_eval=3_001, seed=seed)
+                assert true_regret(pi, scenario, **kwargs) == \
+                    self._reference_true_regret(pi, scenario, **kwargs)
 
 
 class TestPolicyClassFile:

@@ -149,6 +149,21 @@ class TestRunBenchmark:
         threaded = run_benchmark(scenarios, **kwargs, threads=4)
         assert serial == threaded
 
+    def test_replications_start_no_thread(self, monkeypatch):
+        # threads= is accepted and ignored: every replication runs in the
+        # calling thread, so a run that could not start one still reports.
+        import threading
+
+        scenarios = default_scenarios()[:1]
+        kwargs = dict(schemes=("uniform", "w0"), reps=3, n=100, base_seed=4, regret_draws=1_000)
+        serial = run_benchmark(scenarios, **kwargs, threads=1)
+
+        def refuse(self):
+            raise RuntimeError("run_benchmark started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_benchmark(scenarios, **kwargs, threads=4) == serial
+
     def test_seed_schedule_is_base_plus_rep(self):
         # The R-rep aggregate equals the aggregate of R single-rep runs at
         # shifted base seeds: replications are independent and addressable.

@@ -293,3 +293,14 @@ class TestMakeWeights:
             assert np.array_equal(w.weights, alone.weights)
         assert len(cache) == 2  # w0 and the gap statistics, each built once
         assert shared[-1] is shared[1]  # power 0 is the cached w0 itself
+
+    def test_shared_cache_never_serves_another_nuisance_set(self):
+        # Two nuisance sets of one size on one cache: each gets the w0 and the
+        # gap statistics of its own propensities and means, not the other's.
+        rng = np.random.default_rng(7)
+        first, second = random_binary_nuis(rng, 25), random_binary_nuis(rng, 25)
+        cache = {}
+        for nuis in (first, second, first):
+            for spec in ("w0", "w0_dp:1", "w0_dp:-2"):
+                assert np.array_equal(make_weights(spec, nuis, cache=cache).weights,
+                                      make_weights(spec, nuis).weights)
