@@ -74,15 +74,18 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
 
 def _prepare(args: argparse.Namespace):
     data = load_dataset(args.data)
+    oracle = load_oracle_nuisances(args.oracle) if args.oracle else None
     config = NuisanceConfig(
         folds=args.folds,
         ridge_lambda=args.ridge,
         propensity_clip=args.clip,
         variance_mode=args.variance,
-        oracle_nuisances=load_oracle_nuisances(args.oracle) if args.oracle else None,
     )
     folds = make_folds(data.n, args.folds, seed=args.seed)
-    nuis = cross_fit(data, folds, config)
+    if oracle is None:
+        nuis = cross_fit(data, folds, config)
+    else:
+        nuis = oracle.nuisance_set(data, args.variance)
     pseudo = dr_pseudo_outcomes(data, nuis)
     if args.dump_psi:
         dump_pseudo_outcomes(pseudo, args.dump_psi)

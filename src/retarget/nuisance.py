@@ -1,7 +1,8 @@
 """Nuisance models: propensity, per-arm outcome means, residual variances.
 
 All models are linear/logistic in [1, x]. `cross_fit` produces out-of-fold
-predictions for every observation, or passes through oracle-supplied values.
+predictions for every observation; `OracleNuisances` supplies known values
+in its place.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class NuisanceSet:
         row_sums = _rows(np.add, p)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             bad = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise ValidationError(f"propensity row {bad} sums to {row_sums[bad]!r}, not 1")
+            raise ValidationError(f"propensity row {bad} sums to {float(row_sums[bad])!r}, not 1")
         if np.any(v < 0.0):
             raise ValidationError("variance entries must be nonnegative")
         for name, arr in (("propensity", p), ("outcome_mean", mu), ("variance", v)):
@@ -100,11 +101,32 @@ class NuisanceSet:
 
 @dataclass(frozen=True)
 class OracleNuisances:
-    """Known nuisance values supplied externally; cross_fit passes them through."""
+    """Known nuisance values supplied externally, used in place of cross-fitting."""
 
     propensity: np.ndarray
     outcome_mean: np.ndarray
     variance: np.ndarray | None = None
+
+    def nuisance_set(self, data: Dataset, variance_mode: str) -> NuisanceSet:
+        """The supplied values for `data`, unclipped, with variances floored at
+        1e-12, or constant ones from the outcome means' residuals if absent."""
+        prop = np.asarray(self.propensity, dtype=float)
+        mu = np.asarray(self.outcome_mean, dtype=float)
+        expected = (data.n, data.m)
+        if prop.shape != expected or mu.shape != expected:
+            raise ValidationError(
+                f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
+            )
+        if self.variance is not None:
+            var = np.asarray(self.variance, dtype=float)
+            if var.shape != expected:
+                raise ValidationError(f"oracle variance must have shape {expected}, got {var.shape}")
+            var = np.maximum(var, VARIANCE_FLOOR)
+        else:
+            resid = data.outcomes - mu[np.arange(data.n), data.actions]
+            var = np.tile(_residual_variance(resid, data.actions, data.m, variance_mode),
+                          (data.n, 1))
+        return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
 
 
 @dataclass(frozen=True)
@@ -113,7 +135,6 @@ class NuisanceConfig:
     ridge_lambda: float = 0.0
     propensity_clip: float = 0.01
     variance_mode: str = "pooled"  # "pooled" or "per_arm"
-    oracle_nuisances: OracleNuisances | None = None
 
     def __post_init__(self):
         if self.variance_mode not in ("pooled", "per_arm"):
@@ -126,40 +147,19 @@ class NuisanceConfig:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
 
 
-class PropensityModel:
-    """Multinomial logistic model on [1, x], fitted by Newton's method.
-
-    The last arm is the reference class (coefficients pinned to zero).
-    Predictions are clipped into [clip, 1-clip] and renormalized.
-    """
-
-    def __init__(self, coef: np.ndarray, m: int, clip: float, converged: bool):
-        self.coef = coef  # (d+1, m) with reference column all zero
-        self.m = m
-        self.clip = clip
-        self.converged = converged
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        p = np.clip(_softmax(add_intercept(x) @ self.coef), self.clip, 1.0 - self.clip)
-        return p / _rows(np.add, p)[:, None]
-
-
-def fit_propensity(train: Dataset, clip: float = 0.01) -> PropensityModel:
-    """Fit arm-assignment probabilities by Newton steps on the multinomial
-    log-likelihood, stopping when the gradient infinity-norm drops below 1e-8
-    or after 100 iterations (the latter yields a flagged, usable model).
-    """
-    counts = train.arm_counts()
+def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+    """Multinomial logistic coefficients (d+1, m) on z = [1, x], last arm pinned
+    to zero, and whether Newton steps on the log-likelihood met the gradient
+    tolerance 1e-8 within 100 iterations (else the last iterate, flagged)."""
+    counts = np.bincount(actions, minlength=m)
     if np.any(counts == 0):
         missing = int(np.argmax(counts == 0))
         raise EstimationError(f"arm {missing} absent from training data")
-    m = train.m
-    z = add_intercept(train.covariates)
     n, p = z.shape
     k = m - 1  # free classes
     onehot = np.zeros((n, k))
     for j in range(k):
-        onehot[:, j] = train.actions == j
+        onehot[:, j] = actions == j
 
     coef = np.zeros((p, m))
     converged = False
@@ -185,62 +185,30 @@ def fit_propensity(train: Dataset, clip: float = 0.01) -> PropensityModel:
             RuntimeWarning,
             stacklevel=2,
         )
-    return PropensityModel(coef=coef, m=m, clip=clip, converged=converged)
+    return coef, converged
 
 
-class OutcomeModel:
-    """Linear mean model for one arm: x -> beta @ [1, x]."""
-
-    def __init__(self, beta: np.ndarray, arm: int):
-        self.beta = beta
-        self.arm = arm
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return add_intercept(x) @ self.beta
+def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
+    """Arm probabilities on z, clipped into [clip, 1-clip] and renormalized."""
+    p = np.clip(_softmax(z @ coef), clip, 1.0 - clip)
+    return p / _rows(np.add, p)[:, None]
 
 
-def fit_outcome_regression(train: Dataset, arm: int, ridge: float = 0.0) -> OutcomeModel:
-    """Least-squares fit of the outcome on [1, x] over the rows with the given
-    arm, with an optional ridge penalty lambda * ||beta||^2 on all coefficients.
+def fit_outcome_regression(z: np.ndarray, y: np.ndarray, arm: int, ridge: float = 0.0) -> np.ndarray:
+    """Least-squares fit of one arm's outcomes y on its rows z = [1, x], with
+    an optional ridge penalty lambda * ||beta||^2 on all coefficients.
     """
-    if not 0 <= arm < train.m:
-        raise ValidationError(f"arm {arm} outside {{0..{train.m - 1}}}")
     if ridge < 0:
         raise ValidationError(f"ridge penalty must be >= 0, got {ridge}")
-    rows = np.flatnonzero(train.actions == arm)
-    if rows.size == 0:
-        raise EstimationError(f"arm {arm} has no observations")
-    z = add_intercept(train.covariates[rows])
-    y = train.outcomes[rows]
     gram = z.T @ z
     if ridge > 0:
         gram = gram + ridge * np.eye(z.shape[1])
     elif np.linalg.matrix_rank(gram) < z.shape[1]:
         raise EstimationError(
-            f"singular Gram matrix for arm {arm} ({rows.size} rows, "
+            f"singular Gram matrix for arm {arm} ({z.shape[0]} rows, "
             f"{z.shape[1]} coefficients); pass ridge_lambda > 0"
         )
-    beta = np.linalg.solve(gram, z.T @ y)
-    return OutcomeModel(beta=beta, arm=arm)
-
-
-def estimate_variance(
-    train: Dataset, models: list[OutcomeModel], mode: str = "pooled"
-) -> np.ndarray:
-    """Residual-variance estimates per arm, constant in x.
-
-    per_arm: mean squared residual on each arm. pooled: one value shared by
-    all arms. Both floored at 1e-12. Returns a length-m vector either way.
-    """
-    if mode not in ("pooled", "per_arm"):
-        raise ValidationError(f"variance mode must be 'pooled' or 'per_arm', got {mode!r}")
-    if len(models) != train.m:
-        raise ValidationError(f"expected {train.m} mean models, got {len(models)}")
-    resid = np.empty(train.n)
-    for arm, model in enumerate(models):
-        rows = train.actions == arm
-        resid[rows] = train.outcomes[rows] - model.predict(train.covariates[rows])
-    return _residual_variance(resid, train.actions, train.m, mode)
+    return np.linalg.solve(gram, z.T @ y)
 
 
 def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str) -> np.ndarray:
@@ -249,76 +217,47 @@ def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str
     sq_by_arm = [resid[actions == arm] ** 2 for arm in range(m)]
     if mode == "pooled":
         out = np.full(m, float(np.mean(np.concatenate(sq_by_arm))))
-    else:
+    elif mode == "per_arm":
         for arm, sq in enumerate(sq_by_arm):
             if sq.size == 0:
                 raise EstimationError(f"arm {arm} has no observations for variance estimation")
         out = np.array([float(np.mean(sq)) for sq in sq_by_arm])
-    return np.maximum(out, VARIANCE_FLOOR)
-
-
-def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(
-        covariates=data.covariates[rows],
-        actions=data.actions[rows],
-        outcomes=data.outcomes[rows],
-        m=data.m,
-    )
-
-
-def _oracle_passthrough(data: Dataset, config: NuisanceConfig) -> NuisanceSet:
-    oracle = config.oracle_nuisances
-    prop = np.asarray(oracle.propensity, dtype=float)
-    mu = np.asarray(oracle.outcome_mean, dtype=float)
-    expected = (data.n, data.m)
-    if prop.shape != expected or mu.shape != expected:
-        raise ValidationError(
-            f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
-        )
-    if oracle.variance is not None:
-        var = np.asarray(oracle.variance, dtype=float)
-        if var.shape != expected:
-            raise ValidationError(f"oracle variance must have shape {expected}, got {var.shape}")
-        var = np.maximum(var, VARIANCE_FLOOR)
     else:
-        resid = data.outcomes - mu[np.arange(data.n), data.actions]
-        var = np.tile(_residual_variance(resid, data.actions, data.m, config.variance_mode),
-                      (data.n, 1))
-    return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
+        raise ValidationError(f"variance mode must be 'pooled' or 'per_arm', got {mode!r}")
+    return np.maximum(out, VARIANCE_FLOOR)
 
 
 def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = NuisanceConfig()) -> NuisanceSet:
     """Out-of-fold nuisance predictions for every observation.
 
-    Each observation's predictions come from models trained on the other
-    folds, so no row influences its own nuisances. With `config.oracle_nuisances` set,
-    the supplied values pass through unchanged (no clipping, no refitting).
+    Each observation's predictions come from fits on the other folds' rows of
+    one [1, x] design, so no row influences its own nuisances.
     """
-    if config.oracle_nuisances is not None:
-        return _oracle_passthrough(data, config)
     if folds.n != data.n:
         raise ValidationError(f"fold assignment covers {folds.n} rows, dataset has {data.n}")
     n, m = data.n, data.m
+    z = add_intercept(data.covariates)
     prop = np.empty((n, m))
     mu = np.empty((n, m))
     var = np.empty((n, m))
     for fold in range(folds.n_folds):
         held_out = folds.members(fold)
-        train = _subset(data, folds.complement(fold))
+        train = folds.complement(fold)
+        z_train, a_train, y_train = z[train], data.actions[train], data.outcomes[train]
+        z_out = z[held_out]
         try:
-            prop_model = fit_propensity(train, clip=config.propensity_clip)
-            mean_models = [
-                fit_outcome_regression(train, arm, ridge=config.ridge_lambda)
-                for arm in range(m)
-            ]
-            fold_var = estimate_variance(train, mean_models, mode=config.variance_mode)
+            coef, _ = fit_propensity(z_train, a_train, m)
+            resid = np.empty(train.size)
+            for arm in range(m):
+                rows = a_train == arm
+                z_arm, y_arm = z_train[rows], y_train[rows]
+                beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
+                resid[rows] = y_arm - z_arm @ beta
+                mu[held_out, arm] = z_out @ beta
+            var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
         except (ValidationError, EstimationError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
-        x_out = data.covariates[held_out]
-        prop[held_out] = prop_model.predict_proba(x_out)
-        for arm, model in enumerate(mean_models):
-            mu[held_out, arm] = model.predict(x_out)
-        var[held_out] = fold_var
+        prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
     return NuisanceSet(
         propensity=prop,
         outcome_mean=mu,
@@ -328,13 +267,20 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
 
 
 def _arm_columns(path: str, header: list[str], prefix: str) -> list[str]:
-    """The header's columns named prefix + <arm number>, in arm order."""
+    """The header's columns named prefix + <arm number>, in arm order. The
+    arm numbers must be 0..k-1 for a group of k columns, each once."""
     cols = [h for h in header if h.startswith(prefix)]
+    arms = []
     for name in cols:
         try:
-            int(name[len(prefix):])
+            arms.append(int(name[len(prefix):]))
         except ValueError:
             raise ValidationError(f"{path}: column {name!r} is not {prefix}<arm number>") from None
+    if sorted(arms) != list(range(len(arms))):
+        raise ValidationError(
+            f"{path}: {prefix}* columns must number the arms 0..{len(arms) - 1} once each, "
+            f"got {cols}"
+        )
     return sorted(cols, key=lambda name: int(name[len(prefix):]))
 
 
@@ -361,6 +307,9 @@ def load_oracle_nuisances(path: str) -> OracleNuisances:
         rows = list(reader)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
 
     def block(cols: list[str]) -> np.ndarray:
         try:

@@ -163,8 +163,9 @@ def _float_array(value) -> np.ndarray:
 
 
 def _integer(value) -> int:
-    """int(value), refusing a number that int() would truncate, such as 1.5."""
-    if not isinstance(value, str) and int(value) != value:
+    """int(value), refusing a bool and a number that int() would truncate,
+    such as 1.5."""
+    if isinstance(value, bool) or (not isinstance(value, str) and int(value) != value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -272,7 +273,6 @@ def run_benchmark(
     regret_draws: int = 20_000,
     oracle_nuisances: bool = False,
     threads: int = 1,
-    nuisance_config: NuisanceConfig | None = None,
 ) -> BenchmarkReport:
     """Replicated policy-learning benchmark over scenarios and weight schemes.
 
@@ -290,7 +290,7 @@ def run_benchmark(
     schemes = tuple(schemes)
     if not schemes:
         raise ValidationError("need at least one weight scheme")
-    config = nuisance_config or NuisanceConfig(folds=n_folds)
+    config = NuisanceConfig(folds=n_folds)
     rows = []
     for scenario in scenarios:
         regrets = np.empty((reps, len(schemes)))

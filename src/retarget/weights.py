@@ -27,7 +27,7 @@ class WeightScheme:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValidationError("weights must be finite and nonnegative")
         if abs(w.mean() - 1.0) > 1e-9:
-            raise ValidationError(f"weights must have sample mean 1, got {w.mean()!r}")
+            raise ValidationError(f"weights must have sample mean 1, got {float(w.mean())!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

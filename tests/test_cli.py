@@ -117,13 +117,17 @@ class TestSimulate:
             ({"d": 1.5}, "{path}: scenario 1: d: expected an integer, got 1.5"),
             ({"m": 2.9}, "{path}: scenario 1: m: expected an integer, got 2.9"),
             ({"mean_degree": 1.5}, "{path}: scenario 1: mean_degree: expected an integer, got 1.5"),
+            ({"d": True}, "{path}: scenario 1: d: expected an integer, got True"),
+            ({"m": True}, "{path}: scenario 1: m: expected an integer, got True"),
+            ({"mean_degree": True}, "{path}: scenario 1: mean_degree: expected an integer, got True"),
             ({"mean_coef": [[0.0, 0.0], [0.5]]}, "{path}: scenario 1: mean_coef: setting an array element"),
             # ScenarioSpec's own checks do not name the file.
             ({"noise_sd": [1.0, 1.0, 1.0]}, "noise_sd must be a scalar or (2,), got (3,)"),
             (None, "{path}: scenario 1: expected an object, got list"),
         ],
         ids=["d", "m", "noise_sd", "null", "infinite-d", "fractional-d", "fractional-m",
-             "fractional-degree", "ragged", "noise-length", "not-an-object"],
+             "fractional-degree", "bool-d", "bool-m", "bool-degree", "ragged", "noise-length",
+             "not-an-object"],
     )
     def test_malformed_scenario_is_invalid(self, tmp_path, capsys, change, message):
         import json
@@ -263,6 +267,88 @@ class TestFit:
         assert error_lines(capsys) == [
             f"error[ValidationError]: {oracle}: column {bad!r} is not {prefix}<arm number>"
         ]
+
+    @pytest.mark.parametrize(
+        "header, row, line, message",
+        [
+            ("phi_0,phi_1,mu_0,mu_1", 3, "", "row 3 has 0 cells, header has 4"),
+            ("phi_0,phi_1,mu_0,mu_1", 5, "0.5,0.5,0", "row 5 has 3 cells, header has 4"),
+            ("phi_0,phi_1,mu_0,mu_1", 7, "0.5,0.5,0,0,9", "row 7 has 5 cells, header has 4"),
+            ("phi_0,phi_2,mu_0,mu_2", None, None,
+             "phi_* columns must number the arms 0..1 once each, got ['phi_0', 'phi_2']"),
+            ("phi_0,phi_1,mu_1,mu_2", None, None,
+             "mu_* columns must number the arms 0..1 once each, got ['mu_1', 'mu_2']"),
+            ("phi_0,phi_0,mu_0,mu_1", None, None,
+             "phi_* columns must number the arms 0..1 once each, got ['phi_0', 'phi_0']"),
+        ],
+        ids=["blank-line", "short-row", "extra-cell", "arm-gap", "arms-from-1", "repeated-arm"],
+    )
+    def test_malformed_oracle_rows_and_arm_numbers_are_invalid(
+        self, binary_csv, tmp_path, capsys, header, row, line, message
+    ):
+        lines = ["0.5,0.5,0,0"] * 160  # one row per observation of binary_csv
+        if row is not None:
+            lines[row] = line
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text(header + "\n" + "\n".join(lines) + "\n")
+        code = main(["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(oracle)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: {oracle}: {message}"]
+
+    def _oracle_on_arm_betas(self, binary_csv, path, columns):
+        header = "phi_0,phi_1,mu_0,mu_1" + ",var_0,var_1" * (columns.shape[1] == 6)
+        path.write_text(header + "\n" + "".join(
+            ",".join(repr(float(v)) for v in r) + "\n" for r in columns))
+        out = path.with_suffix(".txt")
+        code = main(["fit", "--equation", "on_arm", "--mode", "known", "--arm", "1",
+                     "--data", binary_csv, "--oracle", str(path), "--out", str(out)])
+        assert code == EXIT_OK
+        return [line for line in out.read_text().splitlines() if line.startswith("beta_")]
+
+    def test_oracle_variances_weight_the_on_arm_fit(self, binary_csv, tmp_path):
+        rng = np.random.default_rng(5)
+        phi = rng.uniform(0.2, 0.8, 160)
+        base = np.column_stack([1 - phi, phi, np.zeros(160), np.zeros(160)])
+        var = rng.uniform(0.5, 2.0, (160, 2))
+        constant = self._oracle_on_arm_betas(binary_csv, tmp_path / "c.csv", base)
+        per_row = self._oracle_on_arm_betas(
+            binary_csv, tmp_path / "v.csv", np.column_stack([base, var]))
+        assert per_row != constant
+        # Variances below 1e-12 are read as 1e-12.
+        zero, floor = var.copy(), var.copy()
+        zero[::4, 1], floor[::4, 1] = 0.0, 1e-12
+        floored = self._oracle_on_arm_betas(
+            binary_csv, tmp_path / "z.csv", np.column_stack([base, zero]))
+        assert floored == self._oracle_on_arm_betas(
+            binary_csv, tmp_path / "f.csv", np.column_stack([base, floor]))
+        assert floored != per_row
+
+    def test_oracle_variance_count_must_match(self, binary_csv, tmp_path, capsys):
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1,var_0\n" + "0.5,0.5,0,0,1\n" * 160)
+        code = main(["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(oracle)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {oracle}: var_* columns must match phi_* count"
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--clip", "0.7"], "propensity_clip must be in (0, 0.5), got 0.7"),
+            (["--folds", "999"], "fold count 999 exceeds sample size 160"),
+        ],
+        ids=["clip", "folds"],
+    )
+    def test_option_errors_come_before_the_oracle_shape(
+        self, binary_csv, tmp_path, capsys, flags, message
+    ):
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0,0\n" * 20)  # 20 of 160 rows
+        code = main(["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(oracle)]
+                    + flags)
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: {message}"]
 
     def test_dump_psi(self, binary_csv, tmp_path):
         psi_path = tmp_path / "psi.csv"

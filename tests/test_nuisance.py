@@ -1,5 +1,7 @@
 """Propensity/outcome/variance fitting and the cross-fitting contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,12 @@ from retarget import (
     OracleNuisances,
     ValidationError,
     cross_fit,
-    estimate_variance,
     fit_outcome_regression,
     fit_propensity,
     load_oracle_nuisances,
     make_folds,
 )
-from retarget.nuisance import _rows
+from retarget.nuisance import _propensities, _residual_variance, _rows, add_intercept
 
 
 def balanced_random_data(n, d, m, seed, outcome=None):
@@ -31,6 +32,19 @@ def balanced_random_data(n, d, m, seed, outcome=None):
     return Dataset(covariates=x, actions=a, outcomes=y, m=m)
 
 
+def fitted_propensities(data, clip=0.01):
+    """In-sample clipped propensities of a fit on all of data's rows."""
+    z = add_intercept(data.covariates)
+    coef, converged = fit_propensity(z, data.actions, data.m)
+    return _propensities(z, coef, clip), converged
+
+
+def arm_rows(data, arm):
+    """[1, x] and y of one arm's rows."""
+    rows = data.actions == arm
+    return add_intercept(data.covariates[rows]), data.outcomes[rows]
+
+
 class TestFitPropensity:
     def test_independent_balanced_arms_predict_half(self):
         # A independent of X, arms 50/50: fitted probabilities near (.5, .5).
@@ -39,16 +53,14 @@ class TestFitPropensity:
         x = rng.uniform(-1, 1, (n, 1))
         a = rng.integers(0, 2, n)
         data = Dataset(covariates=x, actions=a, outcomes=np.zeros(n), m=2)
-        model = fit_propensity(data)
-        probs = model.predict_proba(x)
+        probs, _ = fitted_propensities(data)
         assert np.max(np.abs(probs - 0.5)) < 0.02
 
     def test_separable_data_clips_without_nan(self):
         x = np.linspace(-1, 1, 40).reshape(-1, 1)
         a = (x.ravel() > 0).astype(int)
         data = Dataset(covariates=x, actions=a, outcomes=np.zeros(40), m=2)
-        model = fit_propensity(data, clip=0.01)
-        probs = model.predict_proba(x)
+        probs, _ = fitted_propensities(data, clip=0.01)
         assert np.all(np.isfinite(probs))
         assert probs.min() >= 0.01 - 1e-12
         assert probs.max() <= 0.99 + 1e-12
@@ -58,10 +70,9 @@ class TestFitPropensity:
 
     def test_rows_sum_to_one_m3(self):
         data = balanced_random_data(600, 2, 3, seed=11)
-        model = fit_propensity(data)
-        probs = model.predict_proba(data.covariates)
+        probs, converged = fitted_propensities(data)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
-        assert model.converged
+        assert converged
 
     def test_missing_arm_rejected(self):
         data = Dataset(
@@ -71,7 +82,7 @@ class TestFitPropensity:
             m=2,
         )
         with pytest.raises(EstimationError, match="arm 1 absent"):
-            fit_propensity(data)
+            fit_propensity(add_intercept(data.covariates), data.actions, data.m)
 
     def test_recovers_logistic_truth(self):
         # Well-specified binary model: fitted probabilities track the truth.
@@ -81,7 +92,7 @@ class TestFitPropensity:
         p1 = 1.0 / (1.0 + np.exp(-(0.3 + 1.2 * x.ravel())))
         a = (rng.random(n) < p1).astype(int)
         data = Dataset(covariates=x, actions=a, outcomes=np.zeros(n), m=2)
-        probs = fit_propensity(data).predict_proba(x)
+        probs, _ = fitted_propensities(data)
         assert np.max(np.abs(probs[:, 1] - p1)) < 0.03
 
 
@@ -100,8 +111,8 @@ class TestFitOutcomeRegression:
             outcomes=np.array([2.0, 4.0, 0.0]),
             m=2,
         )
-        model = fit_outcome_regression(data, arm=0, ridge=0.0)
-        assert model.beta == pytest.approx([0.0, 2.0], abs=1e-12)
+        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.0)
+        assert beta == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_constant_outcome(self):
         rng = np.random.default_rng(1)
@@ -113,8 +124,8 @@ class TestFitOutcomeRegression:
             outcomes=np.append(np.full(30, 5.5), 0.0),
             m=2,
         )
-        model = fit_outcome_regression(data, arm=0)
-        assert model.beta == pytest.approx([5.5, 0, 0, 0], abs=1e-10)
+        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0)
+        assert beta == pytest.approx([5.5, 0, 0, 0], abs=1e-10)
 
     def test_large_ridge_shrinks_slopes(self):
         rng = np.random.default_rng(2)
@@ -127,8 +138,8 @@ class TestFitOutcomeRegression:
             outcomes=np.append(y, 0.0),
             m=2,
         )
-        model = fit_outcome_regression(data, arm=0, ridge=1e9)
-        assert np.max(np.abs(model.beta[1:])) < 1e-5
+        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=1e9)
+        assert np.max(np.abs(beta[1:])) < 1e-5
 
     def test_singular_advises_ridge(self):
         # one observation, two coefficients
@@ -139,43 +150,33 @@ class TestFitOutcomeRegression:
             m=2,
         )
         with pytest.raises(EstimationError, match="ridge"):
-            fit_outcome_regression(data, arm=0, ridge=0.0)
-        fit_outcome_regression(data, arm=0, ridge=0.1)  # ridge path succeeds
+            fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.0)
+        fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.1)  # ridge path succeeds
 
 
 class TestEstimateVariance:
-    def _data_and_models(self, residuals_by_arm):
-        xs, acts, ys = [], [], []
+    def _residuals_and_arms(self, residuals_by_arm):
+        resid, acts = [], []
         for arm, resids in enumerate(residuals_by_arm):
             for r in resids:
-                xs.append([0.0])
                 acts.append(arm)
-                ys.append(r)  # zero mean model makes outcome == residual
-        data = Dataset(
-            covariates=np.array(xs), actions=np.array(acts), outcomes=np.array(ys),
-            m=len(residuals_by_arm),
-        )
-
-        class ZeroModel:
-            def predict(self, x):
-                return np.zeros(np.atleast_2d(x).shape[0])
-
-        return data, [ZeroModel() for _ in residuals_by_arm]
+                resid.append(r)
+        return np.array(resid), np.array(acts), len(residuals_by_arm)
 
     def test_zero_residuals_hit_floor(self):
-        data, models = self._data_and_models([[0.0, 0.0], [0.0]])
-        var = estimate_variance(data, models, mode="per_arm")
+        args = self._residuals_and_arms([[0.0, 0.0], [0.0]])
+        var = _residual_variance(*args, mode="per_arm")
         assert var == pytest.approx([1e-12, 1e-12])
 
     def test_plus_minus_one_gives_unit_variance(self):
-        data, models = self._data_and_models([[1.0, -1.0], [0.0]])
-        var = estimate_variance(data, models, mode="per_arm")
+        args = self._residuals_and_arms([[1.0, -1.0], [0.0]])
+        var = _residual_variance(*args, mode="per_arm")
         assert var[0] == pytest.approx(1.0)
 
     def test_pooled_equals_per_arm_on_identical_arms(self):
-        data, models = self._data_and_models([[1.0, -1.0], [1.0, -1.0]])
-        pooled = estimate_variance(data, models, mode="pooled")
-        per_arm = estimate_variance(data, models, mode="per_arm")
+        args = self._residuals_and_arms([[1.0, -1.0], [1.0, -1.0]])
+        pooled = _residual_variance(*args, mode="pooled")
+        per_arm = _residual_variance(*args, mode="per_arm")
         assert pooled == pytest.approx(per_arm)
         assert pooled[0] == pytest.approx(pooled[1])
 
@@ -188,9 +189,7 @@ class TestCrossFit:
         phi = rng.uniform(0.2, 0.8, n)
         prop = np.column_stack([1 - phi, phi])
         mu = rng.standard_normal((n, 2))
-        config = NuisanceConfig(oracle_nuisances=OracleNuisances(propensity=prop, outcome_mean=mu))
-        folds = make_folds(n, 2, seed=0)
-        nuis = cross_fit(data, folds, config)
+        nuis = OracleNuisances(propensity=prop, outcome_mean=mu).nuisance_set(data, "pooled")
         assert np.array_equal(nuis.propensity, prop)
         assert np.array_equal(nuis.outcome_mean, mu)
         assert nuis.provenance == "oracle"
@@ -289,6 +288,17 @@ class TestNuisanceSetValidation:
                 provenance="oracle",
             )
 
+    def test_row_sum_message_is_the_same_on_every_numpy(self):
+        # numpy >= 2 reprs a float64 scalar as np.float64(0.75).
+        with pytest.raises(ValidationError) as info:
+            NuisanceSet(
+                propensity=np.array([[0.5, 0.25]]),
+                outcome_mean=np.zeros((1, 2)),
+                variance=np.zeros((1, 2)),
+                provenance="oracle",
+            )
+        assert str(info.value) == "propensity row 0 sums to 0.75, not 1"
+
     def test_rejects_boundary_propensity(self):
         with pytest.raises(ValidationError, match="strictly inside"):
             NuisanceSet(
@@ -326,3 +336,120 @@ class TestOracleFile:
         path.write_text("phi_0,phi_1\n0.5,0.5\n")
         with pytest.raises(ValidationError, match="phi_\\*/mu_\\*"):
             load_oracle_nuisances(str(path))
+
+
+def _reference_cross_fit(data, folds, config):
+    """cross_fit as it was before every fold shared one [1, x] design: a
+    validated Dataset copy of each fold's training rows, [1, x] rebuilt for
+    every fit and prediction, and the training rows predicted again for the
+    residual variance."""
+    from retarget.nuisance import _softmax
+
+    def propensity(train):
+        counts = train.arm_counts()
+        if np.any(counts == 0):
+            raise EstimationError(f"arm {int(np.argmax(counts == 0))} absent from training data")
+        z = add_intercept(train.covariates)
+        (n, p), k = z.shape, train.m - 1
+        onehot = np.zeros((n, k))
+        for j in range(k):
+            onehot[:, j] = train.actions == j
+        coef = np.zeros((p, train.m))
+        for _ in range(100):
+            prob = _softmax(z @ coef)
+            grad = z.T @ (onehot - prob[:, :k])
+            if np.max(np.abs(grad)) < 1e-8:
+                break
+            a = np.empty((k * p, k * p))
+            for j in range(k):
+                for l in range(k):
+                    w = prob[:, j] * ((1.0 if j == l else 0.0) - prob[:, l])
+                    a[j * p:(j + 1) * p, l * p:(l + 1) * p] = (z.T * w) @ z
+            a.flat[::a.shape[0] + 1] += 1e-10 * (1.0 + np.trace(a) / a.shape[0])
+            coef[:, :k] += np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
+        return coef
+
+    def outcome(train, arm):
+        rows = np.flatnonzero(train.actions == arm)
+        z = add_intercept(train.covariates[rows])
+        gram = z.T @ z
+        if config.ridge_lambda > 0:
+            gram = gram + config.ridge_lambda * np.eye(z.shape[1])
+        elif np.linalg.matrix_rank(gram) < z.shape[1]:
+            raise EstimationError(
+                f"singular Gram matrix for arm {arm} ({rows.size} rows, "
+                f"{z.shape[1]} coefficients); pass ridge_lambda > 0"
+            )
+        return np.linalg.solve(gram, z.T @ train.outcomes[rows])
+
+    n, m = data.n, data.m
+    prop, mu, var = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+    for fold in range(folds.n_folds):
+        held_out = folds.members(fold)
+        rows = folds.complement(fold)
+        train = Dataset(covariates=data.covariates[rows], actions=data.actions[rows],
+                        outcomes=data.outcomes[rows], m=m)
+        try:
+            coef = propensity(train)
+            betas = [outcome(train, arm) for arm in range(m)]
+            resid = np.empty(train.n)
+            for arm, beta in enumerate(betas):
+                on = train.actions == arm
+                resid[on] = train.outcomes[on] - add_intercept(train.covariates[on]) @ beta
+            fold_var = _residual_variance(resid, train.actions, m, config.variance_mode)
+        except (ValidationError, EstimationError) as exc:
+            raise type(exc)(f"fold {fold}: {exc}") from exc
+        x_out = data.covariates[held_out]
+        p = np.clip(_softmax(add_intercept(x_out) @ coef), config.propensity_clip,
+                    1.0 - config.propensity_clip)
+        prop[held_out] = p / _rows(np.add, p)[:, None]
+        for arm, beta in enumerate(betas):
+            mu[held_out, arm] = add_intercept(x_out) @ beta
+        var[held_out] = fold_var
+    return prop, mu, var
+
+
+def _outcome_or_error(fn):
+    try:
+        return fn()
+    except (ValidationError, EstimationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCrossFitMatchesReference:
+    def test_seeded_sweep_same_bytes_and_errors(self):
+        rng = np.random.default_rng(2024)
+        errors = 0
+        for case in range(120):
+            n = int(rng.choice([8, 12, 20, 40, 100, 300, 800]))
+            d, m, k = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            if k > n:
+                continue
+            x = rng.standard_normal((n, d))
+            if case % 4 == 0:
+                x = np.round(x)  # ties and repeated rows
+            logits = np.column_stack([np.zeros(n)] + [x @ rng.normal(0, 1, d) for _ in range(m - 1)])
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
+            y = x @ rng.normal(0, 1, d) + a + rng.standard_normal(n)
+            data = Dataset(covariates=x, actions=a, outcomes=y, m=m)
+            folds = make_folds(n, k, seed=case)
+            config = NuisanceConfig(
+                folds=k,
+                ridge_lambda=float(rng.choice([0.0, 0.3])),
+                propensity_clip=float(rng.choice([0.01, 0.05])),
+                variance_mode=str(rng.choice(["pooled", "per_arm"])),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap on separated arms
+                want = _outcome_or_error(lambda: _reference_cross_fit(data, folds, config))
+                got = _outcome_or_error(lambda: cross_fit(data, folds, config))
+            if isinstance(want, str):
+                errors += 1
+                assert got == want, case
+                continue
+            assert not isinstance(got, str), (case, got)
+            for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
+                assert g.tobytes() == w.tobytes(), case
+        assert 0 < errors < 60  # the sweep reaches both the fitted and the failing folds

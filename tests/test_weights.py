@@ -55,6 +55,12 @@ class TestWeightScheme:
         with pytest.raises(ValidationError):
             WeightScheme.from_raw("bad", np.zeros(3))
 
+    def test_mean_message_is_the_same_on_every_numpy(self):
+        # numpy >= 2 reprs a float64 scalar as np.float64(1.5).
+        with pytest.raises(ValidationError) as info:
+            WeightScheme(kind="bad", weights=np.array([1.0, 2.0]))
+        assert str(info.value) == "weights must have sample mean 1, got 1.5"
+
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=50),
     )
