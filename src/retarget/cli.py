@@ -85,7 +85,10 @@ def _prepare(args: argparse.Namespace):
     if oracle is None:
         nuis = cross_fit(data, folds, config)
     else:
-        nuis = oracle.nuisance_set(data, args.variance)
+        try:
+            nuis = oracle.nuisance_set(data, args.variance)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.oracle}: {exc}") from None
     pseudo = dr_pseudo_outcomes(data, nuis)
     if args.dump_psi:
         dump_pseudo_outcomes(pseudo, args.dump_psi)

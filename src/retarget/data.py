@@ -125,11 +125,8 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
     the largest one present must appear. `m` defaults to (max action label + 1)
     and must be >= 2. The file must be UTF-8 text.
     """
-    with _open_text(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+
+    def columns(header: list[str]) -> list[str]:
         for col in ("a", "y"):
             if col not in header:
                 raise ValidationError(f"{path}: missing column {col!r}")
@@ -138,12 +135,15 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
             raise ValidationError(
                 f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
             )
-        body = fh.read()
-    x_arr, actions, y_arr = (
-        _parse_table(body, header, xcols) or _parse_rows(path, body, header, xcols)
-    )
-    if actions.size == 0:
-        raise ValidationError(f"{path}: no data rows")
+        return xcols + ["a", "y"]
+
+    cols = _read_csv(path, columns, label="a")
+    xcols = list(cols)[:-2]
+    actions = np.ascontiguousarray(cols["a"])
+    y_arr = np.ascontiguousarray(cols["y"])
+    x_arr = np.empty((actions.size, len(xcols)))
+    for j, name in enumerate(xcols):
+        x_arr[:, j] = cols[name]
     if not np.all(np.isfinite(y_arr)):
         bad = int(np.argmax(~np.isfinite(y_arr)))
         raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
@@ -167,69 +167,74 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
     return Dataset(covariates=x_arr, actions=actions, outcomes=y_arr, m=top + 1 if m is None else m)
 
 
-def _parse_table(body: str, header: list[str], xcols: list[str]):
-    """Parse the data lines in one np.loadtxt call.
+def _read_csv(path: str, columns, label: str | None = None) -> dict[str, np.ndarray]:
+    """Read a UTF-8 file of comma-separated numbers under a header row.
 
-    Returns (x, a, y), or None when the lines need the row-by-row parser:
-    a cell loadtxt rejects (including text Python's float/int accept, such as
-    `1_0`, and a lone carriage return, which ends a row for csv.reader), a
-    blank line (which loadtxt skips), or a negative action.
+    `columns(header)` checks the header before the body is read and names the
+    columns to return, as float64 (the `label` column: int64) views of one
+    table. The rows follow `_parse_rows`'s rules; one np.loadtxt call parses
+    them when it gives the same table, and `_parse_rows` otherwise.
     """
-    ia = header.index("a")
-    dtype = np.dtype(
-        [(f"f{j}", np.int64 if j == ia else np.float64) for j in range(len(header))]
-    )
+    with _open_text(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        names = columns(header)
+        body = fh.read()
+    il = header.index(label) if label is not None else -1
+    dtype = np.dtype([(f"f{j}", np.int64 if j == il else np.float64) for j in range(len(header))])
     with warnings.catch_warnings():
         # numpy < 2 reads an integer column through float ("1.0" -> 1) with
         # only a DeprecationWarning; as an error it sends the file to the row
         # parser, which rejects the cell.
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(
-                io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1
-            )
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
-            return None
+            table = None
+    # loadtxt rejects text Python's float/int accept (such as `1_0`) and a lone
+    # carriage return, which ends a row for csv.reader; it skips blank lines.
     n_lines = body.count("\n") + (not body.endswith("\n"))
-    actions = table[f"f{ia}"]
-    if table.size != n_lines or np.any(actions < 0):
-        return None
-    x_arr = np.empty((table.size, len(xcols)))
-    for j, name in enumerate(xcols):
-        x_arr[:, j] = table[f"f{header.index(name)}"]
-    outcomes = table[f"f{header.index('y')}"]
-    return x_arr, np.ascontiguousarray(actions), np.ascontiguousarray(outcomes)
+    if table is None or table.size != n_lines or (il >= 0 and np.any(table[f"f{il}"] < 0)):
+        table = _parse_rows(path, body, header, names, il, dtype)
+    if table.size == 0:
+        raise ValidationError(f"{path}: no data rows")
+    return {name: table[f"f{header.index(name)}"] for name in names}
 
 
-def _parse_rows(path: str, body: str, header: list[str], xcols: list[str]):
-    """Parse the data lines one cell at a time, naming the first bad row."""
-    idx = {name: header.index(name) for name in header}
-    xs, acts, ys = [], [], []
+def _parse_rows(path: str, body: str, header: list[str], names: list[str], il: int, dtype):
+    """Parse the data lines one cell at a time, naming the first bad row: each
+    needs one cell per header column, the named cells must be floats, and the
+    cell in column `il` (if il >= 0) a nonnegative int64 action label."""
+    floats = [j for j in map(header.index, names) if j != il]
+    records = []
     for rownum, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
         if len(row) != len(header):
             raise ValidationError(
                 f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
             )
+        record = [0.0] * len(header)
         try:
-            xs.append([float(row[idx[c]]) for c in xcols])
-            ys.append(float(row[idx["y"]]))
+            for j in floats:
+                record[j] = float(row[j])
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
-        raw_a = row[idx["a"]]
-        try:
-            a_val = int(raw_a)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: action {raw_a!r} at row {rownum} is not an integer"
-            ) from None
-        if a_val < 0:
-            raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
-        if a_val > np.iinfo(np.int64).max:
-            raise ValidationError(
-                f"{path}: action label {a_val} at row {rownum} is beyond the int64 range"
-            )
-        acts.append(a_val)
-    return np.asarray(xs, dtype=float), np.asarray(acts), np.asarray(ys)
+        if il >= 0:
+            try:
+                record[il] = a_val = int(row[il])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: action {row[il]!r} at row {rownum} is not an integer"
+                ) from None
+            if a_val < 0:
+                raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+            if a_val > np.iinfo(np.int64).max:
+                raise ValidationError(
+                    f"{path}: action label {a_val} at row {rownum} is beyond the int64 range"
+                )
+        records.append(tuple(record))
+    return np.array(records, dtype)
 
 
 def save_dataset(data: Dataset, path: str) -> None:

@@ -7,13 +7,12 @@ in its place.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, _open_text
+from .data import Dataset, FoldAssignment, _read_csv
 from .errors import EstimationError, ValidationError
 
 VARIANCE_FLOOR = 1e-12
@@ -114,9 +113,15 @@ class OracleNuisances:
         mu = np.asarray(self.outcome_mean, dtype=float)
         expected = (data.n, data.m)
         if prop.shape != expected or mu.shape != expected:
-            raise ValidationError(
-                f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
-            )
+            if prop.ndim != 2 or prop.shape != mu.shape:
+                raise ValidationError(
+                    f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
+                )
+            rows, arms = prop.shape
+            have, want = f"{rows} rows", f"{data.n}"
+            if arms != data.m:
+                have, want = f"{rows} rows and {arms} arms", f"{data.n} rows and {data.m} arms"
+            raise ValidationError(f"oracle nuisances have {have}, the dataset {want}")
         if self.variance is not None:
             var = np.asarray(self.variance, dtype=float)
             if var.shape != expected:
@@ -235,6 +240,10 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     """
     if folds.n != data.n:
         raise ValidationError(f"fold assignment covers {folds.n} rows, dataset has {data.n}")
+    if folds.n_folds != config.folds:
+        raise ValidationError(
+            f"fold assignment has {folds.n_folds} folds, nuisance config asks for {config.folds}"
+        )
     n, m = data.n, data.m
     z = add_intercept(data.covariates)
     prop = np.empty((n, m))
@@ -286,39 +295,26 @@ def _arm_columns(path: str, header: list[str], prefix: str) -> list[str]:
 
 def load_oracle_nuisances(path: str) -> OracleNuisances:
     """Read oracle nuisances from CSV with columns phi_0..phi_{m-1},
-    mu_0..mu_{m-1}, and optionally var_0..var_{m-1}.
+    mu_0..mu_{m-1}, and optionally var_0..var_{m-1}, under the dataset
+    file's rules for rows and cells; other columns are not read.
     """
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        phi_cols = _arm_columns(path, header, "phi_")
-        mu_cols = _arm_columns(path, header, "mu_")
-        var_cols = _arm_columns(path, header, "var_")
+    groups = []
+
+    def columns(header: list[str]) -> list[str]:
+        groups.extend(_arm_columns(path, header, prefix) for prefix in ("phi_", "mu_", "var_"))
+        phi_cols, mu_cols, var_cols = groups
         if not phi_cols or len(phi_cols) != len(mu_cols):
             raise ValidationError(
                 f"{path}: need matching phi_*/mu_* column groups, got {header}"
             )
         if var_cols and len(var_cols) != len(phi_cols):
             raise ValidationError(f"{path}: var_* columns must match phi_* count")
-        idx = {name: header.index(name) for name in header}
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
+        return phi_cols + mu_cols + var_cols
 
-    def block(cols: list[str]) -> np.ndarray:
-        try:
-            return np.array([[float(r[idx[c]]) for c in cols] for r in rows])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: non-numeric cell: {exc}") from None
-
+    cols = _read_csv(path, columns)
+    phi, mu, var = ([cols[c] for c in group] for group in groups)
     return OracleNuisances(
-        propensity=block(phi_cols),
-        outcome_mean=block(mu_cols),
-        variance=block(var_cols) if var_cols else None,
+        propensity=np.column_stack(phi),
+        outcome_mean=np.column_stack(mu),
+        variance=np.column_stack(var) if var else None,
     )

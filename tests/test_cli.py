@@ -1,9 +1,12 @@
 """Command-line wiring: exit codes, determinism, and output formats."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from retarget import Dataset, ScenarioSpec, generate, save_dataset
 from retarget.cli import EXIT_ESTIMATION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
@@ -333,6 +336,27 @@ class TestFit:
         ]
 
     @pytest.mark.parametrize(
+        "rows, arms, message",
+        [
+            (155, 2, "oracle nuisances have 155 rows, the dataset 160"),
+            (170, 2, "oracle nuisances have 170 rows, the dataset 160"),
+            (160, 3, "oracle nuisances have 160 rows and 3 arms, the dataset 160 rows and 2 arms"),
+            (150, 3, "oracle nuisances have 150 rows and 3 arms, the dataset 160 rows and 2 arms"),
+        ],
+        ids=["short", "long", "arms", "rows-and-arms"],
+    )
+    def test_oracle_row_count_names_the_file(
+        self, binary_csv, tmp_path, capsys, rows, arms, message
+    ):
+        oracle = tmp_path / "oracle.csv"
+        header = ",".join([f"phi_{k}" for k in range(arms)] + [f"mu_{k}" for k in range(arms)])
+        row = ",".join([repr(1 / arms)] * arms + ["0"] * arms)
+        oracle.write_text(header + "\n" + (row + "\n") * rows)
+        code = main(["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(oracle)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: {oracle}: {message}"]
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--clip", "0.7"], "propensity_clip must be in (0, 0.5), got 0.7"),
@@ -534,3 +558,90 @@ class TestExitCodes:
         assert error_lines(capsys) == [
             f"error[ValidationError]: {path}: every action is 0; at least two arms are needed"
         ]
+
+
+# Fragments of the two CSV inputs a fit reads: cells both readers accept or
+# reject, rows of the wrong length, blank lines, three line ends, bad headers.
+# Valid headers come first and repeat, so that many examples get past them.
+_CELLS = ["x", "1_0", "nan", "inf", "-inf", '"0.5"', " 0.5 ", "", "1e400", "0x10", "1.0",
+          "-1", "99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+_DATA_HEADERS = ["x1,a,y", "x1,x2,a,y", "y,a,x1", '"x1",a,y', "x1,a,y,y"] * 3 + [
+    "a,y", "x2,a,y", "x1,y", "x1,a", "a,a,y", ""]
+_ORACLE_HEADERS = ["phi_0,phi_1,mu_0,mu_1", "phi_0,phi_1,mu_0,mu_1,var_0,var_1",
+                   "mu_1,phi_1,id,mu_0,phi_0"] * 3 + [
+    "phi_0,phi_1,phi_2,mu_0,mu_1,mu_2", "phi_a,phi_1,mu_0,mu_1", "phi_0,phi_1",
+    "phi_0,phi_2,mu_0,mu_2", "phi_0,phi_1,mu_0,mu_1,var_0", ""]
+
+
+def _valid_cell(column, i, rng):
+    if column == "a":
+        return str(i % 2)
+    if column == "id":
+        return f"r{i}"
+    if column.startswith("phi_"):
+        return repr(0.5)
+    if column.startswith("var_"):
+        return repr(float(rng.uniform(0.5, 2)))
+    return repr(float(rng.normal()))
+
+
+def _csv_file(draw, headers, n):
+    """Bytes of a file: a header, n valid rows, then up to two faults."""
+    header = draw(st.sampled_from(headers))
+    columns = header.replace('"', "").split(",")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = [[_valid_cell(c, i, rng) for c in columns] for i in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "short", "long", "blank"]))
+        if fault == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_CELLS))
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["0.5"]
+        else:
+            rows.insert(i, [])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = (eol.join([header] + [",".join(r) for r in rows]) + eol).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(body)))
+        body = body[:cut] + b"\xff" + body[cut:]
+    return body
+
+
+@st.composite
+def _input_files(draw):
+    """A --data and an --oracle file, mostly of the same row count."""
+    n = draw(st.integers(4, 14))
+    oracle_rows = draw(st.sampled_from([n, n, n, n - 1, n + 1, 0]))
+    return _csv_file(draw, _DATA_HEADERS, n), _csv_file(draw, _ORACLE_HEADERS, oracle_rows)
+
+
+class TestFuzzedInputFiles:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=_input_files(),
+           command=st.sampled_from([
+               ["fit", "--equation", "cate"],
+               ["fit", "--equation", "on_arm", "--mode", "known"],
+               ["learn", "--weights", "w0"],
+           ]),
+           with_oracle=st.booleans())
+    def test_every_exit_is_0_3_or_4_with_one_error_line(
+        self, tmp_path, capsys, files, command, with_oracle
+    ):
+        data_path, oracle_path = tmp_path / "data.csv", tmp_path / "oracle.csv"
+        data_path.write_bytes(files[0])
+        oracle_path.write_bytes(files[1])
+        argv = command + ["--data", str(data_path)]
+        if with_oracle:
+            argv += ["--oracle", str(oracle_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap, IRLS, overflow
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_ESTIMATION)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error[")]
+        assert len(errors) == (code != EXIT_OK), err

@@ -1,5 +1,7 @@
 """Propensity/outcome/variance fitting and the cross-fitting contract."""
 
+import csv
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +22,14 @@ from retarget import (
     load_oracle_nuisances,
     make_folds,
 )
-from retarget.nuisance import _propensities, _residual_variance, _rows, add_intercept
+from retarget.data import _open_text
+from retarget.nuisance import (
+    _arm_columns,
+    _propensities,
+    _residual_variance,
+    _rows,
+    add_intercept,
+)
 
 
 def balanced_random_data(n, d, m, seed, outcome=None):
@@ -240,6 +249,12 @@ class TestCrossFit:
         with pytest.raises(EstimationError, match=r"fold \d"):
             cross_fit(data, folds)
 
+    def test_config_fold_count_must_match_the_assignment(self):
+        data = balanced_random_data(100, 1, 2, seed=3)
+        with pytest.raises(ValidationError) as info:
+            cross_fit(data, make_folds(100, 2, seed=0), NuisanceConfig(folds=5))
+        assert str(info.value) == "fold assignment has 2 folds, nuisance config asks for 5"
+
 
 _CELLS = [
     st.sampled_from([0.0, -0.0]),
@@ -453,3 +468,119 @@ class TestCrossFitMatchesReference:
             for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
                 assert g.tobytes() == w.tobytes(), case
         assert 0 < errors < 60  # the sweep reaches both the fitted and the failing folds
+
+
+def _reference_load_oracle(path):
+    """load_oracle_nuisances as it was before it shared the dataset loader's
+    reader: its own csv loop, a cell count check over every row, then one
+    float() per phi_*, mu_* and var_* cell, group by group."""
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        phi_cols = _arm_columns(path, header, "phi_")
+        mu_cols = _arm_columns(path, header, "mu_")
+        var_cols = _arm_columns(path, header, "var_")
+        if not phi_cols or len(phi_cols) != len(mu_cols):
+            raise ValidationError(
+                f"{path}: need matching phi_*/mu_* column groups, got {header}"
+            )
+        if var_cols and len(var_cols) != len(phi_cols):
+            raise ValidationError(f"{path}: var_* columns must match phi_* count")
+        idx = {name: header.index(name) for name in header}
+        rows = list(reader)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
+
+    def block(cols):
+        try:
+            return np.array([[float(r[idx[c]]) for c in cols] for r in rows])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric cell: {exc}") from None
+
+    return block(phi_cols), block(mu_cols), block(var_cols) if var_cols else None
+
+
+# Cells both loaders read as floats, and cells neither does.
+_GOOD_CELLS = ["0.5", " 0.25 ", "1e-3", "-0.0", "nan", "-inf", "Infinity", "1_0", '"0.75"',
+               "1e400", "-1e-400", "+3", "7."]
+_BAD_CELLS = ["x", "", "1.2.3", "0x1p3", "1,5", "--1", "1 0", "\uff11", "nan(1)"]
+
+
+def _oracle_file(rng):
+    """Text of one oracle file with at most one fault, and the data row of a
+    bad cell (None when the fault, if any, is elsewhere)."""
+    m, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+    cols = [f"{g}_{k}" for g in ("phi", "mu") + ("var",) * bool(rng.integers(2)) for k in range(m)]
+    if rng.random() < 0.3:
+        cols.append("id")
+    cols = [cols[j] for j in rng.permutation(len(cols))]
+    rows = []
+    for i in range(n):
+        cells = [f"r{i}" if c == "id" else repr(float(rng.normal())) for c in cols]
+        for j in rng.choice(len(cols), int(rng.integers(0, 3))):
+            cells[j] = str(rng.choice(_GOOD_CELLS)) if cols[j] != "id" else "text, quoted"
+        rows.append(",".join(f'"{c}"' if "," in c else c for c in cells))
+    header, bad_row = ",".join(cols), None
+    fault = rng.choice(["none"] * 6 + ["cell", "short", "long", "blank", "header", "empty", "body"])
+    i = int(rng.integers(n))
+    if fault == "cell":
+        j = int(rng.choice([j for j, c in enumerate(cols) if c != "id"]))
+        cells = next(csv.reader([rows[i]]))
+        cells[j] = str(rng.choice(_BAD_CELLS))
+        rows[i], bad_row = ",".join(f'"{c}"' if "," in c else c for c in cells), i
+    elif fault == "short":
+        rows[i] = rows[i].rsplit(",", 1)[0] if "," in rows[i] else ""
+    elif fault == "long":
+        rows[i] += ",0.5"
+    elif fault == "blank":
+        rows.insert(i + int(rng.integers(2)), "")
+    elif fault == "header":
+        header = str(rng.choice(["phi_a,mu_0", "phi_0,phi_1", "phi_0,phi_2,mu_0,mu_2",
+                                 "phi_0,mu_0,var_0,var_1", "phi_1,mu_1"]))
+    elif fault == "empty":
+        return "" if rng.integers(2) else header + "\n", None
+    elif fault == "body":
+        rows = []
+    eol = str(rng.choice(["\n", "\r\n", "\r"]))
+    return header + eol + eol.join(rows) + eol * bool(rng.integers(4)), bad_row
+
+
+class TestOracleLoaderMatchesReference:
+    def test_seeded_sweep_same_bytes_and_errors(self, tmp_path):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "oracle.csv"
+        outcomes = {"loaded": 0, "error": 0}
+        for case in range(400):
+            text, bad_row = _oracle_file(rng)
+            path.write_text(text, encoding="utf-8", newline="")
+            want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
+            got = _outcome_or_error(lambda: load_oracle_nuisances(str(path)))
+            if isinstance(want, str):
+                outcomes["error"] += 1
+                if bad_row is not None:
+                    # the one allowed change: the bad cell's row is named
+                    want = want.replace("non-numeric cell:", f"non-numeric cell at row {bad_row}:")
+                assert got == want, (case, text)
+                continue
+            outcomes["loaded"] += 1
+            assert not isinstance(got, str), (case, text, got)
+            for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
+                if w is None:
+                    assert g is None
+                    continue
+                assert g.dtype == w.dtype and g.shape == w.shape, case
+                assert g.tobytes() == w.tobytes(), (case, text)
+        assert outcomes["loaded"] > 120 and outcomes["error"] > 120, outcomes
+
+    def test_non_utf8_byte_is_named_alike(self, tmp_path):
+        path = tmp_path / "oracle.csv"
+        path.write_bytes(b"phi_0,mu_0\n0.5,1\n0.5,\xff\n")
+        want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
+        assert re.search(r"not UTF-8 text: byte 0xff", want)
+        assert _outcome_or_error(lambda: load_oracle_nuisances(str(path))) == want
