@@ -418,6 +418,8 @@ def learn_linear(
     Calls that pass the same `cache` dict, such as one per weight scheme on
     one dataset, build the weight-free part of the d=1 search once.
     """
+    if data.d < 1:
+        raise ValidationError("linear policy search needs at least one covariate")
     if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
         result = _learn_linear_exact(w, pseudo, data, cache)
         if result is not None:
@@ -438,33 +440,65 @@ def true_regret(
     policy's true arm mean against the pointwise-best arm mean, optionally
     weighted by a population weight function of the covariates.
     """
-    x, loss = _regret_losses(scenario, n_eval, seed)
-    shortfall = _shortfall(pi, x, loss)
+    sample = _RegretSample().draw(scenario, n_eval, seed)
+    shortfall = sample.shortfall(pi)
     if population is None:
         return float(shortfall.mean())
-    wts = np.asarray(population(x), dtype=float)
+    wts = np.asarray(population(sample.x), dtype=float)
     if wts.shape != shortfall.shape or np.any(wts < 0) or wts.sum() <= 0:
         raise ValidationError("population weights must be nonnegative with positive sum")
     return float(np.sum(wts * shortfall) / wts.sum())
 
 
-def _regret_losses(scenario, n_eval: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A regret evaluation sample: n_eval covariate draws x from the scenario's
-    law and their arm-major loss table, whose entry a * n_eval + i is
-    max_b mu_b(x_i) - mu_a(x_i), so that a policy's shortfalls are one take.
-    Filled in place: np.concatenate of the columns measured ~7x slower."""
-    x = scenario.sample_covariates(n_eval, np.random.default_rng(seed))
-    mu = scenario.mean_matrix(x)
-    best = _rows(np.maximum, mu)
-    loss = np.empty((mu.shape[1], n_eval))
-    for a in range(mu.shape[1]):
-        np.subtract(best, mu[:, a], out=loss[a])
-    return x, loss.ravel()
+class _RegretSample:
+    """A regret evaluation sample in buffers that are filled in place, so a
+    run of replications allocates them once.
 
+    `draw` fills x with n_eval covariate draws from a scenario's law, the
+    design [1, x, ..., x^mean_degree], the arm means mu and the arm-major
+    loss table, whose entry a * n_eval + i is max_b mu_b(x_i) - mu_a(x_i). `shortfall` takes a policy's per-row regrets
+    off the table through the row numbers and an index buffer. A buffer is
+    made again only when a scenario of another shape needs it.
+    """
 
-def _shortfall(pi: Policy, x: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Per-row regret of the policy on a sample drawn by _regret_losses."""
-    return loss.take(np.asarray(pi.act(x)) * x.shape[0] + np.arange(x.shape[0]))
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self.rows = np.arange(0)
+
+    def _buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape, dtype)
+        return buf
+
+    def draw(self, scenario, n_eval: int, seed: int) -> "_RegretSample":
+        d, m = scenario.d, scenario.m
+        rng = np.random.default_rng(seed)
+        self.x = scenario.sample_covariates(n_eval, rng, out=self._buffer("x", (n_eval, d)))
+        mu = scenario.mean_matrix(
+            self.x,
+            out=self._buffer("mu", (n_eval, m)),
+            design=self._buffer("design", (n_eval, 1 + d * scenario.mean_degree)),
+        )
+        self.loss = self._buffer("loss", (m, n_eval))
+        # The row maxima wait in the last arm's row, which is filled last.
+        best = _rows(np.maximum, mu, out=self.loss[m - 1])
+        for a in range(m):
+            np.subtract(best, mu[:, a], out=self.loss[a])
+        if self.rows.size != n_eval:
+            self.rows = np.arange(n_eval)
+        return self
+
+    def shortfall(self, pi: Policy) -> np.ndarray:
+        """Per-row regret of the policy on the sample.
+
+        The take gets no out=: in its default mode numpy copies `out` into a
+        temporary and back, which measured ~1.8x the time of a fresh result.
+        """
+        n = self.rows.size
+        idx = np.multiply(pi.act(self.x), n, out=self._buffer("idx", (n,), np.intp))
+        idx += self.rows
+        return self.loss.ravel().take(idx)
 
 
 def _parse_policy_line(body: str, m: int | None) -> Policy:

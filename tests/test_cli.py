@@ -12,6 +12,7 @@ from retarget import Dataset, ScenarioSpec, generate, save_dataset
 from retarget.cli import EXIT_ESTIMATION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 def error_lines(capsys) -> list[str]:
@@ -86,6 +87,17 @@ class TestSimulate:
         config, body = out.read_text().split("\n", 1)
         assert config.startswith("# config: ")
         assert body == (REFERENCE / "simulate_seed0_reps4.csv").read_text()
+
+    def test_matches_reference_report_normal_d2_degree2(self, tmp_path):
+        # A normal covariate law, d=2 and squared terms in the arm means: the
+        # regret sample's other draw and design paths, and the d=2 search.
+        out = tmp_path / "report.csv"
+        argv = ["simulate", "--scenarios", str(TEST_REFERENCE / "normal_d2_deg2.json"),
+                "--reps", "4", "--seed", "0", "--n", "100", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        config, body = out.read_text().split("\n", 1)
+        assert config.startswith("# config: ")
+        assert body == (TEST_REFERENCE / "simulate_normal_d2_deg2_reps4_n100.csv").read_text()
 
     def test_bad_scheme_exits_invalid(self, tmp_path):
         code = main(
@@ -451,6 +463,16 @@ class TestExitCodes:
         path.write_text("x1,a,y\n0.1,0,1.0\n0.1,1,2.0\n0.2,0,1.5\n0.2,1,2.5\n")
         code = main(["fit", "--equation", "cate", "--data", str(path)])
         assert code == EXIT_ESTIMATION
+
+    def test_linear_search_on_a_covariate_free_file_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "no_covariates.csv"
+        rng = np.random.default_rng(8)
+        path.write_text("a,y\n" + "".join(f"{i % 2},{rng.normal()!r}\n" for i in range(40)))
+        code = main(["learn", "--class", "linear", "--data", str(path)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            "error[ValidationError]: linear policy search needs at least one covariate"
+        ]
 
     def test_malformed_policy_file_is_one_error_line(self, binary_csv, tmp_path, capsys):
         policies = tmp_path / "policies.txt"

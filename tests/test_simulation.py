@@ -21,6 +21,7 @@ from retarget import (
     render_report,
     run_benchmark,
 )
+from retarget.policy import ConstantPolicy, LinearPolicy, _RegretSample
 from retarget.simulation import (
     _FOLD_SEED_OFFSET,
     _REGRET_SEED_OFFSET,
@@ -235,6 +236,182 @@ class TestReplicateMatchesReference:
             args = (scenario, DEFAULT_SCHEMES, 40, seed, 2, 3_000, oracle_nuisances)
             got = _replicate(*args, NuisanceConfig(folds=2))
             assert got.tobytes() == _reference_replicate(*args).tobytes(), seed
+
+
+def random_scenario(d, m, degree, law, seed=0):
+    rng = np.random.default_rng(seed)
+    return ScenarioSpec(
+        name=f"{law}-d{d}-m{m}-p{degree}",
+        d=d,
+        m=m,
+        covariate_law=law,
+        propensity_coef=0.5 * rng.standard_normal((m, d + 1)),
+        mean_coef=rng.standard_normal((m, 1 + d * degree)),
+        noise_sd=np.ones(m),
+        mean_degree=degree,
+    )
+
+
+def _reference_covariates(scenario, n, rng):
+    """sample_covariates before it wrote into a buffer."""
+    if scenario.covariate_law == "uniform":
+        return rng.uniform(-1.0, 1.0, size=(n, scenario.d))
+    return rng.standard_normal(size=(n, scenario.d))
+
+
+def _reference_mean_matrix(scenario, x):
+    """mean_matrix before it built its design in one buffer: the stacked
+    powers behind an intercept column, times the F-ordered mean_coef.T."""
+    powers = np.hstack([x**p for p in range(1, scenario.mean_degree + 1)])
+    return np.hstack([np.ones((x.shape[0], 1)), powers]) @ scenario.mean_coef.T
+
+
+def _reference_shortfall(pi, scenario, n_eval, seed):
+    """Per-row regret as a 2-d gather of the chosen arm means."""
+    x = _reference_covariates(scenario, n_eval, np.random.default_rng(seed))
+    mu = _reference_mean_matrix(scenario, x)
+    return mu.max(axis=1) - mu[np.arange(n_eval), pi.act(x)]
+
+
+class TestRegretBuffers:
+    """The regret sample is drawn into buffers kept for a whole run; its bits
+    must be those of freshly allocated arrays."""
+
+    @pytest.mark.parametrize("law", ["uniform", "normal"])
+    def test_sample_covariates_into_a_buffer(self, law):
+        for d in (1, 2, 3):
+            scenario = random_scenario(d, 2, 1, law)
+            for n in (1, 7, 500, 20_000):
+                for seed in (0, 1, 17, 2_024):
+                    rng = np.random.default_rng(seed)
+                    expected = _reference_covariates(scenario, n, rng)
+                    out = np.full((n, d), np.nan)
+                    for buffer in (out, None):
+                        got_rng = np.random.default_rng(seed)
+                        got = scenario.sample_covariates(n, got_rng, out=buffer)
+                        assert buffer is None or got is buffer
+                        assert got.tobytes() == expected.tobytes(), (d, n, seed)
+                        # generate draws on from the same generator.
+                        assert got_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("law", ["uniform", "normal"])
+    def test_mean_matrix_into_buffers(self, law):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            for degree in (1, 2, 3):
+                for m in (2, 3):
+                    scenario = random_scenario(d, m, degree, law, seed=10 * d + degree)
+                    for n in (1, 2, 500, 20_000):
+                        x = 3.0 * rng.standard_normal((n, d))
+                        expected = _reference_mean_matrix(scenario, x).tobytes()
+                        assert scenario.mean_matrix(x).tobytes() == expected, (d, degree, m, n)
+                        out = np.full((n, m), np.nan)
+                        design = np.full((n, 1 + d * degree), np.nan)
+                        got = scenario.mean_matrix(x, out=out, design=design)
+                        assert got is out and got.tobytes() == expected, (d, degree, m, n)
+
+    def test_reused_sample_across_shapes_matches_fresh_buffers(self):
+        cases = [
+            (toy_scenario(), 3_000),
+            (random_scenario(2, 3, 2, "normal", seed=1), 5_001),
+            (random_scenario(3, 2, 3, "uniform", seed=2), 5_001),
+            (toy_scenario(slope=-0.3), 2_000),
+        ]
+        rng = np.random.default_rng(9)
+        sample = _RegretSample()
+        for seed, (scenario, n_eval) in enumerate(cases):
+            sample.draw(scenario, n_eval, seed)
+            fresh = _RegretSample().draw(scenario, n_eval, seed)
+            policies = [ConstantPolicy(a) for a in range(scenario.m)]
+            policies += [LinearPolicy(rng.standard_normal(scenario.d + 1)) for _ in range(3)]
+            for pi in policies:
+                got = sample.shortfall(pi).tobytes()
+                assert got == fresh.shortfall(pi).tobytes()
+                assert got == _reference_shortfall(pi, scenario, n_eval, seed).tobytes()
+
+    def test_replicate_with_a_reused_sample(self):
+        sample = _RegretSample()
+        cases = [
+            (default_scenarios()[0], 200, 3_000),
+            (random_scenario(2, 2, 2, "normal", seed=3), 50, 2_000),
+            (default_scenarios()[1], 200, 3_000),
+        ]
+        for scenario, n, draws in cases:
+            args = (scenario, DEFAULT_SCHEMES, n, 3, 2, draws, False, NuisanceConfig(folds=2))
+            assert _replicate(*args, sample).tobytes() == _replicate(*args).tobytes()
+
+
+class TestTracedCallPattern:
+    """perfbench's tracer wraps every public function that
+    retarget.simulation looks up from the package, plus
+    ScenarioSpec.sample_covariates, ScenarioSpec.mean_matrix and
+    LinearPolicy.act. It reads a replication's regret sample off the
+    sample_covariates and mean_matrix calls made directly under
+    run_benchmark, and one regret per scheme off the act calls made there.
+    These counting wrappers pin that call pattern."""
+
+    def test_regret_calls_per_replication(self, monkeypatch):
+        import inspect
+
+        from retarget import simulation
+
+        stack = ["test"]  # names of the wrapped calls now open, innermost last
+        events = []       # (name, name of the innermost open call) at each call
+        seen = {}         # the regret sample of the open replication
+        regrets = []
+
+        def wrap(name, fn):
+            def counted(*args, **kwargs):
+                parent = stack[-1]
+                events.append((name, parent))
+                stack.append(name)
+                try:
+                    result = fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+                if parent == "run_benchmark":
+                    record(name, args, result)
+                return result
+
+            return counted
+
+        def record(name, args, result):
+            if name == "sample_covariates":
+                assert args[1] == draws
+                seen["x"] = result
+            elif name == "mean_matrix":
+                assert args[1] is seen["x"]
+                assert result.shape == (draws, args[0].m)
+                seen["mu"], seen["best"] = result, result.max(axis=1)
+            elif name == "act":
+                # Read as the tracer reads it: at the call, from the buffers.
+                assert args[1] is seen["x"]
+                assert result.shape == (draws,) and result.dtype.kind == "i"
+                chosen = seen["mu"][np.arange(draws), result]
+                regrets.append(float(np.mean(seen["best"] - chosen)))
+
+        for attr, value in list(vars(simulation).items()):
+            if (not attr.startswith("_") and inspect.isfunction(value)
+                    and value.__module__.startswith("retarget.")):
+                monkeypatch.setattr(simulation, attr, wrap(attr, value))
+        for owner, attr in ((ScenarioSpec, "sample_covariates"), (ScenarioSpec, "mean_matrix"),
+                            (LinearPolicy, "act")):
+            monkeypatch.setattr(owner, attr, wrap(attr, getattr(owner, attr)))
+
+        scenarios = [default_scenarios()[0], random_scenario(2, 2, 2, "normal", seed=4)]
+        schemes = ("uniform", "w0", "w0_dp:1")
+        reps, draws = 3, 1_500
+        report = simulation.run_benchmark(
+            scenarios, schemes=schemes, reps=reps, n=60, base_seed=2, regret_draws=draws
+        )
+
+        direct = [name for name, parent in events if parent == "run_benchmark"
+                  and name in ("generate", "sample_covariates", "mean_matrix", "act")]
+        one = ["generate", "sample_covariates", "mean_matrix"] + ["act"] * len(schemes)
+        assert direct == one * (reps * len(scenarios))
+        per_cell = np.array(regrets).reshape(len(scenarios), reps, len(schemes)).mean(axis=1)
+        for row, rebuilt in zip(report.rows, per_cell.ravel()):
+            assert rebuilt == pytest.approx(row.mean_regret, rel=1e-12, abs=1e-15)
 
 
 class TestRenderReport:
