@@ -20,9 +20,25 @@ _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
 
 
-def add_intercept(x: np.ndarray) -> np.ndarray:
+def add_intercept(x: np.ndarray, degree: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """The design [1, x, x^2, ..., x^degree], one block of d columns per power
+    computed as x**p computes it, written into `out` when given. A new design
+    takes np.hstack's layout, F-ordered when x's rows are closer in memory than
+    its columns (x[:, [2, 0]]): a BLAS product's bits depend on it."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.hstack([np.ones((x.shape[0], 1)), x])
+    n, d = x.shape
+    if out is None:
+        f_order = d > 1 and abs(x.strides[0]) < abs(x.strides[1])
+        out = np.empty((n, 1 + d * degree), order="F" if f_order else "C")
+    out[:, 0] = 1.0
+    np.copyto(out[:, 1 : 1 + d], x)
+    for p in range(2, degree + 1):
+        block = out[:, 1 + (p - 1) * d : 1 + p * d]
+        if p == 2:
+            np.square(x, out=block)
+        else:
+            np.power(x, p, out=block)
+    return out
 
 
 def _rows(op: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -32,6 +32,11 @@ class ConstantPolicy:
 
     action: int
 
+    def __post_init__(self):
+        a = self.action
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a < 0:
+            raise ValidationError(f"constant action must be a nonnegative integer, got {a!r}")
+
     def act(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         return np.full(x.shape[0], self.action, dtype=int)
@@ -498,7 +503,10 @@ class _RegretSample:
         n = self.rows.size
         idx = np.multiply(pi.act(self.x), n, out=self._buffer("idx", (n,), np.intp))
         idx += self.rows
-        return self.loss.ravel().take(idx)
+        try:
+            return self.loss.ravel().take(idx)
+        except IndexError:
+            raise ValidationError("policy returned an action outside {0..m-1}") from None
 
 
 def _parse_policy_line(body: str, m: int | None) -> Policy:

@@ -14,7 +14,7 @@ Four fitting routines share one weighted least-squares core:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,35 +35,32 @@ class FeatureMap:
     """Deterministic covariate reduction x -> z used as the regression design.
 
     Kinds: identity, a coordinate subset, or per-coordinate polynomial powers.
-    A constant-1 column is prepended unless intercept=False.
+    Every design is add_intercept's [1, x, ..., x^degree], the layout of a
+    scenario's mean_coef.
     """
 
     name: str
     kind: str
     indices: tuple[int, ...] = ()
     degree: int = 1
-    intercept: bool = True
 
     @classmethod
-    def identity(cls, intercept: bool = True) -> "FeatureMap":
-        return cls(name="identity", kind="identity", intercept=intercept)
+    def identity(cls) -> "FeatureMap":
+        return cls(name="identity", kind="identity")
 
     @classmethod
-    def subset(cls, indices: tuple[int, ...], intercept: bool = True) -> "FeatureMap":
-        if len(indices) == 0 and not intercept:
-            raise ValidationError("empty subset without intercept yields no features")
+    def subset(cls, indices: tuple[int, ...]) -> "FeatureMap":
         return cls(
             name="subset:" + ",".join(str(i) for i in indices),
             kind="subset",
             indices=tuple(int(i) for i in indices),
-            intercept=intercept,
         )
 
     @classmethod
-    def polynomial(cls, degree: int, intercept: bool = True) -> "FeatureMap":
+    def polynomial(cls, degree: int) -> "FeatureMap":
         if degree < 1:
             raise ValidationError(f"polynomial degree must be >= 1, got {degree}")
-        return cls(name=f"poly:{degree}", kind="poly", degree=int(degree), intercept=intercept)
+        return cls(name=f"poly:{degree}", kind="poly", degree=int(degree))
 
     @classmethod
     def parse(cls, spec: str) -> "FeatureMap":
@@ -89,24 +86,15 @@ class FeatureMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "identity":
-            cols = x
-        elif self.kind == "subset":
+        if self.kind == "subset":
             bad = [i for i in self.indices if not 0 <= i < x.shape[1]]
             if bad:
                 raise ValidationError(f"subset indices {bad} outside 0..{x.shape[1] - 1}")
-            cols = x[:, list(self.indices)]
-        elif self.kind == "poly":
-            cols = np.hstack([x**p for p in range(1, self.degree + 1)])
-        else:
-            raise ValidationError(f"unknown feature map kind {self.kind!r}")
-        if self.intercept:
-            cols = add_intercept(cols)
-        if cols.shape[1] < 1:
-            raise ValidationError("feature map must produce at least one column")
-        if not np.all(np.isfinite(cols)):
+            x = x[:, list(self.indices)]
+        z = add_intercept(x, self.degree)
+        if not np.all(np.isfinite(z)):
             raise ValidationError("feature map produced non-finite values")
-        return cols
+        return z
 
 
 @dataclass(frozen=True)
@@ -128,8 +116,10 @@ class RegressionFit:
     converged: bool = True
 
 
-def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context: str):
-    """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 and report the residual.
+def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation: str,
+               arm: int | None, context: str) -> RegressionFit:
+    """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 over the rows of z and
+    return the fit with its residual: the one place a RegressionFit is built.
 
     Weights are rescaled by their maximum first (the solution is invariant),
     so constant weights reduce to the literally identical unweighted system.
@@ -149,8 +139,10 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context:
     beta = np.linalg.solve(gram, wz.T @ target)
     resid = wz.T @ (target - z @ beta)
     scale = max(1.0, float(np.abs(z).max()))
-    tol = RESIDUAL_REL_TOL * z.shape[0] * scale
-    return beta, float(np.abs(resid).max()), tol
+    return RegressionFit(
+        beta=beta, equation=equation, arm=arm, residual_norm=float(np.abs(resid).max()),
+        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * scale, n_used=z.shape[0],
+    )
 
 
 def _arm_design(data: Dataset, nuis: NuisanceSet, arm: int, zmap: FeatureMap):
@@ -183,11 +175,7 @@ def fit_best_fit(
             f"score column ({psi_col.shape}) and weights ({w.n}) must both cover n={data.n}"
         )
     z = zmap(data.covariates)
-    beta, norm, tol = _solve_wls(z, psi_col, w.weights, "best-fit regression")
-    return RegressionFit(
-        beta=beta, equation="best_fit", arm=None,
-        residual_norm=norm, residual_tol=tol, n_used=data.n,
-    )
+    return _solve_wls(z, psi_col, w.weights, "best_fit", None, "best-fit regression")
 
 
 def fit_on_arm_precision(
@@ -212,14 +200,14 @@ def fit_on_arm_precision(
     context = f"on-arm regression (arm {arm}, mode {mode})"
     # irls starts from the plain fit.
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
-    beta, norm, tol = _solve_wls(z, y, sample_w, context)
+    fit = _solve_wls(z, y, sample_w, "on_arm_precision", arm, context)
     iterations, converged = 0, mode != "irls"
     while not converged and iterations < IRLS_MAX_ITER:
         iterations += 1
-        resid_sq = np.maximum((y - z @ beta) ** 2, IRLS_RESIDUAL_FLOOR)
-        new_beta, norm, tol = _solve_wls(z, y, 1.0 / resid_sq, context)
-        converged = float(np.abs(new_beta - beta).max()) < IRLS_STEP_TOL
-        beta = new_beta
+        resid_sq = np.maximum((y - z @ fit.beta) ** 2, IRLS_RESIDUAL_FLOOR)
+        new = _solve_wls(z, y, 1.0 / resid_sq, "on_arm_precision", arm, context)
+        converged = float(np.abs(new.beta - fit.beta).max()) < IRLS_STEP_TOL
+        fit = new
     if not converged:
         warnings.warn(
             f"IRLS did not converge within {IRLS_MAX_ITER} iterations for arm {arm}; "
@@ -227,11 +215,7 @@ def fit_on_arm_precision(
             RuntimeWarning,
             stacklevel=2,
         )
-    return RegressionFit(
-        beta=beta, equation="on_arm_precision", arm=arm,
-        residual_norm=norm, residual_tol=tol, n_used=rows.size,
-        iterations=iterations, converged=converged,
-    )
+    return replace(fit, iterations=iterations, converged=converged)
 
 
 def fit_dv_overlap(
@@ -246,12 +230,8 @@ def fit_dv_overlap(
     if not 0 <= arm < 2:
         raise ValidationError(f"arm {arm} outside {{0, 1}}")
     rows, z = _arm_design(data, nuis, arm, zmap)
-    sample_w = nuis.propensity[rows, 1 - arm]
-    beta, norm, tol = _solve_wls(z, data.outcomes[rows], sample_w, "overlap-weighted regression")
-    return RegressionFit(
-        beta=beta, equation="dv_overlap", arm=arm,
-        residual_norm=norm, residual_tol=tol, n_used=rows.size,
-    )
+    y, sample_w = data.outcomes[rows], nuis.propensity[rows, 1 - arm]
+    return _solve_wls(z, y, sample_w, "dv_overlap", arm, "overlap-weighted regression")
 
 
 def fit_cate(
@@ -264,8 +244,4 @@ def fit_cate(
         raise ValidationError("pseudo-outcomes and weights must cover the dataset")
     target = effect_pseudo_outcome(pseudo)
     z = zmap(data.covariates)
-    beta, norm, tol = _solve_wls(z, target, w.weights, "effect regression")
-    return RegressionFit(
-        beta=beta, equation="cate", arm=None,
-        residual_norm=norm, residual_tol=tol, n_used=data.n,
-    )
+    return _solve_wls(z, target, w.weights, "cate", None, "effect regression")

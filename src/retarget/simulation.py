@@ -90,25 +90,12 @@ class ScenarioSpec:
         self, x: np.ndarray, out: np.ndarray | None = None, design: np.ndarray | None = None
     ) -> np.ndarray:
         """(n, m) arm means at the rows of x, written into `out` when given.
-        They are [1, x, x^2, ..., x^mean_degree] @ mean_coef.T; the design is
-        built in `design`, an (n, 1 + d * mean_degree) float buffer, when
-        given. Each power is computed as x**p computes it (a copy, np.square,
-        np.power), so the bits match the stacked form."""
-        x = np.atleast_2d(x)
-        n, d = x.shape
-        if design is None:
-            design = np.empty((n, 1 + d * self.mean_degree))
-        design[:, 0] = 1.0
-        np.copyto(design[:, 1 : 1 + d], x)
-        for p in range(2, self.mean_degree + 1):
-            block = design[:, 1 + (p - 1) * d : 1 + p * d]
-            if p == 2:
-                np.square(x, out=block)
-            else:
-                np.power(x, p, out=block)
+        They are add_intercept(x, mean_degree) @ mean_coef.T, with the design
+        built in `design` when given and C-ordered otherwise."""
+        x = np.ascontiguousarray(np.atleast_2d(x))
         # One row goes through gemv, whose bits depend on the layout of B.
-        coef_t = self.mean_coef.T if n == 1 else self._mean_coef_t
-        return np.matmul(design, coef_t, out=out)
+        coef_t = self.mean_coef.T if x.shape[0] == 1 else self._mean_coef_t
+        return np.matmul(_add_intercept(x, self.mean_degree, out=design), coef_t, out=out)
 
     def propensity_matrix(self, x: np.ndarray) -> np.ndarray:
         p = np.clip(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12, None)

@@ -293,6 +293,61 @@ class TestRows:
                 assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
 
 
+def _reference_intercept(x):
+    """add_intercept before it took a degree: [1, x] by np.hstack."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def _reference_powers(x, degree):
+    """FeatureMap's poly design before it used add_intercept's degree: the
+    stacked powers x**p, then the intercept."""
+    return _reference_intercept(np.hstack([x**p for p in range(1, degree + 1)]))
+
+
+def _layouts(rng, n, d):
+    """x C-ordered, F-ordered, and as a multi-column subset of a wider array."""
+    x = 3.0 * rng.standard_normal((n, d))
+    wide = 3.0 * rng.standard_normal((n, d + 1))
+    yield "C", x
+    yield "F", np.asfortranarray(x)
+    yield "subset", wide[:, list(range(d, 0, -1))]
+
+
+def _layout(a):
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+class TestDesignBuilder:
+    """add_intercept(x, degree, out=) builds every [1, x, ..., x^degree] design;
+    its bits and its memory layout must be those of the builders it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 20_000])
+    def test_matches_the_stacked_designs(self, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 3, 4):
+            for name, x in _layouts(rng, n, d):
+                for degree in (1, 2, 3, 4):
+                    want = _reference_powers(x, degree)
+                    if degree == 1:
+                        want = _reference_intercept(x)
+                        assert add_intercept(x).tobytes() == want.tobytes()
+                    got = add_intercept(x, degree)
+                    assert got.tobytes() == want.tobytes(), (name, n, d, degree)
+                    assert _layout(got) == _layout(want), (name, n, d, degree)
+                    out = np.full((n, 1 + d * degree), np.nan)
+                    got = add_intercept(x, degree, out=out)
+                    assert got is out and got.tobytes() == want.tobytes(), (name, n, d, degree)
+
+    def test_multi_column_subset_stays_f_ordered(self):
+        x = np.random.default_rng(0).standard_normal((500, 3))[:, [2, 0]]
+        for degree in (1, 2, 3):
+            z = add_intercept(x, degree)
+            assert z.flags.f_contiguous and not z.flags.c_contiguous
+            assert z.tobytes() == _reference_powers(x, degree).tobytes()
+        assert add_intercept(np.ones((4, 3))).flags.c_contiguous
+
+
 class TestNuisanceSetValidation:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValidationError, match="sums to"):

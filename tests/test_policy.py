@@ -97,6 +97,33 @@ class TestWeightedValue:
         # selected scores: 1, 3, 6, 7, 10 -> weighted sum 28.75, mean 5.75
         assert weighted_value(pi, w, pseudo, data) == pytest.approx(5.75)
 
+    def test_action_outside_the_arms_rejected(self):
+        rng = np.random.default_rng(2)
+        data, pseudo = plain_data(rng, 25, 1)
+        with pytest.raises(ValidationError, match=r"outside \{0..m-1\}"):
+            weighted_value(ConstantPolicy(2), uniform_weights(25), pseudo, data)
+
+    def test_actions_of_the_wrong_shape_rejected(self):
+        class TwoPerRow:
+            def act(self, x):
+                return np.zeros((x.shape[0], 2), dtype=int)
+
+        rng = np.random.default_rng(3)
+        data, pseudo = plain_data(rng, 25, 1)
+        with pytest.raises(ValidationError, match=r"shape \(25, 2\), expected \(25,\)"):
+            weighted_value(TwoPerRow(), uniform_weights(25), pseudo, data)
+
+
+class TestConstantPolicy:
+    @pytest.mark.parametrize("action", [0, 1, 7, np.int64(1), np.int32(0)])
+    def test_nonnegative_integers_accepted(self, action):
+        assert ConstantPolicy(action).act(np.zeros((3, 1))).tolist() == [int(action)] * 3
+
+    @pytest.mark.parametrize("action", [-1, np.int64(-2), 1.5, 1.0, True, "1", None])
+    def test_other_actions_rejected(self, action):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            ConstantPolicy(action)
+
 
 class TestLearnFinite:
     def _single_point_class(self, values):
@@ -732,6 +759,14 @@ class TestTrueRegret:
         for _ in range(5):
             pi = LinearPolicy(rng.standard_normal(2))
             assert true_regret(pi, scenario, n_eval=2_000, seed=6) >= 0.0
+
+    def test_constant_action_checked(self):
+        scenario = default_scenarios()[0]
+        assert true_regret(ConstantPolicy(1), scenario, n_eval=1_000) > 0.0
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            true_regret(ConstantPolicy(-1), scenario, n_eval=1_000)
+        with pytest.raises(ValidationError, match=r"outside \{0..m-1\}"):
+            true_regret(ConstantPolicy(2), scenario, n_eval=1_000)
 
     @staticmethod
     def _reference_true_regret(pi, scenario, population=None, n_eval=100_000, seed=0):

@@ -1,5 +1,8 @@
 """Estimating-equation regressions: exact cases, oracles, and invariances."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from retarget import (
     FeatureMap,
     NuisanceSet,
     PseudoOutcomes,
+    RegressionFit,
+    ScenarioSpec,
     ValidationError,
     WeightScheme,
     dr_pseudo_outcomes,
@@ -16,6 +21,8 @@ from retarget import (
     fit_cate,
     fit_dv_overlap,
     fit_on_arm_precision,
+    generate,
+    make_weights,
     uniform_weights,
 )
 
@@ -61,10 +68,6 @@ class TestFeatureMap:
         z = FeatureMap.polynomial(2)(np.array([[2.0]]))
         assert z.tolist() == [[1.0, 2.0, 4.0]]
 
-    def test_no_intercept(self):
-        z = FeatureMap.identity(intercept=False)(np.array([[2.0]]))
-        assert z.tolist() == [[2.0]]
-
     def test_parse(self):
         assert FeatureMap.parse("identity").kind == "identity"
         assert FeatureMap.parse("subset:0,2").indices == (0, 2)
@@ -75,6 +78,17 @@ class TestFeatureMap:
     def test_subset_bounds_checked(self):
         with pytest.raises(ValidationError, match="outside"):
             FeatureMap.subset((5,))(np.zeros((2, 2)))
+
+    def test_multi_index_subset_is_f_ordered(self):
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        z = FeatureMap.subset((2, 0))(x)
+        assert z.flags.f_contiguous and not z.flags.c_contiguous
+        assert z.tobytes() == _reference_features(FeatureMap.subset((2, 0)), x).tobytes()
+        for zmap in (FeatureMap.identity(), FeatureMap.subset((1,)), FeatureMap.polynomial(3)):
+            assert zmap(x).flags.c_contiguous
+
+    def test_empty_subset_is_the_intercept(self):
+        assert FeatureMap.parse("subset:")(np.array([[2.0, 3.0]])).tolist() == [[1.0]]
 
 
 class TestFitBestFit:
@@ -382,3 +396,139 @@ class TestConsistencyTriangle:
         se3 = sandwich_se(z_arm, data.outcomes[rows], nuis.propensity[rows, 0], f3.beta)
         for a, b, sa, sb in ((f1, f2, se1, se2), (f2, f3, se2, se3), (f1, f3, se1, se3)):
             assert np.all(np.abs(a.beta - b.beta) < 3 * np.sqrt(sa**2 + sb**2))
+
+
+def _reference_features(zmap, x):
+    """FeatureMap.__call__ before its design came from add_intercept: the
+    chosen columns or stacked powers, then the intercept by np.hstack."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if zmap.kind == "identity":
+        cols = x
+    elif zmap.kind == "subset":
+        cols = x[:, list(zmap.indices)]
+    else:
+        cols = np.hstack([x**p for p in range(1, zmap.degree + 1)])
+    return np.hstack([np.ones((cols.shape[0], 1)), cols])
+
+
+def _reference_solve_wls(z, target, sample_w):
+    """_solve_wls before it built the RegressionFit: beta, residual, tolerance."""
+    sample_w = sample_w / float(sample_w.max())
+    wz = z * sample_w[:, None]
+    beta = np.linalg.solve(wz.T @ z, wz.T @ target)
+    resid = wz.T @ (target - z @ beta)
+    scale = max(1.0, float(np.abs(z).max()))
+    return beta, float(np.abs(resid).max()), 1e-8 * z.shape[0] * scale
+
+
+def _reference_fit_best_fit(psi_col, w, zmap, data):
+    z = _reference_features(zmap, data.covariates)
+    beta, norm, tol = _reference_solve_wls(z, psi_col, w.weights)
+    return RegressionFit(
+        beta=beta, equation="best_fit", arm=None,
+        residual_norm=norm, residual_tol=tol, n_used=data.n,
+    )
+
+
+def _reference_fit_on_arm_precision(data, nuis, arm, zmap, mode):
+    rows = np.flatnonzero(data.actions == arm)
+    z = _reference_features(zmap, data.covariates[rows])
+    y = data.outcomes[rows]
+    sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
+    beta, norm, tol = _reference_solve_wls(z, y, sample_w)
+    iterations, converged = 0, mode != "irls"
+    while not converged and iterations < 50:
+        iterations += 1
+        resid_sq = np.maximum((y - z @ beta) ** 2, 1e-6)
+        new_beta, norm, tol = _reference_solve_wls(z, y, 1.0 / resid_sq)
+        converged = float(np.abs(new_beta - beta).max()) < 1e-8
+        beta = new_beta
+    return RegressionFit(
+        beta=beta, equation="on_arm_precision", arm=arm,
+        residual_norm=norm, residual_tol=tol, n_used=rows.size,
+        iterations=iterations, converged=converged,
+    )
+
+
+def _reference_fit_dv_overlap(data, nuis, arm, zmap):
+    rows = np.flatnonzero(data.actions == arm)
+    z = _reference_features(zmap, data.covariates[rows])
+    beta, norm, tol = _reference_solve_wls(z, data.outcomes[rows], nuis.propensity[rows, 1 - arm])
+    return RegressionFit(
+        beta=beta, equation="dv_overlap", arm=arm,
+        residual_norm=norm, residual_tol=tol, n_used=rows.size,
+    )
+
+
+def _reference_fit_cate(data, pseudo, w, zmap):
+    z = _reference_features(zmap, data.covariates)
+    target = pseudo.values[:, 1] - pseudo.values[:, 0]
+    beta, norm, tol = _reference_solve_wls(z, target, w.weights)
+    return RegressionFit(
+        beta=beta, equation="cate", arm=None,
+        residual_norm=norm, residual_tol=tol, n_used=data.n,
+    )
+
+
+def _assert_same_fit(got, want, case):
+    for field in dataclasses.fields(RegressionFit):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "beta":
+            assert a.dtype == b.dtype and a.shape == b.shape, case
+            assert a.tobytes() == b.tobytes(), case
+        else:
+            assert type(a) is type(b) and a == b, (case, field.name)
+
+
+class TestFitsMatchReference:
+    """Every equation's RegressionFit, field by field and bit for bit, against
+    the fits as each routine assembled its own."""
+
+    FEATURES = ("identity", "subset:2,0", "subset:1", "subset:", "poly:2", "poly:3")
+
+    @staticmethod
+    def _inputs(seed):
+        rng = np.random.default_rng(seed)
+        scenario = ScenarioSpec(
+            name="d3", d=3, m=2, covariate_law="normal",
+            propensity_coef=0.5 * rng.standard_normal((2, 4)),
+            mean_coef=rng.standard_normal((2, 4)), noise_sd=np.array([0.5, 1.5]),
+        )
+        data, truth = generate(scenario, 2_000, seed=seed)
+        # Row-varying variances, so known_variance weights differ from ols.
+        nuis = NuisanceSet(
+            propensity=truth.propensity, outcome_mean=truth.outcome_mean,
+            variance=truth.variance * rng.uniform(0.5, 2.0, (data.n, 2)), provenance="oracle",
+        )
+        return data, nuis
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("spec", FEATURES)
+    def test_every_equation(self, seed, spec):
+        data, nuis = self._inputs(seed)
+        pseudo = dr_pseudo_outcomes(data, nuis)
+        zmap = FeatureMap.parse(spec)
+        for w in (uniform_weights(data.n), make_weights("w0", nuis)):
+            _assert_same_fit(
+                fit_cate(data, pseudo, w, zmap), _reference_fit_cate(data, pseudo, w, zmap),
+                (spec, "cate", w.kind),
+            )
+            for arm in (0, 1):
+                col = pseudo.values[:, arm]
+                _assert_same_fit(
+                    fit_best_fit(col, w, zmap, data), _reference_fit_best_fit(col, w, zmap, data),
+                    (spec, "best_fit", w.kind, arm),
+                )
+        for arm in (0, 1):
+            _assert_same_fit(
+                fit_dv_overlap(data, nuis, arm, zmap),
+                _reference_fit_dv_overlap(data, nuis, arm, zmap), (spec, "dv", arm),
+            )
+            for mode in ("known_variance", "ols", "irls"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # an unconverged IRLS
+                    got = fit_on_arm_precision(data, nuis, arm, zmap, mode)
+                _assert_same_fit(
+                    got, _reference_fit_on_arm_precision(data, nuis, arm, zmap, mode),
+                    (spec, mode, arm),
+                )

@@ -266,6 +266,25 @@ def _reference_mean_matrix(scenario, x):
     return np.hstack([np.ones((x.shape[0], 1)), powers]) @ scenario.mean_coef.T
 
 
+def _reference_in_place_mean_matrix(scenario, x):
+    """mean_matrix, and its design, before the design came from add_intercept:
+    its own C-ordered builder, times the C-ordered mean_coef.T (the F-ordered
+    view for one row)."""
+    x = np.atleast_2d(x)
+    n, d = x.shape
+    design = np.empty((n, 1 + d * scenario.mean_degree))
+    design[:, 0] = 1.0
+    np.copyto(design[:, 1 : 1 + d], x)
+    for p in range(2, scenario.mean_degree + 1):
+        block = design[:, 1 + (p - 1) * d : 1 + p * d]
+        if p == 2:
+            np.square(x, out=block)
+        else:
+            np.power(x, p, out=block)
+    coef_t = scenario.mean_coef.T if n == 1 else np.ascontiguousarray(scenario.mean_coef.T)
+    return np.matmul(design, coef_t), design
+
+
 def _reference_shortfall(pi, scenario, n_eval, seed):
     """Per-row regret as a 2-d gather of the chosen arm means."""
     x = _reference_covariates(scenario, n_eval, np.random.default_rng(seed))
@@ -309,6 +328,23 @@ class TestRegretBuffers:
                         design = np.full((n, 1 + d * degree), np.nan)
                         got = scenario.mean_matrix(x, out=out, design=design)
                         assert got is out and got.tobytes() == expected, (d, degree, m, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 20_000])
+    def test_mean_matrix_matches_its_own_builder_for_any_layout(self, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 3, 4):
+            for degree in (1, 2, 3, 4):
+                scenario = random_scenario(d, 2, degree, "normal", seed=10 * d + degree)
+                wide = 3.0 * rng.standard_normal((n, d + 1))
+                subset = wide[:, list(range(d, 0, -1))]  # F-ordered from d = 2
+                for x in (np.ascontiguousarray(subset), subset):
+                    want_mu, want_design = _reference_in_place_mean_matrix(scenario, x)
+                    assert scenario.mean_matrix(x).tobytes() == want_mu.tobytes(), (d, degree)
+                    out = np.full((n, 2), np.nan)
+                    design = np.full(want_design.shape, np.nan)
+                    got = scenario.mean_matrix(x, out=out, design=design)
+                    assert got is out and got.tobytes() == want_mu.tobytes(), (d, degree)
+                    assert design.tobytes() == want_design.tobytes(), (d, degree)
 
     def test_reused_sample_across_shapes_matches_fresh_buffers(self):
         cases = [
