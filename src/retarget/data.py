@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -11,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+
+_CHUNK_BYTES = 1 << 16
+# Names numpy's DataSource opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -172,35 +178,73 @@ def _read_csv(path: str, columns, label: str | None = None) -> dict[str, np.ndar
 
     `columns(header)` checks the header before the body is read and names the
     columns to return, as float64 (the `label` column: int64) views of one
-    table. The rows follow `_parse_rows`'s rules; one np.loadtxt call parses
-    them when it gives the same table, and `_parse_rows` otherwise.
+    table. The rows follow `_parse_rows`'s rules; one np.loadtxt call, which
+    reads the file from its path in chunks, parses them when it gives the
+    same table, and `_parse_rows` otherwise.
     """
+    # numpy reads a path string as a URL when it looks like one; an absolute
+    # path never does.
+    full = os.path.join(os.getcwd(), path)
     with _open_text(path, newline="") as fh:
+        head = []  # the lines the header row spans
         try:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(head.append(line) or line for line in fh))
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         names = columns(header)
-        body = fh.read()
+        # numpy would open a name with a compression suffix through a
+        # decompressor, and a pipe cannot be read twice: their bodies are read
+        # here, for the row parser.
+        whole = (full.endswith(_COMPRESSED_SUFFIXES)
+                 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode))
+        body = fh.read() if whole else None
     il = header.index(label) if label is not None else -1
     dtype = np.dtype([(f"f{j}", np.int64 if j == il else np.float64) for j in range(len(header))])
-    with warnings.catch_warnings():
-        # numpy < 2 reads an integer column through float ("1.0" -> 1) with
-        # only a DeprecationWarning; as an error it sends the file to the row
-        # parser, which rejects the cell.
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, Warning):
+    table = None
+    if not whole:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an integer column through float ("1.0" -> 1) with
+            # only a DeprecationWarning; as an error it sends the file to the row
+            # parser, which rejects the cell.
+            warnings.simplefilter("error")
+            try:
+                table = np.loadtxt(full, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                                   skiprows=len(head), encoding="utf-8")
+            except (ValueError, Warning):  # a UnicodeDecodeError among them
+                pass
+    # loadtxt rejects text Python's float/int accept (such as `1_0`) and skips
+    # blank lines; a lone carriage return ends a row for it and for csv.reader,
+    # but is not counted as one here, so any such file goes to the row parser.
+    if table is not None:
+        n_lf, lone_cr, last = _line_feeds(path)
+        n_lines = n_lf - "".join(head).count("\n") + (last != b"\n")
+        if lone_cr or table.size != n_lines or (il >= 0 and np.any(table[f"f{il}"] < 0)):
             table = None
-    # loadtxt rejects text Python's float/int accept (such as `1_0`) and a lone
-    # carriage return, which ends a row for csv.reader; it skips blank lines.
-    n_lines = body.count("\n") + (not body.endswith("\n"))
-    if table is None or table.size != n_lines or (il >= 0 and np.any(table[f"f{il}"] < 0)):
+    if table is None:
+        if body is None:
+            with _open_text(path, newline="") as fh:
+                for _ in head:
+                    fh.readline()
+                body = fh.read()
         table = _parse_rows(path, body, header, names, il, dtype)
     if table.size == 0:
         raise ValidationError(f"{path}: no data rows")
     return {name: table[f"f{header.index(name)}"] for name in names}
+
+
+def _line_feeds(path: str) -> tuple[int, bool, bytes]:
+    r"""The file's count of b"\n", whether any b"\r" stands before anything
+    but b"\n", and its last byte, read in fixed-size chunks."""
+    n_lf, lone_cr, last = 0, False, b""
+    with open(path, "rb") as fb:
+        while chunk := fb.read(_CHUNK_BYTES):
+            if chunk.endswith(b"\r"):
+                chunk += fb.read(1)
+            n_lf += chunk.count(b"\n")
+            if b"\r" in chunk:  # memchr: a CR-free chunk costs no count
+                lone_cr = lone_cr or chunk.count(b"\r") != chunk.count(b"\r\n")
+            last = chunk[-1:]
+    return n_lf, lone_cr, last
 
 
 def _parse_rows(path: str, body: str, header: list[str], names: list[str], il: int, dtype):

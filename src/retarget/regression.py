@@ -117,12 +117,14 @@ class RegressionFit:
 
 
 def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation: str,
-               arm: int | None, context: str) -> RegressionFit:
+               arm: int | None, context: str, residual_tol: float | None = None) -> RegressionFit:
     """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 over the rows of z and
     return the fit with its residual: the one place a RegressionFit is built.
 
     Weights are rescaled by their maximum first (the solution is invariant),
     so constant weights reduce to the literally identical unweighted system.
+    `residual_tol` depends on z alone; a caller solving again on the same z
+    passes the first fit's instead of scanning z once more.
     """
     top = float(sample_w.max())
     if top <= 0:
@@ -138,10 +140,11 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
         )
     beta = np.linalg.solve(gram, wz.T @ target)
     resid = wz.T @ (target - z @ beta)
-    scale = max(1.0, float(np.abs(z).max()))
+    if residual_tol is None:
+        residual_tol = RESIDUAL_REL_TOL * z.shape[0] * max(1.0, float(np.abs(z).max()))
     return RegressionFit(
         beta=beta, equation=equation, arm=arm, residual_norm=float(np.abs(resid).max()),
-        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * scale, n_used=z.shape[0],
+        residual_tol=residual_tol, n_used=z.shape[0],
     )
 
 
@@ -205,7 +208,8 @@ def fit_on_arm_precision(
     while not converged and iterations < IRLS_MAX_ITER:
         iterations += 1
         resid_sq = np.maximum((y - z @ fit.beta) ** 2, IRLS_RESIDUAL_FLOOR)
-        new = _solve_wls(z, y, 1.0 / resid_sq, "on_arm_precision", arm, context)
+        new = _solve_wls(z, y, 1.0 / resid_sq, "on_arm_precision", arm, context,
+                         fit.residual_tol)
         converged = float(np.abs(new.beta - fit.beta).max()) < IRLS_STEP_TOL
         fit = new
     if not converged:

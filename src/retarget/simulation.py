@@ -62,9 +62,10 @@ class ScenarioSpec:
             raise ValidationError("noise_sd must be nonnegative")
         if not (np.all(np.isfinite(pc)) and np.all(np.isfinite(mc)) and np.all(np.isfinite(sd))):
             raise ValidationError("scenario coefficients must be finite")
-        # mean_coef.T, C-ordered: at n = 20,000 matmul by the F-ordered view
-        # takes ~3x as long, for the same bits.
-        coef_t = np.ascontiguousarray(mc.T)
+        # mean_coef.T, C-ordered below 16 design columns: at n = 20,000 matmul
+        # by the F-ordered view takes ~3x as long, for the same bits. From 16
+        # columns on, BLAS rounds the C copy differently, so the view stays.
+        coef_t = np.ascontiguousarray(mc.T) if k < 16 else mc.T
         for name, arr in (("propensity_coef", pc), ("mean_coef", mc), ("noise_sd", sd),
                           ("_mean_coef_t", coef_t)):
             arr.setflags(write=False)

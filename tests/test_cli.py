@@ -1,5 +1,6 @@
 """Command-line wiring: exit codes, determinism, and output formats."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -607,6 +608,14 @@ def _valid_cell(column, i, rng):
     return repr(float(rng.normal()))
 
 
+def _one_in_ten_with_a_bad_byte(draw, body):
+    """body, or one time in ten body with a non-UTF-8 byte put in."""
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(body)))
+        body = body[:cut] + b"\xff" + body[cut:]
+    return body
+
+
 def _csv_file(draw, headers, n):
     """Bytes of a file: a header, n valid rows, then up to two faults."""
     header = draw(st.sampled_from(headers))
@@ -626,10 +635,7 @@ def _csv_file(draw, headers, n):
             rows.insert(i, [])
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     body = (eol.join([header] + [",".join(r) for r in rows]) + eol).encode("utf-8")
-    if draw(st.integers(0, 9)) == 0:
-        cut = draw(st.integers(0, len(body)))
-        body = body[:cut] + b"\xff" + body[cut:]
-    return body
+    return _one_in_ten_with_a_bad_byte(draw, body)
 
 
 @st.composite
@@ -638,6 +644,19 @@ def _input_files(draw):
     n = draw(st.integers(4, 14))
     oracle_rows = draw(st.sampled_from([n, n, n, n - 1, n + 1, 0]))
     return _csv_file(draw, _DATA_HEADERS, n), _csv_file(draw, _ORACLE_HEADERS, oracle_rows)
+
+
+def _assert_clean_exit(capsys, argv):
+    """main(argv) exits 0, 3 or 4 with no traceback, and prints one `error[`
+    line exactly when it fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap, IRLS, overflow
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_ESTIMATION)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error[")]
+    assert len(errors) == (code != EXIT_OK), err
 
 
 class TestFuzzedInputFiles:
@@ -659,11 +678,89 @@ class TestFuzzedInputFiles:
         argv = command + ["--data", str(data_path)]
         if with_oracle:
             argv += ["--oracle", str(oracle_path)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap, IRLS, overflow
-            code = main(argv)
-        assert code in (EXIT_OK, EXIT_INVALID, EXIT_ESTIMATION)
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("error[")]
-        assert len(errors) == (code != EXIT_OK), err
+        _assert_clean_exit(capsys, argv)
+
+
+# Lines of a finite policy class file, valid and not, and a d=1 dataset's
+# neighbours: theta of the wrong length, actions outside {0, 1}, odd numbers.
+_POLICY_LINES = ["const,0", "const,1", "0.5,-1", " 0.25 , 2 ", "1e-3,1e3", "# a comment", "",
+                 "   "] * 3 + [
+    "const,2", "const,-1", "const,1.5", "const,x", "const", "const,0,1", "0.5", "0.5,1,2",
+    "nan,1", "inf,0", "1e400,0", "1_0,2", "x,1", "1,,2", ",", "0x10,1", "const,99999999999999999999"]
+
+
+@st.composite
+def _policy_file(draw):
+    lines = draw(st.lists(st.sampled_from(_POLICY_LINES), max_size=8))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = eol.join(lines).encode("utf-8")
+    return _one_in_ten_with_a_bad_byte(draw, body)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(st.floats(-2, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# Values a scenario field may wrongly hold.
+_ODD_VALUES = st.sampled_from([None, True, "x", "2", 1.5, -1, 0, 10**30, float("nan"),
+                               float("inf"), [], [[]], [1, [2]], {"a": 1}, [[1.0, "x"]]])
+
+
+@st.composite
+def _scenario(draw):
+    """A scenario object: mostly well formed and small, else one field
+    missing, of the wrong shape or of the wrong type."""
+    d, m, degree = draw(st.integers(1, 2)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    entry = {
+        "name": draw(st.sampled_from(["s", "t", ""])),
+        "d": d, "m": m, "mean_degree": degree,
+        "covariate_law": draw(st.sampled_from(["uniform", "normal"])),
+        "propensity_coef": draw(_matrix(m, d + 1)),
+        "mean_coef": draw(_matrix(m, 1 + d * degree)),
+        "noise_sd": draw(st.sampled_from([1.0, [0.5] * m, [0.0] * m])),
+    }
+    fault = draw(st.sampled_from(["none"] * 8 + ["missing", "shape", "odd", "law"]))
+    key = draw(st.sampled_from(sorted(entry)))
+    if fault == "missing":
+        del entry[key]
+    elif fault == "shape":
+        entry[key] = draw(_matrix(draw(st.integers(0, 3)), draw(st.integers(0, 4))))
+    elif fault == "odd":
+        entry[key] = draw(_ODD_VALUES)
+    elif fault == "law":
+        entry["covariate_law"] = "cauchy"
+    return entry
+
+
+@st.composite
+def _scenario_file(draw):
+    text = json.dumps(draw(st.one_of(
+        st.lists(_scenario(), min_size=1, max_size=2), _scenario(), _ODD_VALUES, st.just([]))))
+    cut = draw(st.sampled_from([None] * 8 + ["truncate", "byte"]))
+    body = text.encode("utf-8")
+    if cut is not None:
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] if cut == "truncate" else body[:at] + b"\xff" + body[at:]
+    return body
+
+
+class TestFuzzedPolicyAndScenarioFiles:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_policy_file())
+    def test_policy_file(self, tmp_path, capsys, binary_csv, body):
+        path = tmp_path / "policies.txt"
+        path.write_bytes(body)
+        _assert_clean_exit(capsys, ["learn", "--data", binary_csv, "--class", f"finite:{path}",
+                                    "--weights", "w0"])
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_scenario_file(), n=st.sampled_from([40, 40, 12, 1]))
+    def test_scenario_file(self, tmp_path, capsys, body, n):
+        path = tmp_path / "scenarios.json"
+        path.write_bytes(body)
+        _assert_clean_exit(capsys, ["simulate", "--scenarios", str(path), "--reps", "1",
+                                    "--n", str(n), "--regret-draws", "50",
+                                    "--schemes", "uniform,w0"])

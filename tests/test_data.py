@@ -1,6 +1,10 @@
 """Dataset construction, CSV round trips, and fold assignment."""
 
 import csv
+import gzip
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,12 +284,85 @@ class TestLoaderMatchesReference:
             "x1,a,y\n",                                            # header only
             "x1,a,y",                                               # header, no newline
             "x1,a,y\n0.5,0,1.0\n0.25,2,2.0\n",                     # label gap
+            "x1,a,y\n0.5,0,1.0\r0.25,1,2.0\n\n",                   # lone CR, then a blank line
+            'x1,a,"y\nz"\n0.5,0,1.0\n0.25,1,2.0\n',                 # quoted newline in the header
+            'x1,a,y,"y\r\nz"\r\n0.5,0,1.0,3\r\n0.25,1,2.0,4\r\n',    # ... in an extra column
         ],
     )
     def test_pinned_files(self, tmp_path, text):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_loads_like_reference(str(path))
+
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".csv.xz", ".csv.bz2", ".csv.lzma"])
+    @pytest.mark.parametrize("rows", [1, 3_000])
+    def test_plain_text_under_a_compressed_name(self, tmp_path, suffix, rows):
+        # numpy would open such a name through a decompressor; it is read as text.
+        data = Dataset(covariates=np.arange(2.0 * rows).reshape(rows, 2) / 7,
+                       actions=np.arange(rows) % 2, outcomes=np.ones(rows), m=2)
+        path = str(tmp_path / f"p{suffix}")
+        _write_repr_lines(data, path)
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("rows", [2, 3_000])
+    def test_pipe(self, tmp_path, rows):
+        # A pipe (such as bash's <(...)) is read once, as the parent read it.
+        data = Dataset(covariates=np.arange(2.0 * rows).reshape(rows, 2) / 7,
+                       actions=np.arange(rows) % 2, outcomes=np.ones(rows), m=2)
+        path = str(tmp_path / "p.csv")
+        _write_repr_lines(data, path)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with os.fdopen(write_end, "wb") as out:
+                out.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            back = load_dataset(f"/dev/fd/{read_end}")
+        finally:
+            writer.join(timeout=10)
+            os.close(read_end)
+        assert not writer.is_alive()
+        for want, got in zip(_reference_load(path), (back.covariates, back.actions, back.outcomes)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_gzip_file_is_not_decompressed(self, tmp_path):
+        path = tmp_path / "p.csv.gz"
+        path.write_bytes(gzip.compress(b"x1,a,y\n0.5,0,1.0\n0.25,1,2.0\n"))
+        with pytest.raises(ValidationError, match=r"not UTF-8 text: byte 0x8b \(invalid start byte\)"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("rows", [1, 3_000])
+    def test_non_utf8_byte_after_a_bad_cell(self, tmp_path, rows):
+        # The whole body is decoded before a cell is parsed, so the byte is
+        # named even behind the bad cell, and behind 8 KiB of good rows.
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"x1,a,y\n" + b"0.25,1,2.0\n" * rows + b"0.5,0,oops\n0.5,0,\xff\n")
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff (invalid start byte)"
+
+    def test_load_peaks_below_three_times_the_table(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n, d = 20_000, 4
+        data = Dataset(covariates=rng.standard_normal((n, d)), actions=rng.integers(0, 2, n),
+                       outcomes=rng.standard_normal(n), m=2)
+        path = str(tmp_path / "big.csv")
+        _write_repr_lines(data, path)
+        load_dataset(path)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.covariates, data.covariates)
+        table = n * (d + 2) * 8
+        assert peak < 3 * table, peak / table
 
 
 class TestMakeFolds:

@@ -22,6 +22,7 @@ from retarget import (
     load_oracle_nuisances,
     make_folds,
 )
+import retarget.data as data_module
 from retarget.data import _open_text
 from retarget.nuisance import (
     _arm_columns,
@@ -632,6 +633,47 @@ class TestOracleLoaderMatchesReference:
                 assert g.dtype == w.dtype and g.shape == w.shape, case
                 assert g.tobytes() == w.tobytes(), (case, text)
         assert outcomes["loaded"] > 120 and outcomes["error"] > 120, outcomes
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("o.csv.gz", "phi_0,phi_1,mu_0,mu_1\n0.5,0.5,1.0,2.0\n0.25,0.75,-1,1e-3\n"),
+            ("o.csv.xz", "phi_0,mu_0,var_0\r\n0.5,1.0,2.0\r\n"),
+            ("o.csv.gz", "phi_0,mu_0\n0.5,x\n"),
+            ("o.csv", 'phi_0,mu_0,"note\nmore"\n0.5,1.0,3\n0.25,2.0,4\n'),
+            ("o.csv", 'phi_0,"note\r\n\r\nmore",mu_0\r\n0.5,3,1.0\r\n0.25,4,2.0\r\n'),
+            ("o.csv", 'phi_0,mu_0,"note\rmore"\r0.5,1.0,3\r0.25,2.0,4\r'),
+            ("o.csv", 'phi_0,mu_0,"note\nmore"\n0.5,1.0,3\n\n0.25,2.0,4\n'),
+        ],
+    )
+    def test_pinned_files(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
+        got = _outcome_or_error(lambda: load_oracle_nuisances(str(path)))
+        if isinstance(want, str):
+            assert got == want.replace("non-numeric cell:", "non-numeric cell at row 0:")
+            return
+        for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
+            assert (g is None) if w is None else g.tobytes() == w.tobytes()
+
+    def test_header_across_lines_is_skipped_by_loadtxt(self, tmp_path, monkeypatch):
+        # A quoted header cell spanning lines is skipped line by line, so
+        # loadtxt parses the body and the row parser is not needed.
+        monkeypatch.setattr(data_module, "_parse_rows", None)
+        path = tmp_path / "o.csv"
+        path.write_bytes(b'phi_0,"note\n\nmore",mu_0\n0.5,3,1.0\n0.25,4,2.0\n')
+        got = load_oracle_nuisances(str(path))
+        assert got.propensity.tolist() == [[0.5], [0.25]]
+        assert got.outcome_mean.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("rows", [1, 3_000])
+    def test_non_utf8_byte_after_a_bad_cell(self, tmp_path, rows):
+        path = tmp_path / "oracle.csv"
+        path.write_bytes(b"phi_0,mu_0\n0.5,oops\n" + b"0.5,1\n" * rows + b"0.5,\xff\n")
+        want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
+        assert want.endswith("not UTF-8 text: byte 0xff (invalid start byte)")
+        assert _outcome_or_error(lambda: load_oracle_nuisances(str(path))) == want
 
     def test_non_utf8_byte_is_named_alike(self, tmp_path):
         path = tmp_path / "oracle.csv"

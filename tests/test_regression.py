@@ -225,6 +225,36 @@ class TestFitOnArmPrecision:
         assert fit.iterations >= 1
         assert fit.residual_norm <= fit.residual_tol
 
+    def test_irls_matches_the_loop_that_rescanned_the_design(self):
+        # ~10,000 x 9 poly:2 designs like the benchmark's, and small d=1 arms.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((20_000, 4))
+        a = (rng.random(20_000) < 0.5).astype(int)
+        y = x[:, 0] - 0.5 * x[:, 1] * x[:, 2] + a + rng.standard_normal(20_000)
+        big = Dataset(covariates=x, actions=a, outcomes=y, m=2)
+        big_nuis = NuisanceSet(
+            propensity=np.full((20_000, 2), 0.5), outcome_mean=np.zeros((20_000, 2)),
+            variance=np.ones((20_000, 2)), provenance="oracle",
+        )
+        small, small_nuis = make_binary_data(
+            np.random.default_rng(5), 150, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=1.0
+        )
+        cases = [(big, big_nuis, "poly:2"), (small, small_nuis, "identity"),
+                 (small, small_nuis, "poly:3")]
+        iterations = []
+        for data, nuis, spec in cases:
+            zmap = FeatureMap.parse(spec)
+            for arm in (0, 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = fit_on_arm_precision(data, nuis, arm, zmap, "irls")
+                _assert_same_fit(
+                    got, _reference_fit_on_arm_precision(data, nuis, arm, zmap, "irls"),
+                    (spec, arm),
+                )
+                iterations.append(got.iterations)
+        assert min(iterations) >= 2 and max(iterations) >= 10, iterations
+
     def test_bad_mode_rejected(self):
         rng = np.random.default_rng(6)
         data, nuis = make_binary_data(rng, 50, lambda x: x, lambda x: np.full_like(x, 0.5))

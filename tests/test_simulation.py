@@ -268,8 +268,9 @@ def _reference_mean_matrix(scenario, x):
 
 def _reference_in_place_mean_matrix(scenario, x):
     """mean_matrix, and its design, before the design came from add_intercept:
-    its own C-ordered builder, times the C-ordered mean_coef.T (the F-ordered
-    view for one row)."""
+    its own C-ordered builder, times the F-ordered view mean_coef.T. (That
+    builder took a C-ordered copy for more than one row, which BLAS rounds
+    differently from 16 design columns on.)"""
     x = np.atleast_2d(x)
     n, d = x.shape
     design = np.empty((n, 1 + d * scenario.mean_degree))
@@ -281,8 +282,7 @@ def _reference_in_place_mean_matrix(scenario, x):
             np.square(x, out=block)
         else:
             np.power(x, p, out=block)
-    coef_t = scenario.mean_coef.T if n == 1 else np.ascontiguousarray(scenario.mean_coef.T)
-    return np.matmul(design, coef_t), design
+    return np.matmul(design, scenario.mean_coef.T), design
 
 
 def _reference_shortfall(pi, scenario, n_eval, seed):
@@ -316,18 +316,22 @@ class TestRegretBuffers:
     @pytest.mark.parametrize("law", ["uniform", "normal"])
     def test_mean_matrix_into_buffers(self, law):
         rng = np.random.default_rng(5)
-        for d in (1, 2, 3):
-            for degree in (1, 2, 3):
-                for m in (2, 3):
-                    scenario = random_scenario(d, m, degree, law, seed=10 * d + degree)
-                    for n in (1, 2, 500, 20_000):
-                        x = 3.0 * rng.standard_normal((n, d))
-                        expected = _reference_mean_matrix(scenario, x).tobytes()
-                        assert scenario.mean_matrix(x).tobytes() == expected, (d, degree, m, n)
-                        out = np.full((n, m), np.nan)
-                        design = np.full((n, 1 + d * degree), np.nan)
-                        got = scenario.mean_matrix(x, out=out, design=design)
-                        assert got is out and got.tobytes() == expected, (d, degree, m, n)
+        # Up to 10 design columns, then 16 (d=1 at degree 15, 3 at 5, 5 at 3,
+        # 15 at 1) and 17 (d=1 at 16, 4 at 4, 2 at 8, 16 at 1), where BLAS
+        # rounds a C-ordered mean_coef.T differently from the view.
+        shapes = [(d, degree) for d in (1, 2, 3) for degree in (1, 2, 3)]
+        shapes += [(1, 15), (3, 5), (5, 3), (15, 1), (1, 16), (4, 4), (2, 8), (16, 1)]
+        for d, degree in shapes:
+            for m in (2, 3):
+                scenario = random_scenario(d, m, degree, law, seed=10 * d + degree)
+                for n in (1, 2, 500, 20_000):
+                    x = 3.0 * rng.standard_normal((n, d))
+                    expected = _reference_mean_matrix(scenario, x).tobytes()
+                    assert scenario.mean_matrix(x).tobytes() == expected, (d, degree, m, n)
+                    out = np.full((n, m), np.nan)
+                    design = np.full((n, 1 + d * degree), np.nan)
+                    got = scenario.mean_matrix(x, out=out, design=design)
+                    assert got is out and got.tobytes() == expected, (d, degree, m, n)
 
     @pytest.mark.parametrize("n", [1, 2, 500, 20_000])
     def test_mean_matrix_matches_its_own_builder_for_any_layout(self, n):
