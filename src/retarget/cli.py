@@ -114,8 +114,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    data, nuis, pseudo = _prepare(args)
     zmap = FeatureMap.parse(args.features)
+    data, nuis, pseudo = _prepare(args)
     if args.equation == "best_fit":
         w = make_weights(args.weights, nuis, gap_floor=args.delta_floor)
         fit = fit_best_fit(pseudo.values[:, args.arm], w, zmap, data)

@@ -202,7 +202,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
         coef[:, :k] += step
     if not converged:
         warnings.warn(
-            "propensity Newton solver hit the 100-iteration cap without "
+            f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
             "meeting the gradient tolerance; returning the last iterate",
             RuntimeWarning,
             stacklevel=2,

@@ -15,15 +15,20 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset, _open_text
+from .data import Dataset, _derived, _open_text
 from .errors import EstimationError, ValidationError
 from .nuisance import _rows, add_intercept
 from .pseudo import PseudoOutcomes
-from .weights import WeightScheme, _memo
+from .weights import WeightScheme
 
 EXACT_MAX_WORK = 500 ** 3  # n^(d+1) at d=2, n=500: about 1 s on 2 vCPUs
 _BOUNDARY_TOL = 1e-12
 _RAYS_PER_BATCH = 512
+# The heuristic: random starts besides the two constants, coordinate passes
+# per start, and breakpoints scanned per coordinate.
+_APPROX_STARTS = 32
+_APPROX_MAX_PASSES = 20
+_REFINE_MAX_GRID = 201
 
 
 @dataclass(frozen=True)
@@ -198,43 +203,45 @@ def _unit(theta: np.ndarray) -> np.ndarray:
 
 
 def _sweep_1d(data: Dataset):
-    """The weight-free part of the d=1 search: [1, x], the stable order of x,
-    the starts of its groups of equal values, the cuts, and the number of
-    groups at or below each cut."""
-    z = add_intercept(data.covariates)
-    order = np.argsort(z[:, 1], kind="stable")
-    xs = z[order, 1]
+    """The weight-free part of the d=1 search: the stable order of x, the
+    starts of its groups of equal values, the cuts, and the number of groups
+    at or below each cut."""
+    order = np.argsort(data.covariates[:, 0], kind="stable")
+    xs = data.covariates[order, 0]
     starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
     distinct = xs[starts]
-    cuts = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
-    )
-    # Located from the cut itself: a midpoint of two adjacent floats, or
-    # min - 1 at large |min|, lands on a value.
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # A midpoint that rounds up onto hi (two adjacent floats) or overflows
+    # would lose the split between lo and hi; lo itself keeps it.
+    cuts = np.concatenate([[distinct[0] - 1.0], np.where((lo <= mid) & (mid < hi), mid, lo),
+                           [distinct[-1] + 1.0]])
+    # Located from the cut itself: lo, a midpoint rounded onto it, or min - 1
+    # at large |min| lands on a value.
     below = np.searchsorted(distinct, cuts, side="right")
-    return z, order, starts, cuts, below
+    return order, starts, cuts, below
 
 
-def _learn_threshold_1d(
-    w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, cache: dict | None
-) -> LearnResult | None:
+def _learn_threshold_1d(w, pseudo, data) -> LearnResult | None:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
     x > c, then the lower rules x <= c, at cuts c running over min - 1, the
-    midpoints between consecutive distinct values, and max + 1. Their values
+    midpoints between consecutive distinct values (the lower value where the
+    midpoint rounds onto the upper one or overflows), and max + 1. Their values
     come from one prefix sum of the gains summed over groups of equal x; a
     theta and its labels are built only for candidates tied at the maximum.
     """
     base, gain = _gains(w, pseudo, data)
-    z, order, starts, cuts, below = _memo(cache, _sweep_1d, data)
-    x = z[:, 1]
+    order, starts, cuts, below = _derived(data, _sweep_1d)
+    x = data.covariates[:, 0]
     prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
     total = prefix[-1]
     # prefix[below] is the gain of the rows with x <= c.
     values = base + np.concatenate([[total, 0.0], total - prefix[below], prefix[below]])
     best_value = float(values.max())
-    best_theta = None
+    best = [None, None]  # the smallest unit-norm theta; the smallest theta whose unit loses its cut
     for r in np.flatnonzero(values == best_value):
         if r < 2:
             theta = np.array([1.0, 0.0]) if r == 0 else np.array([-1.0, 0.0])
@@ -246,13 +253,17 @@ def _learn_threshold_1d(
             # c - x > 0 misses the rows at x == c; no float lies between c and the next one.
             lower_c = np.nextafter(c, np.inf) if np.any(x == c) else c
             theta = np.array([-c, 1.0]) if upper else np.array([lower_c, -1.0])
-        # Checked after scaling: at large |x| the unit vector can lose a cut.
-        theta = _unit(theta)
-        if not np.array_equal(z @ theta > 0, labels):
+        # Labels as LinearPolicy.act computes them. At large |x| the unit vector
+        # can lose a cut that theta realizes: such a theta is returned only
+        # when no tied unit-norm theta realizes its labels.
+        unit = _unit(theta)
+        lost = not np.array_equal(unit[0] + x * unit[1] > 0, labels)
+        if lost and not np.array_equal(theta[0] + x * theta[1] > 0, labels):
             continue
-        if best_theta is None or _lex_smaller(theta, best_theta):
-            best_theta = theta
-    return _exact_result(best_theta, w, pseudo, data)
+        theta = theta if lost else unit
+        if best[lost] is None or _lex_smaller(theta, best[lost]):
+            best[lost] = theta
+    return _exact_result(best[1] if best[0] is None else best[0], w, pseudo, data)
 
 
 def _exact_result(theta, w, pseudo, data) -> LearnResult | None:
@@ -341,11 +352,9 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
-def _learn_linear_exact(
-    w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, cache: dict | None
-) -> LearnResult | None:
+def _learn_linear_exact(w, pseudo, data) -> LearnResult | None:
     if data.d == 1:
-        return _learn_threshold_1d(w, pseudo, data, cache)
+        return _learn_threshold_1d(w, pseudo, data)
     z = add_intercept(data.covariates)
     _, gain = _gains(w, pseudo, data)
     tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
@@ -353,7 +362,7 @@ def _learn_linear_exact(
     return _exact_result(theta if lost <= value else None, w, pseudo, data)
 
 
-def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
+def _refine_coordinate(z, theta, j, base, gain):
     """Best value over theta_j with other coordinates fixed: piecewise constant
     in theta_j, so scan midpoints between (subsampled) sign-change breakpoints."""
     zj = z[:, j]
@@ -362,8 +371,8 @@ def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
     if not nonzero.any():
         return theta, base + float(gain[rest > 0].sum())
     breaks = np.unique(-rest[nonzero] / zj[nonzero])
-    if breaks.size > max_grid:
-        take = np.linspace(0, breaks.size - 1, max_grid).astype(int)
+    if breaks.size > _REFINE_MAX_GRID:
+        take = np.linspace(0, breaks.size - 1, _REFINE_MAX_GRID).astype(int)
         breaks = breaks[take]
     mids = np.concatenate([[breaks[0] - 1.0], (breaks[:-1] + breaks[1:]) / 2.0, [breaks[-1] + 1.0]])
     labels = rest[None, :] + mids[:, None] * zj[None, :] > 0
@@ -374,17 +383,17 @@ def _refine_coordinate(z, theta, j, base, gain, max_grid=201):
     return out, float(values[k])
 
 
-def _learn_linear_approx(w, pseudo, data, seed, n_starts=32, max_passes=20) -> LearnResult:
+def _learn_linear_approx(w, pseudo, data, seed) -> LearnResult:
     z = add_intercept(data.covariates)
     base, gain = _gains(w, pseudo, data)
     rng = np.random.default_rng(seed)
     starts = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
-    starts += [rng.standard_normal(data.d + 1) for _ in range(n_starts)]
+    starts += [rng.standard_normal(data.d + 1) for _ in range(_APPROX_STARTS)]
     best_value = -np.inf
     best_theta = None
     for theta in starts:
         value = base + float(gain[z @ theta > 0].sum())
-        for _ in range(max_passes):
+        for _ in range(_APPROX_MAX_PASSES):
             improved = False
             for j in range(data.d + 1):
                 theta, new_value = _refine_coordinate(z, theta, j, base, gain)
@@ -408,25 +417,24 @@ def learn_linear(
     data: Dataset,
     seed: int = 0,
     force_approx: bool = False,
-    cache: dict | None = None,
 ) -> LearnResult:
     """Maximize the weighted value over linear threshold policies (m=2).
 
     Exact at d=1 for any n, with ties to the lexicographically smallest
-    unit-norm theta; at d>=2 when n^(d+1) <= EXACT_MAX_WORK (n <= 500 at
-    d=2, 105 at d=3, 41 at d=4), with ties to the first realized cell of
-    `_best_cell` (rows within 1e-12 * max|[1, x]| of a hyperplane count as
-    on it). Otherwise, or when the optimum cannot be realized numerically
-    (rounding, or a cut lost by scaling theta to unit norm at large |x|), a
-    seeded multi-start coordinate search runs instead, flagged exact=False.
+    unit-norm theta (or, when at large |x| every tied unit vector loses its
+    cut, the smallest unscaled theta that keeps it); at d>=2 when
+    n^(d+1) <= EXACT_MAX_WORK (n <= 500 at d=2, 105 at d=3, 41 at d=4), with
+    ties to the first realized cell of `_best_cell` (rows within
+    1e-12 * max|[1, x]| of a hyperplane count as on it). Otherwise, or when
+    the d>=2 optimum cannot be realized numerically, a seeded multi-start
+    coordinate search runs instead, flagged exact=False.
 
-    Calls that pass the same `cache` dict, such as one per weight scheme on
-    one dataset, build the weight-free part of the d=1 search once.
+    Weight schemes searched on one dataset share its d=1 sweep, kept on it.
     """
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
     if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
-        result = _learn_linear_exact(w, pseudo, data, cache)
+        result = _learn_linear_exact(w, pseudo, data)
         if result is not None:
             return result
     return _learn_linear_approx(w, pseudo, data, seed)

@@ -261,7 +261,6 @@ def _replicate(
     schemes: tuple[str, ...],
     n: int,
     seed: int,
-    n_folds: int,
     regret_draws: int,
     oracle_nuisances: bool,
     nuisance_config: NuisanceConfig,
@@ -273,16 +272,14 @@ def _replicate(
     if oracle_nuisances:
         nuis = oracle
     else:
-        folds = make_folds(n, n_folds, seed=seed + _FOLD_SEED_OFFSET)
+        folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
     # One regret sample and loss table serve all of this replication's schemes.
     sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
     out = np.empty(len(schemes))
-    shared: dict = {}  # this replication's w0, gap statistics and d=1 sweep, built once
     for s, spec in enumerate(schemes):
-        w = make_weights(spec, nuis, cache=shared)
-        result = learn_linear(w, pseudo, data, seed=seed, cache=shared)
+        result = learn_linear(make_weights(spec, nuis), pseudo, data, seed=seed)
         out[s] = float(np.mean(sample.shortfall(result.best)))
     return out
 
@@ -321,8 +318,7 @@ def run_benchmark(
         regrets = np.empty((reps, len(schemes)))
         for r in range(reps):
             regrets[r] = _replicate(
-                scenario, schemes, n, base_seed + r, n_folds, regret_draws,
-                oracle_nuisances, config, sample,
+                scenario, schemes, n, base_seed + r, regret_draws, oracle_nuisances, config, sample
             )
         for s, scheme in enumerate(schemes):
             col = regrets[:, s]

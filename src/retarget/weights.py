@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _derived
 from .errors import ValidationError
 from .nuisance import NuisanceSet, _rows
 
@@ -180,39 +181,25 @@ def selection_ratio(
 
 
 def make_weights(
-    spec: str,
-    nuis: NuisanceSet,
-    gap_floor: float = DEFAULT_GAP_FLOOR,
-    cache: dict | None = None,
+    spec: str, nuis: NuisanceSet, gap_floor: float = DEFAULT_GAP_FLOOR
 ) -> WeightScheme:
     """Build a weight scheme from its CLI name: `uniform`, `w0`, or `w0_dp:<p>`.
 
-    Calls that pass the same `cache` dict for one nuisance set build its
-    homoskedastic weights and gap statistics once.
+    A nuisance set's homoskedastic weights and gap statistics are built once
+    and kept on it, so every scheme made from one set shares them.
     """
     if spec == "uniform":
         return uniform_weights(nuis.n)
     if spec == "w0":
-        return _memo(cache, homoskedastic_weights, nuis)
+        return _derived(nuis, homoskedastic_weights)
     if spec.startswith("w0_dp:"):
         try:
             power = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad weight power in {spec!r}") from None
-        base = _memo(cache, homoskedastic_weights, nuis)
-        gaps = _memo(cache, gap_statistics, nuis)
+        base = _derived(nuis, homoskedastic_weights)
+        gaps = _derived(nuis, gap_statistics)
         return curvature_scaled_weights(base, gaps, power, floor=gap_floor)
     raise ValidationError(
         f"unknown weight scheme {spec!r}; expected uniform, w0, or w0_dp:<p>"
     )
-
-
-def _memo(cache: dict | None, build, source):
-    """build(source), kept in `cache` under `build` with the source it came
-    from and reused only for that same source object."""
-    if cache is None:
-        return build(source)
-    held = cache.get(build)
-    if held is None or held[0] is not source:
-        held = cache[build] = (source, build(source))
-    return held[1]

@@ -100,6 +100,15 @@ class TestSimulate:
         assert config.startswith("# config: ")
         assert body == (TEST_REFERENCE / "simulate_normal_d2_deg2_reps4_n100.csv").read_text()
 
+    def test_matches_reference_report_oracle_nuisances(self, tmp_path):
+        # Each replication's true nuisances in place of cross-fitted ones.
+        out = tmp_path / "report.csv"
+        argv = ["simulate", "--oracle-nuisances", "--reps", "4", "--seed", "0", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        config, body = out.read_text().split("\n", 1)
+        assert '"oracle_nuisances": true' in config
+        assert body == (TEST_REFERENCE / "simulate_oracle_seed0_reps4.csv").read_text()
+
     def test_bad_scheme_exits_invalid(self, tmp_path):
         code = main(
             ["simulate", "--reps", "1", "--n", "40", "--schemes", "bogus", "--threads", "1"]
@@ -174,14 +183,20 @@ class TestSimulate:
         assert loaded.to_jsonable() == good.to_jsonable()
         assert all(type(v) is int for v in (loaded.d, loaded.m, loaded.mean_degree))
 
-    @pytest.mark.parametrize("draws", ["-1", "0"])
-    def test_regret_draws_below_one_is_invalid(self, capsys, draws):
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--regret-draws", "-1", "regret_draws"), ("--regret-draws", "0", "regret_draws"),
+         ("--reps", "0", "reps")],
+        ids=["-1", "0", "reps-0"],
+    )
+    def test_regret_draws_below_one_is_invalid(self, capsys, flag, value, name):
+        # The replication count has the same floor.
         code = main(["simulate", "--reps", "1", "--n", "40", "--schemes", "uniform",
-                     "--regret-draws", draws])
+                     flag, value])
         assert code == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error[ValidationError]: regret_draws must be >= 1, got {draws}\n"
+        assert captured.err == f"error[ValidationError]: {name} must be >= 1, got {value}\n"
 
     def test_oracle_nuisances_flag(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -230,6 +245,20 @@ class TestFit:
                 ]
             )
             assert code == EXIT_OK
+
+    def test_unconverged_irls_is_reported(self, binary_csv, tmp_path, capsys, monkeypatch):
+        # IRLS_MAX_ITER is read at call time; one iteration leaves this fit unconverged.
+        import retarget.regression as regression_module
+
+        monkeypatch.setattr(regression_module, "IRLS_MAX_ITER", 1)
+        out = tmp_path / "irls.txt"
+        with pytest.warns(RuntimeWarning, match="IRLS did not converge within 1 iterations"):
+            code = main(["fit", "--equation", "on_arm", "--arm", "1", "--mode", "irls",
+                         "--data", binary_csv, "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "iterations=1" in lines and "converged=False" in lines
+        assert "  iterations: 1, converged: False" in capsys.readouterr().out.splitlines()
 
     def test_cate_with_features(self, binary_csv, tmp_path):
         code = main(
@@ -374,8 +403,11 @@ class TestFit:
         [
             (["--clip", "0.7"], "propensity_clip must be in (0, 0.5), got 0.7"),
             (["--folds", "999"], "fold count 999 exceeds sample size 160"),
+            (["--features", "poly:x"], "bad polynomial degree in 'poly:x'"),
+            (["--features", "poly:0"], "polynomial degree must be >= 1, got 0"),
+            (["--features", "subset:a"], "bad subset indices in 'subset:a'"),
         ],
-        ids=["clip", "folds"],
+        ids=["clip", "folds", "poly-x", "poly-0", "subset-a"],
     )
     def test_option_errors_come_before_the_oracle_shape(
         self, binary_csv, tmp_path, capsys, flags, message
@@ -444,6 +476,25 @@ class TestReport:
         out = capsys.readouterr().out
         assert "| scenario | uniform | w0 |" in out
         assert "(" in out and ")" in out
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("S-A,uniform,abc,0.1,4,500,0\n",
+             "malformed report row {'scenario': 'S-A', 'scheme': 'uniform', 'mean_regret': "
+             "'abc', 'std_regret': '0.1', 'R': '4', 'n': '500', 'seed': '0'}: "
+             "could not convert string to float: 'abc'"),
+            ("", "no report rows"),
+        ],
+        ids=["non-numeric-mean", "header-only"],
+    )
+    def test_malformed_report_is_invalid(self, tmp_path, capsys, body, message):
+        path = tmp_path / "r.csv"
+        path.write_text("# config: {}\nscenario,scheme,mean_regret,std_regret,R,n,seed\n" + body)
+        assert main(["report", "--in", str(path)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[ValidationError]: {path}: {message}\n"
 
 
 class TestExitCodes:

@@ -84,6 +84,28 @@ class TestFitPropensity:
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
         assert converged
 
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
+        # The loop reads its cap at call time; two Newton steps from zero
+        # leave the gradient above tolerance. One softmax per iteration.
+        import retarget.nuisance as nuisance_module
+
+        data = balanced_random_data(300, 2, 3, seed=4)
+        z = add_intercept(data.covariates)
+        monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 2)
+        calls = []
+        softmax = nuisance_module._softmax
+        monkeypatch.setattr(nuisance_module, "_softmax", lambda v: calls.append(1) or softmax(v))
+        with pytest.warns(RuntimeWarning, match=r"^propensity Newton solver hit the 2-iteration "
+                          r"cap without meeting the gradient tolerance; returning the last iterate$"):
+            coef, converged = fit_propensity(z, data.actions, data.m)
+        assert not converged
+        assert len(calls) == 2
+        assert np.all(np.isfinite(coef)) and np.all(coef[:, -1] == 0.0)
+        monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fit_propensity(z, data.actions, data.m)[1]
+
     def test_missing_arm_rejected(self):
         data = Dataset(
             covariates=np.zeros((4, 1)),

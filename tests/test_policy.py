@@ -1,5 +1,6 @@
 """Policy evaluation, finite and linear search, and true-regret evaluation."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -565,16 +566,85 @@ class TestThresholdSearch1d:
         assert res.best_value == 0.5
         assert np.array_equal(res.best.act(x), [1, 0])
 
-    def test_cut_lost_by_unit_scaling_falls_back(self):
+    def test_cut_lost_by_unit_scaling_keeps_the_unscaled_theta(self):
         # x <= 1e17 against 1e17 + 16 (one ulp apart) is realized by
-        # [1e17 + 16, -1] but not by its unit vector, so no exact result exists.
+        # [1e17 + 16, -1] but not by its unit vector, so that theta is returned.
         x = np.array([[1e17], [1e17 + 16]])
         data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
         pseudo = PseudoOutcomes(values=np.array([[0.0, 1.0], [0.0, -1.0]]))
         w = uniform_weights(2)
         res = learn_linear(w, pseudo, data)
-        assert not res.exact
-        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+        assert res.exact
+        assert res.best_value == 0.5 == weighted_value(res.best, w, pseudo, data)
+        assert res.best.theta.tobytes() == np.array([1e17 + 16, -1.0]).tobytes()
+        assert np.array_equal(res.best.act(x), [1, 0])
+
+    def test_tie_goes_to_a_unit_norm_theta_before_an_unscaled_one(self):
+        # Treating only x = -1e17 ties with treating no row. The unscaled
+        # [-1e17, 1] (x > 1e17 + 32: no row) is lexicographically smaller, but
+        # the unit-norm theta that realizes the first labeling is returned, as
+        # it was before unscaled thetas were kept.
+        x = np.array([[-1e17], [1e17 + 32], [1e17 + 16]])
+        data = Dataset(covariates=x, actions=np.zeros(3, int), outcomes=np.zeros(3), m=2)
+        pseudo = PseudoOutcomes(values=np.array([[-3.0, -3.0], [-3.0, -3.0], [1.0, 0.0]]))
+        res = learn_linear(WeightScheme.from_raw("w", np.array([2.0, 1.0, 2.0])), pseudo, data)
+        assert res.exact
+        assert res.best.theta[0] == -1.0
+        assert np.linalg.norm(res.best.theta) == pytest.approx(1.0)
+        assert np.array_equal(res.best.act(x), [1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "x, psi, labels",
+        [
+            # The midpoint of 1 + 2^-52 and 1 + 2^-51 rounds onto the upper value.
+            ([1.0 + 2.0**-52, 1.0 + 2.0**-51], [[0.0, -1.0], [0.0, 1.0]], [0, 1]),
+            # The midpoint of 1e308 and 1.5e308 overflows.
+            ([1e308, 1.5e308], [[0.0, -1.0], [0.0, 1.0]], [0, 1]),
+            ([-1.5e308, -1e308], [[0.0, 1.0], [0.0, -1.0]], [1, 0]),
+            # The midpoint of -5e-324 and 0 rounds to -0.0, which equals 0.
+            ([-5e-324, 0.0], [[0.0, -1.0], [0.0, 1.0]], [0, 1]),
+        ],
+        ids=["rounds-up", "overflows", "overflows-below", "negative-zero"],
+    )
+    def test_split_whose_midpoint_is_no_cut(self, x, psi, labels):
+        x = np.array(x)[:, None]
+        data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
+        pseudo = PseudoOutcomes(values=np.array(psi))
+        with np.errstate(over="ignore"):  # unit-norm scaling overflows beyond 1e154
+            res = learn_linear(uniform_weights(2), pseudo, data)
+        assert res.exact
+        assert res.best_value == 0.5
+        assert np.array_equal(res.best.act(x), labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51,
+                             1e17, 1e17 + 16, -1e17, 1e150, 1e308, 1.5e308, -1.5e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ), min_size=1, max_size=7),
+        data=st.data(),
+    )
+    def test_exact_at_any_scale_of_x(self, x, data):
+        # Every realizable labeling keeps a candidate, and an exact result's
+        # value is the one LinearPolicy.act realizes.
+        n = len(x)
+        psi = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n)),
+                       float).reshape(n, 2)
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        x = np.array(x)
+        sample = Dataset(covariates=x[:, None], actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+        pseudo, w = PseudoOutcomes(values=psi), WeightScheme.from_raw("w", np.array(raw, float))
+        with np.errstate(all="ignore"):  # unit-norm scaling and margins overflow
+            res = learn_linear(w, pseudo, sample)
+            realized = weighted_value(res.best, w, pseudo, sample)
+        brute = max(
+            float(np.mean(w.weights * psi[np.arange(n), labels.astype(int)]))
+            for labels in _realizable_threshold_labelings(x)
+        )
+        assert res.exact
+        assert res.best_value == pytest.approx(brute, abs=1e-12)
+        assert res.best_value == realized
 
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_same_theta_bits_as_matrix_search_on_default_grid(self, scenario):
@@ -606,24 +676,24 @@ def _assert_same_result(got, expected):
 
 
 class TestSharedSweep:
-    """learn_linear(..., cache=) reuses the d=1 sweep of one dataset across
-    weight schemes and must give the bits of a call without a cache."""
+    """learn_linear keeps the d=1 sweep on the dataset, so later searches on
+    it reuse the sweep; they must give the bits of a search on a fresh copy
+    of the dataset, which builds its own."""
 
     @settings(max_examples=150, deadline=None)
     @given(_multi_scheme_instances())
     def test_shared_sweep_gives_the_unshared_result(self, instance):
         data, pseudo, schemes = instance
-        cache = {}
         for w in schemes:
-            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
-                                learn_linear(w, pseudo, data))
+            _assert_same_result(learn_linear(w, pseudo, data),
+                                learn_linear(w, pseudo, replace(data)))
 
     @pytest.mark.parametrize(
         "x, psi",
         [
             ([1.0, np.nextafter(1.0, 2.0)], [[0.0, -1.0], [0.0, 1.0]]),
             ([0.0, 5e-324], [[0.0, 1.0], [0.0, -1.0]]),
-            ([1e17, 1e17 + 16], [[0.0, 1.0], [0.0, -1.0]]),  # falls back, exact=False
+            ([1e17, 1e17 + 16], [[0.0, 1.0], [0.0, -1.0]]),  # an unscaled theta
             ([-1e150, 0.0, -0.0, 1e150], [[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, -0.5]]),
         ],
         ids=["adjacent-floats", "subnormal-cut", "lost-cut", "extremes"],
@@ -633,11 +703,10 @@ class TestSharedSweep:
         data = Dataset(covariates=np.array(x)[:, None], actions=np.zeros(n, int),
                        outcomes=np.zeros(n), m=2)
         pseudo = PseudoOutcomes(values=np.array(psi))
-        cache = {}
         for raw in ([1.0] * n, [3.0] + [1.0] * (n - 1), [1.0] * (n - 1) + [0.0]):
             w = WeightScheme.from_raw("w", np.array(raw))
-            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
-                                learn_linear(w, pseudo, data))
+            _assert_same_result(learn_linear(w, pseudo, data),
+                                learn_linear(w, pseudo, replace(data)))
 
     def test_another_dataset_never_reuses_the_sweep(self):
         rng = np.random.default_rng(12)
@@ -647,10 +716,12 @@ class TestSharedSweep:
         second = Dataset(covariates=rng.uniform(-1, 1, (40, 1)), actions=first.actions,
                          outcomes=first.outcomes, m=2)
         w = uniform_weights(40)
-        cache = {}
+        with pytest.MonkeyPatch.context() as mp:  # every search builds its own sweep
+            mp.setattr(policy_module, "_derived", lambda obj, build: build(obj))
+            unshared = {id(data): learn_linear(w, pseudo, data) for data in (first, second)}
         for data in (first, second, first):
-            _assert_same_result(learn_linear(w, pseudo, data, cache=cache),
-                                learn_linear(w, pseudo, data))
+            _assert_same_result(learn_linear(w, pseudo, data), unshared[id(data)])
+            _assert_same_result(learn_linear(w, pseudo, replace(data)), unshared[id(data)])
 
 
 _act_floats = st.one_of(

@@ -225,6 +225,24 @@ class TestFitOnArmPrecision:
         assert fit.iterations >= 1
         assert fit.residual_norm <= fit.residual_tol
 
+    def test_irls_iteration_cap_flags_nonconvergence(self, monkeypatch):
+        # The loop reads IRLS_MAX_ITER at call time: with a cap of 3 this fit,
+        # which needs 9 iterations, stops unconverged after 3.
+        import retarget.regression as regression_module
+
+        rng = np.random.default_rng(5)
+        data, nuis = make_binary_data(
+            rng, 150, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=1.0
+        )
+        full = fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "irls")
+        assert (full.iterations, full.converged) == (9, True)
+        monkeypatch.setattr(regression_module, "IRLS_MAX_ITER", 3)
+        with pytest.warns(RuntimeWarning, match=r"^IRLS did not converge within 3 iterations "
+                          r"for arm 1; returning the last iterate$"):
+            fit = fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "irls")
+        assert (fit.iterations, fit.converged) == (3, False)
+        assert np.all(np.isfinite(fit.beta))
+
     def test_irls_matches_the_loop_that_rescanned_the_design(self):
         # ~10,000 x 9 poly:2 designs like the benchmark's, and small d=1 arms.
         rng = np.random.default_rng(11)

@@ -216,9 +216,11 @@ class TestReplicateMatchesReference:
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_default_scenarios(self, scenario, oracle_nuisances):
         for seed in (0, 1, 17, 123):
-            args = (scenario, DEFAULT_SCHEMES, 500, seed, 2, 20_000, oracle_nuisances)
-            got = _replicate(*args, NuisanceConfig(folds=2))
-            assert got.tobytes() == _reference_replicate(*args).tobytes(), seed
+            got = _replicate(scenario, DEFAULT_SCHEMES, 500, seed, 20_000, oracle_nuisances,
+                             NuisanceConfig(folds=2))
+            want = _reference_replicate(scenario, DEFAULT_SCHEMES, 500, seed, 2, 20_000,
+                                        oracle_nuisances)
+            assert got.tobytes() == want.tobytes(), seed
 
     @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
     def test_d2_scenario(self, oracle_nuisances):
@@ -233,9 +235,33 @@ class TestReplicateMatchesReference:
             noise_sd=np.array([1.0, 0.7]),
         )
         for seed in (0, 5):
-            args = (scenario, DEFAULT_SCHEMES, 40, seed, 2, 3_000, oracle_nuisances)
-            got = _replicate(*args, NuisanceConfig(folds=2))
-            assert got.tobytes() == _reference_replicate(*args).tobytes(), seed
+            got = _replicate(scenario, DEFAULT_SCHEMES, 40, seed, 3_000, oracle_nuisances,
+                             NuisanceConfig(folds=2))
+            want = _reference_replicate(scenario, DEFAULT_SCHEMES, 40, seed, 2, 3_000,
+                                        oracle_nuisances)
+            assert got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
+    def test_shared_work_is_built_once_per_replication(self, monkeypatch, oracle_nuisances):
+        # The six default schemes share one w0, one set of gap statistics and
+        # one d=1 sweep; the next replication, on a new dataset and nuisance
+        # set, builds its own.
+        from retarget import policy, weights
+
+        built = {}
+        for module, name in ((weights, "homoskedastic_weights"), (weights, "gap_statistics"),
+                             (policy, "_sweep_1d")):
+            def counted(obj, build=getattr(module, name), name=name):
+                built[name] = built.get(name, 0) + 1
+                return build(obj)
+
+            monkeypatch.setattr(module, name, counted)
+        args = (default_scenarios()[0], DEFAULT_SCHEMES, 200, 3, 2_000, oracle_nuisances,
+                NuisanceConfig(folds=2))
+        for reps in (1, 2):
+            _replicate(*args)
+            assert built == dict.fromkeys(
+                ("homoskedastic_weights", "gap_statistics", "_sweep_1d"), reps)
 
 
 def random_scenario(d, m, degree, law, seed=0):
@@ -377,7 +403,7 @@ class TestRegretBuffers:
             (default_scenarios()[1], 200, 3_000),
         ]
         for scenario, n, draws in cases:
-            args = (scenario, DEFAULT_SCHEMES, n, 3, 2, draws, False, NuisanceConfig(folds=2))
+            args = (scenario, DEFAULT_SCHEMES, n, 3, draws, False, NuisanceConfig(folds=2))
             assert _replicate(*args, sample).tobytes() == _replicate(*args).tobytes()
 
 

@@ -1,6 +1,7 @@
 """Weight schemes, gap statistics, the variance proxy, and selection ratios."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from retarget import (
     uniform_weights,
     variance_proxy,
 )
+from retarget import weights as weights_module
 
 
 def _nuis(prop, mu=None, var=None):
@@ -287,26 +289,36 @@ class TestMakeWeights:
         with pytest.raises(ValidationError, match="bad weight power"):
             make_weights("w0_dp:abc", nuis)
 
-    def test_shared_cache_gives_identical_schemes(self):
+    def test_kept_w0_and_gaps_give_the_schemes_of_a_fresh_set(self, monkeypatch):
+        # Schemes made from one nuisance set share the w0 and gap statistics
+        # kept on it; they match, bit for bit, schemes from a fresh copy.
         rng = np.random.default_rng(6)
         nuis = random_binary_nuis(rng, 40)
         specs = ("uniform", "w0", "w0_dp:1", "w0_dp:2", "w0_dp:-1", "w0_dp:-2", "w0_dp:0")
-        cache = {}
-        shared = [make_weights(spec, nuis, cache=cache) for spec in specs]
-        for spec, w in zip(specs, shared):
-            alone = make_weights(spec, nuis)
-            assert w.kind == alone.kind
-            assert np.array_equal(w.weights, alone.weights)
-        assert len(cache) == 2  # w0 and the gap statistics, each built once
-        assert shared[-1] is shared[1]  # power 0 is the cached w0 itself
+        built = []
+        for name in ("homoskedastic_weights", "gap_statistics"):
+            def counted(obj, build=getattr(weights_module, name), name=name):
+                built.append(name)
+                return build(obj)
 
-    def test_shared_cache_never_serves_another_nuisance_set(self):
-        # Two nuisance sets of one size on one cache: each gets the w0 and the
+            monkeypatch.setattr(weights_module, name, counted)
+        shared = [make_weights(spec, nuis) for spec in specs]
+        assert built == ["homoskedastic_weights", "gap_statistics"]  # each built once
+        for spec, w in zip(specs, shared):
+            alone = make_weights(spec, replace(nuis))
+            assert w.kind == alone.kind
+            assert w.weights.tobytes() == alone.weights.tobytes()
+        assert shared[-1] is shared[1]  # power 0 is the kept w0 itself
+
+    def test_kept_w0_and_gaps_never_serve_another_nuisance_set(self):
+        # Two nuisance sets of one size, used in turn: each gets the w0 and the
         # gap statistics of its own propensities and means, not the other's.
         rng = np.random.default_rng(7)
         first, second = random_binary_nuis(rng, 25), random_binary_nuis(rng, 25)
-        cache = {}
         for nuis in (first, second, first):
-            for spec in ("w0", "w0_dp:1", "w0_dp:-2"):
-                assert np.array_equal(make_weights(spec, nuis, cache=cache).weights,
-                                      make_weights(spec, nuis).weights)
+            w0 = homoskedastic_weights(nuis)  # built here, kept nowhere
+            for spec, want in (("w0", w0),
+                               ("w0_dp:1", curvature_scaled_weights(w0, gap_statistics(nuis), 1.0)),
+                               ("w0_dp:-2", curvature_scaled_weights(w0, gap_statistics(nuis), -2.0))):
+                assert make_weights(spec, nuis).weights.tobytes() == want.weights.tobytes()
+                assert make_weights(spec, replace(nuis)).weights.tobytes() == want.weights.tobytes()
