@@ -72,7 +72,11 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dump-psi", default=None, help="optionally dump the score matrix as CSV")
 
 
-def _prepare(args: argparse.Namespace):
+def _prepare(args: argparse.Namespace, nuisances: bool = True):
+    """The dataset, its nuisances and their doubly robust scores. Every option
+    and the oracle file are checked either way; with nuisances=False and no
+    --dump-psi, cross-fitting and the scores are skipped, and the scores (and,
+    without --oracle, the nuisances) come back as None."""
     data = load_dataset(args.data)
     oracle = load_oracle_nuisances(args.oracle) if args.oracle else None
     config = NuisanceConfig(
@@ -82,14 +86,17 @@ def _prepare(args: argparse.Namespace):
         variance_mode=args.variance,
     )
     folds = make_folds(data.n, args.folds, seed=args.seed)
-    if oracle is None:
-        nuis = cross_fit(data, folds, config)
-    else:
+    scores = nuisances or bool(args.dump_psi)
+    if oracle is not None:
         try:
             nuis = oracle.nuisance_set(data, args.variance)
         except ValidationError as exc:
             raise ValidationError(f"{args.oracle}: {exc}") from None
-    pseudo = dr_pseudo_outcomes(data, nuis)
+    elif scores:
+        nuis = cross_fit(data, folds, config)
+    else:
+        return data, None, None
+    pseudo = dr_pseudo_outcomes(data, nuis) if scores else None
     if args.dump_psi:
         dump_pseudo_outcomes(pseudo, args.dump_psi)
     return data, nuis, pseudo
@@ -115,7 +122,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     zmap = FeatureMap.parse(args.features)
-    data, nuis, pseudo = _prepare(args)
+    # The ols and irls on-arm fits read no nuisance.
+    data, nuis, pseudo = _prepare(args, args.equation != "on_arm" or args.mode == "known")
     if args.equation == "best_fit":
         w = make_weights(args.weights, nuis, gap_floor=args.delta_floor)
         fit = fit_best_fit(pseudo.values[:, args.arm], w, zmap, data)

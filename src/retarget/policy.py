@@ -23,6 +23,11 @@ from .weights import WeightScheme
 
 EXACT_MAX_WORK = 500 ** 3  # n^(d+1) at d=2, n=500: about 1 s on 2 vCPUs
 _BOUNDARY_TOL = 1e-12
+# A margin or singular value below this share of its tolerance is rounding
+# noise (on grid and duplicated covariates it stays below 1e-3); between the
+# two, rows inside the band lie off the hyperplane and the search cannot
+# certify its optimum.
+_NOISE_SHARE = 1e-2
 _RAYS_PER_BATCH = 512
 # The heuristic: random starts besides the two constants, coordinate passes
 # per start, and breakpoints scanned per coordinate.
@@ -197,6 +202,9 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _unit(theta: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(theta))
+    if norm == np.inf:  # entries beyond ~1e154: scale by the largest first
+        theta = theta / np.abs(theta).max()
+        norm = float(np.linalg.norm(theta))
     if norm == 0:
         raise EstimationError("degenerate zero policy parameter")
     return theta / norm
@@ -266,12 +274,13 @@ def _learn_threshold_1d(w, pseudo, data) -> LearnResult | None:
     return _exact_result(best[1] if best[0] is None else best[0], w, pseudo, data)
 
 
-def _exact_result(theta, w, pseudo, data) -> LearnResult | None:
-    """The exact search's result, or None when its optimum was not realized."""
+def _exact_result(theta, w, pseudo, data, exact: bool = True) -> LearnResult | None:
+    """The exact search's result, or None when its optimum was not realized;
+    exact=False when the search could not certify it."""
     if theta is None:
         return None
     policy = LinearPolicy(theta=theta)
-    return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=True)
+    return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=exact)
 
 
 def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
@@ -291,11 +300,20 @@ def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
     return theta if np.all(margins != 0) and np.array_equal(margins > 0, labels) else None
 
 
+def _in_band(values: np.ndarray, tol: float) -> bool:
+    """Whether some |value| <= tol is too large to be rounding noise."""
+    size = np.abs(values)
+    return bool(np.any((size > _NOISE_SHARE * tol) & (size <= tol)))
+
+
 def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     """Best gain sum over the labelings z @ theta > 0 that a theta realizes, as
     (value, unit theta, lost), lost being the best value of a candidate that
-    could not be realized (-inf if none). Every cell of the rows' arrangement
-    in span(z) touches a ray v where rank - 1 independent rows vanish: the
+    could not be realized (-inf if none). lost is +inf when a row's margin lies
+    within tol of a hyperplane, or a singular value within rank_tol of zero,
+    by more than rounding noise: such rows may share a label they need not, so
+    the optimum is not certified. Every cell of the rows' arrangement in
+    span(z) touches a ray v where rank - 1 independent rows vanish: the
     rows off v's hyperplane take v's sign, the tight rows on it take their own
     best labeling one rank lower. Ties go to the first realized cell: +e0,
     -e0 (every row starts with 1), then rays of row subsets in lexicographic
@@ -304,8 +322,8 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     e0 = np.eye(k)[0]
     total = float(gain.sum())
     best_value, best_theta = (total, e0) if total >= 0 else (0.0, -e0)
-    lost = -np.inf
     _, sv, vt = np.linalg.svd(z, full_matrices=False)
+    lost = np.inf if _in_band(sv, rank_tol) else -np.inf
     rank = int(np.sum(sv > rank_tol))
     if rank == n:  # independent rows take any labeling through one solve
         labels = gain > 0
@@ -314,7 +332,7 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
         if value > best_value and theta is not None:
             best_value, best_theta = value, theta
         elif value > best_value:
-            lost = value
+            lost = max(lost, value)
     if rank in (1, n):  # rank 1: coincident rows, only the constants
         return best_value, best_theta, lost
     basis = vt[:rank]
@@ -333,6 +351,8 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
             if reach[j] <= best_value or on_plane.tobytes() in seen:
                 continue
             seen.add(on_plane.tobytes())
+            if _in_band(margins[on_plane, j], tol):
+                lost = np.inf
             # Projected onto span(z), the tight rows' component along the ray is
             # at most tol * sqrt(n) < rank_tol, so the rank drops at every level.
             sub_z = z[on_plane] @ basis.T @ basis
@@ -359,23 +379,31 @@ def _learn_linear_exact(w, pseudo, data) -> LearnResult | None:
     _, gain = _gains(w, pseudo, data)
     tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
     value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
-    return _exact_result(theta if lost <= value else None, w, pseudo, data)
+    if value < lost < np.inf:  # a better labeling was not realized: the heuristic runs
+        return None
+    return _exact_result(theta, w, pseudo, data, exact=lost <= value)
 
 
 def _refine_coordinate(z, theta, j, base, gain):
     """Best value over theta_j with other coordinates fixed: piecewise constant
-    in theta_j, so scan midpoints between (subsampled) sign-change breakpoints."""
+    in theta_j, so scan midpoints between (subsampled) sign-change breakpoints.
+    Breakpoints and midpoints that overflow (|x| near 1e308) are skipped, so
+    theta stays finite."""
     zj = z[:, j]
-    rest = z @ theta - theta[j] * zj
-    nonzero = np.abs(zj) > 1e-12
-    if not nonzero.any():
-        return theta, base + float(gain[rest > 0].sum())
-    breaks = np.unique(-rest[nonzero] / zj[nonzero])
-    if breaks.size > _REFINE_MAX_GRID:
-        take = np.linspace(0, breaks.size - 1, _REFINE_MAX_GRID).astype(int)
-        breaks = breaks[take]
-    mids = np.concatenate([[breaks[0] - 1.0], (breaks[:-1] + breaks[1:]) / 2.0, [breaks[-1] + 1.0]])
-    labels = rest[None, :] + mids[:, None] * zj[None, :] > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = z @ theta - theta[j] * zj
+        nonzero = np.abs(zj) > 1e-12
+        breaks = np.unique(-rest[nonzero] / zj[nonzero])
+        breaks = breaks[np.isfinite(breaks)]
+        if breaks.size == 0:
+            return theta, base + float(gain[rest > 0].sum())
+        if breaks.size > _REFINE_MAX_GRID:
+            take = np.linspace(0, breaks.size - 1, _REFINE_MAX_GRID).astype(int)
+            breaks = breaks[take]
+        mids = np.concatenate([[breaks[0] - 1.0], (breaks[:-1] + breaks[1:]) / 2.0,
+                               [breaks[-1] + 1.0]])
+        mids = mids[np.isfinite(mids)]
+        labels = rest[None, :] + mids[:, None] * zj[None, :] > 0
     values = base + labels @ gain
     k = int(np.argmax(values))
     out = theta.copy()
@@ -425,9 +453,11 @@ def learn_linear(
     cut, the smallest unscaled theta that keeps it); at d>=2 when
     n^(d+1) <= EXACT_MAX_WORK (n <= 500 at d=2, 105 at d=3, 41 at d=4), with
     ties to the first realized cell of `_best_cell` (rows within
-    1e-12 * max|[1, x]| of a hyperplane count as on it). Otherwise, or when
-    the d>=2 optimum cannot be realized numerically, a seeded multi-start
-    coordinate search runs instead, flagged exact=False.
+    1e-12 * max|[1, x]| of a hyperplane count as on it; when such a row lies
+    off it by more than rounding noise, that cell's theta returns flagged
+    exact=False). Otherwise, or when the d>=2 optimum cannot be realized
+    numerically, a seeded multi-start coordinate search runs instead, flagged
+    exact=False.
 
     Weight schemes searched on one dataset share its d=1 sweep, kept on it.
     """

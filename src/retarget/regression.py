@@ -14,7 +14,7 @@ Four fitting routines share one weighted least-squares core:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,15 +117,36 @@ class RegressionFit:
 
 
 def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation: str,
-               arm: int | None, context: str, residual_tol: float | None = None) -> RegressionFit:
+               arm: int | None, context: str, irls: bool = False) -> RegressionFit:
     """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 over the rows of z and
     return the fit with its residual: the one place a RegressionFit is built.
 
     Weights are rescaled by their maximum first (the solution is invariant),
     so constant weights reduce to the literally identical unweighted system.
-    `residual_tol` depends on z alone; a caller solving again on the same z
-    passes the first fit's instead of scanning z once more.
+    With irls, the solve is repeated with weights 1 / max(r_i^2, 1e-6) from
+    the last iterate's residuals r = target - z @ beta until the coefficient
+    step falls below 1e-8 or IRLS_MAX_ITER solves; each residual is computed
+    once, and the estimating equation is checked for the returned iterate only.
     """
+    beta, wz = _weighted_solve(z, target, sample_w, context)
+    r = target - z @ beta
+    iterations, converged = 0, not irls
+    while not converged and iterations < IRLS_MAX_ITER:
+        iterations += 1
+        new, wz = _weighted_solve(z, target, 1.0 / np.maximum(r ** 2, IRLS_RESIDUAL_FLOOR),
+                                  context)
+        converged = float(np.abs(new - beta).max()) < IRLS_STEP_TOL
+        beta = new
+        r = target - z @ beta
+    return RegressionFit(
+        beta=beta, equation=equation, arm=arm, residual_norm=float(np.abs(wz.T @ r).max()),
+        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * max(1.0, float(np.abs(z).max())),
+        n_used=z.shape[0], iterations=iterations, converged=converged,
+    )
+
+
+def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context: str):
+    """beta of one weighted solve, and z times the weights rescaled to a maximum of 1."""
     top = float(sample_w.max())
     if top <= 0:
         raise EstimationError(f"all regression weights are zero in {context}")
@@ -138,19 +159,12 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
             f"{z.shape[1]} features); use a smaller feature map or a ridge-"
             "regularized preprocessing"
         )
-    beta = np.linalg.solve(gram, wz.T @ target)
-    resid = wz.T @ (target - z @ beta)
-    if residual_tol is None:
-        residual_tol = RESIDUAL_REL_TOL * z.shape[0] * max(1.0, float(np.abs(z).max()))
-    return RegressionFit(
-        beta=beta, equation=equation, arm=arm, residual_norm=float(np.abs(resid).max()),
-        residual_tol=residual_tol, n_used=z.shape[0],
-    )
+    return np.linalg.solve(gram, wz.T @ target), wz
 
 
-def _arm_design(data: Dataset, nuis: NuisanceSet, arm: int, zmap: FeatureMap):
+def _arm_design(data: Dataset, nuis: NuisanceSet | None, arm: int, zmap: FeatureMap):
     """One arm's row indices and their design z, with at least as many rows as features."""
-    if nuis.n != data.n or nuis.m != data.m:
+    if nuis is not None and (nuis.n != data.n or nuis.m != data.m):
         raise ValidationError("nuisance matrices do not conform to the dataset")
     rows = np.flatnonzero(data.actions == arm)
     z = zmap(data.covariates[rows])
@@ -183,7 +197,7 @@ def fit_best_fit(
 
 def fit_on_arm_precision(
     data: Dataset,
-    nuis: NuisanceSet,
+    nuis: NuisanceSet | None,
     arm: int,
     zmap: FeatureMap,
     mode: str = "known_variance",
@@ -192,34 +206,29 @@ def fit_on_arm_precision(
 
     Modes: known_variance weights each row by 1/var_hat(arm|x); ols drops the
     weight; irls refits with inverse squared-residual weights (floored at
-    1e-6) until the coefficient step falls below 1e-8 or 50 iterations.
+    1e-6) until the coefficient step falls below 1e-8 or 50 iterations. Only
+    known_variance reads the nuisances; ols and irls accept nuis=None.
     """
     if mode not in ("known_variance", "ols", "irls"):
         raise ValidationError(f"mode must be known_variance, ols, or irls, got {mode!r}")
     if not 0 <= arm < data.m:
         raise ValidationError(f"arm {arm} outside {{0..{data.m - 1}}}")
+    if nuis is None and mode == "known_variance":
+        raise ValidationError("known_variance mode needs nuisance variances")
     rows, z = _arm_design(data, nuis, arm, zmap)
-    y = data.outcomes[rows]
     context = f"on-arm regression (arm {arm}, mode {mode})"
     # irls starts from the plain fit.
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
-    fit = _solve_wls(z, y, sample_w, "on_arm_precision", arm, context)
-    iterations, converged = 0, mode != "irls"
-    while not converged and iterations < IRLS_MAX_ITER:
-        iterations += 1
-        resid_sq = np.maximum((y - z @ fit.beta) ** 2, IRLS_RESIDUAL_FLOOR)
-        new = _solve_wls(z, y, 1.0 / resid_sq, "on_arm_precision", arm, context,
-                         fit.residual_tol)
-        converged = float(np.abs(new.beta - fit.beta).max()) < IRLS_STEP_TOL
-        fit = new
-    if not converged:
+    fit = _solve_wls(z, data.outcomes[rows], sample_w, "on_arm_precision", arm, context,
+                     irls=mode == "irls")
+    if not fit.converged:
         warnings.warn(
             f"IRLS did not converge within {IRLS_MAX_ITER} iterations for arm {arm}; "
             "returning the last iterate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return replace(fit, iterations=iterations, converged=converged)
+    return fit
 
 
 def fit_dv_overlap(

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from retarget import Dataset, ScenarioSpec, generate, save_dataset
+from retarget import (
+    Dataset,
+    FeatureMap,
+    NuisanceConfig,
+    ScenarioSpec,
+    cross_fit,
+    dr_pseudo_outcomes,
+    generate,
+    load_dataset,
+    make_folds,
+    save_dataset,
+)
 from retarget.cli import EXIT_ESTIMATION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -431,6 +442,175 @@ class TestFit:
         assert psi_path.read_text().startswith("psi_0,psi_1")
 
 
+def _reference_on_arm_fit(path, arm, zmap, mode):
+    """The on-arm path before ols and irls skipped the cross-fit: the old
+    _prepare cross-fitted every nuisance and built the scores for any fit, and
+    the old IRLS loop solved each iterate (checking its estimating equation)
+    and then computed its residual again for the next weights."""
+    data = load_dataset(path)
+    config = NuisanceConfig(folds=2, ridge_lambda=0.0, propensity_clip=0.01,
+                            variance_mode="pooled")
+    folds = make_folds(data.n, 2, seed=0)
+    nuis = cross_fit(data, folds, config)
+    dr_pseudo_outcomes(data, nuis)
+
+    def solve(z, target, sample_w, residual_tol=None):
+        sample_w = sample_w / float(sample_w.max())
+        wz = z * sample_w[:, None]
+        beta = np.linalg.solve(wz.T @ z, wz.T @ target)
+        resid = wz.T @ (target - z @ beta)
+        if residual_tol is None:
+            residual_tol = 1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
+        return beta, float(np.abs(resid).max()), residual_tol
+
+    rows = np.flatnonzero(data.actions == arm)
+    z = zmap(data.covariates[rows])
+    y = data.outcomes[rows]
+    sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known" else np.ones(rows.size)
+    beta, norm, tol = solve(z, y, sample_w)
+    iterations, converged = 0, mode != "irls"
+    while not converged and iterations < 50:
+        iterations += 1
+        resid_sq = np.maximum((y - z @ beta) ** 2, 1e-6)
+        new, norm, tol = solve(z, y, 1.0 / resid_sq, tol)
+        converged = float(np.abs(new - beta).max()) < 1e-8
+        beta = new
+    return {"beta": beta.tolist(), "residual_norm": norm, "residual_tol": tol,
+            "iterations": iterations, "converged": converged}
+
+
+def _fit_file(path) -> dict:
+    out = {}
+    for line in path.read_text().splitlines():
+        if "=" in line and not line.startswith("#"):
+            key, value = line.split("=", 1)
+            out[key] = value
+    betas = [float(out[f"beta_{j}"]) for j in range(sum(k.startswith("beta_") for k in out))]
+    return {"beta": betas, "residual_norm": float(out["residual_norm"]),
+            "residual_tol": float(out["residual_tol"]), "iterations": int(out["iterations"]),
+            "converged": out["converged"] == "True"}
+
+
+def _bits(fit: dict) -> dict:
+    """The fit with every float as its bytes, so that -0.0 and 0.0 differ."""
+    def raw(v):
+        return np.float64(v).tobytes()
+
+    return {**fit, "beta": [raw(v) for v in fit["beta"]],
+            "residual_norm": raw(fit["residual_norm"]), "residual_tol": raw(fit["residual_tol"])}
+
+
+class TestOnArmWithoutCrossFit:
+    """fit --equation on_arm --mode ols|irls reads no nuisance, so it skips
+    the cross-fit and the scores; every option is still checked."""
+
+    @staticmethod
+    def _draw(tmp_path, m, seed):
+        rng = np.random.default_rng(seed)
+        scenario = ScenarioSpec(
+            name=f"m{m}", d=2, m=m, covariate_law="normal",
+            propensity_coef=0.5 * rng.standard_normal((m, 3)),
+            mean_coef=rng.standard_normal((m, 3)), noise_sd=np.linspace(0.5, 1.5, m),
+        )
+        data, _ = generate(scenario, 2_000, seed=seed)
+        path = tmp_path / f"m{m}_{seed}.csv"
+        save_dataset(data, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("m, seed", [(2, 0), (2, 1), (3, 2)])
+    def test_fits_match_the_cross_fitting_path(self, tmp_path, m, seed):
+        path = self._draw(tmp_path, m, seed)
+        irls = []
+        for degree in (1, 2, 3):
+            for arm in (0, 1):
+                for mode in ("known", "ols", "irls"):
+                    out = tmp_path / "fit.txt"
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)  # IRLS at its cap
+                        code = main(["fit", "--equation", "on_arm", "--mode", mode,
+                                     "--arm", str(arm), "--features", f"poly:{degree}",
+                                     "--data", path, "--out", str(out)])
+                    assert code == EXIT_OK
+                    got = _fit_file(out)
+                    want = _reference_on_arm_fit(path, arm, FeatureMap.polynomial(degree), mode)
+                    assert _bits(got) == _bits(want), (degree, arm, mode)
+                    if mode == "irls":
+                        irls.append((got["iterations"], got["converged"]))
+        if m == 2 and seed == 1:
+            # One fit converges, another stops at the 50-iteration cap.
+            assert any(done for _, done in irls), irls
+            assert (50, False) in irls, irls
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--folds", "1"], "fold count must be >= 2, got 1"),
+            (["--clip", "0.7"], "propensity_clip must be in (0, 0.5), got 0.7"),
+            (["--ridge", "-1"], "ridge_lambda must be >= 0, got -1.0"),
+            (["--oracle", "ORACLE"], "ORACLE: oracle nuisances have 20 rows, the dataset 160"),
+        ],
+        ids=["folds", "clip", "ridge", "oracle"],
+    )
+    def test_nuisance_options_are_still_checked(self, binary_csv, tmp_path, capsys, flags,
+                                                message):
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0,0\n" * 20)  # 20 of 160 rows
+        flags = [f.replace("ORACLE", str(oracle)) for f in flags]
+        code = main(["fit", "--equation", "on_arm", "--mode", "irls", "--data", binary_csv]
+                    + flags)
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: {message.replace('ORACLE', str(oracle))}"]
+
+    def test_skips_the_cross_fit_and_the_scores(self, binary_csv, tmp_path, monkeypatch):
+        import retarget.cli as cli
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the on-arm ols and irls fits read no nuisance")
+
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0,0\n" * 160)
+        monkeypatch.setattr(cli, "cross_fit", unused)
+        monkeypatch.setattr(cli, "dr_pseudo_outcomes", unused)
+        for mode in ("ols", "irls"):
+            for extra in ([], ["--oracle", str(oracle)]):
+                argv = ["fit", "--equation", "on_arm", "--mode", mode, "--data", binary_csv]
+                assert main(argv + extra) == EXIT_OK
+
+    def test_dump_psi_still_writes_the_scores(self, binary_csv, tmp_path):
+        on_arm, cate = tmp_path / "on_arm.csv", tmp_path / "cate.csv"
+        for equation, psi in (["on_arm", "--mode", "irls"], on_arm), (["cate"], cate):
+            code = main(["fit", "--equation", *equation, "--data", binary_csv,
+                         "--dump-psi", str(psi), "--out", str(tmp_path / "f.txt")])
+            assert code == EXIT_OK
+        assert on_arm.read_text().startswith("psi_0,psi_1\n")
+        assert on_arm.read_bytes() == cate.read_bytes()
+
+    def test_a_training_fold_without_an_arm(self, tmp_path, capsys):
+        # Arm 1's rows all sit in fold 0, so fold 0's training rows lack it:
+        # cross-fitting fails, and the plain on-arm fits never need it.
+        n = 20
+        fold_of = make_folds(n, 2, seed=0).fold_of
+        a = np.zeros(n, int)
+        a[np.flatnonzero(fold_of == 0)[:3]] = 1
+        rng = np.random.default_rng(0)
+        data = Dataset(covariates=rng.uniform(-1, 1, (n, 1)), actions=a,
+                       outcomes=rng.standard_normal(n), m=2)
+        path = tmp_path / "lopsided.csv"
+        save_dataset(data, str(path))
+        for mode in ("ols", "irls"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(["fit", "--equation", "on_arm", "--mode", mode, "--data", str(path)])
+            assert code == EXIT_OK
+            assert error_lines(capsys) == []
+        for equation in (["best_fit"], ["on_arm", "--mode", "known"]):
+            code = main(["fit", "--equation", *equation, "--data", str(path)])
+            assert code == EXIT_ESTIMATION
+            assert error_lines(capsys) == [
+                "error[EstimationError]: fold 0: arm 1 absent from training data"
+            ]
+
+
 class TestLearn:
     def test_byte_identical_reruns(self, binary_csv, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -442,6 +622,26 @@ class TestLearn:
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         assert b"theta_0=" in a.read_bytes()
+
+    def test_heuristic_at_covariates_near_1e308(self, tmp_path):
+        # 505 rows at d=2 go to the heuristic, whose breakpoints -rest / x at
+        # x = 5e-324 and midpoints near 1e308 overflow: it used to return a NaN
+        # theta and exit 3 as if the file were malformed.
+        rows = [("1.0", 0, -0.0625), ("1e+308", 1, -0.0625), ("5e-324", 0, -0.3125),
+                ("1.0", 1, 0.0625), ("-1.5e+308", 0, 0.25)] * 101
+        data_path, oracle_path = tmp_path / "huge.csv", tmp_path / "oracle.csv"
+        data_path.write_text("x1,x2,a,y\n" + "".join(f"{x},0.0,{a},{y!r}\n" for x, a, y in rows))
+        oracle_path.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0.0,0.0\n" * len(rows))
+        out = tmp_path / "learn.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # margins overflow
+            code = main(["learn", "--data", str(data_path), "--oracle", str(oracle_path),
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        lines = dict(line.split("=", 1) for line in out.read_text().splitlines()[1:])
+        assert lines["exact"] == "False"
+        assert all(np.isfinite(float(lines[f"theta_{j}"])) for j in range(3))
+        assert np.isfinite(float(lines["best_value"]))
 
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"
@@ -717,6 +917,7 @@ class TestFuzzedInputFiles:
            command=st.sampled_from([
                ["fit", "--equation", "cate"],
                ["fit", "--equation", "on_arm", "--mode", "known"],
+               ["fit", "--equation", "on_arm", "--mode", "irls"],
                ["learn", "--weights", "w0"],
            ]),
            with_oracle=st.booleans())

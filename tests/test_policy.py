@@ -424,6 +424,86 @@ class TestLearnLinear:
         assert res.exact
         assert np.array_equal(res.best.act(x)[:2], [1, 0])
 
+    @pytest.mark.parametrize(
+        "x, gain, best",
+        [
+            # 1e-12 apart, rows 0 and 1 are merged (value 0) although treating
+            # row 0 alone is worth 1/3.
+            ([[0.0, 0.0], [1e-12, 0.0], [1.0, 1.0]], [1.0, -1.0, 0.0], 1.0 / 3.0),
+            # Row 2 sits 1e-12 above the line through rows 0 and 1; treating
+            # rows 2 and 3 is worth 1/4.
+            ([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12], [0.0, 1.0]], [-1.0, -1.0, 1.0, 0.0], 0.25),
+            # 2e-14 off the line: 2% of the band, below the band of singular values.
+            ([[0.0, 0.0], [1.0, 0.0], [0.5, 2e-14], [0.0, 1.0]], [-1.0, -1.0, 1.0, 0.0], 0.25),
+            # All rows within the band of one line: the design's rank is in doubt.
+            ([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]], [-1.0, -1.0, 1.0], 1.0 / 3.0),
+        ],
+        ids=["near-duplicate", "near-collinear", "two-percent-of-the-band", "rank-in-doubt"],
+    )
+    def test_points_inside_the_tolerance_band_are_not_certified(self, x, gain, best):
+        # Rows inside the band around a hyperplane but off it by more than
+        # rounding noise may be given one label they need not share, so the
+        # result must not claim to be exact.
+        x = np.array(x)
+        n = x.shape[0]
+        psi = np.column_stack([np.zeros(n), gain])
+        data = Dataset(covariates=x, actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+        w, pseudo = uniform_weights(n), PseudoOutcomes(values=psi)
+        res = learn_linear(w, pseudo, data)
+        assert not res.exact
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+        assert res.best_value <= best
+
+    def test_band_check_keeps_the_search_result(self):
+        # Near-collinear rows (1e-10 off a line) fall inside the band of some
+        # hyperplanes; the flag turns off `exact`, and the theta and value stay
+        # the ones the search found.
+        rng = np.random.default_rng(12)
+        x1 = rng.uniform(-1, 1, 40)
+        x = np.column_stack([x1, 2.0 * x1 + 0.5 + 1e-10 * rng.standard_normal(40)])
+        data = Dataset(covariates=x, actions=np.zeros(40, int), outcomes=np.zeros(40), m=2)
+        pseudo, w = PseudoOutcomes(values=rng.standard_normal((40, 2))), uniform_weights(40)
+        res = learn_linear(w, pseudo, data)
+        _, gain = policy_module._gains(w, pseudo, data)
+        z = np.column_stack([np.ones(40), x])
+        tol = 1e-12 * float(np.abs(z).max())
+        value, theta, lost = policy_module._best_cell(z, gain, tol, 2.0 * tol * np.sqrt(40))
+        assert lost == np.inf
+        assert not res.exact
+        assert res.best.theta.tobytes() == theta.tobytes()
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+
+    @pytest.mark.parametrize(
+        "x, gain, seed",
+        [
+            # A breakpoint -rest / x_j at x = 5e-324 overflows.
+            ([[1.0], [1e308], [5e-324], [1.0], [-1.5e308]], [0.125, -0.125, 0.625, 0.125, -0.5], 0),
+            # A midpoint between two breakpoints near -1e308 overflows.
+            ([[1e300, -1e300], [1e300, -1e300], [1.7e308, 1e300], [-1.7e308, 1e308], [2.0, 0.5],
+              [1.0, 1.0]], [-2.125, 0.125, -0.75, -2.125, 0.125, 1.875], 66),
+        ],
+        ids=["breakpoint", "midpoint"],
+    )
+    def test_heuristic_skips_breakpoints_that_overflow(self, x, gain, seed):
+        # The coordinate search used to return a NaN theta here.
+        x = np.array(x)
+        n = x.shape[0]
+        data = Dataset(covariates=x, actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+        psi = np.column_stack([np.zeros(n), gain])
+        w, pseudo = uniform_weights(n), PseudoOutcomes(values=psi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = learn_linear(w, pseudo, data, seed=seed, force_approx=True)
+            value = weighted_value(res.best, w, pseudo, data)
+        assert not res.exact
+        assert np.all(np.isfinite(res.best.theta))
+        assert np.linalg.norm(res.best.theta) == pytest.approx(1.0)
+        assert res.best_value == value
+
+    def test_unit_scaling_of_a_theta_beyond_1e154(self):
+        with np.errstate(over="ignore"):  # the first norm overflows
+            theta = policy_module._unit(np.array([1e300, -1e300, 0.0]))
+        assert theta.tolist() == [0.7071067811865475, -0.7071067811865475, 0.0]
+
     @settings(max_examples=120, deadline=None)
     @given(_degenerate_instances())
     def test_matches_lp_brute_force_d2_d3(self, instance):

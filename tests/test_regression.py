@@ -273,6 +273,18 @@ class TestFitOnArmPrecision:
                 iterations.append(got.iterations)
         assert min(iterations) >= 2 and max(iterations) >= 10, iterations
 
+    def test_ols_and_irls_read_no_nuisance(self):
+        rng = np.random.default_rng(5)
+        data, nuis = make_binary_data(
+            rng, 150, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=1.0
+        )
+        zmap = FeatureMap.parse("poly:2")
+        for mode in ("ols", "irls"):
+            _assert_same_fit(fit_on_arm_precision(data, None, 1, zmap, mode),
+                             fit_on_arm_precision(data, nuis, 1, zmap, mode), mode)
+        with pytest.raises(ValidationError, match="^known_variance mode needs nuisance variances$"):
+            fit_on_arm_precision(data, None, 1, zmap, "known_variance")
+
     def test_bad_mode_rejected(self):
         rng = np.random.default_rng(6)
         data, nuis = make_binary_data(rng, 50, lambda x: x, lambda x: np.full_like(x, 0.5))
