@@ -8,6 +8,7 @@ output header so results can be replayed exactly. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,11 +73,10 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dump-psi", default=None, help="optionally dump the score matrix as CSV")
 
 
-def _prepare(args: argparse.Namespace, nuisances: bool = True):
-    """The dataset, its nuisances and their doubly robust scores. Every option
-    and the oracle file are checked either way; with nuisances=False and no
-    --dump-psi, cross-fitting and the scores are skipped, and the scores (and,
-    without --oracle, the nuisances) come back as None."""
+def _prepare(args: argparse.Namespace):
+    """The dataset and getters of its nuisances and their doubly robust scores,
+    each built on its first call and at most once. Every option and the oracle
+    file are checked here; --dump-psi builds and writes the scores at once."""
     data = load_dataset(args.data)
     oracle = load_oracle_nuisances(args.oracle) if args.oracle else None
     config = NuisanceConfig(
@@ -86,19 +86,16 @@ def _prepare(args: argparse.Namespace, nuisances: bool = True):
         variance_mode=args.variance,
     )
     folds = make_folds(data.n, args.folds, seed=args.seed)
-    scores = nuisances or bool(args.dump_psi)
+    nuis = functools.cache(lambda: cross_fit(data, folds, config))
     if oracle is not None:
         try:
-            nuis = oracle.nuisance_set(data, args.variance)
+            fixed = oracle.nuisance_set(data, args.variance)
         except ValidationError as exc:
             raise ValidationError(f"{args.oracle}: {exc}") from None
-    elif scores:
-        nuis = cross_fit(data, folds, config)
-    else:
-        return data, None, None
-    pseudo = dr_pseudo_outcomes(data, nuis) if scores else None
+        nuis = lambda: fixed
+    pseudo = functools.cache(lambda: dr_pseudo_outcomes(data, nuis()))
     if args.dump_psi:
-        dump_pseudo_outcomes(pseudo, args.dump_psi)
+        dump_pseudo_outcomes(pseudo(), args.dump_psi)
     return data, nuis, pseudo
 
 
@@ -122,19 +119,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     zmap = FeatureMap.parse(args.features)
-    # The ols and irls on-arm fits read no nuisance.
-    data, nuis, pseudo = _prepare(args, args.equation != "on_arm" or args.mode == "known")
+    data, nuis, pseudo = _prepare(args)
+    if args.equation in ("best_fit", "cate"):
+        # Scores before weights: a bad --weights behind bad scores reports the scores.
+        psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
     if args.equation == "best_fit":
-        w = make_weights(args.weights, nuis, gap_floor=args.delta_floor)
-        fit = fit_best_fit(pseudo.values[:, args.arm], w, zmap, data)
+        fit = fit_best_fit(psi.values[:, args.arm], w, zmap, data)
     elif args.equation == "on_arm":
+        # The ols and irls on-arm fits read no nuisance.
         mode = {"known": "known_variance", "ols": "ols", "irls": "irls"}[args.mode]
-        fit = fit_on_arm_precision(data, nuis, args.arm, zmap, mode=mode)
+        fit = fit_on_arm_precision(data, nuis() if mode == "known_variance" else None, args.arm,
+                                   zmap, mode=mode)
     elif args.equation == "dv":
-        fit = fit_dv_overlap(data, nuis, args.arm, zmap)
+        fit = fit_dv_overlap(data, nuis(), args.arm, zmap)
     else:
-        w = make_weights(args.weights, nuis, gap_floor=args.delta_floor)
-        fit = fit_cate(data, pseudo, w, zmap)
+        fit = fit_cate(data, psi, w, zmap)
 
     header = _config_header("fit", args)
     lines = [header]
@@ -166,17 +165,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     data, nuis, pseudo = _prepare(args)
-    w = make_weights(args.weights, nuis, gap_floor=args.delta_floor)
+    psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
     lines = [_config_header("learn", args)]
     if args.policy_class == "linear":
-        result = learn_linear(w, pseudo, data, seed=args.seed)
+        result = learn_linear(w, psi, data, seed=args.seed)
         lines.append("class=linear")
         lines.append(f"exact={result.exact}")
         for j, t in enumerate(result.best.theta):
             lines.append(f"theta_{j}={float(t)!r}")
     elif args.policy_class.startswith("finite:"):
         policy_class = load_policy_class(args.policy_class.split(":", 1)[1], m=data.m, d=data.d)
-        result = learn_finite(policy_class, w, pseudo, data)
+        result = learn_finite(policy_class, w, psi, data)
         lines.append(f"class=finite({policy_class.size})")
         lines.append(f"best_index={result.best_index}")
         lines.append(f"value_gap={result.value_gap!r}")

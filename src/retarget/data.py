@@ -148,7 +148,7 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
         xcols = [h for h in header if h not in ("a", "y")]
         if xcols != [f"x{i + 1}" for i in range(len(xcols))]:
             raise ValidationError(
-                f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
+                f"{path}: covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
             )
         return xcols + ["a", "y"]
 

@@ -230,7 +230,10 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
                 fields[key] = convert(entry.get(key, default))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}: scenario {i}: {key}: {exc}") from None
-        out.append(ScenarioSpec(**fields))
+        try:
+            out.append(ScenarioSpec(**fields))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: scenario {i}: {exc}") from None
     return out
 
 

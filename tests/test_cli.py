@@ -157,13 +157,18 @@ class TestSimulate:
             ({"m": True}, "{path}: scenario 1: m: expected an integer, got True"),
             ({"mean_degree": True}, "{path}: scenario 1: mean_degree: expected an integer, got True"),
             ({"mean_coef": [[0.0, 0.0], [0.5]]}, "{path}: scenario 1: mean_coef: setting an array element"),
-            # ScenarioSpec's own checks do not name the file.
-            ({"noise_sd": [1.0, 1.0, 1.0]}, "noise_sd must be a scalar or (2,), got (3,)"),
+            # ScenarioSpec's own checks name the file and the scenario too.
+            ({"noise_sd": [1.0, 1.0, 1.0]},
+             "{path}: scenario 1: noise_sd must be a scalar or (2,), got (3,)"),
+            ({"covariate_law": "cauchy"},
+             "{path}: scenario 1: covariate_law must be uniform or normal, got 'cauchy'"),
+            ({"propensity_coef": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]},
+             "{path}: scenario 1: propensity_coef must be (2, 2), got (2, 3)"),
             (None, "{path}: scenario 1: expected an object, got list"),
         ],
         ids=["d", "m", "noise_sd", "null", "infinite-d", "fractional-d", "fractional-m",
              "fractional-degree", "bool-d", "bool-m", "bool-degree", "ragged", "noise-length",
-             "not-an-object"],
+             "law", "propensity-shape", "not-an-object"],
     )
     def test_malformed_scenario_is_invalid(self, tmp_path, capsys, change, message):
         import json
@@ -283,6 +288,16 @@ class TestFit:
     def test_missing_file_exits_invalid(self, capsys):
         code = main(["fit", "--equation", "cate", "--data", "/nonexistent.csv"])
         assert code == EXIT_INVALID
+
+    def test_covariate_header_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "x2.csv"
+        path.write_text("x2,a,y\n0.5,0,1.0\n-0.5,1,2.0\n")
+        code = main(["fit", "--equation", "cate", "--data", str(path)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {path}: covariate columns must be named x1..x1 in order, "
+            "got ['x2']"
+        ]
 
     def test_oracle_nuisances_file(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -502,7 +517,8 @@ def _bits(fit: dict) -> dict:
 
 class TestOnArmWithoutCrossFit:
     """fit --equation on_arm --mode ols|irls reads no nuisance, so it skips
-    the cross-fit and the scores; every option is still checked."""
+    the cross-fit and the scores, and dv and on_arm --mode known build no
+    scores; every option is still checked."""
 
     @staticmethod
     def _draw(tmp_path, m, seed):
@@ -575,6 +591,43 @@ class TestOnArmWithoutCrossFit:
             for extra in ([], ["--oracle", str(oracle)]):
                 argv = ["fit", "--equation", "on_arm", "--mode", mode, "--data", binary_csv]
                 assert main(argv + extra) == EXIT_OK
+
+    def test_dv_and_known_build_no_scores(self, binary_csv, tmp_path, monkeypatch):
+        import retarget.cli as cli
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the dv and known-variance fits read no scores")
+
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1,var_0,var_1\n" + "0.5,0.5,0,0,1,1\n" * 160)
+        monkeypatch.setattr(cli, "dr_pseudo_outcomes", unused)
+        for equation in (["dv"], ["on_arm", "--mode", "known"]):
+            for extra in ([], ["--oracle", str(oracle)]):
+                argv = ["fit", "--equation", *equation, "--data", binary_csv]
+                assert main(argv + extra) == EXIT_OK
+
+    def test_overflowing_scores_stop_only_the_fits_that_read_them(self, tmp_path, capsys):
+        # y = 1e300 over a propensity of 1e-16 overflows row 0's arm-0 score.
+        n = 40
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(n)
+        y[0] = 1e300
+        data = Dataset(covariates=rng.uniform(-1, 1, (n, 1)), actions=np.arange(n) % 2,
+                       outcomes=y, m=2)
+        path, oracle = tmp_path / "big.csv", tmp_path / "oracle.csv"
+        save_dataset(data, str(path))
+        phi_0 = [1e-16] + [0.5] * (n - 1)
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1,var_0,var_1\n" + "".join(
+            f"{p!r},{1 - p!r},0,0,1,1\n" for p in phi_0))
+        base = ["fit", "--data", str(path), "--oracle", str(oracle), "--arm", "0"]
+        for equation in (["dv"], ["on_arm", "--mode", "known"]):
+            assert main(base + ["--equation", *equation]) == EXIT_OK
+            assert error_lines(capsys) == []
+        with np.errstate(over="ignore"):
+            assert main(base + ["--equation", "cate"]) == EXIT_INVALID
+        assert error_lines(capsys) == [
+            "error[ValidationError]: pseudo-outcome matrix contains non-finite entries"
+        ]
 
     def test_dump_psi_still_writes_the_scores(self, binary_csv, tmp_path):
         on_arm, cate = tmp_path / "on_arm.csv", tmp_path / "cate.csv"

@@ -158,7 +158,7 @@ def _reference_load(path):
         xcols = [h for h in header if h not in ("a", "y")]
         if xcols != [f"x{i + 1}" for i in range(len(xcols))]:
             raise ValidationError(
-                f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
+                f"{path}: covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
             )
         idx = {name: header.index(name) for name in header}
         xs, acts, ys = [], [], []

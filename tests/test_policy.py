@@ -65,6 +65,27 @@ def brute_force_argmax(policies, w, pseudo, data):
     return best_idx, best_val, gap
 
 
+class TwoPerRow:
+    """A policy that returns two actions per row."""
+
+    def act(self, x):
+        return np.zeros((x.shape[0], 2), dtype=int)
+
+
+class MinusOne:
+    """A policy that returns the action -1 on every row."""
+
+    def act(self, x):
+        return np.full(x.shape[0], -1)
+
+
+class HalfStep:
+    """A policy that returns the non-integer action 0.5 on every row."""
+
+    def act(self, x):
+        return np.full(x.shape[0], 0.5)
+
+
 class TestWeightedValue:
     def test_constant_policy_is_column_mean(self):
         rng = np.random.default_rng(0)
@@ -105,10 +126,6 @@ class TestWeightedValue:
             weighted_value(ConstantPolicy(2), uniform_weights(25), pseudo, data)
 
     def test_actions_of_the_wrong_shape_rejected(self):
-        class TwoPerRow:
-            def act(self, x):
-                return np.zeros((x.shape[0], 2), dtype=int)
-
         rng = np.random.default_rng(3)
         data, pseudo = plain_data(rng, 25, 1)
         with pytest.raises(ValidationError, match=r"shape \(25, 2\), expected \(25,\)"):
@@ -951,6 +968,248 @@ class TestTrueRegret:
                 kwargs = dict(population=population, n_eval=3_001, seed=seed)
                 assert true_regret(pi, scenario, **kwargs) == \
                     self._reference_true_regret(pi, scenario, **kwargs)
+
+
+class TestRegretActionContract:
+    """true_regret and the simulate regret sample take a policy's entries off
+    the loss table through the same checked gather as weighted_value."""
+
+    @pytest.mark.parametrize("policy, message",
+                             [(MinusOne(), r"outside \{0..m-1\}"),
+                              (TwoPerRow(), r"shape \(1000, 2\), expected \(1000,\)")],
+                             ids=["minus-one", "two-per-row"])
+    def test_bad_actions_rejected(self, policy, message):
+        scenario = default_scenarios()[0]
+        with pytest.raises(ValidationError, match=message):
+            true_regret(policy, scenario, n_eval=1_000)
+        sample = policy_module._RegretSample().draw(scenario, 1_000, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            sample.shortfall(policy)
+
+    def test_non_integer_actions_rejected(self):
+        # As at take: a float action is not cast (0.5 never reads as arm 0).
+        rng = np.random.default_rng(4)
+        data, pseudo = plain_data(rng, 25, 1)
+        sample = policy_module._RegretSample().draw(default_scenarios()[0], 1_000, seed=0)
+        for call in (lambda: weighted_value(HalfStep(), uniform_weights(25), pseudo, data),
+                     lambda: sample.shortfall(HalfStep())):
+            with pytest.raises(TypeError, match="Cannot cast"):
+                call()
+
+    def test_an_empty_sample_is_no_error(self):
+        sample = policy_module._RegretSample().draw(default_scenarios()[0], 0, seed=0)
+        assert sample.shortfall(ConstantPolicy(1)).shape == (0,)
+
+
+def _reference_lex_smaller(a, b):
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return False
+
+
+def _reference_value(pi, scored, data):
+    """weighted_value's and learn_finite's gather before the regret sample
+    shared it."""
+    actions = np.asarray(pi.act(data.covariates))
+    if actions.shape != (data.n,):
+        raise ValidationError(f"policy returned shape {actions.shape}, expected ({data.n},)")
+    if actions.min() < 0 or actions.max() >= data.m:
+        raise ValidationError("policy returned an action outside {0..m-1}")
+    return float(np.mean(scored.take(actions * data.n + np.arange(data.n))))
+
+
+def _reference_shortfall(sample, pi):
+    """The regret sample's gather before it checked its actions: only an
+    action past the last arm's row raised, through take's IndexError."""
+    n = sample.rows.size
+    idx = np.multiply(pi.act(sample.x), n, out=np.empty(n, np.intp))
+    idx += sample.rows
+    try:
+        return sample.loss.ravel().take(idx)
+    except IndexError:
+        raise ValidationError("policy returned an action outside {0..m-1}") from None
+
+
+def _reference_gains(w, pseudo, data):
+    base = float(np.mean(w.weights * pseudo.values[:, 0]))
+    return base, w.weights * (pseudo.values[:, 1] - pseudo.values[:, 0]) / data.n
+
+
+def _reference_threshold_theta(w, pseudo, data):
+    """The d=1 sweep's theta under its two-slot tie rule: the smallest
+    unit-norm theta, else the smallest unscaled theta whose unit loses its cut."""
+    base, gain = _reference_gains(w, pseudo, data)
+    order, starts, cuts, below = policy_module._sweep_1d(data)
+    x = data.covariates[:, 0]
+    prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
+    total = prefix[-1]
+    values = base + np.concatenate([[total, 0.0], total - prefix[below], prefix[below]])
+    best = [None, None]
+    for r in np.flatnonzero(values == float(values.max())):
+        if r < 2:
+            theta = np.array([1.0, 0.0]) if r == 0 else np.array([-1.0, 0.0])
+            labels = np.full(data.n, r == 0)
+        else:
+            c = cuts[(r - 2) % cuts.size]
+            upper = r - 2 < cuts.size
+            labels = x > c if upper else ~(x > c)
+            lower_c = np.nextafter(c, np.inf) if np.any(x == c) else c
+            theta = np.array([-c, 1.0]) if upper else np.array([lower_c, -1.0])
+        unit = policy_module._unit(theta)
+        lost = not np.array_equal(unit[0] + x * unit[1] > 0, labels)
+        if lost and not np.array_equal(theta[0] + x * theta[1] > 0, labels):
+            continue
+        theta = theta if lost else unit
+        if best[lost] is None or _reference_lex_smaller(theta, best[lost]):
+            best[lost] = theta
+    return best[1] if best[0] is None else best[0]
+
+
+def _reference_approx_theta(w, pseudo, data, seed):
+    """The heuristic's theta under its running best: a higher value wins, an
+    equal one goes to the lexicographically smaller unit theta."""
+    z = policy_module.add_intercept(data.covariates)
+    base, gain = _reference_gains(w, pseudo, data)
+    rng = np.random.default_rng(seed)
+    starts = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
+    starts += [rng.standard_normal(data.d + 1) for _ in range(policy_module._APPROX_STARTS)]
+    best_value, best_theta = -np.inf, None
+    for theta in starts:
+        value = base + float(gain[z @ theta > 0].sum())
+        for _ in range(policy_module._APPROX_MAX_PASSES):
+            improved = False
+            for j in range(data.d + 1):
+                theta, new_value = policy_module._refine_coordinate(z, theta, j, base, gain)
+                if new_value > value + 1e-12:
+                    value, improved = new_value, True
+            if not improved:
+                break
+        cand = policy_module._unit(theta)
+        if value > best_value:
+            best_value, best_theta = value, cand
+        elif value == best_value and _reference_lex_smaller(cand, best_theta):
+            best_theta = cand
+    return best_theta
+
+
+def _tie_instance(x, gains):
+    """x as an (n, d) dataset with scores whose effect column is `gains`
+    ("zero": every candidate ties; "normal": seeded draws; "signs": +-1)."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    n = x.shape[0]
+    rng = np.random.default_rng(n)
+    effect = {"zero": np.zeros(n), "normal": rng.standard_normal(n),
+              "signs": np.where(np.arange(n) % 2 == 0, 1.0, -1.0)}[gains]
+    arm0 = rng.standard_normal(n)
+    data = Dataset(covariates=x, actions=np.arange(n) % 2, outcomes=np.zeros(n), m=2)
+    return data, PseudoOutcomes(values=np.column_stack([arm0, arm0 + effect]))
+
+
+_TIE_X_1D = {
+    "uniform": np.random.default_rng(0).uniform(-1, 1, 40),
+    "duplicated": np.repeat(np.random.default_rng(1).uniform(-1, 1, 8), 5),
+    "integer-grid": np.tile(np.arange(-2.0, 3.0), 3),
+    "adjacent-floats": [1.0, np.nextafter(1.0, 2.0), 1.0, 2.0],
+    "subnormal": [0.0, 5e-324, -5e-324],
+    "1e17-pair": [1e17, 1e17 + 16],
+    "1e17-triple": [-1e17, 1e17 + 32, 1e17 + 16],
+}
+
+
+class TestOneTieRuleAndGather:
+    """The single gather and the min-over-keys tie rules give the bits of the
+    copies they replaced: `_value`, the d=1 two-slot best and the heuristic's
+    running best."""
+
+    @staticmethod
+    def _schemes(data):
+        return [uniform_weights(data.n), WeightScheme.from_raw(
+            "w", np.random.default_rng(data.n + 1).uniform(0.2, 3.0, data.n))]
+
+    def _assert_same(self, res, theta, w, pseudo, data, exact):
+        scored = policy_module._scored(w, pseudo, data)
+        assert res.best.theta.tobytes() == theta.tobytes()
+        want = _reference_value(LinearPolicy(theta=theta), scored, data)
+        assert np.float64(res.best_value).tobytes() == np.float64(want).tobytes()
+        assert res.exact is exact
+
+    @pytest.mark.parametrize("x", list(_TIE_X_1D.values()), ids=list(_TIE_X_1D))
+    @pytest.mark.parametrize("gains", ["zero", "normal", "signs"])
+    def test_threshold_sweep_ties(self, x, gains):
+        data, pseudo = _tie_instance(x, gains)
+        for w in self._schemes(data):
+            with np.errstate(over="ignore"):
+                res = learn_linear(w, pseudo, data)
+            self._assert_same(res, _reference_threshold_theta(w, pseudo, data), w, pseudo,
+                              data, exact=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["uniform", "duplicated", "integer-grid"])
+    @pytest.mark.parametrize("gains", ["zero", "normal", "signs"])
+    def test_heuristic_ties(self, d, layout, gains):
+        rng = np.random.default_rng(10 * d)
+        x = {"uniform": rng.uniform(-1, 1, (30, d)),
+             "duplicated": np.repeat(rng.uniform(-1, 1, (6, d)), 5, axis=0),
+             "integer-grid": rng.integers(-2, 3, (30, d))}[layout]
+        data, pseudo = _tie_instance(x, gains)
+        for w in self._schemes(data):
+            for seed in (0, 3):
+                res = learn_linear(w, pseudo, data, seed=seed, force_approx=True)
+                self._assert_same(res, _reference_approx_theta(w, pseudo, data, seed), w,
+                                  pseudo, data, exact=False)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_values_keep_the_gather_bits(self, m):
+        rng = np.random.default_rng(70 + m)
+        n = 211
+        data = Dataset(covariates=rng.standard_normal((n, 2)), actions=np.arange(n) % m,
+                       outcomes=np.zeros(n), m=m)
+        pseudo = PseudoOutcomes(values=rng.standard_normal((n, m)))
+        w = WeightScheme.from_raw("w", rng.uniform(0.05, 3.0, n))
+        policies = [ConstantPolicy(a) for a in range(m)]
+        policies += [LinearPolicy(rng.standard_normal(3)) for _ in range(20)]
+        scored = policy_module._scored(w, pseudo, data)
+        want = np.array([_reference_value(pi, scored, data) for pi in policies])
+        assert learn_finite(PolicyClass.finite(policies), w, pseudo, data).values.tobytes() \
+            == want.tobytes()
+        for pi, value in zip(policies, want):
+            assert np.float64(weighted_value(pi, w, pseudo, data)).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("policy", [ConstantPolicy(2), MinusOne(), TwoPerRow()],
+                             ids=["past-the-data-arms", "minus-one", "two-per-row"])
+    def test_score_matrix_wider_than_the_data_still_rejects(self, policy):
+        # Three score columns over two-arm data: action 2 lies inside the
+        # table but outside the data's arms.
+        rng = np.random.default_rng(9)
+        data, _ = plain_data(rng, 25, 1)
+        pseudo = PseudoOutcomes(values=rng.standard_normal((25, 3)))
+        w = uniform_weights(25)
+        scored = policy_module._scored(w, pseudo, data)
+        with pytest.raises(ValidationError) as want:
+            _reference_value(policy, scored, data)
+        for call in (lambda: weighted_value(policy, w, pseudo, data),
+                     lambda: learn_finite(PolicyClass.finite([ConstantPolicy(0), policy]), w,
+                                          pseudo, data)):
+            with pytest.raises(ValidationError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_shortfall_keeps_the_reference_bits(self, seed):
+        three_arms = ScenarioSpec(
+            name="m3", d=2, m=3, covariate_law="normal", propensity_coef=np.zeros((3, 3)),
+            mean_coef=np.array([[0.0, 0.3, -0.2], [0.1, -0.5, 0.4], [-0.1, 0.2, 0.6]]),
+            noise_sd=np.ones(3),
+        )
+        rng = np.random.default_rng(seed)
+        sample = policy_module._RegretSample()
+        for scenario in (default_scenarios()[0], three_arms):
+            sample.draw(scenario, 2_001, seed)
+            policies = [ConstantPolicy(a) for a in range(scenario.m)]
+            policies += [LinearPolicy(rng.standard_normal(scenario.d + 1)) for _ in range(3)]
+            for pi in policies:
+                assert sample.shortfall(pi).tobytes() == _reference_shortfall(sample, pi).tobytes()
 
 
 class TestPolicyClassFile:
