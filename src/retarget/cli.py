@@ -14,12 +14,14 @@ import sys
 
 import numpy as np
 
-from .data import load_dataset, make_folds
+from .data import _input_file, load_dataset, make_folds
 from .errors import EstimationError, ValidationError
 from .nuisance import NuisanceConfig, cross_fit, load_oracle_nuisances
 from .policy import learn_linear, learn_finite, load_policy_class
 from .pseudo import dr_pseudo_outcomes, dump_pseudo_outcomes
-from .regression import FeatureMap, fit_best_fit, fit_cate, fit_dv_overlap, fit_on_arm_precision
+from .regression import (
+    FeatureMap, _check_arm, fit_best_fit, fit_cate, fit_dv_overlap, fit_on_arm_precision,
+)
 from .simulation import (
     DEFAULT_SCHEMES,
     default_scenarios,
@@ -88,10 +90,8 @@ def _prepare(args: argparse.Namespace):
     folds = make_folds(data.n, args.folds, seed=args.seed)
     nuis = functools.cache(lambda: cross_fit(data, folds, config))
     if oracle is not None:
-        try:
+        with _input_file(args.oracle):
             fixed = oracle.nuisance_set(data, args.variance)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.oracle}: {exc}") from None
         nuis = lambda: fixed
     pseudo = functools.cache(lambda: dr_pseudo_outcomes(data, nuis()))
     if args.dump_psi:
@@ -124,6 +124,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         # Scores before weights: a bad --weights behind bad scores reports the scores.
         psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
     if args.equation == "best_fit":
+        _check_arm(args.arm, data.m)
         fit = fit_best_fit(psi.values[:, args.arm], w, zmap, data)
     elif args.equation == "on_arm":
         # The ols and irls on-arm fits read no nuisance.

@@ -66,12 +66,12 @@ class Dataset:
             raise ValidationError(
                 f"action label {a[bad]} at row {bad} outside {{0..{self.m - 1}}}"
             )
-        if not np.all(np.isfinite(x)):
-            i, j = np.argwhere(~np.isfinite(x))[0]
-            raise ValidationError(f"non-finite covariate at row {i}, column x{j + 1}")
         if not np.all(np.isfinite(y)):
             i = int(np.argmax(~np.isfinite(y)))
-            raise ValidationError(f"non-finite outcome at row {i}")
+            raise ValidationError(f"non-finite outcome at row {i}, column 'y'")
+        if not np.all(np.isfinite(x)):
+            i, j = np.argwhere(~np.isfinite(x))[0]
+            raise ValidationError(f"non-finite covariate at row {i}, column 'x{j + 1}'")
         object.__setattr__(self, "covariates", _freeze(x))
         object.__setattr__(self, "actions", _freeze(a))
         object.__setattr__(self, "outcomes", _freeze(y))
@@ -118,16 +118,24 @@ class FoldAssignment:
 
 
 @contextmanager
-def _open_text(path: str, newline: str | None = None):
-    """Open a UTF-8 text file for reading. A byte that does not decode, met by
-    any read inside the with-block, raises ValidationError naming the file."""
+def _input_file(label: str, *kinds: type[Exception]):
+    """Name an input file in its errors: a ValidationError, a byte that does
+    not decode as UTF-8, a csv.Error or an exception of `kinds`, raised inside
+    the with-block, leaves as one ValidationError "<label>: <message>". Nested
+    blocks label a part of the file (a line, an entry); the innermost wins."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
-            yield fh
+        yield
     except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        ) from None
+        message = f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+    except (ValidationError, csv.Error, *kinds) as exc:
+        if getattr(exc, "labelled", False):
+            raise
+        message = str(exc)
+    else:
+        return
+    error = ValidationError(f"{label}: {message}")
+    error.labelled = True
+    raise error from None
 
 
 def load_dataset(path: str, m: int | None = None) -> Dataset:
@@ -144,42 +152,38 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
     def columns(header: list[str]) -> list[str]:
         for col in ("a", "y"):
             if col not in header:
-                raise ValidationError(f"{path}: missing column {col!r}")
+                raise ValidationError(f"missing column {col!r}")
         xcols = [h for h in header if h not in ("a", "y")]
         if xcols != [f"x{i + 1}" for i in range(len(xcols))]:
             raise ValidationError(
-                f"{path}: covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
+                f"covariate columns must be named x1..x{len(xcols)} in order, got {xcols}"
             )
         return xcols + ["a", "y"]
 
-    cols = _read_csv(path, columns, label="a")
-    xcols = list(cols)[:-2]
-    actions = np.ascontiguousarray(cols["a"])
-    y_arr = np.ascontiguousarray(cols["y"])
-    x_arr = np.empty((actions.size, len(xcols)))
-    for j, name in enumerate(xcols):
-        x_arr[:, j] = cols[name]
-    if not np.all(np.isfinite(y_arr)):
-        bad = int(np.argmax(~np.isfinite(y_arr)))
-        raise ValidationError(f"{path}: non-finite outcome at row {bad}, column 'y'")
-    if not np.all(np.isfinite(x_arr)):
-        i, j = np.argwhere(~np.isfinite(x_arr))[0]
-        raise ValidationError(f"{path}: non-finite covariate at row {i}, column {xcols[j]!r}")
-    top = int(actions.max())
-    # n rows cannot hold n + 1 labels, so when the top label is n or more a
-    # gap lies below n: counting labels clipped at n finds the first one
-    # without allocating a counter per label.
-    counts = np.bincount(np.minimum(actions, actions.size))
-    if np.any(counts[:top] == 0):
-        raise ValidationError(
-            f"{path}: action label {int(np.argmax(counts == 0))} never appears, but labels "
-            f"run up to {top}; every label from 0 to the largest must be present"
-        )
-    if m is None and top < 1:
-        raise ValidationError(f"{path}: every action is 0; at least two arms are needed")
-    if m is not None and m < 2:
-        raise ValidationError(f"{path}: action count m must be >= 2, got {m}")
-    return Dataset(covariates=x_arr, actions=actions, outcomes=y_arr, m=top + 1 if m is None else m)
+    with _input_file(path):
+        cols = _read_csv(path, columns, label="a")
+        actions = np.ascontiguousarray(cols.pop("a"))
+        y_arr = np.ascontiguousarray(cols.pop("y"))
+        x_arr = np.empty((actions.size, len(cols)))
+        for j, column in enumerate(cols.values()):
+            x_arr[:, j] = column
+        top = int(actions.max())
+        # Dataset's checks of the cells come first; m=2 lets an all-zero file
+        # through them, to be named below.
+        dataset = Dataset(covariates=x_arr, actions=actions, outcomes=y_arr,
+                          m=max(top + 1, 2) if m is None else m)
+        # n rows cannot hold n + 1 labels, so when the top label is n or more a
+        # gap lies below n: counting labels clipped at n finds the first one
+        # without allocating a counter per label.
+        counts = np.bincount(np.minimum(actions, actions.size))
+        if np.any(counts[:top] == 0):
+            raise ValidationError(
+                f"action label {int(np.argmax(counts == 0))} never appears, but labels "
+                f"run up to {top}; every label from 0 to the largest must be present"
+            )
+        if m is None and top < 1:
+            raise ValidationError("every action is 0; at least two arms are needed")
+    return dataset
 
 
 def _read_csv(path: str, columns, label: str | None = None) -> dict[str, np.ndarray]:
@@ -194,12 +198,12 @@ def _read_csv(path: str, columns, label: str | None = None) -> dict[str, np.ndar
     # numpy reads a path string as a URL when it looks like one; an absolute
     # path never does.
     full = os.path.join(os.getcwd(), path)
-    with _open_text(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         head = []  # the lines the header row spans
         try:
             header = next(csv.reader(head.append(line) or line for line in fh))
         except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+            raise ValidationError("empty file") from None
         names = columns(header)
         # numpy would open a name with a compression suffix through a
         # decompressor, and a pipe cannot be read twice: their bodies are read
@@ -231,13 +235,13 @@ def _read_csv(path: str, columns, label: str | None = None) -> dict[str, np.ndar
             table = None
     if table is None:
         if body is None:
-            with _open_text(path, newline="") as fh:
+            with open(path, newline="", encoding="utf-8") as fh:
                 for _ in head:
                     fh.readline()
                 body = fh.read()
-        table = _parse_rows(path, body, header, names, il, dtype)
+        table = _parse_rows(body, header, names, il, dtype)
     if table.size == 0:
-        raise ValidationError(f"{path}: no data rows")
+        raise ValidationError("no data rows")
     return {name: table[f"f{header.index(name)}"] for name in names}
 
 
@@ -256,7 +260,7 @@ def _line_feeds(path: str) -> tuple[int, bool, bytes]:
     return n_lf, lone_cr, last
 
 
-def _parse_rows(path: str, body: str, header: list[str], names: list[str], il: int, dtype):
+def _parse_rows(body: str, header: list[str], names: list[str], il: int, dtype):
     """Parse the data lines one cell at a time, naming the first bad row: each
     needs one cell per header column, the named cells must be floats, and the
     cell in column `il` (if il >= 0) a nonnegative int64 action label."""
@@ -264,28 +268,22 @@ def _parse_rows(path: str, body: str, header: list[str], names: list[str], il: i
     records = []
     for rownum, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
         if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: row {rownum} has {len(row)} cells, header has {len(header)}"
-            )
+            raise ValidationError(f"row {rownum} has {len(row)} cells, header has {len(header)}")
         record = [0.0] * len(header)
         try:
             for j in floats:
                 record[j] = float(row[j])
         except ValueError as exc:
-            raise ValidationError(f"{path}: non-numeric cell at row {rownum}: {exc}") from None
+            raise ValidationError(f"non-numeric cell at row {rownum}: {exc}") from None
         if il >= 0:
             try:
                 record[il] = a_val = int(row[il])
             except ValueError:
-                raise ValidationError(
-                    f"{path}: action {row[il]!r} at row {rownum} is not an integer"
-                ) from None
+                raise ValidationError(f"action {row[il]!r} at row {rownum} is not an integer") from None
             if a_val < 0:
-                raise ValidationError(f"{path}: action label {a_val} at row {rownum} is negative")
+                raise ValidationError(f"action label {a_val} at row {rownum} is negative")
             if a_val > np.iinfo(np.int64).max:
-                raise ValidationError(
-                    f"{path}: action label {a_val} at row {rownum} is beyond the int64 range"
-                )
+                raise ValidationError(f"action label {a_val} at row {rownum} is beyond the int64 range")
         records.append(tuple(record))
     return np.array(records, dtype)
 

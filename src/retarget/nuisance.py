@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, _read_csv
+from .data import Dataset, FoldAssignment, _input_file, _read_csv
 from .errors import EstimationError, ValidationError
 
 VARIANCE_FLOOR = 1e-12
@@ -292,7 +292,7 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     )
 
 
-def _arm_columns(path: str, header: list[str], prefix: str) -> list[str]:
+def _arm_columns(header: list[str], prefix: str) -> list[str]:
     """The header's columns named prefix + <arm number>, in arm order. The
     arm numbers must be 0..k-1 for a group of k columns, each once."""
     cols = [h for h in header if h.startswith(prefix)]
@@ -301,10 +301,10 @@ def _arm_columns(path: str, header: list[str], prefix: str) -> list[str]:
         try:
             arms.append(int(name[len(prefix):]))
         except ValueError:
-            raise ValidationError(f"{path}: column {name!r} is not {prefix}<arm number>") from None
+            raise ValidationError(f"column {name!r} is not {prefix}<arm number>") from None
     if sorted(arms) != list(range(len(arms))):
         raise ValidationError(
-            f"{path}: {prefix}* columns must number the arms 0..{len(arms) - 1} once each, "
+            f"{prefix}* columns must number the arms 0..{len(arms) - 1} once each, "
             f"got {cols}"
         )
     return sorted(cols, key=lambda name: int(name[len(prefix):]))
@@ -318,17 +318,16 @@ def load_oracle_nuisances(path: str) -> OracleNuisances:
     groups = []
 
     def columns(header: list[str]) -> list[str]:
-        groups.extend(_arm_columns(path, header, prefix) for prefix in ("phi_", "mu_", "var_"))
+        groups.extend(_arm_columns(header, prefix) for prefix in ("phi_", "mu_", "var_"))
         phi_cols, mu_cols, var_cols = groups
         if not phi_cols or len(phi_cols) != len(mu_cols):
-            raise ValidationError(
-                f"{path}: need matching phi_*/mu_* column groups, got {header}"
-            )
+            raise ValidationError(f"need matching phi_*/mu_* column groups, got {header}")
         if var_cols and len(var_cols) != len(phi_cols):
-            raise ValidationError(f"{path}: var_* columns must match phi_* count")
+            raise ValidationError("var_* columns must match phi_* count")
         return phi_cols + mu_cols + var_cols
 
-    cols = _read_csv(path, columns)
+    with _input_file(path):
+        cols = _read_csv(path, columns)
     phi, mu, var = ([cols[c] for c in group] for group in groups)
     return OracleNuisances(
         propensity=np.column_stack(phi),

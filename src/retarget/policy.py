@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset, _derived, _open_text
+from .data import Dataset, _derived, _input_file
 from .errors import EstimationError, ValidationError
 from .nuisance import _rows, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
@@ -198,6 +198,11 @@ def _gains(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset):
         raise ValidationError(f"linear policy search requires m=2, got m={data.m}")
     if w.n != data.n or pseudo.n != data.n:
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
+    with np.errstate(over="ignore"):
+        # A bound on every sum the search and weighted_value take.
+        total = float(np.abs(pseudo.values * w.weights[:, None]).sum())
+    if not np.isfinite(total):
+        raise ValidationError("weighted scores too large: a policy value overflows")
     base = float(np.mean(w.weights * pseudo.values[:, 0]))
     gain = w.weights * effect_pseudo_outcome(pseudo) / data.n
     return base, gain
@@ -568,12 +573,12 @@ def load_policy_class(path: str, m: int | None = None, d: int | None = None) -> 
     """
     policies: list[Policy] = []
     theta_size = None if d is None else d + 1
-    with _open_text(path) as fh:
+    with _input_file(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
-            try:
+            with _input_file(f"{path}:{lineno}"):
                 policy = _parse_policy_line(body, m)
                 if isinstance(policy, LinearPolicy):
                     theta_size = theta_size or policy.theta.size
@@ -581,9 +586,7 @@ def load_policy_class(path: str, m: int | None = None, d: int | None = None) -> 
                         raise ValidationError(
                             f"theta has {policy.theta.size} entries, expected {theta_size}"
                         )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
             policies.append(policy)
-    if not policies:
-        raise ValidationError(f"{path}: no policies found")
+        if not policies:
+            raise ValidationError("no policies found")
     return PolicyClass.finite(policies)

@@ -162,6 +162,12 @@ def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, con
     return np.linalg.solve(gram, wz.T @ target), wz
 
 
+def _check_arm(arm: int, m: int) -> None:
+    """Reject an arm outside {0..m-1}; numpy would read a negative one from the end."""
+    if not 0 <= arm < m:
+        raise ValidationError(f"arm {arm} outside {{0..{m - 1}}}")
+
+
 def _arm_design(data: Dataset, nuis: NuisanceSet | None, arm: int, zmap: FeatureMap):
     """One arm's row indices and their design z, with at least as many rows as features."""
     if nuis is not None and (nuis.n != data.n or nuis.m != data.m):
@@ -211,8 +217,7 @@ def fit_on_arm_precision(
     """
     if mode not in ("known_variance", "ols", "irls"):
         raise ValidationError(f"mode must be known_variance, ols, or irls, got {mode!r}")
-    if not 0 <= arm < data.m:
-        raise ValidationError(f"arm {arm} outside {{0..{data.m - 1}}}")
+    _check_arm(arm, data.m)
     if nuis is None and mode == "known_variance":
         raise ValidationError("known_variance mode needs nuisance variances")
     rows, z = _arm_design(data, nuis, arm, zmap)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _open_text, make_folds
+from .data import Dataset, _input_file, make_folds
 from .errors import ValidationError
 from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
@@ -207,33 +207,32 @@ _SCENARIO_FIELDS = (
 
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Read scenarios from a JSON file holding a list of scenario objects."""
-    with _open_text(path) as fh:
+    with _input_file(path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from None
-    if isinstance(raw, dict):
-        raw = [raw]
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}: expected a nonempty list of scenario objects")
-    out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(
-                f"{path}: scenario {i}: expected an object, got {type(entry).__name__}"
-            )
-        fields = {}
-        for key, convert, default in _SCENARIO_FIELDS:
-            if default is None and key not in entry:
-                raise ValidationError(f"{path}: scenario missing key {key!r}")
-            try:
-                fields[key] = convert(entry.get(key, default))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}: scenario {i}: {key}: {exc}") from None
-        try:
-            out.append(ScenarioSpec(**fields))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: scenario {i}: {exc}") from None
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
+            raise ValidationError(f"invalid scenario JSON: {exc}") from None
+        if isinstance(raw, dict):
+            raw = [raw]
+        if not isinstance(raw, list) or not raw:
+            raise ValidationError("expected a nonempty list of scenario objects")
+        out = []
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise ValidationError(
+                    f"scenario {i}: expected an object, got {type(entry).__name__}"
+                )
+            fields = {}
+            for key, convert, default in _SCENARIO_FIELDS:
+                if default is None and key not in entry:
+                    raise ValidationError(f"scenario missing key {key!r}")
+                with _input_file(f"{path}: scenario {i}: {key}",
+                                 TypeError, ValueError, OverflowError):
+                    fields[key] = convert(entry.get(key, default))
+            with _input_file(f"{path}: scenario {i}"):
+                out.append(ScenarioSpec(**fields))
     return out
 
 
@@ -256,7 +255,7 @@ class BenchmarkReport:
         for row in self.rows:
             if row.scenario == scenario and row.scheme == scheme:
                 return row
-        raise KeyError((scenario, scheme))
+        raise ValidationError(f"report has no row for scenario {scenario!r} and scheme {scheme!r}")
 
 
 def _replicate(
@@ -346,7 +345,8 @@ def _cell_text(mean: float, std: float) -> str:
 
 def render_report(report: BenchmarkReport, fmt: str = "csv") -> str:
     """Serialize a report: `csv` (long form, 6-significant-digit numbers) or
-    `markdown` (scenario-by-scheme grid of `mean (std)` cells)."""
+    `markdown` (scenario-by-scheme grid of `mean (std)` cells; every pair
+    needs a row)."""
     if not report.rows:
         raise ValidationError("cannot render an empty report")
     if fmt == "csv":
@@ -383,25 +383,25 @@ def render_report(report: BenchmarkReport, fmt: str = "csv") -> str:
 
 def load_report(path: str) -> BenchmarkReport:
     """Read back a CSV report written by render_report (comment lines allowed)."""
-    with _open_text(path) as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
-    rows = []
-    for rec in reader:
-        try:
-            rows.append(
-                BenchmarkRow(
-                    scenario=rec["scenario"],
-                    scheme=rec["scheme"],
-                    mean_regret=float(rec["mean_regret"]),
-                    std_regret=float(rec["std_regret"]) if rec["std_regret"] else math.nan,
-                    reps=int(rec["R"]),
-                    n=int(rec["n"]),
-                    seed=int(rec["seed"]),
+    with _input_file(path):
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        rows = []
+        for rec in csv.DictReader(io.StringIO("".join(lines))):
+            try:
+                rows.append(
+                    BenchmarkRow(
+                        scenario=rec["scenario"],
+                        scheme=rec["scheme"],
+                        mean_regret=float(rec["mean_regret"]),
+                        std_regret=float(rec["std_regret"]) if rec["std_regret"] else math.nan,
+                        reps=int(rec["R"]),
+                        n=int(rec["n"]),
+                        seed=int(rec["seed"]),
+                    )
                 )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed report row {rec!r}: {exc}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no report rows")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"malformed report row {rec!r}: {exc}") from None
+        if not rows:
+            raise ValidationError("no report rows")
     return BenchmarkReport(rows=tuple(rows))

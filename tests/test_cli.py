@@ -252,6 +252,17 @@ class TestFit:
         stdout = capsys.readouterr().out
         assert "best_fit regression" in stdout
 
+    @pytest.mark.parametrize("arm", ["5", "2", "-1"])
+    def test_best_fit_arm_outside_the_arms_is_invalid(self, binary_csv, tmp_path, capsys, arm):
+        # The arm indexed the scores unchecked: 5 escaped as an IndexError and
+        # -1 fitted the last arm.
+        out = tmp_path / "fit.txt"
+        code = main(["fit", "--equation", "best_fit", "--arm", arm, "--data", binary_csv,
+                     "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: arm {arm} outside {{0..1}}"]
+        assert not out.exists()
+
     def test_on_arm_modes(self, binary_csv, tmp_path):
         for mode in ("known", "ols", "irls"):
             code = main(
@@ -696,6 +707,27 @@ class TestLearn:
         assert all(np.isfinite(float(lines[f"theta_{j}"])) for j in range(3))
         assert np.isfinite(float(lines["best_value"]))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scores_whose_values_overflow_are_invalid(self, tmp_path, capsys, d):
+        # Oracle means of -+1.7e308 and outcomes on them: the scores are finite,
+        # but their difference, the effect score, is not. The search used to
+        # print best_value=nan (with exact=True at d=2).
+        n = 30
+        data_path, oracle_path = tmp_path / "huge.csv", tmp_path / "oracle.csv"
+        header = ",".join(f"x{j + 1}" for j in range(d))
+        data_path.write_text(f"{header},a,y\n" + "".join(
+            ",".join([repr(i / n)] * d) + f",{i % 2},{(-1.7e308, 1.7e308)[i % 2]!r}\n"
+            for i in range(n)))
+        oracle_path.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,-1.7e308,1.7e308\n" * n)
+        out = tmp_path / "learn.txt"
+        code = main(["learn", "--data", str(data_path), "--oracle", str(oracle_path),
+                     "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            "error[ValidationError]: weighted scores too large: a policy value overflows"
+        ]
+        assert not out.exists()
+
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"
         policies.write_text("const,0\nconst,1\n0.0,1.0\n")
@@ -748,6 +780,18 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error[ValidationError]: {path}: {message}\n"
+
+
+    def test_markdown_of_a_sparse_report_is_invalid(self, tmp_path, capsys):
+        # A scenario without a row for some scheme escaped as a KeyError.
+        path = tmp_path / "r.csv"
+        path.write_text("scenario,scheme,mean_regret,std_regret,R,n,seed\n"
+                        "S-A,uniform,0.1,0.01,4,500,0\nS-B,w0,0.2,0.01,4,500,0\n")
+        assert main(["report", "--in", str(path), "--format", "markdown"]) == EXIT_INVALID
+        assert error_lines(capsys) == [
+            "error[ValidationError]: report has no row for scenario 'S-A' and scheme 'w0'"
+        ]
+        assert main(["report", "--in", str(path), "--format", "csv"]) == EXIT_OK
 
 
 class TestExitCodes:
@@ -867,6 +911,37 @@ class TestExitCodes:
             f"error[ValidationError]: {bad}: not UTF-8 text: byte 0xff (invalid start byte)"
         ]
 
+    @pytest.mark.parametrize("reader, body, message", [
+        ("data", 'x1,a,y\n"0.5,1,2\n' + "0.25,0,1\n" * 20_000,
+         "field larger than field limit (131072)"),
+        ("data", "x1,a,y," + "h" * 140_000 + "\n0.5,1,2,3\n0.5,0,1,3\n",
+         "field larger than field limit (131072)"),
+        ("oracle", 'phi_0,phi_1,mu_0,mu_1\n"0.5,0.5,0,1\n' + "0.5,0.5,0,1\n" * 20_000,
+         "field larger than field limit (131072)"),
+        ("report", 'scenario,scheme,mean_regret,std_regret,R,n,seed\n"S-A,w0,0.1,0.01,4,500,0\n'
+         + "x" * 140_000 + "\n", "field larger than field limit (131072)"),
+        ("scenarios", "[" * 200_000 + "]" * 200_000, "invalid scenario JSON: maximum recursion "
+         "depth exceeded while decoding a JSON array from a unicode string"),
+        ("scenarios", '[{"name": "s", "d": ' + "1" * 5_001 + "}]", "invalid scenario JSON: "
+         "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits"),
+    ], ids=["data-quote", "data-header", "oracle-quote", "report-quote", "json-depth",
+            "json-digits"])
+    def test_csv_and_json_limits_name_the_file(self, binary_csv, tmp_path, capsys, reader, body,
+                                               message):
+        # Each escaped as a csv.Error, a RecursionError or a ValueError with a traceback.
+        bad = tmp_path / "bad.txt"
+        bad.write_text(body)
+        argv = {
+            "data": ["fit", "--equation", "cate", "--data", str(bad)],
+            "oracle": ["fit", "--equation", "cate", "--data", binary_csv, "--oracle", str(bad)],
+            "scenarios": ["simulate", "--scenarios", str(bad), "--reps", "2"],
+            "report": ["report", "--in", str(bad)],
+        }[reader]
+        assert main(argv) == EXIT_INVALID
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error[ValidationError]: {bad}: {message}")
+
     def test_directory_as_input_is_invalid(self, tmp_path, capsys):
         code = main(["fit", "--equation", "cate", "--data", str(tmp_path)])
         assert code == EXIT_INVALID
@@ -887,9 +962,9 @@ class TestExitCodes:
         ]
 
 
-# Fragments of the two CSV inputs a fit reads: cells both readers accept or
-# reject, rows of the wrong length, blank lines, three line ends, bad headers.
-# Valid headers come first and repeat, so that many examples get past them.
+# Fragments of the CSV inputs: cells both readers accept or reject, rows of
+# the wrong length, blank lines, three line ends, bad headers. Valid headers
+# come first and repeat, so that many examples get past them.
 _CELLS = ["x", "1_0", "nan", "inf", "-inf", '"0.5"', " 0.5 ", "", "1e400", "0x10", "1.0",
           "-1", "99999999999999999999", "9223372036854775808", "-9223372036854775809"]
 _DATA_HEADERS = ["x1,a,y", "x1,x2,a,y", "y,a,x1", '"x1",a,y', "x1,a,y,y"] * 3 + [
@@ -898,13 +973,19 @@ _ORACLE_HEADERS = ["phi_0,phi_1,mu_0,mu_1", "phi_0,phi_1,mu_0,mu_1,var_0,var_1",
                    "mu_1,phi_1,id,mu_0,phi_0"] * 3 + [
     "phi_0,phi_1,phi_2,mu_0,mu_1,mu_2", "phi_a,phi_1,mu_0,mu_1", "phi_0,phi_1",
     "phi_0,phi_2,mu_0,mu_2", "phi_0,phi_1,mu_0,mu_1,var_0", ""]
+_REPORT_HEADERS = ["scenario,scheme,mean_regret,std_regret,R,n,seed"] * 5 + [
+    "seed,n,R,std_regret,mean_regret,scheme,scenario", "scenario,scheme,mean_regret", ""]
+# csv's field limit: a longer field, such as an unmatched quote's, stops csv.reader.
+_FIELD_LIMIT = 131_072
 
 
 def _valid_cell(column, i, rng):
-    if column == "a":
+    if column in ("a", "R", "n", "seed"):
         return str(i % 2)
-    if column == "id":
-        return f"r{i}"
+    if column == "scenario":
+        return f"r{i % 2}"
+    if column in ("id", "scheme"):
+        return f"r{i // 2}"
     if column.startswith("phi_"):
         return repr(0.5)
     if column.startswith("var_"):
@@ -928,9 +1009,16 @@ def _csv_file(draw, headers, n):
     rows = [[_valid_cell(c, i, rng) for c in columns] for i in range(n)]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
-        fault = draw(st.sampled_from(["cell", "short", "long", "blank"]))
-        if fault == "cell" and rows[i]:
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_CELLS))
+        j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else None
+        fault = draw(st.sampled_from(["cell", "short", "long", "blank", "quote", "nul", "header"]))
+        if fault == "cell" and j is not None:
+            rows[i][j] = draw(st.sampled_from(_CELLS))
+        elif fault == "quote" and j is not None:  # the rest of the file is one field
+            rows[i][j] = '"' + rows[i][j] + "," * _FIELD_LIMIT
+        elif fault == "nul" and j is not None:
+            rows[i][j] += "\0"
+        elif fault == "header":
+            header += ",h" + "h" * _FIELD_LIMIT
         elif fault == "short":
             rows[i] = rows[i][:-1]
         elif fault == "long":
@@ -1042,9 +1130,13 @@ def _scenario(draw):
 def _scenario_file(draw):
     text = json.dumps(draw(st.one_of(
         st.lists(_scenario(), min_size=1, max_size=2), _scenario(), _ODD_VALUES, st.just([]))))
-    cut = draw(st.sampled_from([None] * 8 + ["truncate", "byte"]))
+    cut = draw(st.sampled_from([None] * 8 + ["truncate", "byte", "deep", "digits"]))
     body = text.encode("utf-8")
-    if cut is not None:
+    if cut == "deep":  # nested beyond the recursion limit
+        body = b"[" * 100_000 + body + b"]" * 100_000
+    elif cut == "digits":  # beyond int()'s 4,300-digit limit
+        body = b'[{"name": "s", "d": ' + b"1" * 5_000 + b"}]"
+    elif cut is not None:
         at = draw(st.integers(0, len(body)))
         body = body[:at] if cut == "truncate" else body[:at] + b"\xff" + body[at:]
     return body
@@ -1069,3 +1161,20 @@ class TestFuzzedPolicyAndScenarioFiles:
         _assert_clean_exit(capsys, ["simulate", "--scenarios", str(path), "--reps", "1",
                                     "--n", str(n), "--regret-draws", "50",
                                     "--schemes", "uniform,w0"])
+
+
+@st.composite
+def _report_file(draw):
+    """A report CSV with the fit inputs' faults, under a comment line or not."""
+    body = _csv_file(draw, _REPORT_HEADERS, draw(st.integers(0, 6)))
+    return (b"# config: {}\n" if draw(st.booleans()) else b"") + body
+
+
+class TestFuzzedReportFiles:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_report_file(), fmt=st.sampled_from(["markdown", "csv"]))
+    def test_report_file(self, tmp_path, capsys, body, fmt):
+        path = tmp_path / "report.csv"
+        path.write_bytes(body)
+        _assert_clean_exit(capsys, ["report", "--in", str(path), "--format", fmt])

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from retarget import Dataset, FoldAssignment, ValidationError, load_dataset, make_folds, save_dataset
+from retarget.data import _input_file
 
 
 def small_dataset():
@@ -56,6 +57,14 @@ class TestDataset:
                 m=2,
             )
 
+    def test_names_the_loader_columns_outcome_first(self):
+        # The messages the dataset loader prints for its cells.
+        x = np.array([[0.0, 1.0], [0.0, np.inf]])
+        with pytest.raises(ValidationError, match=r"^non-finite covariate at row 1, column 'x2'$"):
+            Dataset(covariates=x, actions=np.array([0, 1]), outcomes=np.zeros(2), m=2)
+        with pytest.raises(ValidationError, match=r"^non-finite outcome at row 0, column 'y'$"):
+            Dataset(covariates=x, actions=np.array([0, 1]), outcomes=np.array([np.nan, 0.0]), m=2)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError, match="length mismatch"):
             Dataset(
@@ -69,6 +78,33 @@ class TestDataset:
         data = small_dataset()
         with pytest.raises(ValueError):
             data.outcomes[0] = 9.0
+
+
+class TestInputFile:
+    def test_labels_each_kind_once(self):
+        for exc, message in [(ValidationError("bad cell"), "bad cell"),
+                             (csv.Error("field larger than field limit (131072)"),
+                              "field larger than field limit (131072)"),
+                             (UnicodeDecodeError("utf-8", b"a\xff", 1, 2, "invalid start byte"),
+                              "not UTF-8 text: byte 0xff (invalid start byte)")]:
+            with pytest.raises(ValidationError) as info:
+                with _input_file("f.csv"):
+                    raise exc
+            assert str(info.value) == f"f.csv: {message}"
+
+    def test_innermost_label_wins(self):
+        with pytest.raises(ValidationError) as info:
+            with _input_file("f.txt"), _input_file("f.txt:3"):
+                raise ValidationError("bad line")
+        assert str(info.value) == "f.txt:3: bad line"
+
+    def test_other_exceptions_pass_unless_named(self):
+        with pytest.raises(TypeError):
+            with _input_file("f.json"):
+                raise TypeError("boom")
+        with pytest.raises(ValidationError, match=r"^f.json: scenario 0: d: boom$"):
+            with _input_file("f.json"), _input_file("f.json: scenario 0: d", TypeError):
+                raise TypeError("boom")
 
 
 class TestLoadDataset:

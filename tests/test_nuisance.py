@@ -2,6 +2,7 @@
 
 import csv
 import re
+from contextlib import contextmanager
 import warnings
 
 import numpy as np
@@ -23,9 +24,7 @@ from retarget import (
     make_folds,
 )
 import retarget.data as data_module
-from retarget.data import _open_text
 from retarget.nuisance import (
-    _arm_columns,
     _propensities,
     _residual_variance,
     _rows,
@@ -548,19 +547,50 @@ class TestCrossFitMatchesReference:
         assert 0 < errors < 60  # the sweep reaches both the fitted and the failing folds
 
 
+@contextmanager
+def _reference_open_text(path, newline=None):
+    """The loaders' UTF-8 open as it was with the reference loader: a byte that
+    does not decode raises ValidationError naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _reference_arm_columns(path, header, prefix):
+    """The header's prefix + <arm number> columns in arm order, as the
+    reference loader checked them."""
+    cols = [h for h in header if h.startswith(prefix)]
+    arms = []
+    for name in cols:
+        try:
+            arms.append(int(name[len(prefix):]))
+        except ValueError:
+            raise ValidationError(f"{path}: column {name!r} is not {prefix}<arm number>") from None
+    if sorted(arms) != list(range(len(arms))):
+        raise ValidationError(
+            f"{path}: {prefix}* columns must number the arms 0..{len(arms) - 1} once each, "
+            f"got {cols}"
+        )
+    return sorted(cols, key=lambda name: int(name[len(prefix):]))
+
+
 def _reference_load_oracle(path):
     """load_oracle_nuisances as it was before it shared the dataset loader's
     reader: its own csv loop, a cell count check over every row, then one
     float() per phi_*, mu_* and var_* cell, group by group."""
-    with _open_text(path, newline="") as fh:
+    with _reference_open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        phi_cols = _arm_columns(path, header, "phi_")
-        mu_cols = _arm_columns(path, header, "mu_")
-        var_cols = _arm_columns(path, header, "var_")
+        phi_cols = _reference_arm_columns(path, header, "phi_")
+        mu_cols = _reference_arm_columns(path, header, "mu_")
+        var_cols = _reference_arm_columns(path, header, "var_")
         if not phi_cols or len(phi_cols) != len(mu_cols):
             raise ValidationError(
                 f"{path}: need matching phi_*/mu_* column groups, got {header}"

@@ -516,6 +516,28 @@ class TestLearnLinear:
         assert np.linalg.norm(res.best.theta) == pytest.approx(1.0)
         assert res.best_value == value
 
+    @pytest.mark.parametrize("d, force_approx", [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["d1", "d2-exact", "d1-heuristic", "d2-heuristic"])
+    def test_scores_whose_values_overflow_are_invalid(self, d, force_approx):
+        # Scores alternating +-1.7e308 are finite, their effect score is not:
+        # the search used to return best_value=nan, flagged exact=True at d=2.
+        n = 30
+        rng = np.random.default_rng(5)
+        data = Dataset(covariates=rng.uniform(-1, 1, (n, d)), actions=np.arange(n) % 2,
+                       outcomes=np.zeros(n), m=2)
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        w = uniform_weights(n)
+        huge = PseudoOutcomes(values=np.column_stack([-1.7e308 * sign, 1.7e308 * sign]))
+        with pytest.raises(ValidationError, match="weighted scores too large"):
+            learn_linear(w, huge, data, force_approx=force_approx)
+        # A hundredth as large, the absolute weighted scores sum to ~1e308 and
+        # the search runs as before.
+        small = PseudoOutcomes(values=huge.values / 100)
+        res = learn_linear(w, small, data, force_approx=force_approx)
+        assert np.isfinite(res.best_value)
+        assert res.best_value == weighted_value(res.best, w, small, data)
+        assert res.exact == (not force_approx)
+
     def test_unit_scaling_of_a_theta_beyond_1e154(self):
         with np.errstate(over="ignore"):  # the first norm overflows
             theta = policy_module._unit(np.array([1e300, -1e300, 0.0]))
