@@ -66,10 +66,10 @@ class Dataset:
             raise ValidationError(
                 f"action label {a[bad]} at row {bad} outside {{0..{self.m - 1}}}"
             )
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             i = int(np.argmax(~np.isfinite(y)))
             raise ValidationError(f"non-finite outcome at row {i}, column 'y'")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             i, j = np.argwhere(~np.isfinite(x))[0]
             raise ValidationError(f"non-finite covariate at row {i}, column 'x{j + 1}'")
         object.__setattr__(self, "covariates", _freeze(x))
@@ -100,7 +100,7 @@ class FoldAssignment:
         if self.n_folds < 2:
             raise ValidationError(f"fold count must be >= 2, got {self.n_folds}")
         sizes = np.bincount(f, minlength=self.n_folds)
-        if f.min() < 0 or f.max() >= self.n_folds or np.any(sizes == 0):
+        if f.min() < 0 or f.max() >= self.n_folds or (sizes == 0).any():
             raise ValidationError("every fold index in {0..K-1} must appear at least once")
         if sizes.max() - sizes.min() > 1:
             raise ValidationError(f"fold sizes must differ by at most 1, got {sizes.tolist()}")

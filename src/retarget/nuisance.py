@@ -63,6 +63,12 @@ def _rows(op: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _mean(a: np.ndarray) -> np.float64:
+    """np.mean(a) of a float64 array, bit for bit, without np.mean's Python
+    wrapper: the same pairwise sum over every entry, divided by the count."""
+    return np.add.reduce(a, axis=None) / a.size
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's maximum so exp cannot overflow."""
     p = np.exp(scores - _rows(np.maximum, scores)[:, None])
@@ -92,15 +98,15 @@ class NuisanceSet:
                 f"nuisance matrices must share an (n, m) shape, got "
                 f"{p.shape}, {mu.shape}, {v.shape}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(p).all() and np.isfinite(mu).all() and np.isfinite(v).all()):
             raise ValidationError("nuisance matrices must be finite")
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if (p <= 0.0).any() or (p >= 1.0).any():
             raise ValidationError("propensity entries must lie strictly inside (0, 1)")
         row_sums = _rows(np.add, p)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-9:
+        if np.abs(row_sums - 1.0).max() > 1e-9:
             bad = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValidationError(f"propensity row {bad} sums to {float(row_sums[bad])!r}, not 1")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValidationError("variance entries must be nonnegative")
         for name, arr in (("propensity", p), ("outcome_mean", mu), ("variance", v)):
             arr.setflags(write=False)
@@ -174,7 +180,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
     to zero, and whether Newton steps on the log-likelihood met the gradient
     tolerance 1e-8 within 100 iterations (else the last iterate, flagged)."""
     counts = np.bincount(actions, minlength=m)
-    if np.any(counts == 0):
+    if (counts == 0).any():
         missing = int(np.argmax(counts == 0))
         raise EstimationError(f"arm {missing} absent from training data")
     n, p = z.shape
@@ -184,20 +190,25 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
         onehot[:, j] = actions == j
 
     coef = np.zeros((p, m))
+    zt = z.T
+    a = np.empty((k * p, k * p))  # the negated Hessian, refilled every step
+    diag = np.arange(k * p)
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
         prob = _softmax(z @ coef)
-        grad = z.T @ (onehot - prob[:, :k])  # (p, k)
-        if np.max(np.abs(grad)) < _NEWTON_TOL:
+        grad = zt @ (onehot - prob[:, :k])  # (p, k)
+        if np.abs(grad).max() < _NEWTON_TOL:
             converged = True
             break
-        a = np.empty((k * p, k * p))  # the negated Hessian
         for j in range(k):
-            for l in range(k):
+            for l in range(j, k):
+                # p_j * (0 - p_l) is p_l * (0 - p_j) bit for bit: block (l, j) = (j, l).
                 w = prob[:, j] * ((1.0 if j == l else 0.0) - prob[:, l])
-                a[j * p:(j + 1) * p, l * p:(l + 1) * p] = (z.T * w) @ z
+                a[j * p:(j + 1) * p, l * p:(l + 1) * p] = block = (zt * w) @ z
+                if l > j:
+                    a[l * p:(l + 1) * p, j * p:(j + 1) * p] = block
         # Small damping keeps the step solvable when classes separate.
-        a.flat[::a.shape[0] + 1] += 1e-10 * (1.0 + np.trace(a) / a.shape[0])
+        a[diag, diag] += 1e-10 * (1.0 + a.trace() / a.shape[0])
         step = np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
         coef[:, :k] += step
     if not converged:
@@ -238,12 +249,12 @@ def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str
     rows grouped by arm (pooled), floored at 1e-12."""
     sq_by_arm = [resid[actions == arm] ** 2 for arm in range(m)]
     if mode == "pooled":
-        out = np.full(m, float(np.mean(np.concatenate(sq_by_arm))))
+        out = np.full(m, float(_mean(np.concatenate(sq_by_arm))))
     elif mode == "per_arm":
         for arm, sq in enumerate(sq_by_arm):
             if sq.size == 0:
                 raise EstimationError(f"arm {arm} has no observations for variance estimation")
-        out = np.array([float(np.mean(sq)) for sq in sq_by_arm])
+        out = np.array([float(_mean(sq)) for sq in sq_by_arm])
     else:
         raise ValidationError(f"variance mode must be 'pooled' or 'per_arm', got {mode!r}")
     return np.maximum(out, VARIANCE_FLOOR)
@@ -253,7 +264,8 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     """Out-of-fold nuisance predictions for every observation.
 
     Each observation's predictions come from fits on the other folds' rows of
-    one [1, x] design, so no row influences its own nuisances.
+    one [1, x] design, so no row influences its own nuisances. An overflow in
+    a fold's fits raises EstimationError naming the fold and the stage.
     """
     if folds.n != data.n:
         raise ValidationError(f"fold assignment covers {folds.n} rows, dataset has {data.n}")
@@ -266,24 +278,30 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     prop = np.empty((n, m))
     mu = np.empty((n, m))
     var = np.empty((n, m))
-    for fold in range(folds.n_folds):
-        held_out = folds.members(fold)
-        train = folds.complement(fold)
-        z_train, a_train, y_train = z[train], data.actions[train], data.outcomes[train]
-        z_out = z[held_out]
-        try:
-            coef, _ = fit_propensity(z_train, a_train, m)
-            resid = np.empty(train.size)
-            for arm in range(m):
-                rows = a_train == arm
-                z_arm, y_arm = z_train[rows], y_train[rows]
-                beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
-                resid[rows] = y_arm - z_arm @ beta
-                mu[held_out, arm] = z_out @ beta
-            var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
-        except (ValidationError, EstimationError) as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
-        prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
+    with np.errstate(over="raise"):
+        for fold in range(folds.n_folds):
+            held_out = folds.members(fold)
+            train = folds.complement(fold)
+            z_train, a_train, y_train = z[train], data.actions[train], data.outcomes[train]
+            z_out = z[held_out]
+            stage = "propensity model"
+            try:
+                coef, _ = fit_propensity(z_train, a_train, m)
+                prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
+                resid = np.empty(train.size)
+                for arm in range(m):
+                    stage = f"outcome regression of arm {arm}"
+                    rows = a_train == arm
+                    z_arm, y_arm = z_train[rows], y_train[rows]
+                    beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
+                    resid[rows] = y_arm - z_arm @ beta
+                    mu[held_out, arm] = z_out @ beta
+                stage = "residual variance"
+                var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
+            except FloatingPointError as exc:
+                raise EstimationError(f"fold {fold}: {stage}: {exc}") from None
+            except (ValidationError, EstimationError) as exc:
+                raise type(exc)(f"fold {fold}: {exc}") from exc
     return NuisanceSet(
         propensity=prop,
         outcome_mean=mu,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, _derived, _input_file
 from .errors import EstimationError, ValidationError
-from .nuisance import _rows, add_intercept
+from .nuisance import _mean, _rows, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
 from .weights import WeightScheme
 
@@ -60,7 +60,7 @@ class LinearPolicy:
 
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float)
-        if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
+        if t.ndim != 1 or t.size < 2 or not np.isfinite(t).all():
             raise ValidationError(f"theta must be a finite vector of length d+1, got {t!r}")
         t.setflags(write=False)
         object.__setattr__(self, "theta", t)
@@ -129,6 +129,14 @@ def _scored(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> np.ndarra
     return (pseudo.values * w.weights[:, None]).T.ravel()
 
 
+def _check_bounded(scored: np.ndarray) -> None:
+    """Reject weighted scores whose absolute sum overflows: that sum bounds
+    every sum a policy value takes."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(scored).sum()):
+            raise ValidationError("weighted scores too large: a policy value overflows")
+
+
 def _at_actions(pi: Policy, x: np.ndarray, table: np.ndarray, m: int, rows: np.ndarray,
                 out: np.ndarray | None) -> np.ndarray:
     """Row i's entry of a flat arm-major table at the action the policy takes
@@ -153,7 +161,7 @@ def weighted_value(pi: Policy, w: WeightScheme, pseudo: PseudoOutcomes, data: Da
     so both give the same bits for the same policy.
     """
     scored, rows = _scored(w, pseudo, data), np.arange(data.n)
-    return float(np.mean(_at_actions(pi, data.covariates, scored, data.m, rows, None)))
+    return float(_mean(_at_actions(pi, data.covariates, scored, data.m, rows, None)))
 
 
 def learn_finite(
@@ -165,10 +173,12 @@ def learn_finite(
     scores built once per call: a policy's value is the mean of that vector
     taken at its actions. The value gap is the best value minus the best value
     among policies strictly outside the argmax set; it is 0 (and flagged tied)
-    when every policy attains the maximum.
+    when every policy attains the maximum. Scores whose absolute sum
+    overflows are rejected, as in the linear search.
     """
     scored, rows = _scored(w, pseudo, data), np.arange(data.n)
-    values = np.array([np.mean(_at_actions(pi, data.covariates, scored, data.m, rows, None))
+    _check_bounded(scored)
+    values = np.array([_mean(_at_actions(pi, data.covariates, scored, data.m, rows, None))
                        for pi in policy_class.policies])
     best_idx = int(np.argmax(values))
     best_value = float(values[best_idx])
@@ -198,21 +208,18 @@ def _gains(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset):
         raise ValidationError(f"linear policy search requires m=2, got m={data.m}")
     if w.n != data.n or pseudo.n != data.n:
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
-    with np.errstate(over="ignore"):
-        # A bound on every sum the search and weighted_value take.
-        total = float(np.abs(pseudo.values * w.weights[:, None]).sum())
-    if not np.isfinite(total):
-        raise ValidationError("weighted scores too large: a policy value overflows")
-    base = float(np.mean(w.weights * pseudo.values[:, 0]))
-    gain = w.weights * effect_pseudo_outcome(pseudo) / data.n
+    _check_bounded(pseudo.values * w.weights[:, None])  # also bounds weighted_value's sums
+    base = float(_mean(w.weights * pseudo.values[:, 0]))
+    gain = w.weights * _derived(pseudo, effect_pseudo_outcome) / data.n
     return base, gain
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(theta))
+    # np.linalg.norm's own arithmetic for a real vector, without its wrapper.
+    norm = float(np.sqrt(theta.dot(theta)))
     if norm == np.inf:  # entries beyond ~1e154: scale by the largest first
         theta = theta / np.abs(theta).max()
-        norm = float(np.linalg.norm(theta))
+        norm = float(np.sqrt(theta.dot(theta)))
     if norm == 0:
         raise EstimationError("degenerate zero policy parameter")
     return theta / norm
@@ -267,14 +274,14 @@ def _learn_threshold_1d(w, pseudo, data) -> LearnResult | None:
             upper = r - 2 < cuts.size
             labels = x > c if upper else ~(x > c)
             # c - x > 0 misses the rows at x == c; no float lies between c and the next one.
-            lower_c = np.nextafter(c, np.inf) if np.any(x == c) else c
+            lower_c = np.nextafter(c, np.inf) if (x == c).any() else c
             theta = np.array([-c, 1.0]) if upper else np.array([lower_c, -1.0])
         # Labels as LinearPolicy.act computes them. At large |x| the unit vector
         # can lose a cut that theta realizes: such a theta is returned only
         # when no tied unit-norm theta realizes its labels.
         unit = _unit(theta)
-        lost = not np.array_equal(unit[0] + x * unit[1] > 0, labels)
-        if lost and not np.array_equal(theta[0] + x * theta[1] > 0, labels):
+        lost = not ((unit[0] + x * unit[1] > 0) == labels).all()
+        if lost and not ((theta[0] + x * theta[1] > 0) == labels).all():
             continue
         keys.append((lost, tuple(theta if lost else unit)))
     return _result(np.array(min(keys)[1]) if keys else None, w, pseudo, data)
@@ -303,13 +310,13 @@ def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
         return None
     theta = _unit(v + 0.5 * (lo + hi) * sub)
     margins = z @ theta
-    return theta if np.all(margins != 0) and np.array_equal(margins > 0, labels) else None
+    return theta if (margins != 0).all() and ((margins > 0) == labels).all() else None
 
 
 def _in_band(values: np.ndarray, tol: float) -> bool:
     """Whether some |value| <= tol is too large to be rounding noise."""
     size = np.abs(values)
-    return bool(np.any((size > _NOISE_SHARE * tol) & (size <= tol)))
+    return bool(((size > _NOISE_SHARE * tol) & (size <= tol)).any())
 
 
 def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):

@@ -26,7 +26,7 @@ class PseudoOutcomes:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValidationError(f"pseudo-outcome matrix must be 2-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValidationError("pseudo-outcome matrix contains non-finite entries")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset, _input_file, make_folds
 from .errors import ValidationError
-from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _rows, _softmax, cross_fit
+from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _mean, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
 from .policy import _RegretSample, learn_linear
 from .pseudo import dr_pseudo_outcomes
@@ -52,12 +52,12 @@ class ScenarioSpec:
             raise ValidationError("need d >= 1, m >= 2, mean_degree >= 1")
         if sd.ndim > 1 or sd.size not in (1, self.m):
             raise ValidationError(f"noise_sd must be a scalar or ({self.m},), got {sd.shape}")
-        sd = np.broadcast_to(sd, (self.m,)).copy()
         if pc.shape != (self.m, self.d + 1):
             raise ValidationError(f"propensity_coef must be ({self.m}, {self.d + 1}), got {pc.shape}")
         k = 1 + self.d * self.mean_degree
         if mc.shape != (self.m, k):
             raise ValidationError(f"mean_coef must be ({self.m}, {k}), got {mc.shape}")
+        sd = np.broadcast_to(sd, (self.m,)).copy()  # once the shape checks have bounded m
         if np.any(sd < 0):
             raise ValidationError("noise_sd must be nonnegative")
         if not (np.all(np.isfinite(pc)) and np.all(np.isfinite(mc)) and np.all(np.isfinite(sd))):
@@ -269,7 +269,9 @@ def _replicate(
     sample: _RegretSample | None = None,
 ) -> np.ndarray:
     """One replication: generate, cross-fit, learn per scheme, true regret.
-    The regret sample is drawn into `sample`'s buffers when given."""
+    The regret sample is drawn into `sample`'s buffers when given, after every
+    scheme is learned: the searches' small arrays stay in cache, and the draw
+    has its own seed, so the order changes no result."""
     data, oracle = generate(scenario, n, seed)
     if oracle_nuisances:
         nuis = oracle
@@ -277,13 +279,11 @@ def _replicate(
         folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
+    policies = [learn_linear(make_weights(spec, nuis), pseudo, data, seed=seed).best
+                for spec in schemes]
     # One regret sample and loss table serve all of this replication's schemes.
     sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
-    out = np.empty(len(schemes))
-    for s, spec in enumerate(schemes):
-        result = learn_linear(make_weights(spec, nuis), pseudo, data, seed=seed)
-        out[s] = float(np.mean(sample.shortfall(result.best)))
-    return out
+    return np.array([_mean(sample.shortfall(pi)) for pi in policies])
 
 
 def run_benchmark(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import _derived
 from .errors import ValidationError
-from .nuisance import NuisanceSet, _rows
+from .nuisance import NuisanceSet, _mean, _rows
 
 DEFAULT_GAP_FLOOR = 1e-3
 
@@ -25,10 +25,11 @@ class WeightScheme:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError(f"weights must be a nonempty vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not np.isfinite(w).all() or (w < 0).any():
             raise ValidationError("weights must be finite and nonnegative")
-        if abs(w.mean() - 1.0) > 1e-9:
-            raise ValidationError(f"weights must have sample mean 1, got {float(w.mean())!r}")
+        mean = _mean(w)
+        if abs(mean - 1.0) > 1e-9:
+            raise ValidationError(f"weights must have sample mean 1, got {float(mean)!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -36,9 +37,9 @@ class WeightScheme:
     def from_raw(cls, kind: str, raw: np.ndarray) -> "WeightScheme":
         """Normalize raw nonnegative weights to sample mean 1."""
         raw = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(raw)) or np.any(raw < 0):
+        if not np.isfinite(raw).all() or (raw < 0).any():
             raise ValidationError("raw weights must be finite and nonnegative")
-        mean = raw.mean()
+        mean = _mean(raw)
         if mean <= 0:
             raise ValidationError("raw weights must have positive mean")
         return cls(kind=kind, weights=raw / mean)
@@ -64,7 +65,7 @@ class GapStatistics:
         s = np.asarray(self.spread, dtype=float)
         if g.shape != s.shape or g.ndim != 1:
             raise ValidationError("gap and spread must be equal-length vectors")
-        if np.any(g < 0) or np.any(s < g):
+        if (g < 0).any() or (s < g).any():
             raise ValidationError("require 0 <= gap <= spread elementwise")
         g.setflags(write=False)
         s.setflags(write=False)
@@ -83,7 +84,7 @@ def homoskedastic_weights(nuis: NuisanceSet) -> WeightScheme:
     is phi_hat(+|x) * phi_hat(-|x) up to scale.
     """
     p = nuis.propensity
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise ValidationError("propensities must be strictly positive")
     raw = 1.0 / (_rows(np.add, 1.0 / p) + nuis.m / 2.0 - 1.0)
     return WeightScheme.from_raw("w0", raw)

@@ -467,6 +467,18 @@ class TestFit:
         assert code == EXIT_OK
         assert psi_path.read_text().startswith("psi_0,psi_1")
 
+    def test_outcomes_that_overflow_the_fits_are_an_estimation_failure(self, tmp_path, capsys):
+        # Arm 0's outcomes of -1.7e308 overflow its regression's z.T @ y: this
+        # used to print numpy's warnings, then exit 3 with "nuisance matrices
+        # must be finite", as if the file were malformed.
+        data_path, _ = _huge_outcome_files(tmp_path, 1)
+        code = _main_without_warnings(["fit", "--equation", "cate", "--data", str(data_path)])
+        assert code == EXIT_ESTIMATION
+        assert error_lines(capsys) == [
+            "error[EstimationError]: fold 0: outcome regression of arm 0: "
+            "overflow encountered in matmul"
+        ]
+
 
 def _reference_on_arm_fit(path, arm, zmap, mode):
     """The on-arm path before ols and irls skipped the cross-fit: the old
@@ -675,6 +687,31 @@ class TestOnArmWithoutCrossFit:
             ]
 
 
+def _huge_outcome_files(tmp_path, d, variances=False):
+    """A 30-row dataset whose outcomes alternate -+1.7e308 with the arm, and
+    an oracle file whose arm means are those outcomes: every score is finite,
+    the effect scores and sums of the scores are not."""
+    n = 30
+    data_path, oracle_path = tmp_path / "huge.csv", tmp_path / "oracle.csv"
+    header = ",".join(f"x{j + 1}" for j in range(d))
+    data_path.write_text(f"{header},a,y\n" + "".join(
+        ",".join([repr(i / n)] * d) + f",{i % 2},{(-1.7e308, 1.7e308)[i % 2]!r}\n"
+        for i in range(n)))
+    var_header, var_cells = (",var_0,var_1", ",1,1") if variances else ("", "")
+    oracle_path.write_text(f"phi_0,phi_1,mu_0,mu_1{var_header}\n"
+                           + f"0.5,0.5,-1.7e308,1.7e308{var_cells}\n" * n)
+    return data_path, oracle_path
+
+
+def _main_without_warnings(argv) -> int:
+    """main(argv), failing the test if it emits any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 class TestLearn:
     def test_byte_identical_reruns(self, binary_csv, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -712,13 +749,7 @@ class TestLearn:
         # Oracle means of -+1.7e308 and outcomes on them: the scores are finite,
         # but their difference, the effect score, is not. The search used to
         # print best_value=nan (with exact=True at d=2).
-        n = 30
-        data_path, oracle_path = tmp_path / "huge.csv", tmp_path / "oracle.csv"
-        header = ",".join(f"x{j + 1}" for j in range(d))
-        data_path.write_text(f"{header},a,y\n" + "".join(
-            ",".join([repr(i / n)] * d) + f",{i % 2},{(-1.7e308, 1.7e308)[i % 2]!r}\n"
-            for i in range(n)))
-        oracle_path.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,-1.7e308,1.7e308\n" * n)
+        data_path, oracle_path = _huge_outcome_files(tmp_path, d)
         out = tmp_path / "learn.txt"
         code = main(["learn", "--data", str(data_path), "--oracle", str(oracle_path),
                      "--out", str(out)])
@@ -727,6 +758,19 @@ class TestLearn:
             "error[ValidationError]: weighted scores too large: a policy value overflows"
         ]
         assert not out.exists()
+
+    def test_finite_class_on_scores_whose_values_overflow_is_invalid(self, tmp_path, capsys):
+        # The finite search used to exit 0 with best_value=inf (or nan) and
+        # numpy's overflow warnings.
+        data_path, oracle_path = _huge_outcome_files(tmp_path, 1, variances=True)
+        policies = tmp_path / "policies.txt"
+        policies.write_text("const,0\nconst,1\n0.0,1.0\n")
+        code = _main_without_warnings(["learn", "--class", f"finite:{policies}",
+                                       "--data", str(data_path), "--oracle", str(oracle_path)])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            "error[ValidationError]: weighted scores too large: a policy value overflows"
+        ]
 
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"

@@ -25,9 +25,11 @@ from retarget import (
 )
 import retarget.data as data_module
 from retarget.nuisance import (
+    _mean,
     _propensities,
     _residual_variance,
     _rows,
+    _softmax,
     add_intercept,
 )
 
@@ -125,6 +127,60 @@ class TestFitPropensity:
         data = Dataset(covariates=x, actions=a, outcomes=np.zeros(n), m=2)
         probs, _ = fitted_propensities(data)
         assert np.max(np.abs(probs[:, 1] - p1)) < 0.03
+
+
+def _reference_fit_propensity(z, actions, m):
+    """fit_propensity's Newton loop as it was before the negated Hessian was
+    allocated once and its (l, j) blocks copied from (j, l): every block
+    computed, the damping added through a.flat."""
+    n, p = z.shape
+    k = m - 1
+    onehot = np.zeros((n, k))
+    for j in range(k):
+        onehot[:, j] = actions == j
+    coef = np.zeros((p, m))
+    for _ in range(100):
+        prob = _softmax(z @ coef)
+        grad = z.T @ (onehot - prob[:, :k])
+        if np.max(np.abs(grad)) < 1e-8:
+            return coef, True
+        a = np.empty((k * p, k * p))
+        for j in range(k):
+            for l in range(k):
+                w = prob[:, j] * ((1.0 if j == l else 0.0) - prob[:, l])
+                a[j * p:(j + 1) * p, l * p:(l + 1) * p] = (z.T * w) @ z
+        a.flat[::a.shape[0] + 1] += 1e-10 * (1.0 + np.trace(a) / a.shape[0])
+        coef[:, :k] += np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
+    return coef, False
+
+
+class TestFitPropensityMatchesReference:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_same_bytes(self, m, d):
+        rng = np.random.default_rng(100 * m + d)
+        n = 120
+        x = rng.standard_normal((n, d))
+        logits = np.column_stack([x @ rng.normal(0, 1, d) for _ in range(m)])
+        random_arms = (np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)).cumsum(axis=1)
+        random_arms = (random_arms < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
+        # Arms in bands of x1, with the top row's arm flipped: near-separated.
+        banded = np.minimum(np.argsort(np.argsort(x[:, 0])) * m // n, m - 1)
+        banded[np.argmax(x[:, 0])] = 0
+        designs = [(x, random_arms), (x, banded), (np.round(x), random_arms)]
+        # Covariates offset by 1e4: the solver stalls at the 100-iteration cap.
+        designs.append((x + 1e4, random_arms))
+        capped = 0
+        for xs, a in designs:
+            z = add_intercept(xs)
+            want, want_converged = _reference_fit_propensity(z, a, m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the iteration cap
+                got, converged = fit_propensity(z, a, m)
+            assert got.tobytes() == want.tobytes()
+            assert converged == want_converged
+            capped += not converged
+        assert capped >= 1
 
 
 class TestFitOutcomeRegression:
@@ -313,6 +369,15 @@ class TestRows:
                 # the sign of zero too; a NaN's sign bit is not kept
                 nan = np.isnan(want)
                 assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+class TestMean:
+    def test_matches_np_mean_bit_for_bit(self):
+        # Sizes 1..1,100 cross the pairwise sum's blocks of 8 and 128 entries.
+        rng = np.random.default_rng(7)
+        for size in range(1, 1101):
+            a = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+            assert _mean(a).tobytes() == np.mean(a).tobytes(), size
 
 
 def _reference_intercept(x):

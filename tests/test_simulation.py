@@ -102,6 +102,14 @@ class TestScenarioSpec:
                 noise_sd=np.array([1.0, 1.0]),
             )
 
+    def test_an_arm_count_beyond_the_coefficients_is_invalid(self):
+        # A scalar noise_sd used to be broadcast to m entries before the
+        # coefficient shapes were checked: ValueError at m = 10**30.
+        with pytest.raises(ValidationError, match=r"propensity_coef must be \(10{30}, 2\)"):
+            ScenarioSpec(name="bad", d=1, m=10**30, covariate_law="uniform",
+                         propensity_coef=np.zeros((2, 2)), mean_coef=np.zeros((2, 2)),
+                         noise_sd=1.0)
+
     def test_json_round_trip(self, tmp_path):
         import json
 
