@@ -100,7 +100,7 @@ class NuisanceSet:
             )
         if not (np.isfinite(p).all() and np.isfinite(mu).all() and np.isfinite(v).all()):
             raise ValidationError("nuisance matrices must be finite")
-        if (p <= 0.0).any() or (p >= 1.0).any():
+        if not ((p > 0.0) & (p < 1.0)).all():
             raise ValidationError("propensity entries must lie strictly inside (0, 1)")
         row_sums = _rows(np.add, p)
         if np.abs(row_sums - 1.0).max() > 1e-9:
@@ -192,7 +192,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
     coef = np.zeros((p, m))
     zt = z.T
     a = np.empty((k * p, k * p))  # the negated Hessian, refilled every step
-    diag = np.arange(k * p)
+    diag = a.reshape(-1)[:: k * p + 1]  # a view of its diagonal
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
         prob = _softmax(z @ coef)
@@ -208,7 +208,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
                 if l > j:
                     a[l * p:(l + 1) * p, j * p:(j + 1) * p] = block
         # Small damping keeps the step solvable when classes separate.
-        a[diag, diag] += 1e-10 * (1.0 + a.trace() / a.shape[0])
+        diag += 1e-10 * (1.0 + a.trace() / a.shape[0])
         step = np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
         coef[:, :k] += step
     if not converged:
@@ -223,7 +223,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
 
 def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
     """Arm probabilities on z, clipped into [clip, 1-clip] and renormalized."""
-    p = np.clip(_softmax(z @ coef), clip, 1.0 - clip)
+    p = np.minimum(np.maximum(_softmax(z @ coef), clip), 1.0 - clip)
     return p / _rows(np.add, p)[:, None]
 
 

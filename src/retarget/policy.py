@@ -34,6 +34,7 @@ _RAYS_PER_BATCH = 512
 _APPROX_STARTS = 32
 _APPROX_MAX_PASSES = 20
 _REFINE_MAX_GRID = 201
+_LARGEST = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _scored(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset) -> np.ndarra
     """Weighted scores in arm-major order: entry a * n + i is psi_i(a) * w_i."""
     if w.n != data.n or pseudo.n != data.n:
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
-    return (pseudo.values * w.weights[:, None]).T.ravel()
+    return np.multiply(pseudo.values.T, w.weights, out=np.empty((pseudo.m, data.n))).ravel()
 
 
 def _check_bounded(scored: np.ndarray) -> None:
@@ -208,10 +209,17 @@ def _gains(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset):
         raise ValidationError(f"linear policy search requires m=2, got m={data.m}")
     if w.n != data.n or pseudo.n != data.n:
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
-    _check_bounded(pseudo.values * w.weights[:, None])  # also bounds weighted_value's sums
+    # The exact sum runs only where its bound, max|psi| * max w * size, may
+    # overflow: below 1e300 no sum of rounded products w_i * |psi_i(a)| can.
+    if _derived(pseudo, _largest_score) * float(w.weights.max()) * pseudo.values.size >= 1e300:
+        _check_bounded(pseudo.values * w.weights[:, None])  # also bounds weighted_value's sums
     base = float(_mean(w.weights * pseudo.values[:, 0]))
     gain = w.weights * _derived(pseudo, effect_pseudo_outcome) / data.n
     return base, gain
+
+
+def _largest_score(pseudo: PseudoOutcomes) -> float:
+    return float(np.abs(pseudo.values).max())
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -246,7 +254,7 @@ def _sweep_1d(data: Dataset):
     return order, starts, cuts, below
 
 
-def _learn_threshold_1d(w, pseudo, data) -> LearnResult | None:
+def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool] | None:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -273,27 +281,23 @@ def _learn_threshold_1d(w, pseudo, data) -> LearnResult | None:
             c = cuts[(r - 2) % cuts.size]
             upper = r - 2 < cuts.size
             labels = x > c if upper else ~(x > c)
-            # c - x > 0 misses the rows at x == c; no float lies between c and the next one.
-            lower_c = np.nextafter(c, np.inf) if (x == c).any() else c
-            theta = np.array([-c, 1.0]) if upper else np.array([lower_c, -1.0])
-        # Labels as LinearPolicy.act computes them. At large |x| the unit vector
-        # can lose a cut that theta realizes: such a theta is returned only
-        # when no tied unit-norm theta realizes its labels.
+            if upper:
+                theta = np.array([-c, 1.0])
+            elif c == _LARGEST:  # every row lies at or below c, as [1, -0.] labels them
+                theta = np.array([1.0, -0.0])
+            else:  # c - x > 0 misses the rows at x == c; no float lies between c and the next one
+                theta = np.array([np.nextafter(c, np.inf) if (x == c).any() else c, -1.0])
+        # Labels as LinearPolicy.act computes them. Every theta above realizes
+        # its labels: the cuts are finite, and a difference of two floats, such
+        # as -c + x or c' - x, has the exact sign of theirs in IEEE arithmetic
+        # (zero only when they are equal, +-inf on overflow). At large |x| the
+        # unit vector can lose a cut that theta realizes: such a theta is
+        # returned only when no tied unit-norm theta realizes its labels.
         unit = _unit(theta)
         lost = not ((unit[0] + x * unit[1] > 0) == labels).all()
-        if lost and not ((theta[0] + x * theta[1] > 0) == labels).all():
-            continue
         keys.append((lost, tuple(theta if lost else unit)))
-    return _result(np.array(min(keys)[1]) if keys else None, w, pseudo, data)
-
-
-def _result(theta, w, pseudo, data, exact: bool = True) -> LearnResult | None:
-    """The search's result for theta, or None when the exact search's optimum
-    was not realized; exact=False when the search could not certify it."""
-    if theta is None:
-        return None
-    policy = LinearPolicy(theta=theta)
-    return LearnResult(best=policy, best_value=weighted_value(policy, w, pseudo, data), exact=exact)
+    # keys is empty only when overflowing gains turn every value nan: the heuristic runs.
+    return (LinearPolicy(theta=np.array(min(keys)[1])), True) if keys else None
 
 
 def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
@@ -385,7 +389,7 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
-def _learn_linear_exact(w, pseudo, data) -> LearnResult | None:
+def _learn_linear_exact(w, pseudo, data) -> tuple[LinearPolicy, bool] | None:
     if data.d == 1:
         return _learn_threshold_1d(w, pseudo, data)
     z = add_intercept(data.covariates)
@@ -394,7 +398,7 @@ def _learn_linear_exact(w, pseudo, data) -> LearnResult | None:
     value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
     if value < lost < np.inf:  # a better labeling was not realized: the heuristic runs
         return None
-    return _result(theta, w, pseudo, data, exact=lost <= value)
+    return LinearPolicy(theta=theta), lost <= value
 
 
 def _refine_coordinate(z, theta, j, base, gain):
@@ -424,7 +428,7 @@ def _refine_coordinate(z, theta, j, base, gain):
     return out, float(values[k])
 
 
-def _learn_linear_approx(w, pseudo, data, seed) -> LearnResult:
+def _learn_linear_approx(w, pseudo, data, seed) -> LinearPolicy:
     z = add_intercept(data.covariates)
     base, gain = _gains(w, pseudo, data)
     rng = np.random.default_rng(seed)
@@ -443,17 +447,18 @@ def _learn_linear_approx(w, pseudo, data, seed) -> LearnResult:
             if not improved:
                 break
         keys.append((-value, tuple(_unit(theta))))
-    return _result(np.array(min(keys)[1]), w, pseudo, data, exact=False)
+    return LinearPolicy(theta=np.array(min(keys)[1]))
 
 
-def learn_linear(
+def search_linear(
     w: WeightScheme,
     pseudo: PseudoOutcomes,
     data: Dataset,
     seed: int = 0,
     force_approx: bool = False,
-) -> LearnResult:
-    """Maximize the weighted value over linear threshold policies (m=2).
+) -> tuple[LinearPolicy, bool]:
+    """The linear threshold policy (m=2) of largest weighted value, and
+    whether the search certified it exact; learn_linear also values it.
 
     Exact at d=1 for any n, with ties to the lexicographically smallest
     unit-norm theta (or, when at large |x| every tied unit vector loses its
@@ -463,41 +468,32 @@ def learn_linear(
     1e-12 * max|[1, x]| of a hyperplane count as on it; when such a row lies
     off it by more than rounding noise, that cell's theta returns flagged
     exact=False). Otherwise, or when the d>=2 optimum cannot be realized
-    numerically, a seeded multi-start coordinate search runs instead, flagged
-    exact=False.
+    numerically (or the d=1 gains overflow), a seeded multi-start coordinate
+    search runs instead, flagged exact=False.
 
     Weight schemes searched on one dataset share its d=1 sweep, kept on it.
     """
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
     if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
-        result = _learn_linear_exact(w, pseudo, data)
-        if result is not None:
-            return result
-    return _learn_linear_approx(w, pseudo, data, seed)
+        found = _learn_linear_exact(w, pseudo, data)
+        if found is not None:
+            return found
+    return _learn_linear_approx(w, pseudo, data, seed), False
 
 
-def true_regret(
-    pi: Policy,
-    scenario,
-    population=None,
-    n_eval: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo regret of a policy on a synthetic scenario.
+def learn_linear(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, seed: int = 0,
+                 force_approx: bool = False) -> LearnResult:
+    """search_linear's policy with its weighted value."""
+    best, exact = search_linear(w, pseudo, data, seed, force_approx)
+    return LearnResult(best=best, best_value=weighted_value(best, w, pseudo, data), exact=exact)
 
-    Draws covariates from the scenario's law and averages the shortfall of the
-    policy's true arm mean against the pointwise-best arm mean, optionally
-    weighted by a population weight function of the covariates.
-    """
-    sample = _RegretSample().draw(scenario, n_eval, seed)
-    shortfall = sample.shortfall(pi)
-    if population is None:
-        return float(shortfall.mean())
-    wts = np.asarray(population(sample.x), dtype=float)
-    if wts.shape != shortfall.shape or np.any(wts < 0) or wts.sum() <= 0:
-        raise ValidationError("population weights must be nonnegative with positive sum")
-    return float(np.sum(wts * shortfall) / wts.sum())
+
+def true_regret(pi: Policy, scenario, n_eval: int = 100_000, seed: int = 0) -> float:
+    """Monte Carlo regret of a policy on a synthetic scenario: the mean
+    shortfall of the policy's true arm mean against the pointwise-best arm
+    mean over covariates drawn from the scenario's law."""
+    return float(_RegretSample().draw(scenario, n_eval, seed).shortfall(pi).mean())
 
 
 class _RegretSample:

@@ -14,7 +14,7 @@ from .data import Dataset, _input_file, make_folds
 from .errors import ValidationError
 from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _mean, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
-from .policy import _RegretSample, learn_linear
+from .policy import _RegretSample, search_linear
 from .pseudo import dr_pseudo_outcomes
 from .weights import make_weights
 
@@ -99,7 +99,7 @@ class ScenarioSpec:
         return np.matmul(_add_intercept(x, self.mean_degree, out=design), coef_t, out=out)
 
     def propensity_matrix(self, x: np.ndarray) -> np.ndarray:
-        p = np.clip(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12, None)
+        p = np.maximum(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12)
         return p / _rows(np.add, p)[:, None]
 
     def to_jsonable(self) -> dict:
@@ -123,8 +123,14 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> tuple[Dataset, Nuisan
     x = scenario.sample_covariates(n, rng)
     prob = scenario.propensity_matrix(x)
     draws = rng.random(n)
-    actions = (prob.cumsum(axis=1) < draws[:, None]).sum(axis=1)
-    actions = np.minimum(actions, scenario.m - 1)
+    # The action is the number of the first m - 1 cumulative probabilities,
+    # summed left to right as cumsum sums them, that fall below the draw: the
+    # count over all m capped at m - 1, as the sums never decrease.
+    cum = prob[:, 0]
+    actions = (cum < draws).astype(int)
+    for a in range(1, scenario.m - 1):
+        cum = cum + prob[:, a]
+        actions += cum < draws
     mu = scenario.mean_matrix(x)
     noise = rng.standard_normal(n) * scenario.noise_sd[actions]
     outcomes = mu[np.arange(n), actions] + noise
@@ -268,7 +274,7 @@ def _replicate(
     nuisance_config: NuisanceConfig,
     sample: _RegretSample | None = None,
 ) -> np.ndarray:
-    """One replication: generate, cross-fit, learn per scheme, true regret.
+    """One replication: generate, cross-fit, search per scheme, true regret.
     The regret sample is drawn into `sample`'s buffers when given, after every
     scheme is learned: the searches' small arrays stay in cache, and the draw
     has its own seed, so the order changes no result."""
@@ -279,7 +285,7 @@ def _replicate(
         folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
-    policies = [learn_linear(make_weights(spec, nuis), pseudo, data, seed=seed).best
+    policies = [search_linear(make_weights(spec, nuis), pseudo, data, seed=seed)[0]
                 for spec in schemes]
     # One regret sample and loss table serve all of this replication's schemes.
     sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)

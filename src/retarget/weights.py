@@ -35,13 +35,12 @@ class WeightScheme:
 
     @classmethod
     def from_raw(cls, kind: str, raw: np.ndarray) -> "WeightScheme":
-        """Normalize raw nonnegative weights to sample mean 1."""
+        """Normalize raw nonnegative weights to sample mean 1: the mean is
+        checked here, finite and positive, and the entries by __post_init__."""
         raw = np.asarray(raw, dtype=float)
-        if not np.isfinite(raw).all() or (raw < 0).any():
-            raise ValidationError("raw weights must be finite and nonnegative")
         mean = _mean(raw)
-        if mean <= 0:
-            raise ValidationError("raw weights must have positive mean")
+        if not 0.0 < mean < np.inf:
+            raise ValidationError(f"raw weights of {kind} have mean {mean}, not finite and > 0")
         return cls(kind=kind, weights=raw / mean)
 
     @property
@@ -124,8 +123,10 @@ def curvature_scaled_weights(
         raise ValidationError("gap statistics and weights have mismatched lengths")
     if power == 0:
         return base
-    raw = base.weights * np.maximum(gaps.gap, floor) ** power
-    return WeightScheme.from_raw(f"{base.kind}_dp:{power:g}", raw)
+    # A power that overflows leaves an infinite raw mean, which from_raw refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = base.weights * np.maximum(gaps.gap, floor) ** power
+        return WeightScheme.from_raw(f"{base.kind}_dp:{power:g}", raw)
 
 
 def _row_noise(nuis: NuisanceSet) -> np.ndarray:

@@ -772,6 +772,19 @@ class TestLearn:
             "error[ValidationError]: weighted scores too large: a policy value overflows"
         ]
 
+    def test_linear_search_matches_the_stored_outputs(self, tmp_path):
+        # The six default schemes on a saved seed-0 draw of S-A (n = 300),
+        # without the # config: lines, which name the data path.
+        data = str(TEST_REFERENCE / "learn_linear_seed0_data.csv")
+        body = []
+        for scheme in ("uniform", "w0", "w0_dp:1", "w0_dp:2", "w0_dp:-1", "w0_dp:-2"):
+            out = tmp_path / "learn.txt"
+            assert main(["learn", "--class", "linear", "--weights", scheme, "--data", data,
+                         "--out", str(out)]) == EXIT_OK
+            body += [line for line in out.read_text().splitlines(keepends=True)
+                     if not line.startswith("#")]
+        assert "".join(body) == (TEST_REFERENCE / "learn_linear_seed0.txt").read_text()
+
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"
         policies.write_text("const,0\nconst,1\n0.0,1.0\n")
@@ -789,6 +802,26 @@ class TestLearn:
 
     def test_unknown_class_invalid(self, binary_csv):
         assert main(["learn", "--data", binary_csv, "--class", "tree"]) == EXIT_INVALID
+
+
+class TestOverflowingGapPower:
+    """A gap power that overflows is one error line naming the scheme: numpy's
+    overflow warning and its source line used to come first."""
+
+    @pytest.mark.parametrize("command", ["learn", "simulate", "fit"])
+    def test_one_error_line(self, binary_csv, capsys, command):
+        argv = {
+            "learn": ["learn", "--class", "linear", "--weights", "w0_dp:-400",
+                      "--data", binary_csv],
+            "simulate": ["simulate", "--schemes", "uniform,w0_dp:-400", "--reps", "1"],
+            "fit": ["fit", "--equation", "best_fit", "--weights", "w0_dp:-400",
+                    "--data", binary_csv],
+        }[command]
+        assert _main_without_warnings(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error[ValidationError]: raw weights of w0_dp:-400 have mean inf, not finite and > 0"
+        ]
 
 
 class TestReport:

@@ -1,7 +1,9 @@
 """Policy evaluation, finite and linear search, and true-regret evaluation."""
 
+import warnings
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from retarget import (
     load_policy_class,
     make_folds,
     make_weights,
+    search_linear,
     true_regret,
     uniform_weights,
     weighted_value,
@@ -933,16 +936,6 @@ class TestTrueRegret:
         se = 0.5 / np.sqrt(1_000_000)
         assert abs(r1 - r2) < 3 * np.sqrt(2) * se
 
-    def test_weighted_population(self):
-        scenario = self._scenario()
-        worst = LinearPolicy(np.array([0.0, -1.0]))
-        reg = true_regret(
-            worst, scenario, population=lambda x: (x.ravel() > 0).astype(float),
-            n_eval=400_000, seed=5,
-        )
-        # conditional on X > 0: E[0.5 X | X > 0] = 0.25
-        assert reg == pytest.approx(0.25, abs=0.003)
-
     def test_nonnegative(self):
         scenario = self._scenario()
         rng = np.random.default_rng(11)
@@ -959,18 +952,14 @@ class TestTrueRegret:
             true_regret(ConstantPolicy(2), scenario, n_eval=1_000)
 
     @staticmethod
-    def _reference_true_regret(pi, scenario, population=None, n_eval=100_000, seed=0):
+    def _reference_true_regret(pi, scenario, n_eval=100_000, seed=0):
         """true_regret before it shared the regret sample and loss table with
         simulate: a 2-d gather of the chosen arm means."""
         rng = np.random.default_rng(seed)
         x = scenario.sample_covariates(n_eval, rng)
         mu = scenario.mean_matrix(x)
         chosen = mu[np.arange(x.shape[0]), np.asarray(pi.act(x))]
-        shortfall = _rows(np.maximum, mu) - chosen
-        if population is None:
-            return float(shortfall.mean())
-        wts = np.asarray(population(x), dtype=float)
-        return float(np.sum(wts * shortfall) / wts.sum())
+        return float((_rows(np.maximum, mu) - chosen).mean())
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2_024])
     def test_bits_of_the_gather_form(self, seed):
@@ -986,10 +975,9 @@ class TestTrueRegret:
         cases += [(three_arms, ConstantPolicy(a)) for a in range(3)]
         cases += [(three_arms, LinearPolicy(rng.standard_normal(3)))]
         for scenario, pi in cases:
-            for population in (None, lambda x: np.exp(-np.abs(x).sum(axis=1))):
-                kwargs = dict(population=population, n_eval=3_001, seed=seed)
-                assert true_regret(pi, scenario, **kwargs) == \
-                    self._reference_true_regret(pi, scenario, **kwargs)
+            kwargs = dict(n_eval=3_001, seed=seed)
+            assert true_regret(pi, scenario, **kwargs) == \
+                self._reference_true_regret(pi, scenario, **kwargs)
 
 
 class TestRegretActionContract:
@@ -1260,3 +1248,156 @@ class TestPolicyClassFile:
         path.write_text("# nothing\n")
         with pytest.raises(ValidationError, match="no policies"):
             load_policy_class(str(path))
+
+
+def _same_search(w, pseudo, data, **kwargs):
+    """search_linear gives learn_linear's policy and flag, and learn_linear's
+    value is weighted_value's for that policy, bit for bit."""
+    best, exact = search_linear(w, pseudo, data, **kwargs)
+    res = learn_linear(w, pseudo, data, **kwargs)
+    assert best.theta.tobytes() == res.best.theta.tobytes()
+    assert exact is res.exact
+    assert np.float64(res.best_value).tobytes() == \
+        np.float64(weighted_value(best, w, pseudo, data)).tobytes()
+
+
+# Covariates where a cut's arithmetic is at its edges: the largest floats,
+# subnormals, signed zeros and adjacent floats.
+_EDGE_X = [np.finfo(float).max, -np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0),
+           1.5e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, np.nextafter(1.0, 2.0),
+           np.nextafter(1.0, 0.0), 1e17, 1e17 + 16, -1e17]
+
+
+class TestSearchLinear:
+    """search_linear is learn_linear without the valuation."""
+
+    @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+    def test_default_grid(self, scenario):
+        for seed in (0, 1):
+            data, _ = generate(scenario, 500, seed)
+            nuis = cross_fit(data, make_folds(data.n, 2, seed=seed))
+            pseudo = dr_pseudo_outcomes(data, nuis)
+            for spec in DEFAULT_SCHEMES:
+                _same_search(make_weights(spec, nuis), pseudo, data, seed=seed)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_d2_and_the_heuristic(self, n):
+        rng = np.random.default_rng(n)
+        data, pseudo = plain_data(rng, n, 2)
+        for w in (uniform_weights(n), WeightScheme.from_raw("w", rng.uniform(0.1, 3.0, n))):
+            _same_search(w, pseudo, data)
+            _same_search(w, pseudo, data, seed=2, force_approx=True)
+
+    def test_no_covariate_is_rejected(self):
+        data = Dataset(covariates=np.empty((3, 0)), actions=np.zeros(3, int),
+                       outcomes=np.zeros(3), m=2)
+        with pytest.raises(ValidationError, match="at least one covariate"):
+            search_linear(uniform_weights(3), PseudoOutcomes(values=np.zeros((3, 2))), data)
+
+
+class TestThresholdCandidatesRealizeTheirLabels:
+    """Each d=1 candidate's theta realizes its labels, so the sweep has no
+    fallback for a tied candidate it cannot realize."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_EDGE_X),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=12))
+    def test_every_tied_candidate(self, x):
+        x = np.array(x)
+        data, pseudo = _tie_instance(x, "zero")  # no effect: every candidate ties
+        thetas = []
+
+        def unit(theta):
+            thetas.append(theta.copy())
+            return real_unit(theta)
+
+        real_unit = policy_module._unit
+        with mock.patch.object(policy_module, "_unit", unit), np.errstate(over="ignore"):
+            _, exact = search_linear(uniform_weights(x.size), pseudo, data)
+        assert exact
+        cuts = policy_module._sweep_1d(data)[2]
+        labelings = [x == x, x != x] + [x > c for c in cuts] + [~(x > c) for c in cuts]
+        assert len(thetas) == len(labelings)
+        for theta, labels in zip(thetas, labelings):
+            assert np.isfinite(theta).all()
+            with np.errstate(over="ignore"):
+                assert np.array_equal(theta[0] + x * theta[1] > 0, labels), theta
+
+    def test_lower_rule_at_the_largest_float(self):
+        # x <= max float labels every row; the next float up is inf, which
+        # used to warn twice (nextafter's overflow, then _unit's inf / inf).
+        x = np.array([[np.finfo(float).max], [0.0]])
+        data = Dataset(covariates=x, actions=np.array([0, 1]), outcomes=np.zeros(2), m=2)
+        pseudo = PseudoOutcomes(values=np.array([[0.0, 1.0], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = learn_linear(uniform_weights(2), pseudo, data)
+        assert res.exact and res.best_value == 1.0
+        assert np.array_equal(res.best.act(x), [1, 1])
+
+    def test_overflowing_gains_reach_the_heuristic(self):
+        # psi_1 - psi_0 = 2e308 overflows in the effect score although every
+        # weighted score is bounded: the gains turn nan, no candidate ties at
+        # the maximum, and the heuristic answers.
+        x = np.array([[0.1], [0.2], [0.3], [0.4]])
+        data = Dataset(covariates=x, actions=np.array([0, 1, 0, 1]), outcomes=np.zeros(4), m=2)
+        psi = np.zeros((4, 2))
+        psi[0] = [-1e308, 1e308]
+        pseudo = PseudoOutcomes(values=psi)
+        w = WeightScheme(kind="w", weights=np.array([0.25, 1.25, 1.25, 1.25]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert policy_module._learn_threshold_1d(w, pseudo, data) is None
+            best, exact = search_linear(w, pseudo, data)
+            approx, _ = search_linear(w, pseudo, data, force_approx=True)
+        assert not exact
+        assert best.theta.tobytes() == approx.theta.tobytes()
+
+
+class TestOverflowBound:
+    """_gains runs the exact overflow sum only where the cached bound
+    max|psi| * max w * size reaches 1e300, with the exact sum's decision."""
+
+    @staticmethod
+    def _raises(call) -> bool:
+        try:
+            call()
+        except ValidationError:
+            return True
+        return False
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), exponent=st.floats(-12.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_same_decision_as_the_exact_sum(self, n, exponent, seed):
+        rng = np.random.default_rng(seed)
+        top = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            values = 10.0 ** exponent * (1e308 / (2 * n)) * rng.uniform(-1.0, 1.0, (n, 2))
+        values = np.clip(values, -top, top) * rng.choice([1.0, 1e-3, 0.0], (n, 2))
+        pseudo = PseudoOutcomes(values=values)
+        w = WeightScheme.from_raw("w", rng.exponential(size=n) ** rng.uniform(1.0, 4.0))
+        data = Dataset(covariates=rng.uniform(-1, 1, (n, 1)), actions=np.zeros(n, int),
+                       outcomes=np.zeros(n), m=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cached = self._raises(lambda: policy_module._gains(w, pseudo, data))
+            exact = self._raises(
+                lambda: policy_module._check_bounded(pseudo.values * w.weights[:, None]))
+        assert cached == exact
+
+    @pytest.mark.parametrize("factor, rejected", [(0.1, False), (1.1, True)])
+    def test_both_sides_of_the_bound(self, factor, rejected):
+        n = 10
+        data = Dataset(covariates=np.linspace(0, 1, n)[:, None], actions=np.zeros(n, int),
+                       outcomes=np.zeros(n), m=2)
+        pseudo = PseudoOutcomes(values=np.full((n, 2), factor * (np.finfo(float).max / (2 * n))))
+        with np.errstate(over="ignore"):
+            assert self._raises(lambda: policy_module._gains(uniform_weights(n), pseudo, data)) \
+                is rejected
+
+
+def test_scored_keeps_the_transposed_product_bits():
+    rng = np.random.default_rng(3)
+    data, pseudo = plain_data(rng, 37, 1)
+    w = WeightScheme.from_raw("w", rng.uniform(0.1, 3.0, 37))
+    want = (pseudo.values * w.weights[:, None]).T.ravel()
+    assert policy_module._scored(w, pseudo, data).tobytes() == want.tobytes()

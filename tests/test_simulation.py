@@ -75,6 +75,26 @@ class TestGenerate:
         assert np.allclose(oracle.propensity, scenario.propensity_matrix(data.covariates))
 
 
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_actions_follow_the_cumsum_rule(self, m):
+        # Strong logits put many probabilities at the 1e-12 floor.
+        rng = np.random.default_rng(m)
+        scenario = ScenarioSpec(
+            name=f"m{m}", d=2, m=m, covariate_law="normal",
+            propensity_coef=4.0 * rng.standard_normal((m, 3)),
+            mean_coef=rng.standard_normal((m, 3)), noise_sd=np.ones(m),
+        )
+        n = 3_000
+        for seed in range(3):
+            data, oracle = generate(scenario, n, seed)
+            draw = np.random.default_rng(seed)
+            x = scenario.sample_covariates(n, draw)
+            prob = scenario.propensity_matrix(x)
+            assert prob.tobytes() == oracle.propensity.tobytes()
+            old = np.minimum((prob.cumsum(axis=1) < draw.random(n)[:, None]).sum(axis=1), m - 1)
+            assert data.actions.tobytes() == old.tobytes()
+
+
 class TestScenarioSpec:
     def test_normal_law(self):
         scenario = ScenarioSpec(

@@ -1,6 +1,7 @@
 """Weight schemes, gap statistics, the variance proxy, and selection ratios."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,12 +51,20 @@ class TestWeightScheme:
         assert w.weights.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^weights must be finite and nonnegative$"):
             WeightScheme.from_raw("bad", np.array([1.0, -0.5]))
+        with pytest.raises(ValidationError, match="raw weights of bad have mean -0.25, not finite and > 0"):
+            WeightScheme.from_raw("bad", np.array([0.5, -1.0]))
 
     def test_rejects_all_zero(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="have mean 0.0, not finite"):
             WeightScheme.from_raw("bad", np.zeros(3))
+
+    @pytest.mark.parametrize("raw", [[1.0, np.inf], [1.0, np.nan], [1e308, 1e308]],
+                             ids=["inf", "nan", "sum-overflows"])
+    def test_rejects_a_mean_that_is_not_finite(self, raw):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="not finite and > 0"):
+            WeightScheme.from_raw("bad", np.array(raw))
 
     def test_mean_message_is_the_same_on_every_numpy(self):
         # numpy >= 2 reprs a float64 scalar as np.float64(1.5).
@@ -167,6 +176,17 @@ class TestCurvatureScaledWeights:
         gaps = GapStatistics(gap=np.ones(2), spread=np.ones(2))
         with pytest.raises(ValidationError):
             curvature_scaled_weights(base, gaps, power=1.0, floor=0.0)
+
+    @pytest.mark.parametrize("base_weights", [[1.0, 1.0], [0.0, 2.0]], ids=["positive", "zero"])
+    def test_overflowing_power_names_the_scheme(self, base_weights):
+        # (1e-3)^-400 overflows; a zero base weight times it is nan.
+        base = WeightScheme(kind="w0", weights=np.array(base_weights))
+        gaps = GapStatistics(gap=np.zeros(2), spread=np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                curvature_scaled_weights(base, gaps, power=-400.0)
+        assert str(info.value).startswith("raw weights of w0_dp:-400 have mean ")
 
     def test_kind_label(self):
         base = WeightScheme.from_raw("w0", np.ones(2))
