@@ -2,7 +2,8 @@
 
 Every run writes its resolved configuration (including the seed) into the
 output header so results can be replayed exactly. Exit codes: 0 success,
-2 usage error, 3 invalid input or configuration, 4 estimation failure.
+2 usage error, 3 invalid input or configuration (or a failed allocation),
+4 estimation failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .simulation import (
     render_report,
     run_benchmark,
 )
-from .weights import DEFAULT_GAP_FLOOR, make_weights
+from .weights import DEFAULT_GAP_FLOOR, make_weights, parse_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,6 +88,7 @@ def _prepare(args: argparse.Namespace):
         propensity_clip=args.clip,
         variance_mode=args.variance,
     )
+    parse_scheme(args.weights, args.delta_floor)
     folds = make_folds(data.n, args.folds, seed=args.seed)
     nuis = functools.cache(lambda: cross_fit(data, folds, config))
     if oracle is not None:
@@ -121,7 +123,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     zmap = FeatureMap.parse(args.features)
     data, nuis, pseudo = _prepare(args)
     if args.equation in ("best_fit", "cate"):
-        # Scores before weights: a bad --weights behind bad scores reports the scores.
+        # Scores before weights: weights that fail behind bad scores report the scores.
         psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
     if args.equation == "best_fit":
         _check_arm(args.arm, data.m)
@@ -265,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # numpy raises its private subclass, _ArrayMemoryError
+        print(f"error[MemoryError]: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (EstimationError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -304,28 +304,17 @@ def save_dataset(data: Dataset, path: str) -> None:
             writer.writerow(row)
 
 
-def make_folds(
-    n: int, n_folds: int, seed: int, actions: np.ndarray | None = None
-) -> FoldAssignment:
+def make_folds(n: int, n_folds: int, seed: int) -> FoldAssignment:
     """Assign each of n observations to one of `n_folds` balanced folds.
 
     Deterministic in (n, n_folds, seed): a seeded uniform shuffle followed by a
-    round-robin split. Passing `actions` shuffles within each arm first so the
-    arms spread evenly across folds; overall balance is preserved either way.
+    round-robin split.
     """
     if n_folds < 2:
         raise ValidationError(f"fold count must be >= 2, got {n_folds}")
     if n_folds > n:
         raise ValidationError(f"fold count {n_folds} exceeds sample size {n}")
-    rng = np.random.default_rng(seed)
-    if actions is None:
-        order = rng.permutation(n)
-    else:
-        a = np.asarray(actions)
-        if a.shape != (n,):
-            raise ValidationError(f"actions must have shape ({n},), got {a.shape}")
-        parts = [rng.permutation(np.flatnonzero(a == lab)) for lab in np.unique(a)]
-        order = np.concatenate(parts)
+    order = np.random.default_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=int)
     fold_of[order] = np.arange(n) % n_folds
     return FoldAssignment(fold_of=fold_of, n_folds=n_folds)

@@ -173,6 +173,8 @@ class NuisanceConfig:
             raise ValidationError(f"propensity_clip must be in (0, 0.5), got {self.propensity_clip}")
         if self.ridge_lambda < 0.0:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if not np.isfinite(self.ridge_lambda):
+            raise ValidationError(f"ridge_lambda must be finite, got {self.ridge_lambda}")
 
 
 def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
@@ -231,8 +233,8 @@ def fit_outcome_regression(z: np.ndarray, y: np.ndarray, arm: int, ridge: float 
     """Least-squares fit of one arm's outcomes y on its rows z = [1, x], with
     an optional ridge penalty lambda * ||beta||^2 on all coefficients.
     """
-    if ridge < 0:
-        raise ValidationError(f"ridge penalty must be >= 0, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise ValidationError(f"ridge penalty must be finite and >= 0, got {ridge}")
     gram = z.T @ z
     if ridge > 0:
         gram = gram + ridge * np.eye(z.shape[1])

@@ -254,7 +254,7 @@ def _sweep_1d(data: Dataset):
     return order, starts, cuts, below
 
 
-def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool] | None:
+def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool]:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -296,8 +296,8 @@ def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool] | None:
         unit = _unit(theta)
         lost = not ((unit[0] + x * unit[1] > 0) == labels).all()
         keys.append((lost, tuple(theta if lost else unit)))
-    # keys is empty only when overflowing gains turn every value nan: the heuristic runs.
-    return (LinearPolicy(theta=np.array(min(keys)[1])), True) if keys else None
+    # keys is never empty: _gains' checks leave every value finite, so one is the maximum.
+    return LinearPolicy(theta=np.array(min(keys)[1])), True
 
 
 def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
@@ -468,8 +468,8 @@ def search_linear(
     1e-12 * max|[1, x]| of a hyperplane count as on it; when such a row lies
     off it by more than rounding noise, that cell's theta returns flagged
     exact=False). Otherwise, or when the d>=2 optimum cannot be realized
-    numerically (or the d=1 gains overflow), a seeded multi-start coordinate
-    search runs instead, flagged exact=False.
+    numerically, a seeded multi-start coordinate search runs instead, flagged
+    exact=False.
 
     Weight schemes searched on one dataset share its d=1 sweep, kept on it.
     """

@@ -59,10 +59,14 @@ def dr_pseudo_outcomes(data: Dataset, nuis: NuisanceSet) -> PseudoOutcomes:
 
 
 def effect_pseudo_outcome(pseudo: PseudoOutcomes) -> np.ndarray:
-    """Score for the treatment effect: arm-1 column minus arm-0 column (m=2)."""
+    """Score for the treatment effect: arm-1 column minus arm-0 column (m=2), finite."""
     if pseudo.m != 2:
         raise ValidationError(f"effect scores require exactly 2 arms, got m={pseudo.m}")
-    return pseudo.values[:, 1] - pseudo.values[:, 0]
+    with np.errstate(over="ignore"):
+        effect = pseudo.values[:, 1] - pseudo.values[:, 0]
+    if not np.isfinite(effect).all():
+        raise ValidationError("effect scores overflow: psi_1 - psi_0 is not finite")
+    return effect
 
 
 def dump_pseudo_outcomes(pseudo: PseudoOutcomes, path: str) -> None:

@@ -91,7 +91,8 @@ class FeatureMap:
             if bad:
                 raise ValidationError(f"subset indices {bad} outside 0..{x.shape[1] - 1}")
             x = x[:, list(self.indices)]
-        z = add_intercept(x, self.degree)
+        with np.errstate(over="ignore"):  # an overflowing power is rejected below
+            z = add_intercept(x, self.degree)
         if not np.all(np.isfinite(z)):
             raise ValidationError("feature map produced non-finite values")
         return z

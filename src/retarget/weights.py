@@ -115,10 +115,7 @@ def curvature_scaled_weights(
     Gaps are floored at `floor` before exponentiation so negative powers stay
     finite near ties. power = 0 returns the base scheme unchanged.
     """
-    if not np.isfinite(power):
-        raise ValidationError(f"power must be finite, got {power}")
-    if floor <= 0:
-        raise ValidationError(f"gap floor must be > 0, got {floor}")
+    _check_gap_scaling(power, floor)
     if gaps.gap.shape[0] != base.n:
         raise ValidationError("gap statistics and weights have mismatched lengths")
     if power == 0:
@@ -127,6 +124,13 @@ def curvature_scaled_weights(
     with np.errstate(over="ignore", invalid="ignore"):
         raw = base.weights * np.maximum(gaps.gap, floor) ** power
         return WeightScheme.from_raw(f"{base.kind}_dp:{power:g}", raw)
+
+
+def _check_gap_scaling(power: float, floor: float) -> None:
+    if not np.isfinite(power):
+        raise ValidationError(f"power must be finite, got {power}")
+    if not 0.0 < floor < np.inf:
+        raise ValidationError(f"gap floor must be finite and > 0, got {floor}")
 
 
 def _row_noise(nuis: NuisanceSet) -> np.ndarray:
@@ -182,6 +186,24 @@ def selection_ratio(
     return float(np.sqrt(variance_proxy(w, nuis)) / denom)
 
 
+def parse_scheme(spec: str, gap_floor: float = DEFAULT_GAP_FLOOR) -> tuple[str, float]:
+    """The kind (`uniform`, `w0` or `w0_dp`) and gap power (0 but for
+    `w0_dp:<p>`) of a CLI weight scheme name, checked with the gap floor."""
+    kind, power = spec, 0.0
+    if spec.startswith("w0_dp:"):
+        kind = "w0_dp"
+        try:
+            power = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"bad weight power in {spec!r}") from None
+    elif spec not in ("uniform", "w0"):
+        raise ValidationError(
+            f"unknown weight scheme {spec!r}; expected uniform, w0, or w0_dp:<p>"
+        )
+    _check_gap_scaling(power, gap_floor)
+    return kind, power
+
+
 def make_weights(
     spec: str, nuis: NuisanceSet, gap_floor: float = DEFAULT_GAP_FLOOR
 ) -> WeightScheme:
@@ -190,18 +212,10 @@ def make_weights(
     A nuisance set's homoskedastic weights and gap statistics are built once
     and kept on it, so every scheme made from one set shares them.
     """
-    if spec == "uniform":
+    kind, power = parse_scheme(spec, gap_floor)
+    if kind == "uniform":
         return uniform_weights(nuis.n)
-    if spec == "w0":
-        return _derived(nuis, homoskedastic_weights)
-    if spec.startswith("w0_dp:"):
-        try:
-            power = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad weight power in {spec!r}") from None
-        base = _derived(nuis, homoskedastic_weights)
-        gaps = _derived(nuis, gap_statistics)
-        return curvature_scaled_weights(base, gaps, power, floor=gap_floor)
-    raise ValidationError(
-        f"unknown weight scheme {spec!r}; expected uniform, w0, or w0_dp:<p>"
-    )
+    base = _derived(nuis, homoskedastic_weights)
+    if kind == "w0":
+        return base
+    return curvature_scaled_weights(base, _derived(nuis, gap_statistics), power, floor=gap_floor)

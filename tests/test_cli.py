@@ -824,6 +824,82 @@ class TestOverflowingGapPower:
         ]
 
 
+def _one_error_line(capsys, argv, code) -> str:
+    """main(argv)'s only stderr line, once its exit code is checked and no
+    warning or traceback came with it."""
+    assert _main_without_warnings(argv) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    return err.splitlines()[0]
+
+
+def _effect_overflow_files(tmp_path):
+    """A 30-row d=1 file and oracle nuisances whose row-0 scores are
+    -1.7e308 and 1.7e308: every score is finite and under w0 weights every
+    weighted sum is too, but the effect score psi_1 - psi_0 is not."""
+    n = 30
+    data_path, oracle_path = tmp_path / "effect.csv", tmp_path / "effect_oracle.csv"
+    data_path.write_text("x1,a,y\n0.0,0,-1.7e308\n" + "".join(
+        f"{i / n!r},{i % 2},{float(i % 3)!r}\n" for i in range(1, n)))
+    oracle_path.write_text("phi_0,phi_1,mu_0,mu_1\n0.99,0.01,-1.7e308,1.7e308\n"
+                           + "0.5,0.5,0,1\n" * (n - 1))
+    return str(data_path), str(oracle_path)
+
+
+class TestFailuresAreOneErrorLine:
+    """Each of these used to exit 0, warn before its error line, or end in a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--class", "linear", "--weights", "w0"],
+        ["fit", "--equation", "cate"],
+    ], ids=["learn", "fit-cate"])
+    def test_overflowing_effect_score(self, tmp_path, capsys, argv):
+        # learn exited 0 with the heuristic's exact=False theta, fit with nan betas.
+        data_path, oracle_path = _effect_overflow_files(tmp_path)
+        line = _one_error_line(capsys, argv + ["--data", data_path, "--oracle", oracle_path],
+                               EXIT_INVALID)
+        assert line == "error[ValidationError]: effect scores overflow: psi_1 - psi_0 is not finite"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--equation", "cate", "--ridge", "nan"], "ridge_lambda must be finite, got nan"),
+        (["fit", "--equation", "cate", "--ridge", "inf"], "ridge_lambda must be finite, got inf"),
+        (["fit", "--equation", "dv", "--weights", "bogus"],
+         "unknown weight scheme 'bogus'; expected uniform, w0, or w0_dp:<p>"),
+        (["fit", "--equation", "on_arm", "--mode", "ols", "--weights", "bogus"],
+         "unknown weight scheme 'bogus'; expected uniform, w0, or w0_dp:<p>"),
+        (["fit", "--equation", "on_arm", "--mode", "known", "--weights", "w0_dp:inf"],
+         "power must be finite, got inf"),
+        (["learn", "--delta-floor", "-1"], "gap floor must be finite and > 0, got -1.0"),
+        (["learn", "--weights", "w0", "--delta-floor", "nan"],
+         "gap floor must be finite and > 0, got nan"),
+    ], ids=["ridge-nan", "ridge-inf", "dv-weights", "ols-weights", "known-power",
+            "floor-negative", "floor-nan"])
+    def test_option_checked_for_every_command(self, binary_csv, capsys, argv, message):
+        line = _one_error_line(capsys, argv + ["--data", binary_csv], EXIT_INVALID)
+        assert line == f"error[ValidationError]: {message}"
+
+    def test_overflowing_feature_power(self, tmp_path, capsys):
+        path = tmp_path / "twenty.csv"
+        path.write_text("x1,a,y\n20.0,0,1\n" + "".join(f"{i / 10},{i % 2},{i % 3}\n"
+                                                      for i in range(1, 30)))
+        argv = ["fit", "--equation", "best_fit", "--features", "poly:400", "--data", str(path)]
+        line = _one_error_line(capsys, argv, EXIT_INVALID)
+        assert line == "error[ValidationError]: feature map produced non-finite values"
+
+    # Sizes past a 64-bit address space fail at once, touching no memory.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", str(10**15), "--reps", "1"],
+        ["fit", "--equation", "on_arm", "--mode", "ols", "--features", f"poly:{10**15}"],
+    ], ids=["simulate-n", "fit-poly"])
+    def test_failed_allocation(self, binary_csv, capsys, argv):
+        if argv[0] == "fit":
+            argv = argv + ["--data", binary_csv]
+        line = _one_error_line(capsys, argv, EXIT_INVALID)
+        assert line.startswith("error[MemoryError]: Unable to allocate "), line
+
+
 class TestReport:
     def test_csv_to_markdown(self, tmp_path, capsys):
         src = tmp_path / "r.csv"

@@ -433,17 +433,6 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             make_folds(3, 4, seed=0)
 
-    def test_stratified_keeps_balance(self):
-        rng = np.random.default_rng(5)
-        actions = rng.integers(0, 3, 53)
-        folds = make_folds(53, 4, seed=7, actions=actions)
-        sizes = np.bincount(folds.fold_of, minlength=4)
-        assert sizes.max() - sizes.min() <= 1
-        # each arm is spread across folds roughly evenly
-        for arm in range(3):
-            per_fold = np.bincount(folds.fold_of[actions == arm], minlength=4)
-            assert per_fold.max() - per_fold.min() <= 1
-
     def test_fold_assignment_validates(self):
         with pytest.raises(ValidationError, match="differ by at most 1"):
             FoldAssignment(fold_of=np.array([0, 0, 0, 1]), n_folds=2)

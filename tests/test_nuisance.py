@@ -240,6 +240,16 @@ class TestFitOutcomeRegression:
             fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.0)
         fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.1)  # ridge path succeeds
 
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_rejects_a_ridge_that_is_negative_or_not_finite(self, ridge):
+        # A nan ridge used to fit as ridge 0; an inf one warned, then made nan coefficients.
+        z, y = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0])
+        with pytest.raises(ValidationError, match=r"^ridge penalty must be finite and >= 0"):
+            fit_outcome_regression(z, y, arm=0, ridge=ridge)
+        message = "must be >= 0" if ridge < 0 else "must be finite"
+        with pytest.raises(ValidationError, match=f"^ridge_lambda {message}, got {ridge}$"):
+            NuisanceConfig(ridge_lambda=ridge)
+
 
 class TestEstimateVariance:
     def _residuals_and_arms(self, residuals_by_arm):

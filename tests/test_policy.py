@@ -1336,22 +1336,22 @@ class TestThresholdCandidatesRealizeTheirLabels:
         assert res.exact and res.best_value == 1.0
         assert np.array_equal(res.best.act(x), [1, 1])
 
-    def test_overflowing_gains_reach_the_heuristic(self):
+    def test_overflowing_effect_is_invalid(self):
         # psi_1 - psi_0 = 2e308 overflows in the effect score although every
-        # weighted score is bounded: the gains turn nan, no candidate ties at
-        # the maximum, and the heuristic answers.
+        # weighted score is bounded. The gains used to turn nan, so no
+        # candidate tied at the maximum and the heuristic answered.
         x = np.array([[0.1], [0.2], [0.3], [0.4]])
         data = Dataset(covariates=x, actions=np.array([0, 1, 0, 1]), outcomes=np.zeros(4), m=2)
         psi = np.zeros((4, 2))
         psi[0] = [-1e308, 1e308]
         pseudo = PseudoOutcomes(values=psi)
         w = WeightScheme(kind="w", weights=np.array([0.25, 1.25, 1.25, 1.25]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert policy_module._learn_threshold_1d(w, pseudo, data) is None
-            best, exact = search_linear(w, pseudo, data)
-            approx, _ = search_linear(w, pseudo, data, force_approx=True)
-        assert not exact
-        assert best.theta.tobytes() == approx.theta.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for force_approx in (False, True):
+                with pytest.raises(ValidationError, match=r"^effect scores overflow: "
+                                                          r"psi_1 - psi_0 is not finite$"):
+                    search_linear(w, pseudo, data, force_approx=force_approx)
 
 
 class TestOverflowBound:

@@ -1,5 +1,7 @@
 """Doubly robust score construction and its unbiasedness under oracle nuisances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ class TestEffectPseudoOutcome:
         pseudo = PseudoOutcomes(values=np.zeros((2, 3)))
         with pytest.raises(ValidationError, match="2 arms"):
             effect_pseudo_outcome(pseudo)
+
+    def test_overflowing_difference_is_invalid(self):
+        # Two finite scores whose difference overflows: once a numpy overflow
+        # warning and an inf effect score.
+        pseudo = PseudoOutcomes(values=np.array([[0.0, 1.0], [-1.7e308, 1.7e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^effect scores overflow: "
+                                                      r"psi_1 - psi_0 is not finite$"):
+                effect_pseudo_outcome(pseudo)
 
     def test_mc_oracle_effect_mean(self):
         # True effect tau(x) = x with X ~ U[0,1]: sample mean of the effect

@@ -171,11 +171,13 @@ class TestCurvatureScaledWeights:
         # floored zero-gap row dominates: raw (1000, 1)
         assert scaled.weights[0] / scaled.weights[1] == pytest.approx(1000.0)
 
-    def test_rejects_bad_floor(self):
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_floor(self, floor):
+        # A nan floor used to pass: np.maximum(gap, nan) made every weight nan.
         base = WeightScheme.from_raw("w0", np.ones(2))
         gaps = GapStatistics(gap=np.ones(2), spread=np.ones(2))
-        with pytest.raises(ValidationError):
-            curvature_scaled_weights(base, gaps, power=1.0, floor=0.0)
+        with pytest.raises(ValidationError, match=r"^gap floor must be finite and > 0, got "):
+            curvature_scaled_weights(base, gaps, power=1.0, floor=floor)
 
     @pytest.mark.parametrize("base_weights", [[1.0, 1.0], [0.0, 2.0]], ids=["positive", "zero"])
     def test_overflowing_power_names_the_scheme(self, base_weights):
@@ -308,6 +310,23 @@ class TestMakeWeights:
             make_weights("nope", nuis)
         with pytest.raises(ValidationError, match="bad weight power"):
             make_weights("w0_dp:abc", nuis)
+
+    def test_parse_checks_the_name_and_the_floor_without_nuisances(self):
+        assert weights_module.parse_scheme("uniform") == ("uniform", 0.0)
+        assert weights_module.parse_scheme("w0", 0.5) == ("w0", 0.0)
+        assert weights_module.parse_scheme("w0_dp:-2") == ("w0_dp", -2.0)
+        for spec, floor, message in [
+            ("nope", 1e-3, "unknown weight scheme 'nope'; expected uniform, w0, or w0_dp:<p>"),
+            ("w0_dp:abc", 1e-3, "bad weight power in 'w0_dp:abc'"),
+            ("w0_dp:inf", 1e-3, "power must be finite, got inf"),
+            ("uniform", -1.0, "gap floor must be finite and > 0, got -1.0"),
+            ("w0", np.nan, "gap floor must be finite and > 0, got nan"),
+        ]:
+            with pytest.raises(ValidationError) as caught:
+                weights_module.parse_scheme(spec, floor)
+            assert str(caught.value) == message
+        with pytest.raises(ValidationError, match="gap floor"):
+            make_weights("uniform", random_binary_nuis(np.random.default_rng(5), 4), gap_floor=0.0)
 
     def test_kept_w0_and_gaps_give_the_schemes_of_a_fresh_set(self, monkeypatch):
         # Schemes made from one nuisance set share the w0 and gap statistics
