@@ -171,13 +171,13 @@ class TestCurvatureScaledWeights:
         # floored zero-gap row dominates: raw (1000, 1)
         assert scaled.weights[0] / scaled.weights[1] == pytest.approx(1000.0)
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_bad_floor(self, floor):
+    def test_rejects_bad_floor(self):
         # A nan floor used to pass: np.maximum(gap, nan) made every weight nan.
         base = WeightScheme.from_raw("w0", np.ones(2))
         gaps = GapStatistics(gap=np.ones(2), spread=np.ones(2))
-        with pytest.raises(ValidationError, match=r"^gap floor must be finite and > 0, got "):
-            curvature_scaled_weights(base, gaps, power=1.0, floor=floor)
+        for floor in [0.0, -1.0, np.nan, np.inf]:
+            with pytest.raises(ValidationError, match=r"^gap floor must be finite and > 0, got "):
+                curvature_scaled_weights(base, gaps, power=1.0, floor=floor)
 
     @pytest.mark.parametrize("base_weights", [[1.0, 1.0], [0.0, 2.0]], ids=["positive", "zero"])
     def test_overflowing_power_names_the_scheme(self, base_weights):
