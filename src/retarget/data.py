@@ -19,9 +19,11 @@ _CHUNK_BYTES = 1 << 16
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Make each array read-only, then set it on the frozen record."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 def _derived(obj, build):
@@ -72,9 +74,7 @@ class Dataset:
         if not np.isfinite(x).all():
             i, j = np.argwhere(~np.isfinite(x))[0]
             raise ValidationError(f"non-finite covariate at row {i}, column 'x{j + 1}'")
-        object.__setattr__(self, "covariates", _freeze(x))
-        object.__setattr__(self, "actions", _freeze(a))
-        object.__setattr__(self, "outcomes", _freeze(y))
+        _freeze(self, covariates=x, actions=a, outcomes=y)
 
     @property
     def n(self) -> int:
@@ -104,7 +104,7 @@ class FoldAssignment:
             raise ValidationError("every fold index in {0..K-1} must appear at least once")
         if sizes.max() - sizes.min() > 1:
             raise ValidationError(f"fold sizes must differ by at most 1, got {sizes.tolist()}")
-        object.__setattr__(self, "fold_of", _freeze(f))
+        _freeze(self, fold_of=f)
 
     @property
     def n(self) -> int:

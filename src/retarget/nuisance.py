@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, _input_file, _read_csv
+from .data import Dataset, FoldAssignment, _freeze, _input_file, _read_csv
 from .errors import EstimationError, ValidationError
 
 VARIANCE_FLOOR = 1e-12
@@ -108,9 +108,7 @@ class NuisanceSet:
             raise ValidationError(f"propensity row {bad} sums to {float(row_sums[bad])!r}, not 1")
         if (v < 0.0).any():
             raise ValidationError("variance entries must be nonnegative")
-        for name, arr in (("propensity", p), ("outcome_mean", mu), ("variance", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, propensity=p, outcome_mean=mu, variance=v)
 
     @property
     def n(self) -> int:

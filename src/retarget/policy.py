@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset, _derived, _input_file
+from .data import Dataset, _derived, _freeze, _input_file
 from .errors import EstimationError, ValidationError
 from .nuisance import _mean, _rows, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
@@ -63,8 +63,7 @@ class LinearPolicy:
         t = np.asarray(self.theta, dtype=float)
         if t.ndim != 1 or t.size < 2 or not np.isfinite(t).all():
             raise ValidationError(f"theta must be a finite vector of length d+1, got {t!r}")
-        t.setflags(write=False)
-        object.__setattr__(self, "theta", t)
+        _freeze(self, theta=t)
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Actions for the rows of x.
@@ -254,7 +253,7 @@ def _sweep_1d(data: Dataset):
     return order, starts, cuts, below
 
 
-def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool]:
+def _learn_threshold_1d(data, base, gain) -> LinearPolicy:
     """Exact d=1 search in O(n log n).
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -264,7 +263,6 @@ def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool]:
     come from one prefix sum of the gains summed over groups of equal x; a
     theta and its labels are built only for candidates tied at the maximum.
     """
-    base, gain = _gains(w, pseudo, data)
     order, starts, cuts, below = _derived(data, _sweep_1d)
     x = data.covariates[:, 0]
     prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
@@ -297,7 +295,7 @@ def _learn_threshold_1d(w, pseudo, data) -> tuple[LinearPolicy, bool]:
         lost = not ((unit[0] + x * unit[1] > 0) == labels).all()
         keys.append((lost, tuple(theta if lost else unit)))
     # keys is never empty: _gains' checks leave every value finite, so one is the maximum.
-    return LinearPolicy(theta=np.array(min(keys)[1])), True
+    return LinearPolicy(theta=np.array(min(keys)[1]))
 
 
 def _lift(z, v, sub, tight, labels) -> np.ndarray | None:
@@ -389,18 +387,6 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
-def _learn_linear_exact(w, pseudo, data) -> tuple[LinearPolicy, bool] | None:
-    if data.d == 1:
-        return _learn_threshold_1d(w, pseudo, data)
-    z = add_intercept(data.covariates)
-    _, gain = _gains(w, pseudo, data)
-    tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
-    value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
-    if value < lost < np.inf:  # a better labeling was not realized: the heuristic runs
-        return None
-    return LinearPolicy(theta=theta), lost <= value
-
-
 def _refine_coordinate(z, theta, j, base, gain):
     """Best value over theta_j with other coordinates fixed: piecewise constant
     in theta_j, so scan midpoints between (subsampled) sign-change breakpoints.
@@ -428,18 +414,17 @@ def _refine_coordinate(z, theta, j, base, gain):
     return out, float(values[k])
 
 
-def _learn_linear_approx(w, pseudo, data, seed) -> LinearPolicy:
-    z = add_intercept(data.covariates)
-    base, gain = _gains(w, pseudo, data)
+def _learn_linear_approx(z, base, gain, seed) -> LinearPolicy:
+    k = z.shape[1]
     rng = np.random.default_rng(seed)
-    starts = [np.array([1.0] + [0.0] * data.d), np.array([-1.0] + [0.0] * data.d)]
-    starts += [rng.standard_normal(data.d + 1) for _ in range(_APPROX_STARTS)]
+    starts = [np.array([1.0] + [0.0] * (k - 1)), np.array([-1.0] + [0.0] * (k - 1))]
+    starts += [rng.standard_normal(k) for _ in range(_APPROX_STARTS)]
     keys = []  # (-value, theta): the best value, then the smallest unit theta
     for theta in starts:
         value = base + float(gain[z @ theta > 0].sum())
         for _ in range(_APPROX_MAX_PASSES):
             improved = False
-            for j in range(data.d + 1):
+            for j in range(k):
                 theta, new_value = _refine_coordinate(z, theta, j, base, gain)
                 if new_value > value + 1e-12:
                     value = new_value
@@ -475,11 +460,16 @@ def search_linear(
     """
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
-    if not force_approx and (data.d == 1 or data.n ** (data.d + 1) <= EXACT_MAX_WORK):
-        found = _learn_linear_exact(w, pseudo, data)
-        if found is not None:
-            return found
-    return _learn_linear_approx(w, pseudo, data, seed), False
+    base, gain = _gains(w, pseudo, data)
+    if data.d == 1 and not force_approx:
+        return _learn_threshold_1d(data, base, gain), True
+    z = add_intercept(data.covariates)
+    if not force_approx and data.n ** (data.d + 1) <= EXACT_MAX_WORK:
+        tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
+        value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
+        if not value < lost < np.inf:  # else a better labeling was not realized: the heuristic runs
+            return LinearPolicy(theta=theta), lost <= value
+    return _learn_linear_approx(z, base, gain, seed), False
 
 
 def learn_linear(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, seed: int = 0,

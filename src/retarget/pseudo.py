@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _freeze
 from .errors import ValidationError
 from .nuisance import NuisanceSet
 
@@ -28,8 +28,7 @@ class PseudoOutcomes:
             raise ValidationError(f"pseudo-outcome matrix must be 2-d, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValidationError("pseudo-outcome matrix contains non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze(self, values=v)
 
     @property
     def n(self) -> int:

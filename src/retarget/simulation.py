@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _input_file, make_folds
+from .data import Dataset, _freeze, _input_file, make_folds
 from .errors import ValidationError
 from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _mean, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
@@ -66,10 +66,7 @@ class ScenarioSpec:
         # by the F-ordered view takes ~3x as long, for the same bits. From 16
         # columns on, BLAS rounds the C copy differently, so the view stays.
         coef_t = np.ascontiguousarray(mc.T) if k < 16 else mc.T
-        for name, arr in (("propensity_coef", pc), ("mean_coef", mc), ("noise_sd", sd),
-                          ("_mean_coef_t", coef_t)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, propensity_coef=pc, mean_coef=mc, noise_sd=sd, _mean_coef_t=coef_t)
 
     def sample_covariates(
         self, n: int, rng: np.random.Generator, out: np.ndarray | None = None

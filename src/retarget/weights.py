@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _derived
+from .data import _derived, _freeze
 from .errors import ValidationError
 from .nuisance import NuisanceSet, _mean, _rows
 
@@ -30,8 +30,7 @@ class WeightScheme:
         mean = _mean(w)
         if abs(mean - 1.0) > 1e-9:
             raise ValidationError(f"weights must have sample mean 1, got {float(mean)!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _freeze(self, weights=w)
 
     @classmethod
     def from_raw(cls, kind: str, raw: np.ndarray) -> "WeightScheme":
@@ -66,10 +65,7 @@ class GapStatistics:
             raise ValidationError("gap and spread must be equal-length vectors")
         if (g < 0).any() or (s < g).any():
             raise ValidationError("require 0 <= gap <= spread elementwise")
-        g.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "gap", g)
-        object.__setattr__(self, "spread", s)
+        _freeze(self, gap=g, spread=s)
 
 
 def uniform_weights(n: int) -> WeightScheme:

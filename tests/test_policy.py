@@ -348,11 +348,46 @@ class TestLearnLinear:
     def test_exact_search_is_bounded_by_its_work(self, monkeypatch, n, d, tried):
         # d=1 is an O(n log n) sweep at any n; d>=2 costs ~n^(d+1).
         calls = []
-        monkeypatch.setattr(policy_module, "_learn_linear_exact", lambda *args: calls.append(1))
+
+        def sweep(data, base, gain):
+            calls.append(1)
+            return LinearPolicy(theta=np.array([1.0, 0.0]))
+
+        def cells(z, gain, tol, rank_tol):  # a better labeling was lost: the heuristic answers
+            calls.append(1)
+            return 0.0, np.eye(z.shape[1])[0], 1.0
+
+        monkeypatch.setattr(policy_module, "_learn_threshold_1d", sweep)
+        monkeypatch.setattr(policy_module, "_best_cell", cells)
         data, pseudo = plain_data(np.random.default_rng(0), n, d)
         res = learn_linear(uniform_weights(n), pseudo, data)
         assert bool(calls) == tried
-        assert not res.exact  # the stub found nothing, so the heuristic answered
+        assert res.exact == (d == 1)
+
+    @pytest.mark.parametrize(
+        "n, d, force_approx, lift, intercepts",
+        [(30, 1, False, True, 0), (30, 1, True, True, 1), (30, 2, False, True, 1),
+         (30, 2, False, False, 1), (30, 2, True, True, 1), (200, 3, False, True, 1)],
+        ids=["d1", "d1-heuristic", "d2", "d2-hand-off", "d2-heuristic", "d3-past-the-gate"],
+    )
+    def test_one_setup_per_search(self, monkeypatch, n, d, force_approx, lift, intercepts):
+        # The gains and the design [1, x] are built once per search, also when
+        # the exact d>=2 search hands off to the heuristic (no cell realized).
+        calls = []
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr(policy_module, "_gains", counted("gains", policy_module._gains))
+        monkeypatch.setattr(policy_module, "add_intercept",
+                            counted("add_intercept", policy_module.add_intercept))
+        if not lift:
+            monkeypatch.setattr(policy_module, "_lift", lambda *args: None)
+        data, pseudo = plain_data(np.random.default_rng(4), n, d)
+        res = learn_linear(uniform_weights(n), pseudo, data, force_approx=force_approx)
+        assert res.exact == (lift and not force_approx and n ** (d + 1) <= policy_module.EXACT_MAX_WORK)
+        assert calls.count("gains") == 1
+        assert calls.count("add_intercept") == intercepts
 
     def test_d3_beyond_the_work_bound_returns_the_heuristic(self):
         # The exact search took ~9 s here on 2 vCPUs; the heuristic ~0.2 s.
