@@ -223,7 +223,8 @@ def _largest_score(pseudo: PseudoOutcomes) -> float:
 
 def _unit(theta: np.ndarray) -> np.ndarray:
     # np.linalg.norm's own arithmetic for a real vector, without its wrapper.
-    norm = float(np.sqrt(theta.dot(theta)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(theta.dot(theta)))
     if norm == np.inf:  # entries beyond ~1e154: scale by the largest first
         theta = theta / np.abs(theta).max()
         norm = float(np.sqrt(theta.dot(theta)))
@@ -387,6 +388,19 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
+def _column_scale(z: np.ndarray):
+    """1.0 when the design's column maxima lie within a factor 2^30 of one
+    another, else per-column powers of two that bring each maximum into
+    [1, 2): the cell search's tolerances are relative to the largest entry,
+    and would take a column far below it for rounding noise. Where a scale
+    would pass 2^1022 (a maximum below ~2e-308), all scales shrink together."""
+    top = np.abs(z).max(axis=0)
+    if top.max() <= 2.0 ** 30 * top[top > 0].min():
+        return 1.0
+    exp = 1 - np.frexp(top)[1]
+    return np.ldexp(1.0, exp - max(int(exp.max()) - 1022, 0))
+
+
 def _refine_coordinate(z, theta, j, base, gain):
     """Best value over theta_j with other coordinates fixed: piecewise constant
     in theta_j, so scan midpoints between (subsampled) sign-change breakpoints.
@@ -421,7 +435,8 @@ def _learn_linear_approx(z, base, gain, seed) -> LinearPolicy:
     starts += [rng.standard_normal(k) for _ in range(_APPROX_STARTS)]
     keys = []  # (-value, theta): the best value, then the smallest unit theta
     for theta in starts:
-        value = base + float(gain[z @ theta > 0].sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _refine_coordinate
+            value = base + float(gain[z @ theta > 0].sum())
         for _ in range(_APPROX_MAX_PASSES):
             improved = False
             for j in range(k):
@@ -449,10 +464,12 @@ def search_linear(
     unit-norm theta (or, when at large |x| every tied unit vector loses its
     cut, the smallest unscaled theta that keeps it); at d>=2 when
     n^(d+1) <= EXACT_MAX_WORK (n <= 500 at d=2, 105 at d=3, 41 at d=4), with
-    ties to the first realized cell of `_best_cell` (rows within
-    1e-12 * max|[1, x]| of a hyperplane count as on it; when such a row lies
-    off it by more than rounding noise, that cell's theta returns flagged
-    exact=False). Otherwise, or when the d>=2 optimum cannot be realized
+    ties to the first realized cell of `_best_cell` on the design z = [1, x],
+    its columns scaled by `_column_scale` (rows within 1e-12 * max|z| of a
+    hyperplane count as on it; when such a row lies off it by more than
+    rounding noise, or the scaled theta's labels change on the unscaled
+    design, that cell's theta returns flagged exact=False; a scaled theta is
+    not unit-norm). Otherwise, or when the d>=2 optimum cannot be realized
     numerically, a seeded multi-start coordinate search runs instead, flagged
     exact=False.
 
@@ -465,10 +482,14 @@ def search_linear(
         return _learn_threshold_1d(data, base, gain), True
     z = add_intercept(data.covariates)
     if not force_approx and data.n ** (data.d + 1) <= EXACT_MAX_WORK:
-        tol = _BOUNDARY_TOL * max(float(np.abs(z).max()), 1.0)
-        value, theta, lost = _best_cell(z, gain, tol, 2.0 * tol * np.sqrt(data.n))
+        scale = _column_scale(z)
+        zs = z * scale
+        tol = _BOUNDARY_TOL * float(np.abs(zs).max())
+        value, theta, lost = _best_cell(zs, gain, tol, 2.0 * tol * np.sqrt(data.n))
         if not value < lost < np.inf:  # else a better labeling was not realized: the heuristic runs
-            return LinearPolicy(theta=theta), lost <= value
+            unscaled = theta * scale  # the same margins unless a product leaves the normal range
+            kept = np.array_equal(z @ unscaled > 0, zs @ theta > 0)
+            return LinearPolicy(theta=unscaled), lost <= value and kept
     return _learn_linear_approx(z, base, gain, seed), False
 
 

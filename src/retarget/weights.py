@@ -125,6 +125,10 @@ def curvature_scaled_weights(
 def _check_gap_scaling(power: float, floor: float) -> None:
     if not np.isfinite(power):
         raise ValidationError(f"power must be finite, got {power}")
+    _check_floor(floor)
+
+
+def _check_floor(floor: float) -> None:
     if not 0.0 < floor < np.inf:
         raise ValidationError(f"gap floor must be finite and > 0, got {floor}")
 
@@ -171,8 +175,7 @@ def selection_ratio(
     if direction == "times_delta":
         denom = float(np.mean(w.weights * gaps.gap))
     else:
-        if floor <= 0:
-            raise ValidationError(f"gap floor must be > 0, got {floor}")
+        _check_floor(floor)
         denom = float(np.mean(w.weights / np.maximum(gaps.gap, floor)))
     if denom <= 0:
         raise ValidationError(

@@ -735,7 +735,7 @@ class TestLearn:
         oracle_path.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0.0,0.0\n" * len(rows))
         out = tmp_path / "learn.txt"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # margins overflow
+            warnings.simplefilter("error")  # the margins overflow without a word
             code = main(["learn", "--data", str(data_path), "--oracle", str(oracle_path),
                          "--out", str(out)])
         assert code == EXIT_OK

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from retarget import (
@@ -490,8 +490,8 @@ class TestLearnLinear:
             ([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12], [0.0, 1.0]], [-1.0, -1.0, 1.0, 0.0], 0.25),
             # 2e-14 off the line: 2% of the band, below the band of singular values.
             ([[0.0, 0.0], [1.0, 0.0], [0.5, 2e-14], [0.0, 1.0]], [-1.0, -1.0, 1.0, 0.0], 0.25),
-            # All rows within the band of one line: the design's rank is in doubt.
-            ([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]], [-1.0, -1.0, 1.0], 1.0 / 3.0),
+            # All rows within the band of the line x2 = x1: the design's rank is in doubt.
+            ([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + 1e-12]], [-1.0, -1.0, 1.0], 1.0 / 3.0),
         ],
         ids=["near-duplicate", "near-collinear", "two-percent-of-the-band", "rank-in-doubt"],
     )
@@ -508,6 +508,41 @@ class TestLearnLinear:
         assert not res.exact
         assert res.best_value == weighted_value(res.best, w, pseudo, data)
         assert res.best_value <= best
+
+    def test_a_column_far_below_the_others_is_rescaled(self):
+        # x2 (largest entry 1e-12) used to fall inside the band of x1's line
+        # and leave the design's rank in doubt; scaled by a power of two, it
+        # separates row 2, and treating it alone is certified.
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
+        psi = np.column_stack([np.zeros(3), [-1.0, -1.0, 1.0]])
+        data = Dataset(covariates=x, actions=np.zeros(3, int), outcomes=np.zeros(3), m=2)
+        w, pseudo = uniform_weights(3), PseudoOutcomes(values=psi)
+        res = learn_linear(w, pseudo, data)
+        assert res.exact
+        assert res.best_value == 1.0 / 3.0
+        assert res.best_value == weighted_value(res.best, w, pseudo, data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 29))
+    def test_covariate_scale_keeps_the_optimum(self, seed, n):
+        # The d>=2 search used to take a column far below the largest one for
+        # rounding noise: at x * 1e15 it returned a lower value flagged exact.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2))
+        pseudo = PseudoOutcomes(values=np.column_stack([np.zeros(n), rng.standard_normal(n)]))
+        w = WeightScheme.from_raw("raw", rng.uniform(0.2, 2.0, n))
+
+        def run(covariates):
+            data = Dataset(covariates=covariates, actions=np.zeros(n, int), outcomes=np.zeros(n), m=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return learn_linear(w, pseudo, data)
+
+        plain = run(x)
+        assume(plain.exact)
+        for scale in (1e15, 1e-15, 1e300, 1e-300, np.array([1e7, 1e-7])):
+            res = run(x * scale)
+            assert not res.exact or res.best_value == plain.best_value, scale
 
     def test_band_check_keeps_the_search_result(self):
         # Near-collinear rows (1e-10 off a line) fall inside the band of some
@@ -577,7 +612,8 @@ class TestLearnLinear:
         assert res.exact == (not force_approx)
 
     def test_unit_scaling_of_a_theta_beyond_1e154(self):
-        with np.errstate(over="ignore"):  # the first norm overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the first norm overflows without a word
             theta = policy_module._unit(np.array([1e300, -1e300, 0.0]))
         assert theta.tolist() == [0.7071067811865475, -0.7071067811865475, 0.0]
 
@@ -767,7 +803,8 @@ class TestThresholdSearch1d:
         x = np.array(x)[:, None]
         data = Dataset(covariates=x, actions=np.zeros(2, int), outcomes=np.zeros(2), m=2)
         pseudo = PseudoOutcomes(values=np.array(psi))
-        with np.errstate(over="ignore"):  # unit-norm scaling overflows beyond 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = learn_linear(uniform_weights(2), pseudo, data)
         assert res.exact
         assert res.best_value == 0.5

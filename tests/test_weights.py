@@ -269,6 +269,14 @@ class TestSelectionRatio:
         over = selection_ratio(w, gaps, nuis, "over_delta")
         assert over == pytest.approx(math.sqrt(7.53125) / 8.125, rel=1e-12)
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf], ids=str)
+    def test_rejects_bad_floor(self, floor):
+        # A nan floor used to pass its own floor <= 0 check and return nan.
+        rng = np.random.default_rng(10)
+        nuis = random_binary_nuis(rng, 10)
+        with pytest.raises(ValidationError, match=r"^gap floor must be finite and > 0, got "):
+            selection_ratio(uniform_weights(10), gap_statistics(nuis), nuis, "over_delta", floor=floor)
+
     def test_zero_denominator_rejected(self):
         nuis = _nuis([[0.5, 0.5]], mu=[[1.0, 1.0]])
         w = uniform_weights(1)
