@@ -522,6 +522,34 @@ class TestLearnLinear:
         assert res.best_value == 1.0 / 3.0
         assert res.best_value == weighted_value(res.best, w, pseudo, data)
 
+    def test_a_subnormal_column_keeps_the_optimum(self):
+        # Integers times 2^-1060 are exact subnormal floats. That column's
+        # power-of-two scale would pass 2^1022, so every column's scale
+        # shrinks by one factor and theta stays finite.
+        rng = np.random.default_rng(7)
+        x = rng.integers(-1000, 1000, (25, 2)).astype(float)
+        pseudo = PseudoOutcomes(values=np.column_stack([np.zeros(25), rng.standard_normal(25)]))
+        w = uniform_weights(25)
+        plain, tiny = (
+            learn_linear(w, pseudo, Dataset(covariates=c, actions=np.zeros(25, int),
+                                            outcomes=np.zeros(25), m=2))
+            for c in (x, x * np.array([1.0, 2.0 ** -1060]))
+        )
+        assert plain.exact and tiny.exact
+        assert tiny.best_value == plain.best_value
+
+    def test_labels_lost_to_the_column_scale_are_not_certified(self, monkeypatch):
+        # x1 (largest entry 2^1020) is scaled by 2^-1020. A theta_1 of 1e-20
+        # on the scaled design maps back to 1e-20 * 2^-1020, which rounds to
+        # 0, so rows 0 and 2 lose the label the search gave them.
+        theta = np.array([0.0, 1e-20, 1.0])
+        monkeypatch.setattr(policy_module, "_best_cell", lambda *args: (0.0, theta, -np.inf))
+        x = np.column_stack([[2.0 ** 1020, -2.0 ** 1020, 2.0 ** 1019], np.zeros(3)])
+        data = Dataset(covariates=x, actions=np.zeros(3, int), outcomes=np.zeros(3), m=2)
+        res = learn_linear(uniform_weights(3), PseudoOutcomes(values=np.zeros((3, 2))), data)
+        assert res.best.theta[1] == 0.0
+        assert not res.exact
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 29))
     def test_covariate_scale_keeps_the_optimum(self, seed, n):
