@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--equation", choices=["best_fit", "on_arm", "dv", "cate"], required=True)
     p_fit.add_argument("--arm", type=int, default=1, help="arm for best_fit/on_arm/dv")
     p_fit.add_argument("--mode", choices=["known", "ols", "irls"], default="known",
-                       help="on_arm weighting mode")
+                       help="on_arm weighting mode: known (inverse nuisance variances), ols, "
+                            "or irls (two-stage feasible GLS: weights from a fit of the log "
+                            "squared ols residuals)")
     p_fit.add_argument("--features", default="identity",
                        help="identity | subset:<idx-list> | poly:<deg>")
     _add_nuisance_flags(p_fit)

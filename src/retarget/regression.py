@@ -5,7 +5,7 @@ Four fitting routines share one weighted least-squares core:
 - fit_best_fit: weighted regression of a doubly robust score column on the
   features (best-linear-fit target on the w-weighted population).
 - fit_on_arm_precision: regression of the raw outcome on the features over one
-  arm's rows, precision-weighted / plain / iteratively reweighted.
+  arm's rows, precision-weighted / plain / two-stage feasible GLS.
 - fit_dv_overlap: other-arm-propensity-weighted regression of the raw outcome
   over one arm's rows (binary actions only).
 - fit_cate: weighted regression of the effect score on the features.
@@ -13,7 +13,6 @@ Four fitting routines share one weighted least-squares core:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ from .weights import WeightScheme
 
 RESIDUAL_REL_TOL = 1e-8
 IRLS_RESIDUAL_FLOOR = 1e-6
-IRLS_MAX_ITER = 50
-IRLS_STEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -124,30 +121,35 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
 
     Weights are rescaled by their maximum first (the solution is invariant),
     so constant weights reduce to the literally identical unweighted system.
-    With irls, the solve is repeated with weights 1 / max(r_i^2, 1e-6) from
-    the last iterate's residuals r = target - z @ beta until the coefficient
-    step falls below 1e-8 or IRLS_MAX_ITER solves; each residual is computed
-    once, and the estimating equation is checked for the returned iterate only.
+    With irls (unit weights only), the fit is two-stage feasible GLS: gamma
+    is the least-squares fit of log(max(r_i^2, 1e-6)) on z for the plain
+    fit's residuals r (computed as 2 log max(|r_i|, 1e-3), which cannot
+    overflow), and the returned solve weights each row by exp(min(s) - s)
+    for s = z @ gamma, its inverse fitted variance scaled to a maximum of 1.
+    An overflow anywhere is an EstimationError naming the context.
     """
-    beta, wz = _weighted_solve(z, target, sample_w, context)
-    r = target - z @ beta
-    iterations, converged = 0, not irls
-    while not converged and iterations < IRLS_MAX_ITER:
-        iterations += 1
-        new, wz = _weighted_solve(z, target, 1.0 / np.maximum(r ** 2, IRLS_RESIDUAL_FLOOR),
-                                  context)
-        converged = float(np.abs(new - beta).max()) < IRLS_STEP_TOL
-        beta = new
-        r = target - z @ beta
+    try:
+        with np.errstate(over="raise"):
+            beta, wz, gram = _weighted_solve(z, target, sample_w, context)
+            if irls:
+                # Unit weights leave wz = z, so gram is z'z and already rank-checked.
+                r = target - z @ beta
+                log_r2 = 2.0 * np.log(np.maximum(np.abs(r), np.sqrt(IRLS_RESIDUAL_FLOOR)))
+                s = z @ np.linalg.solve(gram, wz.T @ log_r2)
+                beta, wz, _ = _weighted_solve(z, target, np.exp(s.min() - s), context)
+            residual_norm = float(np.abs(wz.T @ (target - z @ beta)).max())
+    except FloatingPointError as exc:
+        raise EstimationError(f"{context}: {exc}") from None
     return RegressionFit(
-        beta=beta, equation=equation, arm=arm, residual_norm=float(np.abs(wz.T @ r).max()),
+        beta=beta, equation=equation, arm=arm, residual_norm=residual_norm,
         residual_tol=RESIDUAL_REL_TOL * z.shape[0] * max(1.0, float(np.abs(z).max())),
-        n_used=z.shape[0], iterations=iterations, converged=converged,
+        n_used=z.shape[0], iterations=int(irls), converged=True,
     )
 
 
 def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context: str):
-    """beta of one weighted solve, and z times the weights rescaled to a maximum of 1."""
+    """beta of one weighted solve, z times the weights rescaled to a maximum of 1,
+    and the rank-checked Gram matrix of the two."""
     top = float(sample_w.max())
     if top <= 0:
         raise EstimationError(f"all regression weights are zero in {context}")
@@ -160,7 +162,7 @@ def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, con
             f"{z.shape[1]} features); use a smaller feature map or a ridge-"
             "regularized preprocessing"
         )
-    return np.linalg.solve(gram, wz.T @ target), wz
+    return np.linalg.solve(gram, wz.T @ target), wz, gram
 
 
 def _check_arm(arm: int, m: int) -> None:
@@ -212,8 +214,9 @@ def fit_on_arm_precision(
     """Regression of the raw outcome on z over one arm's rows.
 
     Modes: known_variance weights each row by 1/var_hat(arm|x); ols drops the
-    weight; irls refits with inverse squared-residual weights (floored at
-    1e-6) until the coefficient step falls below 1e-8 or 50 iterations. Only
+    weight; irls is two-stage feasible GLS, which fits the log squared
+    residuals of the ols fit (floored at 1e-6) on z and weights each row by
+    the inverse of its fitted variance (Romano & Wolf 2017). Only
     known_variance reads the nuisances; ols and irls accept nuis=None.
     """
     if mode not in ("known_variance", "ols", "irls"):
@@ -225,16 +228,8 @@ def fit_on_arm_precision(
     context = f"on-arm regression (arm {arm}, mode {mode})"
     # irls starts from the plain fit.
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
-    fit = _solve_wls(z, data.outcomes[rows], sample_w, "on_arm_precision", arm, context,
-                     irls=mode == "irls")
-    if not fit.converged:
-        warnings.warn(
-            f"IRLS did not converge within {IRLS_MAX_ITER} iterations for arm {arm}; "
-            "returning the last iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return fit
+    return _solve_wls(z, data.outcomes[rows], sample_w, "on_arm_precision", arm, context,
+                      irls=mode == "irls")
 
 
 def fit_dv_overlap(

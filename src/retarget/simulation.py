@@ -391,6 +391,8 @@ def load_report(path: str) -> BenchmarkReport:
             lines = [line for line in fh if not line.startswith("#")]
         rows = []
         for rec in csv.DictReader(io.StringIO("".join(lines))):
+            if None in rec.values():  # DictReader fills a short row's missing fields with None
+                raise ValidationError(f"malformed report row {rec!r}: too few fields")
             try:
                 rows.append(
                     BenchmarkRow(

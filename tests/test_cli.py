@@ -273,20 +273,6 @@ class TestFit:
             )
             assert code == EXIT_OK
 
-    def test_unconverged_irls_is_reported(self, binary_csv, tmp_path, capsys, monkeypatch):
-        # IRLS_MAX_ITER is read at call time; one iteration leaves this fit unconverged.
-        import retarget.regression as regression_module
-
-        monkeypatch.setattr(regression_module, "IRLS_MAX_ITER", 1)
-        out = tmp_path / "irls.txt"
-        with pytest.warns(RuntimeWarning, match="IRLS did not converge within 1 iterations"):
-            code = main(["fit", "--equation", "on_arm", "--arm", "1", "--mode", "irls",
-                         "--data", binary_csv, "--out", str(out)])
-        assert code == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert "iterations=1" in lines and "converged=False" in lines
-        assert "  iterations: 1, converged: False" in capsys.readouterr().out.splitlines()
-
     def test_cate_with_features(self, binary_csv, tmp_path):
         code = main(
             [
@@ -479,12 +465,58 @@ class TestFit:
             "overflow encountered in matmul"
         ]
 
+    @pytest.mark.parametrize("mode", ["ols", "irls"])
+    def test_outcomes_that_overflow_the_on_arm_fit_are_an_estimation_failure(
+        self, tmp_path, capsys, mode
+    ):
+        # Arm 1's outcomes of 1.7e308 overflow z.T @ y: ols used to print
+        # numpy's warning and exit 0 with nan coefficients, irls the warning
+        # and then "SVD did not converge".
+        data_path, _ = _huge_outcome_files(tmp_path, 1)
+        out = tmp_path / "fit.txt"
+        code = _main_without_warnings(["fit", "--equation", "on_arm", "--mode", mode,
+                                       "--data", str(data_path), "--out", str(out)])
+        assert code == EXIT_ESTIMATION
+        assert error_lines(capsys) == [
+            f"error[EstimationError]: on-arm regression (arm 1, mode {mode}): "
+            "overflow encountered in matmul"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels, want", [("0,0.01,1", EXIT_OK), ("0,1", EXIT_ESTIMATION)])
+    def test_irls_weights_that_underflow(self, tmp_path, capsys, levels, want):
+        # Zero outcomes at the low levels and +-2^600 at x = 1: the fitted
+        # log-variances span ~850, so the rows at x = 1 get weight 0. Two
+        # levels left give a finite fit, one a singular design. Arm 0 holds
+        # one row.
+        rows = [(float(x), 2.0 ** 600 * (-1) ** i if x == "1" else 0.0)
+                for x in levels.split(",") for i in range(8)]
+        x, y = np.array(rows).T
+        z = np.column_stack([np.ones_like(x), x])
+        log_r2 = 2 * np.log(np.maximum(np.abs(y), 1e-3))  # the plain fit is exactly 0
+        assert np.ptp(z @ np.linalg.lstsq(z, log_r2, rcond=None)[0]) > 745
+        path, out = tmp_path / "steep.csv", tmp_path / "fit.txt"
+        path.write_text("x1,a,y\n0.5,0,0.0\n" + "".join(f"{x!r},1,{y!r}\n" for x, y in rows))
+        code = _main_without_warnings(["fit", "--equation", "on_arm", "--mode", "irls",
+                                       "--data", str(path), "--out", str(out)])
+        assert code == want
+        if want == EXIT_OK:
+            fit = _fit_file(out)
+            assert all(np.isfinite(fit["beta"])) and fit["residual_norm"] <= fit["residual_tol"]
+            assert error_lines(capsys) == []
+        else:
+            assert error_lines(capsys) == [
+                "error[EstimationError]: singular weighted design in on-arm regression "
+                "(arm 1, mode irls) (16 rows, 2 features); use a smaller feature map or a "
+                "ridge-regularized preprocessing"
+            ]
+
 
 def _reference_on_arm_fit(path, arm, zmap, mode):
     """The on-arm path before ols and irls skipped the cross-fit: the old
-    _prepare cross-fitted every nuisance and built the scores for any fit, and
-    the old IRLS loop solved each iterate (checking its estimating equation)
-    and then computed its residual again for the next weights."""
+    _prepare cross-fitted every nuisance and built the scores for any fit.
+    irls is two-stage feasible GLS: OLS of the floored log squared residuals
+    on z, then one solve weighted by the inverse fitted variances."""
     data = load_dataset(path)
     config = NuisanceConfig(folds=2, ridge_lambda=0.0, propensity_clip=0.01,
                             variance_mode="pooled")
@@ -492,13 +524,12 @@ def _reference_on_arm_fit(path, arm, zmap, mode):
     nuis = cross_fit(data, folds, config)
     dr_pseudo_outcomes(data, nuis)
 
-    def solve(z, target, sample_w, residual_tol=None):
+    def solve(z, target, sample_w):
         sample_w = sample_w / float(sample_w.max())
         wz = z * sample_w[:, None]
         beta = np.linalg.solve(wz.T @ z, wz.T @ target)
         resid = wz.T @ (target - z @ beta)
-        if residual_tol is None:
-            residual_tol = 1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
+        residual_tol = 1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
         return beta, float(np.abs(resid).max()), residual_tol
 
     rows = np.flatnonzero(data.actions == arm)
@@ -506,15 +537,12 @@ def _reference_on_arm_fit(path, arm, zmap, mode):
     y = data.outcomes[rows]
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known" else np.ones(rows.size)
     beta, norm, tol = solve(z, y, sample_w)
-    iterations, converged = 0, mode != "irls"
-    while not converged and iterations < 50:
-        iterations += 1
-        resid_sq = np.maximum((y - z @ beta) ** 2, 1e-6)
-        new, norm, tol = solve(z, y, 1.0 / resid_sq, tol)
-        converged = float(np.abs(new - beta).max()) < 1e-8
-        beta = new
+    if mode == "irls":
+        log_r2 = 2 * np.log(np.maximum(np.abs(y - z @ beta), 1e-3))
+        s = z @ solve(z, log_r2, sample_w)[0]
+        beta, norm, tol = solve(z, y, np.exp(s.min() - s))
     return {"beta": beta.tolist(), "residual_norm": norm, "residual_tol": tol,
-            "iterations": iterations, "converged": converged}
+            "iterations": int(mode == "irls"), "converged": True}
 
 
 def _fit_file(path) -> dict:
@@ -559,26 +587,20 @@ class TestOnArmWithoutCrossFit:
     @pytest.mark.parametrize("m, seed", [(2, 0), (2, 1), (3, 2)])
     def test_fits_match_the_cross_fitting_path(self, tmp_path, m, seed):
         path = self._draw(tmp_path, m, seed)
-        irls = []
         for degree in (1, 2, 3):
             for arm in (0, 1):
                 for mode in ("known", "ols", "irls"):
                     out = tmp_path / "fit.txt"
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)  # IRLS at its cap
-                        code = main(["fit", "--equation", "on_arm", "--mode", mode,
-                                     "--arm", str(arm), "--features", f"poly:{degree}",
-                                     "--data", path, "--out", str(out)])
+                    code = _main_without_warnings(["fit", "--equation", "on_arm", "--mode", mode,
+                                                   "--arm", str(arm), "--features",
+                                                   f"poly:{degree}", "--data", path,
+                                                   "--out", str(out)])
                     assert code == EXIT_OK
                     got = _fit_file(out)
                     want = _reference_on_arm_fit(path, arm, FeatureMap.polynomial(degree), mode)
                     assert _bits(got) == _bits(want), (degree, arm, mode)
                     if mode == "irls":
-                        irls.append((got["iterations"], got["converged"]))
-        if m == 2 and seed == 1:
-            # One fit converges, another stops at the 50-iteration cap.
-            assert any(done for _, done in irls), irls
-            assert (50, False) in irls, irls
+                        assert (got["iterations"], got["converged"]) == (1, True)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -674,9 +696,8 @@ class TestOnArmWithoutCrossFit:
         path = tmp_path / "lopsided.csv"
         save_dataset(data, str(path))
         for mode in ("ols", "irls"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code = main(["fit", "--equation", "on_arm", "--mode", mode, "--data", str(path)])
+            code = _main_without_warnings(["fit", "--equation", "on_arm", "--mode", mode,
+                                           "--data", str(path)])
             assert code == EXIT_OK
             assert error_lines(capsys) == []
         for equation in (["best_fit"], ["on_arm", "--mode", "known"]):
@@ -922,9 +943,12 @@ class TestReport:
              "malformed report row {'scenario': 'S-A', 'scheme': 'uniform', 'mean_regret': "
              "'abc', 'std_regret': '0.1', 'R': '4', 'n': '500', 'seed': '0'}: "
              "could not convert string to float: 'abc'"),
+            ("S-A,uniform,0.1\n",
+             "malformed report row {'scenario': 'S-A', 'scheme': 'uniform', 'mean_regret': "
+             "'0.1', 'std_regret': None, 'R': None, 'n': None, 'seed': None}: too few fields"),
             ("", "no report rows"),
         ],
-        ids=["non-numeric-mean", "header-only"],
+        ids=["non-numeric-mean", "short-row", "header-only"],
     )
     def test_malformed_report_is_invalid(self, tmp_path, capsys, body, message):
         path = tmp_path / "r.csv"
@@ -1195,7 +1219,7 @@ def _assert_clean_exit(capsys, argv):
     """main(argv) exits 0, 3 or 4 with no traceback, and prints one `error[`
     line exactly when it fails."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap, IRLS, overflow
+        warnings.simplefilter("ignore", RuntimeWarning)  # Newton cap, overflow
         code = main(argv)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_ESTIMATION)
     err = capsys.readouterr().err

@@ -190,11 +190,13 @@ class TestFitOnArmPrecision:
 
     def test_mc_efficiency_ordering(self):
         # Heteroskedastic, well specified: precision weighting beats plain OLS
-        # in sampling variance, per coordinate, across 500 replications.
+        # in sampling variance, per coordinate, across 500 replications, and
+        # feasible GLS on estimated variances comes close to the known ones.
         rng = np.random.default_rng(2024)
         reps, n = 500, 300
         zmap = FeatureMap.identity()
-        betas_known, betas_ols = [], []
+        modes = ("known_variance", "ols", "irls")
+        betas = {mode: [] for mode in modes}
         for _ in range(reps):
             x = rng.uniform(0, 1, (n, 1))
             sig2 = 0.05 + 2.5 * x.ravel() ** 2
@@ -208,42 +210,19 @@ class TestFitOnArmPrecision:
                 variance=np.column_stack([sig2, sig2]),
                 provenance="oracle",
             )
-            betas_known.append(fit_on_arm_precision(data, nuis, 1, zmap, "known_variance").beta)
-            betas_ols.append(fit_on_arm_precision(data, nuis, 1, zmap, "ols").beta)
-        var_known = np.var(np.asarray(betas_known), axis=0, ddof=1)
-        var_ols = np.var(np.asarray(betas_ols), axis=0, ddof=1)
+            for mode in modes:
+                betas[mode].append(fit_on_arm_precision(data, nuis, 1, zmap, mode).beta)
+        var = {mode: np.var(np.asarray(b), axis=0, ddof=1) for mode, b in betas.items()}
         # chi-square MC slack on a variance ratio at R=500 is ~13% at 3 sigma;
         # the true gain here is 2-3x, so a 10% allowance is conservative.
-        assert np.all(var_known <= var_ols * 1.1)
+        assert np.all(var["known_variance"] <= var["ols"] * 1.1)
+        # Feasible GLS measures 0.31x and 0.50x of OLS and 1.03x and 1.05x of
+        # the known variances here; reweighting by 1/r^2 until convergence
+        # measured 1.00x of OLS in both coordinates.
+        assert np.all(var["irls"] <= var["ols"] * 0.6), var
+        assert np.all(var["irls"] <= var["known_variance"] * 1.25), var
 
-    def test_irls_flags_nonconvergence_is_rare_but_handled(self):
-        rng = np.random.default_rng(5)
-        data, nuis = make_binary_data(
-            rng, 150, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=1.0
-        )
-        fit = fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "irls")
-        assert fit.iterations >= 1
-        assert fit.residual_norm <= fit.residual_tol
-
-    def test_irls_iteration_cap_flags_nonconvergence(self, monkeypatch):
-        # The loop reads IRLS_MAX_ITER at call time: with a cap of 3 this fit,
-        # which needs 9 iterations, stops unconverged after 3.
-        import retarget.regression as regression_module
-
-        rng = np.random.default_rng(5)
-        data, nuis = make_binary_data(
-            rng, 150, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=1.0
-        )
-        full = fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "irls")
-        assert (full.iterations, full.converged) == (9, True)
-        monkeypatch.setattr(regression_module, "IRLS_MAX_ITER", 3)
-        with pytest.warns(RuntimeWarning, match=r"^IRLS did not converge within 3 iterations "
-                          r"for arm 1; returning the last iterate$"):
-            fit = fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "irls")
-        assert (fit.iterations, fit.converged) == (3, False)
-        assert np.all(np.isfinite(fit.beta))
-
-    def test_irls_matches_the_loop_that_rescanned_the_design(self):
+    def test_irls_matches_the_two_stage_reference(self):
         # ~10,000 x 9 poly:2 designs like the benchmark's, and small d=1 arms.
         rng = np.random.default_rng(11)
         x = rng.standard_normal((20_000, 4))
@@ -259,19 +238,16 @@ class TestFitOnArmPrecision:
         )
         cases = [(big, big_nuis, "poly:2"), (small, small_nuis, "identity"),
                  (small, small_nuis, "poly:3")]
-        iterations = []
         for data, nuis, spec in cases:
             zmap = FeatureMap.parse(spec)
             for arm in (0, 1):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    got = fit_on_arm_precision(data, nuis, arm, zmap, "irls")
+                got = fit_on_arm_precision(data, nuis, arm, zmap, "irls")
                 _assert_same_fit(
                     got, _reference_fit_on_arm_precision(data, nuis, arm, zmap, "irls"),
                     (spec, arm),
                 )
-                iterations.append(got.iterations)
-        assert min(iterations) >= 2 and max(iterations) >= 10, iterations
+                assert (got.iterations, got.converged) == (1, True)
+                assert got.residual_norm <= got.residual_tol
 
     def test_ols_and_irls_read_no_nuisance(self):
         rng = np.random.default_rng(5)
@@ -496,17 +472,16 @@ def _reference_fit_on_arm_precision(data, nuis, arm, zmap, mode):
     y = data.outcomes[rows]
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
     beta, norm, tol = _reference_solve_wls(z, y, sample_w)
-    iterations, converged = 0, mode != "irls"
-    while not converged and iterations < 50:
-        iterations += 1
-        resid_sq = np.maximum((y - z @ beta) ** 2, 1e-6)
-        new_beta, norm, tol = _reference_solve_wls(z, y, 1.0 / resid_sq)
-        converged = float(np.abs(new_beta - beta).max()) < 1e-8
-        beta = new_beta
+    if mode == "irls":
+        # Two-stage feasible GLS: OLS of the floored log squared residuals on
+        # z, then one solve weighted by the inverse fitted variances.
+        log_r2 = 2 * np.log(np.maximum(np.abs(y - z @ beta), 1e-3))
+        s = z @ _reference_solve_wls(z, log_r2, sample_w)[0]
+        beta, norm, tol = _reference_solve_wls(z, y, np.exp(s.min() - s))
     return RegressionFit(
         beta=beta, equation="on_arm_precision", arm=arm,
         residual_norm=norm, residual_tol=tol, n_used=rows.size,
-        iterations=iterations, converged=converged,
+        iterations=int(mode == "irls"), converged=True,
     )
 
 
@@ -586,7 +561,7 @@ class TestFitsMatchReference:
             )
             for mode in ("known_variance", "ols", "irls"):
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)  # an unconverged IRLS
+                    warnings.simplefilter("error")
                     got = fit_on_arm_precision(data, nuis, arm, zmap, mode)
                 _assert_same_fit(
                     got, _reference_fit_on_arm_precision(data, nuis, arm, zmap, mode),
