@@ -18,6 +18,13 @@ from .errors import EstimationError, ValidationError
 VARIANCE_FLOOR = 1e-12
 _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
+# Folds fit their propensity models as one stack while it has at most this
+# many design entries (folds x training rows x columns); see _fold_groups.
+# Two stacked folds against two separate fits (2 vCPUs, numpy 2.4 with
+# OpenBLAS): 0.6-0.7x the time at 1,000-5,000 entries (simulate's folds are
+# 2 x 250 x 2), 0.8-0.9x at 10,000-20,000, and 0.9-1.1x from 40,000 on
+# (fit-csv's are 2 x 10,000 x 5), where the stack no longer fits in cache.
+_STACK_MAX_ENTRIES = 20_000
 
 
 def add_intercept(x: np.ndarray, degree: int = 1, out: np.ndarray | None = None) -> np.ndarray:
@@ -42,24 +49,24 @@ def add_intercept(x: np.ndarray, degree: int = 1, out: np.ndarray | None = None)
 
 
 def _rows(op: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """op.reduce(a, axis=1) for an (n, m) array, folded over its columns from
-    left to right: one ufunc call per column instead of numpy's per-row loop
-    over a short axis, which was 10-60x slower at m = 2, n = 20,000 (numpy
-    2.4 on 2 vCPUs). Written into `out`, an (n,) buffer, when given.
+    """op.reduce(a, axis=-1) for an (..., m) array, folded over its last axis
+    from left to right: one ufunc call per column instead of numpy's per-row
+    loop over a short axis, which was 10-60x slower at m = 2, n = 20,000
+    (numpy 2.4 on 2 vCPUs). Written into `out`, an (...,) buffer, when given.
 
     The values match op.reduce bit for bit, signed zeros included (a NaN's
     sign and payload may differ). Like op.reduce, a sum starts from op's
     identity, so a row of -0.0 sums to +0.0.
     """
-    m = a.shape[1]
+    m = a.shape[-1]
     if not 2 <= m < 8:
         # From 8 columns numpy reduces in unrolled blocks, whose order a left
         # fold does not reproduce.
-        return op.reduce(a, axis=1, out=out)
-    first = a[:, 0] if op.identity is None else op(op.identity, a[:, 0], out=out)
-    out = op(first, a[:, 1], out=out)
+        return op.reduce(a, axis=-1, out=out)
+    first = a[..., 0] if op.identity is None else op(op.identity, a[..., 0], out=out)
+    out = op(first, a[..., 1], out=out)
     for j in range(2, m):
-        out = op(out, a[:, j], out=out)
+        out = op(out, a[..., j], out=out)
     return out
 
 
@@ -70,9 +77,10 @@ def _mean(a: np.ndarray) -> np.float64:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by each row's maximum so exp cannot overflow."""
-    p = np.exp(scores - _rows(np.maximum, scores)[:, None])
-    p /= _rows(np.add, p)[:, None]
+    """Softmax over the last axis, shifted by each row's maximum so exp
+    cannot overflow."""
+    p = np.exp(scores - _rows(np.maximum, scores)[..., None])
+    p /= _rows(np.add, p)[..., None]
     return p
 
 
@@ -175,50 +183,71 @@ class NuisanceConfig:
             raise ValidationError(f"ridge_lambda must be finite, got {self.ridge_lambda}")
 
 
-def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool | np.ndarray]:
     """Multinomial logistic coefficients (d+1, m) on z = [1, x], last arm pinned
     to zero, and whether Newton steps on the log-likelihood met the gradient
-    tolerance 1e-8 within 100 iterations (else the last iterate, flagged)."""
-    counts = np.bincount(actions, minlength=m)
-    if (counts == 0).any():
-        missing = int(np.argmax(counts == 0))
-        raise EstimationError(f"arm {missing} absent from training data")
-    n, p = z.shape
-    k = m - 1  # free classes
-    onehot = np.zeros((n, k))
-    for j in range(k):
-        onehot[:, j] = actions == j
+    tolerance 1e-8 within 100 iterations (else the last iterate, flagged, with
+    a RuntimeWarning).
 
-    coef = np.zeros((p, m))
-    zt = z.T
-    a = np.empty((k * p, k * p))  # the negated Hessian, refilled every step
-    diag = a.reshape(-1)[:: k * p + 1]  # a view of its diagonal
-    converged = False
+    z may also be a stack (F, n, d+1) of designs with actions (F, n): the
+    result is then (F, d+1, m) coefficients and an (F,) array of flags, the
+    bits of F separate calls, with one warning per slice that hit the cap. The
+    slices take their Newton steps together, and each leaves the stack on the
+    iteration where its gradient meets the tolerance.
+    """
+    stacked = z.ndim == 3
+    if not stacked:
+        z, actions = z[None], actions[None]
+    for slice_actions in actions:
+        counts = np.bincount(slice_actions, minlength=m)
+        if (counts == 0).any():
+            missing = int(np.argmax(counts == 0))
+            raise EstimationError(f"arm {missing} absent from training data")
+    size, n, p = z.shape
+    k = m - 1  # free classes
+    onehot = np.zeros((size, n, k))
+    for j in range(k):
+        onehot[..., j] = actions == j
+
+    coef = np.empty((size, p, m))
+    converged = np.zeros(size, dtype=bool)
+    live = np.arange(size)  # the slices still stepping, and their arrays below
+    c = np.zeros((size, p, m))
     for _ in range(_NEWTON_MAX_ITER):
-        prob = _softmax(z @ coef)
-        grad = zt @ (onehot - prob[:, :k])  # (p, k)
-        if np.abs(grad).max() < _NEWTON_TOL:
-            converged = True
-            break
+        prob = _softmax(z @ c)
+        grad = z.transpose(0, 2, 1) @ (onehot - prob[..., :k])  # (live, p, k)
+        done = np.abs(grad).max(axis=(1, 2)) < _NEWTON_TOL
+        if done.any():
+            coef[live[done]] = c[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, z, onehot, c, prob, grad = (
+                live[keep], z[keep], onehot[keep], c[keep], prob[keep], grad[keep])
+            if not live.size:
+                break
+        zt = z.transpose(0, 2, 1)
+        a = np.empty((live.size, k * p, k * p))  # the negated Hessians
         for j in range(k):
             for l in range(j, k):
                 # p_j * (0 - p_l) is p_l * (0 - p_j) bit for bit: block (l, j) = (j, l).
-                w = prob[:, j] * ((1.0 if j == l else 0.0) - prob[:, l])
-                a[j * p:(j + 1) * p, l * p:(l + 1) * p] = block = (zt * w) @ z
+                w = prob[..., j] * ((1.0 if j == l else 0.0) - prob[..., l])
+                a[:, j * p:(j + 1) * p, l * p:(l + 1) * p] = block = (zt * w[:, None, :]) @ z
                 if l > j:
-                    a[l * p:(l + 1) * p, j * p:(j + 1) * p] = block
+                    a[:, l * p:(l + 1) * p, j * p:(j + 1) * p] = block
         # Small damping keeps the step solvable when classes separate.
-        diag += 1e-10 * (1.0 + a.trace() / a.shape[0])
-        step = np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
-        coef[:, :k] += step
-    if not converged:
+        diag = a.reshape(live.size, -1)[:, :: k * p + 1]  # a view of the diagonals
+        diag += (1e-10 * (1.0 + diag.sum(axis=1) / (k * p)))[:, None]
+        rhs = grad.transpose(0, 2, 1).reshape(live.size, k * p, 1)
+        c[..., :k] += np.linalg.solve(a, rhs).reshape(live.size, k, p).transpose(0, 2, 1)
+    coef[live] = c
+    for _ in range(live.size):
         warnings.warn(
             f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
             "meeting the gradient tolerance; returning the last iterate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return coef, converged
+    return (coef, converged) if stacked else (coef[0], bool(converged[0]))
 
 
 def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
@@ -227,21 +256,38 @@ def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
     return p / _rows(np.add, p)[:, None]
 
 
-def fit_outcome_regression(z: np.ndarray, y: np.ndarray, arm: int, ridge: float = 0.0) -> np.ndarray:
+def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | list[np.ndarray],
+                           arm: int | list[int], ridge: float = 0.0) -> np.ndarray:
     """Least-squares fit of one arm's outcomes y on its rows z = [1, x], with
     an optional ridge penalty lambda * ||beta||^2 on all coefficients.
+
+    z, y and arm may also be equal-length lists of designs with one column
+    count, their outcome vectors and the arm numbers that name them in errors:
+    the coefficients then come back as the rows of one array, from one stacked
+    rank check and one stacked solve, the bits of separate calls. A singular
+    Gram matrix is reported for the first entry that has one.
     """
+    single = isinstance(z, np.ndarray)
+    designs, outcomes, arms = ([z], [y], [arm]) if single else (z, y, arm)
     if not 0 <= ridge < np.inf:
         raise ValidationError(f"ridge penalty must be finite and >= 0, got {ridge}")
-    gram = z.T @ z
+    p = designs[0].shape[1]
+    gram = np.stack([d.T @ d for d in designs])
     if ridge > 0:
-        gram = gram + ridge * np.eye(z.shape[1])
-    elif np.linalg.matrix_rank(gram) < z.shape[1]:
-        raise EstimationError(
-            f"singular Gram matrix for arm {arm} ({z.shape[0]} rows, "
-            f"{z.shape[1]} coefficients); pass ridge_lambda > 0"
-        )
-    return np.linalg.solve(gram, z.T @ y)
+        gram = gram + ridge * np.eye(p)
+    else:
+        # np.linalg.matrix_rank's rule, one SVD call for the whole stack.
+        sv = np.linalg.svd(gram, compute_uv=False)
+        low = (sv > sv.max(axis=1, keepdims=True) * (p * np.finfo(float).eps)).sum(axis=1) < p
+        if low.any():
+            i = int(np.argmax(low))
+            raise EstimationError(
+                f"singular Gram matrix for arm {arms[i]} ({designs[i].shape[0]} rows, "
+                f"{p} coefficients); pass ridge_lambda > 0"
+            )
+    rhs = np.stack([d.T @ v for d, v in zip(designs, outcomes)])
+    beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return beta[0] if single else beta
 
 
 def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str) -> np.ndarray:
@@ -264,8 +310,15 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     """Out-of-fold nuisance predictions for every observation.
 
     Each observation's predictions come from fits on the other folds' rows of
-    one [1, x] design, so no row influences its own nuisances. An overflow in
-    a fold's fits raises EstimationError naming the fold and the stage.
+    one [1, x] design, so no row influences its own nuisances. Folds of one
+    training size fit their propensity models as one stacked Newton solve
+    (see `_fold_groups`), and all (fold, arm) outcome regressions go through
+    one stacked solve; the results are the bits of fitting fold by fold.
+
+    An error is the one fitting fold by fold raises first: within a fold, the
+    propensity model, then the arm regressions, then the residual variance.
+    An overflow in a fold's fits raises EstimationError naming the fold and
+    the stage.
     """
     if folds.n != data.n:
         raise ValidationError(f"fold assignment covers {folds.n} rows, dataset has {data.n}")
@@ -275,39 +328,101 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
         )
     n, m = data.n, data.m
     z = add_intercept(data.covariates)
-    prop = np.empty((n, m))
-    mu = np.empty((n, m))
-    var = np.empty((n, m))
+    held = [folds.members(fold) for fold in range(folds.n_folds)]
+    train = [folds.complement(fold) for fold in range(folds.n_folds)]
+    out = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))  # propensity, mean, variance
     with np.errstate(over="raise"):
-        for fold in range(folds.n_folds):
-            held_out = folds.members(fold)
-            train = folds.complement(fold)
-            z_train, a_train, y_train = z[train], data.actions[train], data.outcomes[train]
-            z_out = z[held_out]
-            stage = "propensity model"
-            try:
-                coef, _ = fit_propensity(z_train, a_train, m)
-                prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
-                resid = np.empty(train.size)
-                for arm in range(m):
-                    stage = f"outcome regression of arm {arm}"
-                    rows = a_train == arm
-                    z_arm, y_arm = z_train[rows], y_train[rows]
-                    beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
-                    resid[rows] = y_arm - z_arm @ beta
-                    mu[held_out, arm] = z_out @ beta
-                stage = "residual variance"
-                var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
-            except FloatingPointError as exc:
-                raise EstimationError(f"fold {fold}: {stage}: {exc}") from None
-            except (ValidationError, EstimationError) as exc:
-                raise type(exc)(f"fold {fold}: {exc}") from exc
+        if not _fit_together(z, data, held, train, config, out):
+            # Fitted one at a time, the folds raise the first error in their order.
+            for fold in range(folds.n_folds):
+                _fit_fold(z, data, held[fold], train[fold], fold, config, out)
+    prop, mu, var = out
     return NuisanceSet(
         propensity=prop,
         outcome_mean=mu,
         variance=var,
         provenance=f"fitted(K={folds.n_folds})",
     )
+
+
+def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
+    """The folds, grouped for stacked propensity fits: folds of one training
+    size go together while their stacked design has at most
+    _STACK_MAX_ENTRIES entries, and one by one beyond that."""
+    by_size: dict[int, list[int]] = {}
+    for fold, rows in enumerate(train):
+        by_size.setdefault(rows.size, []).append(fold)
+    return [part for size, group in by_size.items()
+            for part in ([group] if len(group) * size * p <= _STACK_MAX_ENTRIES
+                         else [[fold] for fold in group])]
+
+
+def _propensity_coefs(z: np.ndarray, actions: np.ndarray, train: list[np.ndarray],
+                      m: int) -> np.ndarray:
+    """Propensity coefficients (F, p, m) fitted on each of F equal-size sets
+    of training rows, as one stacked fit. Both ways of fitting the folds call
+    it, so a fit that hits the iteration cap warns from one line."""
+    rows = np.stack(train)
+    return fit_propensity(z[rows], actions[rows], m)[0]
+
+
+def _fit_together(z, data, held, train, config, out) -> bool:
+    """Every fold's nuisances written into out's rows, through one stacked
+    propensity fit per fold group and one stacked outcome solve; False when
+    a fit fails."""
+    prop, mu, var = out
+    m = data.m
+    try:
+        coefs = [None] * len(train)
+        for group in _fold_groups(train, z.shape[1]):
+            stack = _propensity_coefs(z, data.actions, [train[f] for f in group], m)
+            for fold, coef in zip(group, stack):
+                coefs[fold] = coef
+        arm_rows = [rows[data.actions[rows] == arm] for rows in train for arm in range(m)]
+        designs = [z[rows] for rows in arm_rows]
+        outcomes = [data.outcomes[rows] for rows in arm_rows]
+        betas = fit_outcome_regression(designs, outcomes, list(range(m)) * len(train),
+                                       ridge=config.ridge_lambda)
+        for fold, (held_out, rows) in enumerate(zip(held, train)):
+            z_out = z[held_out]
+            prop[held_out] = _propensities(z_out, coefs[fold], config.propensity_clip)
+            a_train = data.actions[rows]
+            resid = np.empty(rows.size)
+            for arm in range(m):
+                i = fold * m + arm
+                resid[a_train == arm] = outcomes[i] - designs[i] @ betas[i]
+                mu[held_out, arm] = z_out @ betas[i]
+            var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
+    except (FloatingPointError, ValidationError, EstimationError, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+def _fit_fold(z, data, held_out, train, fold, config, out) -> None:
+    """One fold's nuisances written into out's rows, its stages in order; an
+    error names the fold (and the stage, for an overflow)."""
+    prop, mu, var = out
+    m = data.m
+    stage = "propensity model"
+    try:
+        coef = _propensity_coefs(z, data.actions, [train], m)[0]
+        z_out = z[held_out]
+        prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
+        a_train = data.actions[train]
+        resid = np.empty(train.size)
+        for arm in range(m):
+            stage = f"outcome regression of arm {arm}"
+            on = a_train == arm
+            z_arm, y_arm = z[train[on]], data.outcomes[train[on]]
+            beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
+            resid[on] = y_arm - z_arm @ beta
+            mu[held_out, arm] = z_out @ beta
+        stage = "residual variance"
+        var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
+    except FloatingPointError as exc:
+        raise EstimationError(f"fold {fold}: {stage}: {exc}") from None
+    except (ValidationError, EstimationError) as exc:
+        raise type(exc)(f"fold {fold}: {exc}") from exc
 
 
 def _arm_columns(header: list[str], prefix: str) -> list[str]:

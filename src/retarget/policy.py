@@ -10,6 +10,7 @@ when the optimum cannot be realized.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -202,19 +203,31 @@ def learn_finite(
     )
 
 
-def _gains(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset):
-    """Per-row contributions so any 0/1 labeling's value is base + labels . gain."""
+def _gains(w: WeightScheme | Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Dataset):
+    """Per-row contributions so any 0/1 labeling's value is base + labels . gain.
+    For a sequence of S weight schemes, (S,) bases and (S, n) gains, and the
+    error that S separate calls raise first."""
+    single = isinstance(w, WeightScheme)
+    schemes = [w] if single else w
+    if not schemes:
+        raise ValidationError("need at least one weight scheme")
     if data.m != 2:
         raise ValidationError(f"linear policy search requires m=2, got m={data.m}")
-    if w.n != data.n or pseudo.n != data.n:
+    if pseudo.n != data.n or any(scheme.n != data.n for scheme in schemes):
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
+    stack = np.array([scheme.weights for scheme in schemes])  # (S, n)
     # The exact sum runs only where its bound, max|psi| * max w * size, may
     # overflow: below 1e300 no sum of rounded products w_i * |psi_i(a)| can.
-    if _derived(pseudo, _largest_score) * float(w.weights.max()) * pseudo.values.size >= 1e300:
-        _check_bounded(pseudo.values * w.weights[:, None])  # also bounds weighted_value's sums
-    base = float(_mean(w.weights * pseudo.values[:, 0]))
-    gain = w.weights * _derived(pseudo, effect_pseudo_outcome) / data.n
-    return base, gain
+    largest = _derived(pseudo, _largest_score)
+    risky = [largest * top * pseudo.values.size >= 1e300 for top in stack.max(axis=1).tolist()]
+    if risky[0]:
+        _check_bounded(pseudo.values * stack[0][:, None])  # also bounds weighted_value's sums
+    effect = _derived(pseudo, effect_pseudo_outcome)  # checked where the first call checks it
+    for s in np.flatnonzero(risky[1:]) + 1:
+        _check_bounded(pseudo.values * stack[s][:, None])
+    base = np.add.reduce(stack * pseudo.values[:, 0], axis=1) / data.n  # each row's _mean
+    gain = stack * effect / data.n
+    return (float(base[0]), gain[0]) if single else (base, gain)
 
 
 def _largest_score(pseudo: PseudoOutcomes) -> float:
@@ -254,28 +267,44 @@ def _sweep_1d(data: Dataset):
     return order, starts, cuts, below
 
 
-def _learn_threshold_1d(data, base, gain) -> LinearPolicy:
-    """Exact d=1 search in O(n log n).
+def _learn_threshold_1d(data, base, gain):
+    """Exact d=1 search in O(n log n); for (S,) bases and (S, n) gains, the
+    list of the S rows' policies.
 
     Candidates, in tie-break order: the two constants, the upper rules
     x > c, then the lower rules x <= c, at cuts c running over min - 1, the
     midpoints between consecutive distinct values (the lower value where the
     midpoint rounds onto the upper one or overflows), and max + 1. Their values
-    come from one prefix sum of the gains summed over groups of equal x; a
-    theta and its labels are built only for candidates tied at the maximum.
+    come from one prefix sum of the gains summed over groups of equal x, one
+    (S, .) array for all rows; a theta and its labels are built only for
+    candidates tied at a row's maximum.
     """
     order, starts, cuts, below = _derived(data, _sweep_1d)
     x = data.covariates[:, 0]
-    prefix = np.concatenate([[0.0], np.cumsum(np.add.reduceat(gain[order], starts))])
-    total = prefix[-1]
-    # prefix[below] is the gain of the rows with x <= c.
-    values = base + np.concatenate([[total, 0.0], total - prefix[below], prefix[below]])
+    gains = np.atleast_2d(gain).take(order, axis=1)
+    if starts.size < x.size:  # else every group holds one row, its own sum
+        gains = np.add.reduceat(gains, starts, axis=1)
+    prefix = np.zeros((gains.shape[0], starts.size + 1))
+    np.cumsum(gains, axis=1, out=prefix[:, 1:])
+    at_cut = prefix.take(below, axis=1)  # the gain of the rows with x <= c
+    values = np.empty((gains.shape[0], 2 + 2 * cuts.size))
+    values[:, 0] = prefix[:, -1]
+    values[:, 1] = 0.0
+    np.subtract(prefix[:, -1:], at_cut, out=values[:, 2 : 2 + cuts.size])
+    values[:, 2 + cuts.size :] = at_cut
+    values += np.atleast_1d(base)[:, None]  # base + value, as the single search added them
+    policies = [_tied_threshold(x, cuts, row) for row in values]
+    return policies[0] if gain.ndim == 1 else policies
+
+
+def _tied_threshold(x, cuts, values) -> LinearPolicy:
+    """The tie pass of the d=1 search over one row of candidate values."""
     best_value = float(values.max())
     keys = []  # (lost, theta): unit-norm thetas first, then the smallest
     for r in np.flatnonzero(values == best_value):
         if r < 2:
             theta = np.array([1.0, 0.0]) if r == 0 else np.array([-1.0, 0.0])
-            labels = np.full(data.n, r == 0)
+            labels = np.full(x.size, r == 0)
         else:
             c = cuts[(r - 2) % cuts.size]
             upper = r - 2 < cuts.size
@@ -451,12 +480,12 @@ def _learn_linear_approx(z, base, gain, seed) -> LinearPolicy:
 
 
 def search_linear(
-    w: WeightScheme,
+    w: WeightScheme | Sequence[WeightScheme],
     pseudo: PseudoOutcomes,
     data: Dataset,
     seed: int = 0,
     force_approx: bool = False,
-) -> tuple[LinearPolicy, bool]:
+) -> tuple[LinearPolicy, bool] | list[tuple[LinearPolicy, bool]]:
     """The linear threshold policy (m=2) of largest weighted value, and
     whether the search certified it exact; learn_linear also values it.
 
@@ -473,19 +502,33 @@ def search_linear(
     numerically, a seeded multi-start coordinate search runs instead, flagged
     exact=False.
 
-    Weight schemes searched on one dataset share its d=1 sweep, kept on it.
+    `w` may also be a sequence of weight schemes: the result is then the list
+    of their (policy, exact) pairs, the bits of separate calls. Their gains,
+    and at d=1 the prefix sums over the dataset's sweep, are computed as one
+    (schemes, n) array; only the tie pass, and at d>=2 the search, run per
+    scheme. Searches on one dataset share its d=1 sweep, kept on it.
     """
+    single = isinstance(w, WeightScheme)
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
     base, gain = _gains(w, pseudo, data)
     if data.d == 1 and not force_approx:
-        return _learn_threshold_1d(data, base, gain), True
+        found = _learn_threshold_1d(data, base, gain)
+        return (found, True) if single else [(policy, True) for policy in found]
     z = add_intercept(data.covariates)
-    if not force_approx and data.n ** (data.d + 1) <= EXACT_MAX_WORK:
+    if single:
+        return _search_design(z, base, gain, seed, force_approx)
+    return [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
+
+
+def _search_design(z, base, gain, seed, force_approx) -> tuple[LinearPolicy, bool]:
+    """search_linear's d>=2 and heuristic search for one scheme's gains."""
+    n, k = z.shape
+    if not force_approx and n ** k <= EXACT_MAX_WORK:
         scale = _column_scale(z)
         zs = z * scale
         tol = _BOUNDARY_TOL * float(np.abs(zs).max())
-        value, theta, lost = _best_cell(zs, gain, tol, 2.0 * tol * np.sqrt(data.n))
+        value, theta, lost = _best_cell(zs, gain, tol, 2.0 * tol * np.sqrt(n))
         if not value < lost < np.inf:  # else a better labeling was not realized: the heuristic runs
             unscaled = theta * scale  # the same margins unless a product leaves the normal range
             kept = np.array_equal(z @ unscaled > 0, zs @ theta > 0)

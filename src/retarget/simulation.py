@@ -271,7 +271,8 @@ def _replicate(
     nuisance_config: NuisanceConfig,
     sample: _RegretSample | None = None,
 ) -> np.ndarray:
-    """One replication: generate, cross-fit, search per scheme, true regret.
+    """One replication: generate, cross-fit, build every scheme's weights and
+    search them in one stacked call each, then the true regret per scheme.
     The regret sample is drawn into `sample`'s buffers when given, after every
     scheme is learned: the searches' small arrays stay in cache, and the draw
     has its own seed, so the order changes no result."""
@@ -282,8 +283,14 @@ def _replicate(
         folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
-    policies = [search_linear(make_weights(spec, nuis), pseudo, data, seed=seed)[0]
-                for spec in schemes]
+    try:
+        weights = make_weights(schemes, nuis)
+    except ValidationError:
+        # Scheme by scheme, an earlier scheme's search error would come first.
+        for spec in schemes:
+            search_linear(make_weights(spec, nuis), pseudo, data, seed=seed)
+        raise
+    policies = [policy for policy, _ in search_linear(weights, pseudo, data, seed=seed)]
     # One regret sample and loss table serve all of this replication's schemes.
     sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
     return np.array([_mean(sample.shortfall(pi)) for pi in policies])

@@ -120,6 +120,17 @@ class TestSimulate:
         assert '"oracle_nuisances": true' in config
         assert body == (TEST_REFERENCE / "simulate_oracle_seed0_reps4.csv").read_text()
 
+    def test_matches_reference_report_n499_three_folds(self, tmp_path):
+        # Folds of 332 and 333 training rows: the propensity models fit in two
+        # stacks, one of one fold and one of two.
+        out = tmp_path / "report.csv"
+        argv = ["simulate", "--n", "499", "--folds", "3", "--reps", "4", "--seed", "0",
+                "--schemes", "uniform,w0,w0_dp:0,w0_dp:-0.5", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        config, body = out.read_text().split("\n", 1)
+        assert config.startswith("# config: ")
+        assert body == (TEST_REFERENCE / "simulate_n499_folds3_reps4.csv").read_text()
+
     def test_bad_scheme_exits_invalid(self, tmp_path):
         code = main(
             ["simulate", "--reps", "1", "--n", "40", "--schemes", "bogus", "--threads", "1"]

@@ -25,6 +25,8 @@ from retarget import (
 )
 import retarget.data as data_module
 from retarget.nuisance import (
+    _STACK_MAX_ENTRIES,
+    _fold_groups,
     _mean,
     _propensities,
     _residual_variance,
@@ -183,7 +185,110 @@ class TestFitPropensityMatchesReference:
         assert capped >= 1
 
 
+def _three_training_designs(m, d, n=96):
+    """Three (n, d+1) designs and their actions: one whose gradient vanishes
+    at zero (every arm on the same covariate rows), one drawn from mild
+    logits and one from sharper logits, which takes more Newton steps."""
+    rng = np.random.default_rng(10 * m + d)
+    u = rng.uniform(-1, 1, (n // m, d))
+    stack = [(np.tile(u, (m, 1)), np.repeat(np.arange(m), n // m))]
+    for scale in (0.5, 5.0):
+        x = rng.standard_normal((n, d))
+        logits = np.column_stack([np.zeros(n)] + [scale * x @ rng.normal(0, 1, d)
+                                                  for _ in range(m - 1)])
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
+        a[:m] = np.arange(m)  # every arm present
+        stack.append((x, a))
+    return np.stack([add_intercept(x) for x, _ in stack]), np.stack([a for _, a in stack])
+
+
+class TestStackedPropensity:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_gives_the_bits_of_separate_calls(self, monkeypatch, m, d):
+        # Each slice leaves the stack at its own iteration: the three take
+        # different numbers of Newton steps.
+        import retarget.nuisance as nuisance_module
+
+        z, actions = _three_training_designs(m, d)
+        calls = []
+        softmax = nuisance_module._softmax
+        monkeypatch.setattr(nuisance_module, "_softmax", lambda v: calls.append(1) or softmax(v))
+        alone, steps = [], []
+        for zs, a in zip(z, actions):
+            calls.clear()
+            alone.append(fit_propensity(zs, a, m))
+            steps.append(len(calls))
+        assert len(set(steps)) == 3 and alone[0][1]
+        coef, converged = fit_propensity(z, actions, m)
+        assert coef.shape == (3, d + 1, m) and converged.shape == (3,)
+        for got, flag, (want, want_flag) in zip(coef, converged, alone):
+            assert got.tobytes() == want.tobytes()
+            assert flag == want_flag
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_one_warning_per_capped_slice(self, monkeypatch, m):
+        import retarget.nuisance as nuisance_module
+
+        z, actions = _three_training_designs(m, 2)
+        monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = [fit_propensity(zs, a, m) for zs, a in zip(z, actions)]
+            assert len(caught) == 2  # the two drawn designs; the first meets the tolerance at zero
+            caught.clear()
+            coef, converged = fit_propensity(z, actions, m)
+        assert [str(w.message) for w in caught] == [
+            "propensity Newton solver hit the 2-iteration cap without meeting the gradient "
+            "tolerance; returning the last iterate"] * 2
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert converged.tolist() == [True, False, False]
+        for got, (want, _) in zip(coef, alone):
+            assert got.tobytes() == want.tobytes()
+
+    def test_missing_arm_in_any_slice_is_rejected(self):
+        z, actions = _three_training_designs(3, 1)
+        actions[1][actions[1] == 2] = 0
+        with pytest.raises(EstimationError, match="^arm 2 absent from training data$"):
+            fit_propensity(z, actions, 3)
+
+
+class TestFoldGroups:
+    def test_equal_training_sizes_share_a_stack(self):
+        # 499 rows in three folds: 167, 166 and 166 held out.
+        folds = make_folds(499, 3, seed=0)
+        train = [folds.complement(fold) for fold in range(3)]
+        assert [rows.size for rows in train] == [332, 333, 333]
+        assert _fold_groups(train, 2) == [[0], [1, 2]]
+
+    def test_a_stack_past_the_bound_splits(self):
+        rows = np.arange(_STACK_MAX_ENTRIES // 4)
+        assert _fold_groups([rows, rows], 2) == [[0, 1]]
+        assert _fold_groups([rows, rows], 3) == [[0], [1]]
+
+
 class TestFitOutcomeRegression:
+    def test_a_list_solves_as_separate_calls(self):
+        rng = np.random.default_rng(3)
+        designs = [add_intercept(rng.uniform(-1, 1, (n, 2))) for n in (5, 9, 30)]
+        outcomes = [rng.standard_normal(z.shape[0]) for z in designs]
+        for ridge in (0.0, 0.3):
+            betas = fit_outcome_regression(designs, outcomes, [0, 1, 0], ridge=ridge)
+            assert betas.shape == (3, 3)
+            for z, y, beta in zip(designs, outcomes, betas):
+                assert beta.tobytes() == fit_outcome_regression(z, y, 0, ridge=ridge).tobytes()
+
+    def test_a_list_names_its_first_singular_entry(self):
+        rng = np.random.default_rng(4)
+        singular = add_intercept(np.ones((4, 2)))  # rank 1
+        designs = [add_intercept(rng.uniform(-1, 1, (6, 2))), singular, singular[:2]]
+        outcomes = [np.zeros(z.shape[0]) for z in designs]
+        with pytest.raises(EstimationError, match=r"^singular Gram matrix for arm 1 \(4 rows, "
+                           r"3 coefficients\); pass ridge_lambda > 0$"):
+            fit_outcome_regression(designs, outcomes, [0, 1, 2])
+
     def test_two_point_exact_interpolation(self):
         data = Dataset(
             covariates=np.array([[1.0], [2.0]]),

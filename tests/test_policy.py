@@ -1395,6 +1395,62 @@ class TestSearchLinear:
             search_linear(uniform_weights(3), PseudoOutcomes(values=np.zeros((3, 2))), data)
 
 
+def _integer_weights(rng, n):
+    """Weights of 0, 1 and 2 with mean exactly 1."""
+    w = np.ones(n)
+    pick = rng.permutation(n)[: 2 * (n // 4)]
+    w[pick[: n // 4]], w[pick[n // 4:]] = 0.0, 2.0
+    return WeightScheme(kind="int", weights=w)
+
+
+def _assert_stack_searches_alone(schemes, pseudo, data, **kwargs):
+    got = search_linear(schemes, pseudo, data, **kwargs)
+    assert isinstance(got, list) and len(got) == len(schemes)
+    for w, (policy, exact) in zip(schemes, got):
+        alone, alone_exact = search_linear(w, pseudo, replace(data), **kwargs)
+        assert policy.theta.tobytes() == alone.theta.tobytes()
+        assert exact is alone_exact
+
+
+class TestStackedSearch:
+    """A sequence of weight schemes searches as separate calls would."""
+
+    @pytest.mark.parametrize("x", ["duplicated", "integer-grid", "uniform"])
+    def test_d1_integer_gains_and_duplicated_x(self, x):
+        # Gains of +-1 times integer weights tie many candidates.
+        data, pseudo = _tie_instance(_TIE_X_1D[x], "signs")
+        rng = np.random.default_rng(data.n)
+        schemes = [uniform_weights(data.n)] + [_integer_weights(rng, data.n) for _ in range(3)]
+        schemes.append(WeightScheme.from_raw("w", rng.uniform(0.1, 3.0, data.n)))
+        _assert_stack_searches_alone(schemes, pseudo, data)
+        _assert_stack_searches_alone(schemes[:1], pseudo, data)
+
+    def test_d2_and_the_heuristic(self):
+        rng = np.random.default_rng(40)
+        data, pseudo = plain_data(rng, 40, 2)
+        schemes = [uniform_weights(40), _integer_weights(rng, 40),
+                   WeightScheme.from_raw("w", rng.uniform(0.1, 3.0, 40))]
+        _assert_stack_searches_alone(schemes, pseudo, data)
+        _assert_stack_searches_alone(schemes, pseudo, data, seed=2, force_approx=True)
+        with pytest.raises(ValidationError, match="^need at least one weight scheme$"):
+            search_linear([], pseudo, data)
+
+    def test_an_overflowing_scheme_raises_its_own_error(self):
+        # Scores near the largest float on half the rows: uniform weights keep
+        # every sum finite, weights of 2 on those rows do not.
+        n = 10
+        data = Dataset(covariates=np.linspace(0, 1, n)[:, None], actions=np.zeros(n, int),
+                       outcomes=np.zeros(n), m=2)
+        scores = np.repeat([0.0, 0.7 * np.finfo(float).max / n], n // 2)
+        pseudo = PseudoOutcomes(values=np.column_stack([scores, scores]))
+        heavy = WeightScheme(kind="heavy", weights=np.repeat([0.0, 2.0], n // 2))
+        with pytest.raises(ValidationError) as alone:
+            search_linear(heavy, pseudo, data)
+        with pytest.raises(ValidationError) as stacked:
+            search_linear([uniform_weights(n), heavy], pseudo, data)
+        assert str(stacked.value) == str(alone.value)
+
+
 class TestThresholdCandidatesRealizeTheirLabels:
     """Each d=1 candidate's theta realizes its labels, so the sweep has no
     fallback for a tied candidate it cannot realize."""

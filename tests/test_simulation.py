@@ -250,6 +250,29 @@ class TestReplicateMatchesReference:
                                         oracle_nuisances)
             assert got.tobytes() == want.tobytes(), seed
 
+    @pytest.mark.parametrize("n, n_folds", [(500, 2), (499, 3), (501, 2)])
+    def test_grouped_folds(self, n, n_folds):
+        # Folds of equal training size fit as one stack; at n = 499 with three
+        # folds the sizes are 332, 333 and 333, so the stacks hold one and two
+        # folds. w0_dp:0 is the kept w0 scheme, and -0.5 a fractional power.
+        schemes = ("uniform", "w0", "w0_dp:0", "w0_dp:-0.5", "w0_dp:2")
+        for scenario in default_scenarios():
+            for seed in (0, 7):
+                got = _replicate(scenario, schemes, n, seed, 5_000, False,
+                                 NuisanceConfig(folds=n_folds))
+                want = _reference_replicate(scenario, schemes, n, seed, n_folds, 5_000, False)
+                assert got.tobytes() == want.tobytes(), (scenario.name, seed)
+
+    def test_errors_come_in_scheme_order(self):
+        # Scheme by scheme, an m=3 scenario fails at the first search, before
+        # a bad name later in the list is read.
+        scenario = random_scenario(1, 3, 1, "uniform", seed=2)
+        config = NuisanceConfig(folds=2)
+        for schemes, message in ((("uniform", "bogus"), "linear policy search requires m=2"),
+                                 (("bogus", "uniform"), "unknown weight scheme 'bogus'")):
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                _replicate(scenario, schemes, 200, 0, 500, False, config)
+
     @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
     def test_d2_scenario(self, oracle_nuisances):
         # d=2 takes the matmul act and the exact search over cells.

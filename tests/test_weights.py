@@ -357,6 +357,31 @@ class TestMakeWeights:
             assert w.weights.tobytes() == alone.weights.tobytes()
         assert shared[-1] is shared[1]  # power 0 is the kept w0 itself
 
+    def test_a_list_gives_the_schemes_of_separate_calls(self):
+        nuis = random_binary_nuis(np.random.default_rng(8), 50)
+        specs = ("uniform", "w0", "w0_dp:0", "w0_dp:1", "w0_dp:-0.5", "w0_dp:2", "w0_dp:-2")
+        listed = make_weights(specs, nuis)
+        assert isinstance(listed, tuple) and len(listed) == len(specs)
+        for spec, w in zip(specs, listed):
+            alone = make_weights(spec, replace(nuis))
+            assert w.kind == alone.kind
+            assert w.weights.tobytes() == alone.weights.tobytes()
+            assert not w.weights.flags.writeable
+        assert listed[1] is listed[2] is make_weights("w0", nuis)  # the kept w0
+        assert make_weights((), nuis) == ()
+
+    def test_a_list_raises_the_error_of_its_first_failing_name(self):
+        nuis = random_binary_nuis(np.random.default_rng(9), 30)
+        with pytest.raises(ValidationError) as alone:
+            make_weights("w0_dp:2000", nuis)
+        assert str(alone.value).startswith("raw weights of w0_dp:2000 have mean ")
+        for specs in (("uniform", "w0_dp:2000"), ("uniform", "w0_dp:1", "w0_dp:2000", "bogus")):
+            with pytest.raises(ValidationError) as listed:
+                make_weights(specs, nuis)
+            assert str(listed.value) == str(alone.value)
+        with pytest.raises(ValidationError, match="^unknown weight scheme 'bogus'"):
+            make_weights(("uniform", "bogus", "w0_dp:2000"), nuis)
+
     def test_kept_w0_and_gaps_never_serve_another_nuisance_set(self):
         # Two nuisance sets of one size, used in turn: each gets the w0 and the
         # gap statistics of its own propensities and means, not the other's.
