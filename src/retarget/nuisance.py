@@ -265,17 +265,25 @@ def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | lis
     count, their outcome vectors and the arm numbers that name them in errors:
     the coefficients then come back as the rows of one array, from one stacked
     rank check and one stacked solve, the bits of separate calls. A singular
-    Gram matrix is reported for the first entry that has one.
+    Gram matrix is reported for the first entry that has one, after every
+    entry's products are formed; under np.errstate(over="raise"), an overflow
+    in them is reported for its entry, as EstimationError.
     """
     single = isinstance(z, np.ndarray)
     designs, outcomes, arms = ([z], [y], [arm]) if single else (z, y, arm)
     if not 0 <= ridge < np.inf:
         raise ValidationError(f"ridge penalty must be finite and >= 0, got {ridge}")
     p = designs[0].shape[1]
-    gram = np.stack([d.T @ d for d in designs])
-    if ridge > 0:
-        gram = gram + ridge * np.eye(p)
-    else:
+    gram, rhs = np.empty((len(designs), p, p)), np.empty((len(designs), p))
+    for i, (d, v) in enumerate(zip(designs, outcomes)):
+        try:
+            np.matmul(d.T, d, out=gram[i])
+            if ridge > 0:
+                gram[i] += ridge * np.eye(p)
+            np.matmul(d.T, v, out=rhs[i])
+        except FloatingPointError as exc:
+            raise EstimationError(f"outcome regression of arm {arms[i]}: {exc}") from None
+    if ridge == 0:
         # np.linalg.matrix_rank's rule, one SVD call for the whole stack.
         sv = np.linalg.svd(gram, compute_uv=False)
         low = (sv > sv.max(axis=1, keepdims=True) * (p * np.finfo(float).eps)).sum(axis=1) < p
@@ -285,7 +293,6 @@ def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | lis
                 f"singular Gram matrix for arm {arms[i]} ({designs[i].shape[0]} rows, "
                 f"{p} coefficients); pass ridge_lambda > 0"
             )
-    rhs = np.stack([d.T @ v for d, v in zip(designs, outcomes)])
     beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return beta[0] if single else beta
 
@@ -312,13 +319,16 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     Each observation's predictions come from fits on the other folds' rows of
     one [1, x] design, so no row influences its own nuisances. Folds of one
     training size fit their propensity models as one stacked Newton solve
-    (see `_fold_groups`), and all (fold, arm) outcome regressions go through
-    one stacked solve; the results are the bits of fitting fold by fold.
+    (see `_fold_groups`), and each group's (fold, arm) outcome regressions go
+    through one stacked solve; the results are the bits of fitting fold by
+    fold.
 
-    An error is the one fitting fold by fold raises first: within a fold, the
-    propensity model, then the arm regressions, then the residual variance.
-    An overflow in a fold's fits raises EstimationError naming the fold and
-    the stage.
+    When a group fails, the same body runs again one fold at a time, so the
+    error names the first failing fold in fold order. Within a fold the
+    stages run in order: the propensity model, the arm regressions (their
+    products, rank checks and residuals, each pass in arm order), then the
+    residual variance. An overflow raises EstimationError naming the fold
+    and the stage.
     """
     if folds.n != data.n:
         raise ValidationError(f"fold assignment covers {folds.n} rows, dataset has {data.n}")
@@ -332,10 +342,13 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     train = [folds.complement(fold) for fold in range(folds.n_folds)]
     out = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))  # propensity, mean, variance
     with np.errstate(over="raise"):
-        if not _fit_together(z, data, held, train, config, out):
+        try:
+            for group in _fold_groups(train, z.shape[1]):
+                _fit_folds(z, data, group, held, train, config, out)
+        except (ValidationError, EstimationError, np.linalg.LinAlgError):
             # Fitted one at a time, the folds raise the first error in their order.
             for fold in range(folds.n_folds):
-                _fit_fold(z, data, held[fold], train[fold], fold, config, out)
+                _fit_folds(z, data, [fold], held, train, config, out)
     prop, mu, var = out
     return NuisanceSet(
         propensity=prop,
@@ -357,72 +370,39 @@ def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
                          else [[fold] for fold in group])]
 
 
-def _propensity_coefs(z: np.ndarray, actions: np.ndarray, train: list[np.ndarray],
-                      m: int) -> np.ndarray:
-    """Propensity coefficients (F, p, m) fitted on each of F equal-size sets
-    of training rows, as one stacked fit. Both ways of fitting the folds call
-    it, so a fit that hits the iteration cap warns from one line."""
-    rows = np.stack(train)
-    return fit_propensity(z[rows], actions[rows], m)[0]
-
-
-def _fit_together(z, data, held, train, config, out) -> bool:
-    """Every fold's nuisances written into out's rows, through one stacked
-    propensity fit per fold group and one stacked outcome solve; False when
-    a fit fails."""
-    prop, mu, var = out
-    m = data.m
-    try:
-        coefs = [None] * len(train)
-        for group in _fold_groups(train, z.shape[1]):
-            stack = _propensity_coefs(z, data.actions, [train[f] for f in group], m)
-            for fold, coef in zip(group, stack):
-                coefs[fold] = coef
-        arm_rows = [rows[data.actions[rows] == arm] for rows in train for arm in range(m)]
-        designs = [z[rows] for rows in arm_rows]
-        outcomes = [data.outcomes[rows] for rows in arm_rows]
-        betas = fit_outcome_regression(designs, outcomes, list(range(m)) * len(train),
-                                       ridge=config.ridge_lambda)
-        for fold, (held_out, rows) in enumerate(zip(held, train)):
-            z_out = z[held_out]
-            prop[held_out] = _propensities(z_out, coefs[fold], config.propensity_clip)
-            a_train = data.actions[rows]
-            resid = np.empty(rows.size)
-            for arm in range(m):
-                i = fold * m + arm
-                resid[a_train == arm] = outcomes[i] - designs[i] @ betas[i]
-                mu[held_out, arm] = z_out @ betas[i]
-            var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
-    except (FloatingPointError, ValidationError, EstimationError, np.linalg.LinAlgError):
-        return False
-    return True
-
-
-def _fit_fold(z, data, held_out, train, fold, config, out) -> None:
-    """One fold's nuisances written into out's rows, its stages in order; an
-    error names the fold (and the stage, for an overflow)."""
+def _fit_folds(z, data, group, held, train, config, out) -> None:
+    """The nuisances of a group of folds with one training size written into
+    out's rows: one stacked propensity fit, then one stacked solve for the
+    group's (fold, arm) outcome regressions. An error names the group's first
+    fold, and an overflow its stage."""
     prop, mu, var = out
     m = data.m
     stage = "propensity model"
     try:
-        coef = _propensity_coefs(z, data.actions, [train], m)[0]
-        z_out = z[held_out]
-        prop[held_out] = _propensities(z_out, coef, config.propensity_clip)
-        a_train = data.actions[train]
-        resid = np.empty(train.size)
-        for arm in range(m):
-            stage = f"outcome regression of arm {arm}"
-            on = a_train == arm
-            z_arm, y_arm = z[train[on]], data.outcomes[train[on]]
-            beta = fit_outcome_regression(z_arm, y_arm, arm, ridge=config.ridge_lambda)
-            resid[on] = y_arm - z_arm @ beta
-            mu[held_out, arm] = z_out @ beta
-        stage = "residual variance"
-        var[held_out] = _residual_variance(resid, a_train, m, config.variance_mode)
+        trains = [train[fold] for fold in group]
+        stack = np.stack(trains)
+        coefs = fit_propensity(z[stack], data.actions[stack], m)[0]
+        z_out = [z[held[fold]] for fold in group]
+        for fold, coef, z_fold in zip(group, coefs, z_out):
+            prop[held[fold]] = _propensities(z_fold, coef, config.propensity_clip)
+        arm_rows = [rows[data.actions[rows] == arm] for rows in trains for arm in range(m)]
+        designs = [z[rows] for rows in arm_rows]
+        outcomes = [data.outcomes[rows] for rows in arm_rows]
+        betas = fit_outcome_regression(designs, outcomes, list(range(m)) * len(group),
+                                       ridge=config.ridge_lambda)
+        for g, (fold, rows) in enumerate(zip(group, trains)):
+            a_train = data.actions[rows]
+            resid = np.empty(rows.size)
+            for arm in range(m):
+                stage, i = f"outcome regression of arm {arm}", g * m + arm
+                resid[a_train == arm] = outcomes[i] - designs[i] @ betas[i]
+                mu[held[fold], arm] = z_out[g] @ betas[i]
+            stage = "residual variance"
+            var[held[fold]] = _residual_variance(resid, a_train, m, config.variance_mode)
     except FloatingPointError as exc:
-        raise EstimationError(f"fold {fold}: {stage}: {exc}") from None
+        raise EstimationError(f"fold {group[0]}: {stage}: {exc}") from None
     except (ValidationError, EstimationError) as exc:
-        raise type(exc)(f"fold {fold}: {exc}") from exc
+        raise type(exc)(f"fold {group[0]}: {exc}") from exc
 
 
 def _arm_columns(header: list[str], prefix: str) -> list[str]:

@@ -203,12 +203,10 @@ def learn_finite(
     )
 
 
-def _gains(w: WeightScheme | Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Dataset):
-    """Per-row contributions so any 0/1 labeling's value is base + labels . gain.
-    For a sequence of S weight schemes, (S,) bases and (S, n) gains, and the
-    error that S separate calls raise first."""
-    single = isinstance(w, WeightScheme)
-    schemes = [w] if single else w
+def _gains(schemes: Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Dataset):
+    """Per-row contributions so any 0/1 labeling's value is base + labels . gain:
+    for S weight schemes, (S,) bases and (S, n) gains, and the error that S
+    separate searches raise first."""
     if not schemes:
         raise ValidationError("need at least one weight scheme")
     if data.m != 2:
@@ -222,12 +220,11 @@ def _gains(w: WeightScheme | Sequence[WeightScheme], pseudo: PseudoOutcomes, dat
     risky = [largest * top * pseudo.values.size >= 1e300 for top in stack.max(axis=1).tolist()]
     if risky[0]:
         _check_bounded(pseudo.values * stack[0][:, None])  # also bounds weighted_value's sums
-    effect = _derived(pseudo, effect_pseudo_outcome)  # checked where the first call checks it
+    effect = _derived(pseudo, effect_pseudo_outcome)  # checked where the first search checks it
     for s in np.flatnonzero(risky[1:]) + 1:
         _check_bounded(pseudo.values * stack[s][:, None])
     base = np.add.reduce(stack * pseudo.values[:, 0], axis=1) / data.n  # each row's _mean
-    gain = stack * effect / data.n
-    return (float(base[0]), gain[0]) if single else (base, gain)
+    return base, stack * effect / data.n
 
 
 def _largest_score(pseudo: PseudoOutcomes) -> float:
@@ -268,7 +265,7 @@ def _sweep_1d(data: Dataset):
 
 
 def _learn_threshold_1d(data, base, gain):
-    """Exact d=1 search in O(n log n); for (S,) bases and (S, n) gains, the
+    """Exact d=1 search in O(n log n): for (S,) bases and (S, n) gains, the
     list of the S rows' policies.
 
     Candidates, in tie-break order: the two constants, the upper rules
@@ -281,7 +278,7 @@ def _learn_threshold_1d(data, base, gain):
     """
     order, starts, cuts, below = _derived(data, _sweep_1d)
     x = data.covariates[:, 0]
-    gains = np.atleast_2d(gain).take(order, axis=1)
+    gains = gain.take(order, axis=1)
     if starts.size < x.size:  # else every group holds one row, its own sum
         gains = np.add.reduceat(gains, starts, axis=1)
     prefix = np.zeros((gains.shape[0], starts.size + 1))
@@ -292,9 +289,8 @@ def _learn_threshold_1d(data, base, gain):
     values[:, 1] = 0.0
     np.subtract(prefix[:, -1:], at_cut, out=values[:, 2 : 2 + cuts.size])
     values[:, 2 + cuts.size :] = at_cut
-    values += np.atleast_1d(base)[:, None]  # base + value, as the single search added them
-    policies = [_tied_threshold(x, cuts, row) for row in values]
-    return policies[0] if gain.ndim == 1 else policies
+    values += base[:, None]
+    return [_tied_threshold(x, cuts, row) for row in values]
 
 
 def _tied_threshold(x, cuts, values) -> LinearPolicy:
@@ -503,22 +499,22 @@ def search_linear(
     exact=False.
 
     `w` may also be a sequence of weight schemes: the result is then the list
-    of their (policy, exact) pairs, the bits of separate calls. Their gains,
-    and at d=1 the prefix sums over the dataset's sweep, are computed as one
-    (schemes, n) array; only the tie pass, and at d>=2 the search, run per
-    scheme. Searches on one dataset share its d=1 sweep, kept on it.
+    of their (policy, exact) pairs, the bits of separate calls; a single
+    scheme is searched as the one-entry list. The gains, and at d=1 the
+    prefix sums over the dataset's sweep, are computed as one (schemes, n)
+    array; only the tie pass, and at d>=2 the search, run per scheme.
+    Searches on one dataset share its d=1 sweep, kept on it.
     """
     single = isinstance(w, WeightScheme)
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
-    base, gain = _gains(w, pseudo, data)
+    base, gain = _gains([w] if single else w, pseudo, data)
     if data.d == 1 and not force_approx:
-        found = _learn_threshold_1d(data, base, gain)
-        return (found, True) if single else [(policy, True) for policy in found]
-    z = add_intercept(data.covariates)
-    if single:
-        return _search_design(z, base, gain, seed, force_approx)
-    return [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
+        found = [(policy, True) for policy in _learn_threshold_1d(data, base, gain)]
+    else:
+        z = add_intercept(data.covariates)
+        found = [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
+    return found[0] if single else found
 
 
 def _search_design(z, base, gain, seed, force_approx) -> tuple[LinearPolicy, bool]:

@@ -16,7 +16,7 @@ from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _mean, _rows,
 from .nuisance import add_intercept as _add_intercept
 from .policy import _RegretSample, search_linear
 from .pseudo import dr_pseudo_outcomes
-from .weights import make_weights
+from .weights import make_weights, parse_scheme
 
 DEFAULT_SCHEMES = ("uniform", "w0", "w0_dp:1", "w0_dp:2", "w0_dp:-1", "w0_dp:-2")
 _FOLD_SEED_OFFSET = 500_000_011
@@ -283,13 +283,7 @@ def _replicate(
         folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)
     pseudo = dr_pseudo_outcomes(data, nuis)
-    try:
-        weights = make_weights(schemes, nuis)
-    except ValidationError:
-        # Scheme by scheme, an earlier scheme's search error would come first.
-        for spec in schemes:
-            search_linear(make_weights(spec, nuis), pseudo, data, seed=seed)
-        raise
+    weights = make_weights(schemes, nuis)
     policies = [policy for policy, _ in search_linear(weights, pseudo, data, seed=seed)]
     # One regret sample and loss table serve all of this replication's schemes.
     sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
@@ -312,7 +306,9 @@ def run_benchmark(
     Replication r uses seed base_seed + r; replications run serially in seed
     order, so the report is a pure function of the arguments. Regret is
     evaluated on the unweighted population. `threads` is accepted for
-    compatibility with older callers and ignored.
+    compatibility with older callers and ignored. Scheme names are options,
+    checked before the first replication: a bad one raises its own error
+    however the replications would fail.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -323,6 +319,8 @@ def run_benchmark(
     schemes = tuple(schemes)
     if not schemes:
         raise ValidationError("need at least one weight scheme")
+    for scheme in schemes:
+        parse_scheme(scheme)
     config = NuisanceConfig(folds=n_folds)
     sample = _RegretSample()  # one set of regret buffers for the whole run
     rows = []

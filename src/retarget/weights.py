@@ -215,21 +215,16 @@ def make_weights(
     """Build a weight scheme from its CLI name: `uniform`, `w0`, or `w0_dp:<p>`.
 
     A sequence of names gives the tuple of their schemes from one stacked
-    build (see `_scaled_rows`), with the bits of separate calls and the error
-    that the first failing name raises alone. A nuisance set's homoskedastic
-    weights and gap statistics are built once and kept on it, so every
-    scheme made from one set shares them; `w0` and `w0_dp:0` are the kept w0
-    scheme itself.
+    build (see `_scaled_rows`), with the bits of separate calls. Every name
+    is parsed before any scheme is built, so the first bad name raises its
+    own error; past that, the first name whose build fails raises the error
+    it raises alone. A nuisance set's homoskedastic weights and gap
+    statistics are built once and kept on it, so every scheme made from one
+    set shares them; `w0` and `w0_dp:0` are the kept w0 scheme itself.
     """
     if isinstance(spec, str):
         return make_weights((spec,), nuis, gap_floor)[0]
-    parsed = []
-    for name in spec:
-        try:
-            parsed.append(parse_scheme(name, gap_floor))
-        except ValidationError:
-            make_weights(spec[: len(parsed)], nuis, gap_floor)  # an earlier name's error first
-            raise
+    parsed = [parse_scheme(name, gap_floor) for name in spec]
     uniform_only = all(kind == "uniform" for kind, _ in parsed)
     base = None if uniform_only else _derived(nuis, homoskedastic_weights)
     powers = [power for _, power in parsed if power != 0]

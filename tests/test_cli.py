@@ -131,11 +131,15 @@ class TestSimulate:
         assert config.startswith("# config: ")
         assert body == (TEST_REFERENCE / "simulate_n499_folds3_reps4.csv").read_text()
 
-    def test_bad_scheme_exits_invalid(self, tmp_path):
-        code = main(
-            ["simulate", "--reps", "1", "--n", "40", "--schemes", "bogus", "--threads", "1"]
-        )
-        assert code == EXIT_INVALID
+    def test_bad_scheme_exits_invalid(self, capsys):
+        # At n=3 every replication's cross-fit fails (exit 4), but a bad scheme
+        # name is an option error, reported before any replication runs.
+        for n in ("40", "3"):
+            code = main(["simulate", "--reps", "1", "--n", n, "--schemes", "uniform,bogus",
+                         "--threads", "1"])
+            assert code == EXIT_INVALID
+            assert capsys.readouterr().err == ("error[ValidationError]: unknown weight scheme "
+                                               "'bogus'; expected uniform, w0, or w0_dp:<p>\n")
 
     def test_scenario_file(self, tmp_path, capsys):
         import json

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from retarget import (
     Dataset,
     EstimationError,
+    FoldAssignment,
     NuisanceConfig,
     NuisanceSet,
     OracleNuisances,
@@ -26,6 +27,7 @@ from retarget import (
 import retarget.data as data_module
 from retarget.nuisance import (
     _STACK_MAX_ENTRIES,
+    _fit_folds,
     _fold_groups,
     _mean,
     _propensities,
@@ -289,6 +291,17 @@ class TestFitOutcomeRegression:
                            r"3 coefficients\); pass ridge_lambda > 0$"):
             fit_outcome_regression(designs, outcomes, [0, 1, 2])
 
+    def test_a_list_names_its_first_overflowing_entry(self):
+        rng = np.random.default_rng(5)
+        fine = add_intercept(rng.uniform(-1, 1, (6, 1)))
+        huge = add_intercept(np.array([[1e200], [2e200], [3e200]]))
+        designs = [fine, huge, huge]
+        outcomes = [np.zeros(z.shape[0]) for z in designs]
+        with np.errstate(over="raise"):
+            with pytest.raises(EstimationError, match=r"^outcome regression of arm 1: "
+                               r"overflow encountered in matmul$"):
+                fit_outcome_regression(designs, outcomes, [0, 1, 0])
+
     def test_two_point_exact_interpolation(self):
         data = Dataset(
             covariates=np.array([[1.0], [2.0]]),
@@ -441,6 +454,30 @@ class TestCrossFit:
         folds = make_folds(10, 2, seed=0)
         with pytest.raises(EstimationError, match=r"fold \d"):
             cross_fit(data, folds)
+
+    def test_first_failing_fold_is_named_across_non_adjacent_groups(self):
+        # Folds of 4, 5 and 4 rows train on 9, 8 and 9: folds 0 and 2 fit as
+        # one group, fold 1 alone. Every arm-1 row lies in fold 1, so fold 1
+        # trains without arm 1; fold 2 trains on arm-0 rows that all share
+        # x = 0.5, a singular Gram matrix. Fold 1's error comes first.
+        fold_of = np.repeat([0, 1, 2], [4, 5, 4])
+        x = np.full(13, 0.5)
+        x[4:7] = [0.0, 0.5, 1.0]
+        x[9:] = [0.1, 0.2, 0.3, 0.4]
+        a = np.zeros(13, int)
+        a[4:7] = 1
+        data = Dataset(covariates=x[:, None], actions=a, outcomes=np.arange(13.0), m=2)
+        folds = FoldAssignment(fold_of=fold_of, n_folds=3)
+        train = [folds.complement(fold) for fold in range(3)]
+        assert _fold_groups(train, 2) == [[0, 2], [1]]
+        with pytest.raises(EstimationError) as info:
+            cross_fit(data, folds, NuisanceConfig(folds=3))
+        assert str(info.value) == "fold 1: arm 1 absent from training data"
+        z = add_intercept(data.covariates)
+        out = np.empty((13, 2)), np.empty((13, 2)), np.empty((13, 2))
+        held = [folds.members(fold) for fold in range(3)]
+        with pytest.raises(EstimationError, match=r"^fold 2: singular Gram matrix for arm 0 "):
+            _fit_folds(z, data, [2], held, train, NuisanceConfig(folds=3), out)
 
     def test_config_fold_count_must_match_the_assignment(self):
         data = balanced_random_data(100, 1, 2, seed=3)

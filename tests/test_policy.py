@@ -351,7 +351,7 @@ class TestLearnLinear:
 
         def sweep(data, base, gain):
             calls.append(1)
-            return LinearPolicy(theta=np.array([1.0, 0.0]))
+            return [LinearPolicy(theta=np.array([1.0, 0.0]))]
 
         def cells(z, gain, tol, rank_tol):  # a better labeling was lost: the heuristic answers
             calls.append(1)
@@ -582,7 +582,7 @@ class TestLearnLinear:
         data = Dataset(covariates=x, actions=np.zeros(40, int), outcomes=np.zeros(40), m=2)
         pseudo, w = PseudoOutcomes(values=rng.standard_normal((40, 2))), uniform_weights(40)
         res = learn_linear(w, pseudo, data)
-        _, gain = policy_module._gains(w, pseudo, data)
+        _, (gain,) = policy_module._gains([w], pseudo, data)
         z = np.column_stack([np.ones(40), x])
         tol = 1e-12 * float(np.abs(z).max())
         value, theta, lost = policy_module._best_cell(z, gain, tol, 2.0 * tol * np.sqrt(40))
@@ -1535,7 +1535,7 @@ class TestOverflowBound:
         data = Dataset(covariates=rng.uniform(-1, 1, (n, 1)), actions=np.zeros(n, int),
                        outcomes=np.zeros(n), m=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            cached = self._raises(lambda: policy_module._gains(w, pseudo, data))
+            cached = self._raises(lambda: policy_module._gains([w], pseudo, data))
             exact = self._raises(
                 lambda: policy_module._check_bounded(pseudo.values * w.weights[:, None]))
         assert cached == exact
@@ -1547,7 +1547,7 @@ class TestOverflowBound:
                        outcomes=np.zeros(n), m=2)
         pseudo = PseudoOutcomes(values=np.full((n, 2), factor * (np.finfo(float).max / (2 * n))))
         with np.errstate(over="ignore"):
-            assert self._raises(lambda: policy_module._gains(uniform_weights(n), pseudo, data)) \
+            assert self._raises(lambda: policy_module._gains([uniform_weights(n)], pseudo, data)) \
                 is rejected
 
 

@@ -263,15 +263,25 @@ class TestReplicateMatchesReference:
                 want = _reference_replicate(scenario, schemes, n, seed, n_folds, 5_000, False)
                 assert got.tobytes() == want.tobytes(), (scenario.name, seed)
 
-    def test_errors_come_in_scheme_order(self):
-        # Scheme by scheme, an m=3 scenario fails at the first search, before
-        # a bad name later in the list is read.
+    def test_errors_come_in_scheme_order(self, monkeypatch):
+        # Scheme names are options: run_benchmark checks them in order before
+        # the first replication, so a bad name at any position raises its own
+        # error ahead of the m=3 scenario's search error, and nothing is drawn.
+        from retarget import simulation
+
+        calls = []
+        real = simulation.generate
+        monkeypatch.setattr(simulation, "generate", lambda *args: calls.append(args) or real(*args))
         scenario = random_scenario(1, 3, 1, "uniform", seed=2)
-        config = NuisanceConfig(folds=2)
-        for schemes, message in ((("uniform", "bogus"), "linear policy search requires m=2"),
-                                 (("bogus", "uniform"), "unknown weight scheme 'bogus'")):
+        for schemes, message in ((("uniform", "bogus"), "unknown weight scheme 'bogus'"),
+                                 (("bogus", "uniform"), "unknown weight scheme 'bogus'"),
+                                 (("w0", "w0_dp:x", "bogus"), "bad weight power in 'w0_dp:x'")):
             with pytest.raises(ValidationError, match=f"^{message}"):
-                _replicate(scenario, schemes, 200, 0, 500, False, config)
+                run_benchmark([scenario], schemes, reps=2, n=200, regret_draws=500)
+        assert calls == []
+        with pytest.raises(ValidationError, match="^linear policy search requires m=2"):
+            run_benchmark([scenario], ("uniform", "w0"), reps=1, n=200, regret_draws=500)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
     def test_d2_scenario(self, oracle_nuisances):

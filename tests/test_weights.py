@@ -371,16 +371,19 @@ class TestMakeWeights:
         assert make_weights((), nuis) == ()
 
     def test_a_list_raises_the_error_of_its_first_failing_name(self):
+        # Every name is parsed before any scheme is built: a bad name raises
+        # its own error wherever it stands, ahead of any build failure.
         nuis = random_binary_nuis(np.random.default_rng(9), 30)
         with pytest.raises(ValidationError) as alone:
             make_weights("w0_dp:2000", nuis)
         assert str(alone.value).startswith("raw weights of w0_dp:2000 have mean ")
-        for specs in (("uniform", "w0_dp:2000"), ("uniform", "w0_dp:1", "w0_dp:2000", "bogus")):
-            with pytest.raises(ValidationError) as listed:
+        with pytest.raises(ValidationError) as listed:
+            make_weights(("uniform", "w0_dp:2000"), nuis)
+        assert str(listed.value) == str(alone.value)
+        for specs in (("uniform", "w0_dp:1", "w0_dp:2000", "bogus"),
+                      ("uniform", "bogus", "w0_dp:2000")):
+            with pytest.raises(ValidationError, match="^unknown weight scheme 'bogus'"):
                 make_weights(specs, nuis)
-            assert str(listed.value) == str(alone.value)
-        with pytest.raises(ValidationError, match="^unknown weight scheme 'bogus'"):
-            make_weights(("uniform", "bogus", "w0_dp:2000"), nuis)
 
     def test_kept_w0_and_gaps_never_serve_another_nuisance_set(self):
         # Two nuisance sets of one size, used in turn: each gets the w0 and the
