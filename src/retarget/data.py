@@ -26,15 +26,6 @@ def _freeze(record, **arrays: np.ndarray) -> None:
         object.__setattr__(record, name, arr)
 
 
-def _derived(obj, build):
-    """build(obj), kept in the frozen object's instance dict like a
-    functools.cached_property: built once per object, never served to another."""
-    held = vars(obj).setdefault("_derived", {})  # keyed by the builder itself
-    if build not in held:
-        held[build] = build(obj)
-    return held[build]
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Observational sample of (covariates, action, outcome) triples.

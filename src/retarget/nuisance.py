@@ -284,9 +284,7 @@ def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | lis
         except FloatingPointError as exc:
             raise EstimationError(f"outcome regression of arm {arms[i]}: {exc}") from None
     if ridge == 0:
-        # np.linalg.matrix_rank's rule, one SVD call for the whole stack.
-        sv = np.linalg.svd(gram, compute_uv=False)
-        low = (sv > sv.max(axis=1, keepdims=True) * (p * np.finfo(float).eps)).sum(axis=1) < p
+        low = np.linalg.matrix_rank(gram) < p
         if low.any():
             i = int(np.argmax(low))
             raise EstimationError(

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset, _derived, _freeze, _input_file
+from .data import Dataset, _freeze, _input_file
 from .errors import EstimationError, ValidationError
 from .nuisance import _mean, _rows, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
@@ -205,8 +205,8 @@ def learn_finite(
 
 def _gains(schemes: Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Dataset):
     """Per-row contributions so any 0/1 labeling's value is base + labels . gain:
-    for S weight schemes, (S,) bases and (S, n) gains, and the error that S
-    separate searches raise first."""
+    for S weight schemes, (S,) bases and (S, n) gains from one build of the
+    effect scores, and the error that S separate searches raise first."""
     if not schemes:
         raise ValidationError("need at least one weight scheme")
     if data.m != 2:
@@ -216,19 +216,15 @@ def _gains(schemes: Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Datase
     stack = np.array([scheme.weights for scheme in schemes])  # (S, n)
     # The exact sum runs only where its bound, max|psi| * max w * size, may
     # overflow: below 1e300 no sum of rounded products w_i * |psi_i(a)| can.
-    largest = _derived(pseudo, _largest_score)
+    largest = float(np.abs(pseudo.values).max())
     risky = [largest * top * pseudo.values.size >= 1e300 for top in stack.max(axis=1).tolist()]
     if risky[0]:
         _check_bounded(pseudo.values * stack[0][:, None])  # also bounds weighted_value's sums
-    effect = _derived(pseudo, effect_pseudo_outcome)  # checked where the first search checks it
+    effect = effect_pseudo_outcome(pseudo)  # checked where the first search checks it
     for s in np.flatnonzero(risky[1:]) + 1:
         _check_bounded(pseudo.values * stack[s][:, None])
     base = np.add.reduce(stack * pseudo.values[:, 0], axis=1) / data.n  # each row's _mean
     return base, stack * effect / data.n
-
-
-def _largest_score(pseudo: PseudoOutcomes) -> float:
-    return float(np.abs(pseudo.values).max())
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -273,11 +269,12 @@ def _learn_threshold_1d(data, base, gain):
     midpoints between consecutive distinct values (the lower value where the
     midpoint rounds onto the upper one or overflows), and max + 1. Their values
     come from one prefix sum of the gains summed over groups of equal x, one
-    (S, .) array for all rows; a theta and its labels are built only for
-    candidates tied at a row's maximum.
+    (S, .) array for all rows; a theta is built, and checked at the two
+    distinct values next to its cut, only for candidates tied at a row's maximum.
     """
-    order, starts, cuts, below = _derived(data, _sweep_1d)
+    order, starts, cuts, below = _sweep_1d(data)
     x = data.covariates[:, 0]
+    distinct = x[order[starts]]
     gains = gain.take(order, axis=1)
     if starts.size < x.size:  # else every group holds one row, its own sum
         gains = np.add.reduceat(gains, starts, axis=1)
@@ -290,35 +287,38 @@ def _learn_threshold_1d(data, base, gain):
     np.subtract(prefix[:, -1:], at_cut, out=values[:, 2 : 2 + cuts.size])
     values[:, 2 + cuts.size :] = at_cut
     values += base[:, None]
-    return [_tied_threshold(x, cuts, row) for row in values]
+    return [_tied_threshold(distinct, cuts, below, row) for row in values]
 
 
-def _tied_threshold(x, cuts, values) -> LinearPolicy:
+def _tied_threshold(distinct, cuts, below, values) -> LinearPolicy:
     """The tie pass of the d=1 search over one row of candidate values."""
     best_value = float(values.max())
     keys = []  # (lost, theta): unit-norm thetas first, then the smallest
-    for r in np.flatnonzero(values == best_value):
-        if r < 2:
-            theta = np.array([1.0, 0.0]) if r == 0 else np.array([-1.0, 0.0])
-            labels = np.full(x.size, r == 0)
-        else:
-            c = cuts[(r - 2) % cuts.size]
-            upper = r - 2 < cuts.size
-            labels = x > c if upper else ~(x > c)
-            if upper:
-                theta = np.array([-c, 1.0])
-            elif c == _LARGEST:  # every row lies at or below c, as [1, -0.] labels them
-                theta = np.array([1.0, -0.0])
-            else:  # c - x > 0 misses the rows at x == c; no float lies between c and the next one
-                theta = np.array([np.nextafter(c, np.inf) if (x == c).any() else c, -1.0])
-        # Labels as LinearPolicy.act computes them. Every theta above realizes
-        # its labels: the cuts are finite, and a difference of two floats, such
-        # as -c + x or c' - x, has the exact sign of theirs in IEEE arithmetic
-        # (zero only when they are equal, +-inf on overflow). At large |x| the
-        # unit vector can lose a cut that theta realizes: such a theta is
-        # returned only when no tied unit-norm theta realizes its labels.
+    for r in np.flatnonzero(values == best_value).tolist():
+        if r < 2:  # a constant: [+-1, 0] labels every row alike
+            keys.append((False, tuple(_unit(np.array([1.0 - 2.0 * r, 0.0])))))
+            continue
+        j = (r - 2) % cuts.size
+        c, k = float(cuts[j]), int(below[j])  # k distinct values lie at or below c
+        upper = r - 2 < cuts.size
+        if upper:
+            theta = np.array([-c, 1.0])
+        elif c == _LARGEST:  # every row lies at or below c, as [1, -0.] labels them
+            theta = np.array([1.0, -0.0])
+        else:  # c - x > 0 misses the rows at x == c; no float lies between c and the next one
+            theta = np.array([np.nextafter(c, np.inf) if k and distinct[k - 1] == c else c, -1.0])
+        # Every theta above realizes its labels: the cuts are finite, and a
+        # difference of two floats, such as -c + x or c' - x, has the exact
+        # sign of theirs in IEEE arithmetic (zero only when they are equal,
+        # +-inf on overflow). At large |x| the unit vector can lose a cut that
+        # theta realizes: such a theta is returned only when no tied unit-norm
+        # theta realizes its labels. u0 + x * u1 is two monotone rounded steps
+        # in x, so the unit vector keeps every row's label exactly when it
+        # keeps those of the two values next to the cut.
         unit = _unit(theta)
-        lost = not ((unit[0] + x * unit[1] > 0) == labels).all()
+        u0, u1 = unit.tolist()  # the value at or below c is labeled `not upper`, the next `upper`
+        lost = (k > 0 and (u0 + distinct[k - 1] * u1 > 0) == upper) or (
+            k < distinct.size and (u0 + distinct[k] * u1 > 0) != upper)
         keys.append((lost, tuple(theta if lost else unit)))
     # keys is never empty: _gains' checks leave every value finite, so one is the maximum.
     return LinearPolicy(theta=np.array(min(keys)[1]))
@@ -501,9 +501,8 @@ def search_linear(
     `w` may also be a sequence of weight schemes: the result is then the list
     of their (policy, exact) pairs, the bits of separate calls; a single
     scheme is searched as the one-entry list. The gains, and at d=1 the
-    prefix sums over the dataset's sweep, are computed as one (schemes, n)
-    array; only the tie pass, and at d>=2 the search, run per scheme.
-    Searches on one dataset share its d=1 sweep, kept on it.
+    prefix sums over the one sweep of x the call builds, are computed as one
+    (schemes, n) array; only the tie pass, and at d>=2 the search, run per scheme.
     """
     single = isinstance(w, WeightScheme)
     if data.d < 1:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _derived, _freeze
+from .data import _freeze
 from .errors import ValidationError
 from .nuisance import NuisanceSet, _mean, _rows
 
@@ -42,14 +42,6 @@ class WeightScheme:
         if not 0.0 < mean < np.inf:
             raise ValidationError(f"raw weights of {kind} have mean {mean}, not finite and > 0")
         return cls(kind=kind, weights=raw / mean)
-
-    @classmethod
-    def _checked(cls, kind: str, weights: np.ndarray) -> "WeightScheme":
-        """A scheme of weights that have passed __post_init__'s checks."""
-        scheme = object.__new__(cls)
-        object.__setattr__(scheme, "kind", kind)
-        _freeze(scheme, weights=weights)
-        return scheme
 
     @property
     def n(self) -> int:
@@ -118,14 +110,18 @@ def curvature_scaled_weights(
     """Rescale a weight scheme by the local outcome gap raised to a power.
 
     Gaps are floored at `floor` before exponentiation so negative powers stay
-    finite near ties. power = 0 returns the base scheme unchanged.
+    finite near ties. power = 0 returns the base scheme unchanged. Every
+    `w0_dp:<p>` scheme of make_weights is built here.
     """
     _check_gap_scaling(power, floor)
     if gaps.gap.shape[0] != base.n:
         raise ValidationError("gap statistics and weights have mismatched lengths")
     if power == 0:
         return base
-    return _scaled_rows(base, gaps, [power], floor)[0]
+    # A power that overflows leaves an infinite raw mean, which from_raw refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = base.weights * np.maximum(gaps.gap, floor) ** power
+        return WeightScheme.from_raw(f"{base.kind}_dp:{power:g}", raw)
 
 
 def _check_gap_scaling(power: float, floor: float) -> None:
@@ -214,54 +210,24 @@ def make_weights(
 ) -> WeightScheme | tuple[WeightScheme, ...]:
     """Build a weight scheme from its CLI name: `uniform`, `w0`, or `w0_dp:<p>`.
 
-    A sequence of names gives the tuple of their schemes from one stacked
-    build (see `_scaled_rows`), with the bits of separate calls. Every name
-    is parsed before any scheme is built, so the first bad name raises its
-    own error; past that, the first name whose build fails raises the error
-    it raises alone. A nuisance set's homoskedastic weights and gap
-    statistics are built once and kept on it, so every scheme made from one
-    set shares them; `w0` and `w0_dp:0` are the kept w0 scheme itself.
+    A sequence of names gives the tuple of their schemes. Every name is parsed
+    before any scheme is built, so the first bad name raises its own error;
+    past that, the first name whose build fails raises it. One call builds the
+    homoskedastic weights and the gap statistics at most once, for all of its
+    names; `w0` and `w0_dp:0` are that one w0 scheme.
     """
     if isinstance(spec, str):
         return make_weights((spec,), nuis, gap_floor)[0]
     parsed = [parse_scheme(name, gap_floor) for name in spec]
-    uniform_only = all(kind == "uniform" for kind, _ in parsed)
-    base = None if uniform_only else _derived(nuis, homoskedastic_weights)
-    powers = [power for _, power in parsed if power != 0]
-    scaled = iter(_scaled_rows(base, _derived(nuis, gap_statistics), powers, gap_floor)
-                  if powers else ())
+    base = gaps = None
     schemes = []
     for kind, power in parsed:
         if kind == "uniform":
             schemes.append(uniform_weights(nuis.n))
-        else:
-            schemes.append(next(scaled) if power != 0 else base)
+            continue
+        if base is None:
+            base = homoskedastic_weights(nuis)
+        if power != 0 and gaps is None:
+            gaps = gap_statistics(nuis)
+        schemes.append(base if power == 0 else curvature_scaled_weights(base, gaps, power, gap_floor))
     return tuple(schemes)
-
-
-def _scaled_rows(base: WeightScheme, gaps: GapStatistics, powers: list[float],
-                 floor: float) -> list[WeightScheme]:
-    """The base scheme rescaled by the floored gaps to each nonzero power: the
-    raw rows as one (k, n) array, normalized by their row means and checked
-    together, the first failing row raising its error."""
-    kinds = [f"{base.kind}_dp:{power:g}" for power in powers]
-    floored = np.maximum(gaps.gap, floor)
-    raw = np.empty((len(powers), base.n))
-    # A power that overflows leaves an infinite raw mean, which is refused below.
-    with np.errstate(all="ignore"):
-        for row, power in zip(raw, powers):
-            np.multiply(base.weights, floored ** power, out=row)
-        means = np.add.reduce(raw, axis=1) / base.n  # _mean of each row, bit for bit
-        rows = raw / means[:, None]
-        # A row passes from_raw's and WeightScheme's checks exactly when its
-        # raw mean is finite and > 0, its minimum is >= 0 (not negative or
-        # nan) and its mean within 1e-9 of 1 (an infinite entry fails that).
-        valid = (0.0 < means) & (means < np.inf) & (rows.min(axis=1) >= 0.0)
-        valid &= np.abs(np.add.reduce(rows, axis=1) / base.n - 1.0) <= 1e-9
-    for r in np.flatnonzero(~valid)[:1]:  # the first failing row raises its own error
-        if not 0.0 < means[r] < np.inf:
-            raise ValidationError(
-                f"raw weights of {kinds[r]} have mean {means[r]}, not finite and > 0")
-        WeightScheme(kind=kinds[r], weights=rows[r])
-    rows.setflags(write=False)
-    return [WeightScheme._checked(kind, row) for kind, row in zip(kinds, rows)]

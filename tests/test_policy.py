@@ -898,9 +898,8 @@ def _assert_same_result(got, expected):
 
 
 class TestSharedSweep:
-    """learn_linear keeps the d=1 sweep on the dataset, so later searches on
-    it reuse the sweep; they must give the bits of a search on a fresh copy
-    of the dataset, which builds its own."""
+    """Repeated searches on one dataset give the bits of a search on a fresh
+    copy of it: nothing one search builds carries into the next."""
 
     @settings(max_examples=150, deadline=None)
     @given(_multi_scheme_instances())
@@ -938,9 +937,7 @@ class TestSharedSweep:
         second = Dataset(covariates=rng.uniform(-1, 1, (40, 1)), actions=first.actions,
                          outcomes=first.outcomes, m=2)
         w = uniform_weights(40)
-        with pytest.MonkeyPatch.context() as mp:  # every search builds its own sweep
-            mp.setattr(policy_module, "_derived", lambda obj, build: build(obj))
-            unshared = {id(data): learn_linear(w, pseudo, data) for data in (first, second)}
+        unshared = {id(data): learn_linear(w, pseudo, data) for data in (first, second)}
         for data in (first, second, first):
             _assert_same_result(learn_linear(w, pseudo, data), unshared[id(data)])
             _assert_same_result(learn_linear(w, pseudo, replace(data)), unshared[id(data)])

@@ -337,8 +337,9 @@ class TestMakeWeights:
             make_weights("uniform", random_binary_nuis(np.random.default_rng(5), 4), gap_floor=0.0)
 
     def test_kept_w0_and_gaps_give_the_schemes_of_a_fresh_set(self, monkeypatch):
-        # Schemes made from one nuisance set share the w0 and gap statistics
-        # kept on it; they match, bit for bit, schemes from a fresh copy.
+        # One make_weights call builds one w0 and one set of gap statistics,
+        # shared by all of its schemes; they match, bit for bit, schemes from
+        # a fresh copy of the nuisance set.
         rng = np.random.default_rng(6)
         nuis = random_binary_nuis(rng, 40)
         specs = ("uniform", "w0", "w0_dp:1", "w0_dp:2", "w0_dp:-1", "w0_dp:-2", "w0_dp:0")
@@ -349,13 +350,15 @@ class TestMakeWeights:
                 return build(obj)
 
             monkeypatch.setattr(weights_module, name, counted)
-        shared = [make_weights(spec, nuis) for spec in specs]
-        assert built == ["homoskedastic_weights", "gap_statistics"]  # each built once
+        for calls in (1, 2):
+            shared = make_weights(specs, nuis)
+            assert built == ["homoskedastic_weights", "gap_statistics"] * calls  # once per call
+        monkeypatch.undo()
         for spec, w in zip(specs, shared):
             alone = make_weights(spec, replace(nuis))
             assert w.kind == alone.kind
             assert w.weights.tobytes() == alone.weights.tobytes()
-        assert shared[-1] is shared[1]  # power 0 is the kept w0 itself
+        assert shared[-1] is shared[1]  # power 0 is the call's w0 itself
 
     def test_a_list_gives_the_schemes_of_separate_calls(self):
         nuis = random_binary_nuis(np.random.default_rng(8), 50)
@@ -367,7 +370,7 @@ class TestMakeWeights:
             assert w.kind == alone.kind
             assert w.weights.tobytes() == alone.weights.tobytes()
             assert not w.weights.flags.writeable
-        assert listed[1] is listed[2] is make_weights("w0", nuis)  # the kept w0
+        assert listed[1] is listed[2]  # the call's one w0
         assert make_weights((), nuis) == ()
 
     def test_a_list_raises_the_error_of_its_first_failing_name(self):
