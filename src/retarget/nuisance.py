@@ -186,14 +186,20 @@ class NuisanceConfig:
 def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool | np.ndarray]:
     """Multinomial logistic coefficients (d+1, m) on z = [1, x], last arm pinned
     to zero, and whether Newton steps on the log-likelihood met the gradient
-    tolerance 1e-8 within 100 iterations (else the last iterate, flagged, with
-    a RuntimeWarning).
+    tolerance 1e-8 within 100 iterations.
+
+    A fit that reaches the cap, as one on covariates far from 0 does (the
+    damping grows with x^2), is fitted once more on a design whose
+    non-intercept columns are centred and scaled (see _centred_refit), and its
+    coefficients mapped back to z. Only when that fit also reaches the cap is
+    its last iterate returned flagged, with a RuntimeWarning. Fits that meet
+    the tolerance on z keep their bits.
 
     z may also be a stack (F, n, d+1) of designs with actions (F, n): the
     result is then (F, d+1, m) coefficients and an (F,) array of flags, the
-    bits of F separate calls, with one warning per slice that hit the cap. The
-    slices take their Newton steps together, and each leaves the stack on the
-    iteration where its gradient meets the tolerance.
+    bits of F separate calls, with one warning per slice that hit the cap
+    twice. The slices take their Newton steps together, and each leaves the
+    stack on the iteration where its gradient meets the tolerance.
     """
     stacked = z.ndim == 3
     if not stacked:
@@ -203,12 +209,47 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
         if (counts == 0).any():
             missing = int(np.argmax(counts == 0))
             raise EstimationError(f"arm {missing} absent from training data")
+    onehot = np.zeros((*actions.shape, m - 1))
+    for j in range(m - 1):
+        onehot[..., j] = actions == j
+    coef, converged = _newton(z, onehot, m)
+    capped = np.flatnonzero(~converged)
+    if capped.size:
+        coef[capped], converged[capped] = _centred_refit(z[capped], onehot[capped], m)
+    for _ in range(int(np.count_nonzero(~converged))):
+        warnings.warn(
+            f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
+            "meeting the gradient tolerance; returning the last iterate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return (coef, converged) if stacked else (coef[0], bool(converged[0]))
+
+
+def _centred_refit(z: np.ndarray, onehot: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_newton on a stack of designs [1, x] with each x column moved by its
+    midrange c and divided by a power of two s at least its half-range, and
+    the coefficients mapped back: b_j = g_j / s_j, b_0 = g_0 - sum_j b_j c_j.
+    The midrange leaves a constant column exactly 0, and dividing by a power of
+    two rounds nothing. Mapping back loses about u * |c| / s of the logits."""
+    low, high = z.min(axis=1), z.max(axis=1)  # (F, p), halved first so nothing overflows
+    half = high / 2 - low / 2
+    centre = low / 2 + high / 2
+    scale = np.ldexp(1.0, np.frexp(half)[1])
+    centre[:, 0], scale[:, 0] = 0.0, 1.0  # the intercept
+    coef, converged = _newton((z - centre[:, None, :]) / scale[:, None, :], onehot, m)
+    coef /= scale[..., None]
+    coef[:, 0] -= (centre[..., None] * coef).sum(axis=1)
+    return coef, converged
+
+
+def _newton(z: np.ndarray, onehot: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton steps from zero for a stack of designs z (F, n, p) and
+    their one-hot actions (F, n, m-1): the (F, p, m) coefficients, each the
+    first iterate whose gradient meets the tolerance or the last one, and the
+    (F,) flags of the slices that met it."""
     size, n, p = z.shape
     k = m - 1  # free classes
-    onehot = np.zeros((size, n, k))
-    for j in range(k):
-        onehot[..., j] = actions == j
-
     coef = np.empty((size, p, m))
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)  # the slices still stepping, and their arrays below
@@ -240,14 +281,7 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
         rhs = grad.transpose(0, 2, 1).reshape(live.size, k * p, 1)
         c[..., :k] += np.linalg.solve(a, rhs).reshape(live.size, k, p).transpose(0, 2, 1)
     coef[live] = c
-    for _ in range(live.size):
-        warnings.warn(
-            f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
-            "meeting the gradient tolerance; returning the last iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return (coef, converged) if stacked else (coef[0], bool(converged[0]))
+    return coef, converged
 
 
 def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:

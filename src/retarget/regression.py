@@ -101,7 +101,8 @@ class RegressionFit:
 
     residual_norm is the infinity norm of the estimating equation at beta with
     the reported weights; it must not exceed residual_tol (= 1e-8 * rows used
-    * max design-column magnitude).
+    * max(1, max|z|) * max(1, max|target|)), which scales with the target as
+    the residual does.
     """
 
     beta: np.ndarray
@@ -126,6 +127,7 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
     fit's residuals r (computed as 2 log max(|r_i|, 1e-3), which cannot
     overflow), and the returned solve weights each row by exp(min(s) - s)
     for s = z @ gamma, its inverse fitted variance scaled to a maximum of 1.
+    At most z and one weighted copy of it are held at once, plus row vectors.
     An overflow anywhere is an EstimationError naming the context.
     """
     try:
@@ -133,18 +135,34 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
             beta, wz, gram = _weighted_solve(z, target, sample_w, context)
             if irls:
                 # Unit weights leave wz = z, so gram is z'z and already rank-checked.
-                r = target - z @ beta
-                log_r2 = 2.0 * np.log(np.maximum(np.abs(r), np.sqrt(IRLS_RESIDUAL_FLOOR)))
-                s = z @ np.linalg.solve(gram, wz.T @ log_r2)
-                beta, wz, _ = _weighted_solve(z, target, np.exp(s.min() - s), context)
-            residual_norm = float(np.abs(wz.T @ (target - z @ beta)).max())
+                # One row vector v holds log r^2, then s, then the weights in
+                # turn, and the first wz goes before the second is built.
+                v = _residual(z, beta, target)
+                np.abs(v, out=v)
+                np.log(np.maximum(v, np.sqrt(IRLS_RESIDUAL_FLOOR), out=v), out=v)
+                v *= 2.0
+                np.matmul(z, np.linalg.solve(gram, wz.T @ v), out=v)
+                del wz
+                np.exp(np.subtract(v.min(), v, out=v), out=v)
+                beta, wz, _ = _weighted_solve(z, target, v, context)
+                del v
+            residual_norm = float(np.abs(wz.T @ _residual(z, beta, target)).max())
     except FloatingPointError as exc:
         raise EstimationError(f"{context}: {exc}") from None
+    # max|.| as max(max, -min), so no |z| copy of the design is made.
+    z_scale = max(1.0, float(z.max()), -float(z.min()))
+    target_scale = max(1.0, float(target.max()), -float(target.min()))
     return RegressionFit(
         beta=beta, equation=equation, arm=arm, residual_norm=residual_norm,
-        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * max(1.0, float(np.abs(z).max())),
+        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * z_scale * target_scale,
         n_used=z.shape[0], iterations=int(irls), converged=True,
     )
+
+
+def _residual(z: np.ndarray, beta: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """target - z @ beta in one new row vector."""
+    r = z @ beta
+    return np.subtract(target, r, out=r)
 
 
 def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, context: str):
@@ -153,7 +171,8 @@ def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, con
     top = float(sample_w.max())
     if top <= 0:
         raise EstimationError(f"all regression weights are zero in {context}")
-    sample_w = sample_w / top
+    if top != 1.0:  # dividing by 1 would only copy the weights
+        sample_w = sample_w / top
     wz = z * sample_w[:, None]
     gram = wz.T @ z
     if np.linalg.matrix_rank(gram) < z.shape[1]:

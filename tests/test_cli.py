@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from retarget import (
     Dataset,
     FeatureMap,
+    LinearPolicy,
     NuisanceConfig,
     ScenarioSpec,
     cross_fit,
@@ -526,6 +527,21 @@ class TestFit:
                 "ridge-regularized preprocessing"
             ]
 
+    @pytest.mark.parametrize("mode", ["ols", "irls"])
+    def test_outcomes_near_1e200_fit_within_their_tolerance(self, tmp_path, mode):
+        # The tolerance scales with max|y| as the residual does. On these 15
+        # rows of arm 1 the residual is ~1e184; the tolerance used to read
+        # 1.5e-07 (1e-8 * 15 rows * max|z| of 1) and the fit still exited 0.
+        n = 30
+        path, out = tmp_path / "e200.csv", tmp_path / "fit.txt"
+        path.write_text("x1,a,y\n" + "".join(
+            f"{i / n!r},{i % 2},{1e200 * ((i * 7919) % 13 - 6) / 6!r}\n" for i in range(n)))
+        code = _main_without_warnings(["fit", "--equation", "on_arm", "--mode", mode,
+                                       "--data", str(path), "--out", str(out)])
+        assert code == EXIT_OK
+        fit = _fit_file(out)
+        assert 1e180 < fit["residual_norm"] <= fit["residual_tol"]
+
 
 def _reference_on_arm_fit(path, arm, zmap, mode):
     """The on-arm path before ols and irls skipped the cross-fit: the old
@@ -544,7 +560,8 @@ def _reference_on_arm_fit(path, arm, zmap, mode):
         wz = z * sample_w[:, None]
         beta = np.linalg.solve(wz.T @ z, wz.T @ target)
         resid = wz.T @ (target - z @ beta)
-        residual_tol = 1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
+        residual_tol = (1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
+                        * max(1.0, float(np.abs(target).max())))
         return beta, float(np.abs(resid).max()), residual_tol
 
     rows = np.flatnonzero(data.actions == arm)
@@ -820,6 +837,29 @@ class TestLearn:
             body += [line for line in out.read_text().splitlines(keepends=True)
                      if not line.startswith("#")]
         assert "".join(body) == (TEST_REFERENCE / "learn_linear_seed0.txt").read_text()
+
+    def test_year_valued_covariate_gives_the_labels_of_the_centred_file(self, tmp_path):
+        # On x = 2020 + N(0, 1) the propensity Newton loop stalls at its
+        # iteration cap; refitted on a centred design, it gives the centred
+        # file's propensities, and the search its cut. x - 2020 is exact.
+        rng = np.random.default_rng(0)
+        n = 1_000
+        year = 2020.0 + rng.standard_normal(n)
+        a = (rng.random(n) < 1 / (1 + np.exp(2020.0 - year))).astype(int)
+        y = a * (0.5 * (year - 2020.0) - 0.2) + rng.standard_normal(n)
+        labels, values = [], []
+        for x in (year, year - 2020.0):
+            path, out = tmp_path / "data.csv", tmp_path / "learn.txt"
+            path.write_text("x1,a,y\n" + "".join(f"{u!r},{k},{v!r}\n"
+                                                for u, k, v in zip(x.tolist(), a, y.tolist())))
+            assert _main_without_warnings(["learn", "--class", "linear", "--data", str(path),
+                                           "--out", str(out)]) == EXIT_OK
+            lines = dict(line.split("=", 1) for line in out.read_text().splitlines()[1:])
+            theta = [float(lines["theta_0"]), float(lines["theta_1"])]
+            labels.append(LinearPolicy(theta).act(x[:, None]))
+            values.append(float(lines["best_value"]))
+        assert np.array_equal(labels[0], labels[1])
+        assert values[0] == pytest.approx(values[1], rel=1e-8)
 
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"

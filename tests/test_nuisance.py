@@ -91,7 +91,8 @@ class TestFitPropensity:
 
     def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         # The loop reads its cap at call time; two Newton steps from zero
-        # leave the gradient above tolerance. One softmax per iteration.
+        # leave the gradient above tolerance, on z and again on the centred
+        # refit's design. One softmax per iteration.
         import retarget.nuisance as nuisance_module
 
         data = balanced_random_data(300, 2, 3, seed=4)
@@ -104,7 +105,7 @@ class TestFitPropensity:
                           r"cap without meeting the gradient tolerance; returning the last iterate$"):
             coef, converged = fit_propensity(z, data.actions, data.m)
         assert not converged
-        assert len(calls) == 2
+        assert len(calls) == 4
         assert np.all(np.isfinite(coef)) and np.all(coef[:, -1] == 0.0)
         monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 100)
         with warnings.catch_warnings():
@@ -172,18 +173,24 @@ class TestFitPropensityMatchesReference:
         banded = np.minimum(np.argsort(np.argsort(x[:, 0])) * m // n, m - 1)
         banded[np.argmax(x[:, 0])] = 0
         designs = [(x, random_arms), (x, banded), (np.round(x), random_arms)]
-        # Covariates offset by 1e4: the solver stalls at the 100-iteration cap.
+        # Covariates offset by 1e4: the loop stalls at the 100-iteration cap,
+        # and the centred refit gives the propensities of the fit on x.
         designs.append((x + 1e4, random_arms))
         capped = 0
         for xs, a in designs:
             z = add_intercept(xs)
             want, want_converged = _reference_fit_propensity(z, a, m)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # the iteration cap
+                warnings.simplefilter("error", RuntimeWarning)
                 got, converged = fit_propensity(z, a, m)
-            assert got.tobytes() == want.tobytes()
-            assert converged == want_converged
-            capped += not converged
+            assert converged
+            if want_converged:
+                assert got.tobytes() == want.tobytes()
+            else:
+                on_x = add_intercept(x)
+                near = _softmax(on_x @ fit_propensity(on_x, a, m)[0])
+                assert np.abs(_softmax(z @ got) - near).max() < 1e-8
+            capped += not want_converged
         assert capped >= 1
 
 
@@ -255,6 +262,41 @@ class TestStackedPropensity:
         actions[1][actions[1] == 2] = 0
         with pytest.raises(EstimationError, match="^arm 2 absent from training data$"):
             fit_propensity(z, actions, 3)
+
+
+class TestCentredRefit:
+    """On covariates far from 0 the Newton loop on [1, x] stalls at its cap
+    (the damping grows with x^2); fit_propensity then refits on a centred,
+    scaled design and maps the coefficients back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 20),
+           offset=st.floats(-1e6, 1e6), m=st.integers(2, 3), d=st.integers(1, 2))
+    def test_covariates_times_a_power_of_two_plus_an_offset(self, seed, k, offset, m, d):
+        # x * s + c with s = 2^k and |c| <= 1e6 * s. Where the loop without a
+        # refit converges, the fit keeps its bits; where it hit the cap, the
+        # propensities are within 1e-8 of the fit on x: mapping back cancels
+        # about u * |c| / s of the logits. A stack gives the same bits.
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.standard_normal((n, d))
+        logits = np.column_stack([np.zeros(n)] + [x @ rng.normal(0, 1, d) for _ in range(m - 1)])
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
+        a[:m] = np.arange(m)  # every arm present
+        z, on_x = add_intercept(x * 2.0**k + offset * 2.0**k), add_intercept(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coef, converged = fit_propensity(z, a, m)
+            stacked, _ = fit_propensity(np.stack([z, on_x]), np.stack([a, a]), m)
+            near = _softmax(on_x @ fit_propensity(on_x, a, m)[0])
+        assert converged
+        assert stacked[0].tobytes() == coef.tobytes()
+        want, want_converged = _reference_fit_propensity(z, a, m)
+        if want_converged:
+            assert coef.tobytes() == want.tobytes()
+        else:
+            assert np.abs(_softmax(z @ coef) - near).max() < 1e-8
 
 
 class TestFoldGroups:

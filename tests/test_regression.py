@@ -1,6 +1,7 @@
 """Estimating-equation regressions: exact cases, oracles, and invariances."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,54 @@ class TestFitBestFit:
                 data,
             )
             assert fit.residual_norm <= fit.residual_tol
+
+    def test_target_times_a_power_of_two_scales_residual_and_tolerance(self):
+        # target * 2^40 multiplies beta, the residual and max|target| (> 1
+        # here) exactly, so the tolerance keeps its ratio to the residual.
+        rng = np.random.default_rng(6)
+        n = 200
+        data = Dataset(covariates=rng.uniform(-2, 2, (n, 2)), actions=rng.integers(0, 2, n),
+                       outcomes=np.zeros(n), m=2)
+        psi_col = 3.0 * rng.standard_normal(n)
+        w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
+        fit, big = (fit_best_fit(t, w, FeatureMap.polynomial(2), data)
+                    for t in (psi_col, psi_col * 2.0**40))
+        assert fit.residual_norm > 0
+        assert big.beta.tobytes() == (fit.beta * 2.0**40).tobytes()
+        assert big.residual_norm == fit.residual_norm * 2.0**40
+        assert big.residual_tol == fit.residual_tol * 2.0**40
+
+
+class TestPeakMemory:
+    """A regression holds its design z and one weighted copy of it at once,
+    plus a few row vectors: under 2.4 designs on poly:3, where z has 13 columns
+    (3.00 for fit_best_fit and 3.54 for irls when a third copy was made)."""
+
+    @staticmethod
+    def _peak_in_designs(fit, rows):
+        fit()  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (rows * 13 * 8)
+
+    def test_poly3_fits_peak_below_2_4_designs(self):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        data = Dataset(covariates=rng.standard_normal((n, 4)),
+                       actions=(rng.permutation(n) < n // 2).astype(int),
+                       outcomes=rng.standard_normal(n), m=2)
+        zmap = FeatureMap.parse("poly:3")
+        psi_col = rng.standard_normal(n)
+        w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
+        best_fit = self._peak_in_designs(lambda: fit_best_fit(psi_col, w, zmap, data), n)
+        irls = self._peak_in_designs(
+            lambda: fit_on_arm_precision(data, None, 1, zmap, mode="irls"), n // 2)
+        assert best_fit < 2.4, best_fit
+        assert irls < 2.4, irls
 
 
 class TestFitOnArmPrecision:
@@ -453,8 +502,8 @@ def _reference_solve_wls(z, target, sample_w):
     wz = z * sample_w[:, None]
     beta = np.linalg.solve(wz.T @ z, wz.T @ target)
     resid = wz.T @ (target - z @ beta)
-    scale = max(1.0, float(np.abs(z).max()))
-    return beta, float(np.abs(resid).max()), 1e-8 * z.shape[0] * scale
+    z_scale, target_scale = (max(1.0, float(np.abs(v).max())) for v in (z, target))
+    return beta, float(np.abs(resid).max()), 1e-8 * z.shape[0] * z_scale * target_scale
 
 
 def _reference_fit_best_fit(psi_col, w, zmap, data):
