@@ -122,11 +122,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     zmap = FeatureMap.parse(args.features)
     data, nuis, pseudo = _prepare(args)
+    if args.equation != "cate":
+        _check_arm(args.arm, data.m)
     if args.equation in ("best_fit", "cate"):
         # Scores before weights: weights that fail behind bad scores report the scores.
         psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
+        del nuis, pseudo  # the regression reads only the scores and weights
     if args.equation == "best_fit":
-        _check_arm(args.arm, data.m)
         fit = fit_best_fit(psi.values[:, args.arm], w, zmap, data)
     elif args.equation == "on_arm":
         # The ols and irls on-arm fits read no nuisance.
@@ -169,6 +171,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     data, nuis, pseudo = _prepare(args)
     psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
+    del nuis, pseudo  # the search reads only the scores and weights
     lines = [_config_header("learn", args)]
     if args.policy_class == "linear":
         result = learn_linear(w, psi, data, seed=args.seed)

@@ -20,10 +20,12 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _freeze(record, **arrays: np.ndarray) -> None:
-    """Make each array read-only, then set it on the frozen record."""
+    """Set a read-only view of each array on the frozen record. The view
+    shares the array's memory, and the caller's array stays writable."""
     for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(record, name, arr)
+        view = arr.view()
+        view.setflags(write=False)
+        object.__setattr__(record, name, view)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.covariates.shape[1]
-
-    def arm_counts(self) -> np.ndarray:
-        return np.bincount(self.actions, minlength=self.m)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Nuisance models: propensity, per-arm outcome means, residual variances.
 
-All models are linear/logistic in [1, x]. `cross_fit` produces out-of-fold
+All models are linear/logistic in [1, x], the propensity models with x's
+columns centred and scaled. `cross_fit` produces out-of-fold
 predictions for every observation; `OracleNuisances` supplies known values
 in its place.
 """
@@ -183,73 +184,26 @@ class NuisanceConfig:
             raise ValidationError(f"ridge_lambda must be finite, got {self.ridge_lambda}")
 
 
-def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Multinomial logistic coefficients (d+1, m) on z = [1, x], last arm pinned
-    to zero, and whether Newton steps on the log-likelihood met the gradient
-    tolerance 1e-8 within 100 iterations.
-
-    A fit that reaches the cap, as one on covariates far from 0 does (the
-    damping grows with x^2), is fitted once more on a design whose
-    non-intercept columns are centred and scaled (see _centred_refit), and its
-    coefficients mapped back to z. Only when that fit also reaches the cap is
-    its last iterate returned flagged, with a RuntimeWarning. Fits that meet
-    the tolerance on z keep their bits.
-
-    z may also be a stack (F, n, d+1) of designs with actions (F, n): the
-    result is then (F, d+1, m) coefficients and an (F,) array of flags, the
-    bits of F separate calls, with one warning per slice that hit the cap
-    twice. The slices take their Newton steps together, and each leaves the
-    stack on the iteration where its gradient meets the tolerance.
+def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial logistic fits on a stack of designs z (F, n, p) with their
+    actions (F, n): the (F, p, m) coefficients, last arm pinned to zero, and
+    the (F,) flags of the fits whose damped Newton steps from zero met the
+    gradient tolerance 1e-8 within 100 iterations. The slices step together,
+    and each leaves the stack on the iteration where its gradient meets the
+    tolerance, so a slice gets the bits of fitting it alone. A fit that
+    reaches the cap, as one on separated arms does, returns its last iterate,
+    with one RuntimeWarning per such fit.
     """
-    stacked = z.ndim == 3
-    if not stacked:
-        z, actions = z[None], actions[None]
     for slice_actions in actions:
         counts = np.bincount(slice_actions, minlength=m)
         if (counts == 0).any():
             missing = int(np.argmax(counts == 0))
             raise EstimationError(f"arm {missing} absent from training data")
-    onehot = np.zeros((*actions.shape, m - 1))
-    for j in range(m - 1):
-        onehot[..., j] = actions == j
-    coef, converged = _newton(z, onehot, m)
-    capped = np.flatnonzero(~converged)
-    if capped.size:
-        coef[capped], converged[capped] = _centred_refit(z[capped], onehot[capped], m)
-    for _ in range(int(np.count_nonzero(~converged))):
-        warnings.warn(
-            f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
-            "meeting the gradient tolerance; returning the last iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return (coef, converged) if stacked else (coef[0], bool(converged[0]))
-
-
-def _centred_refit(z: np.ndarray, onehot: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """_newton on a stack of designs [1, x] with each x column moved by its
-    midrange c and divided by a power of two s at least its half-range, and
-    the coefficients mapped back: b_j = g_j / s_j, b_0 = g_0 - sum_j b_j c_j.
-    The midrange leaves a constant column exactly 0, and dividing by a power of
-    two rounds nothing. Mapping back loses about u * |c| / s of the logits."""
-    low, high = z.min(axis=1), z.max(axis=1)  # (F, p), halved first so nothing overflows
-    half = high / 2 - low / 2
-    centre = low / 2 + high / 2
-    scale = np.ldexp(1.0, np.frexp(half)[1])
-    centre[:, 0], scale[:, 0] = 0.0, 1.0  # the intercept
-    coef, converged = _newton((z - centre[:, None, :]) / scale[:, None, :], onehot, m)
-    coef /= scale[..., None]
-    coef[:, 0] -= (centre[..., None] * coef).sum(axis=1)
-    return coef, converged
-
-
-def _newton(z: np.ndarray, onehot: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton steps from zero for a stack of designs z (F, n, p) and
-    their one-hot actions (F, n, m-1): the (F, p, m) coefficients, each the
-    first iterate whose gradient meets the tolerance or the last one, and the
-    (F,) flags of the slices that met it."""
     size, n, p = z.shape
     k = m - 1  # free classes
+    onehot = np.zeros((size, n, k))
+    for j in range(k):
+        onehot[..., j] = actions == j
     coef = np.empty((size, p, m))
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)  # the slices still stepping, and their arrays below
@@ -281,6 +235,13 @@ def _newton(z: np.ndarray, onehot: np.ndarray, m: int) -> tuple[np.ndarray, np.n
         rhs = grad.transpose(0, 2, 1).reshape(live.size, k * p, 1)
         c[..., :k] += np.linalg.solve(a, rhs).reshape(live.size, k, p).transpose(0, 2, 1)
     coef[live] = c
+    for _ in range(live.size):
+        warnings.warn(
+            f"propensity Newton solver hit the {_NEWTON_MAX_ITER}-iteration cap without "
+            "meeting the gradient tolerance; returning the last iterate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return coef, converged
 
 
@@ -290,21 +251,19 @@ def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
     return p / _rows(np.add, p)[:, None]
 
 
-def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | list[np.ndarray],
-                           arm: int | list[int], ridge: float = 0.0) -> np.ndarray:
-    """Least-squares fit of one arm's outcomes y on its rows z = [1, x], with
+def fit_outcome_regression(designs: list[np.ndarray], outcomes: list[np.ndarray],
+                           arms: list[int], ridge: float = 0.0) -> np.ndarray:
+    """Least-squares fits of outcome vectors on their designs z = [1, x], with
     an optional ridge penalty lambda * ||beta||^2 on all coefficients.
 
-    z, y and arm may also be equal-length lists of designs with one column
-    count, their outcome vectors and the arm numbers that name them in errors:
-    the coefficients then come back as the rows of one array, from one stacked
-    rank check and one stacked solve, the bits of separate calls. A singular
-    Gram matrix is reported for the first entry that has one, after every
-    entry's products are formed; under np.errstate(over="raise"), an overflow
-    in them is reported for its entry, as EstimationError.
+    The designs share one column count, and arms holds the arm numbers that
+    name them in errors. The coefficients come back as the rows of one array,
+    from one stacked rank check and one stacked solve, the bits of fitting
+    each entry alone. A singular Gram matrix is reported for the first entry
+    that has one, after every entry's products are formed; under
+    np.errstate(over="raise"), an overflow in them is reported for its entry,
+    as EstimationError.
     """
-    single = isinstance(z, np.ndarray)
-    designs, outcomes, arms = ([z], [y], [arm]) if single else (z, y, arm)
     if not 0 <= ridge < np.inf:
         raise ValidationError(f"ridge penalty must be finite and >= 0, got {ridge}")
     p = designs[0].shape[1]
@@ -325,8 +284,7 @@ def fit_outcome_regression(z: np.ndarray | list[np.ndarray], y: np.ndarray | lis
                 f"singular Gram matrix for arm {arms[i]} ({designs[i].shape[0]} rows, "
                 f"{p} coefficients); pass ridge_lambda > 0"
             )
-    beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    return beta[0] if single else beta
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
 def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str) -> np.ndarray:
@@ -348,12 +306,14 @@ def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str
 def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = NuisanceConfig()) -> NuisanceSet:
     """Out-of-fold nuisance predictions for every observation.
 
-    Each observation's predictions come from fits on the other folds' rows of
-    one [1, x] design, so no row influences its own nuisances. Folds of one
-    training size fit their propensity models as one stacked Newton solve
-    (see `_fold_groups`), and each group's (fold, arm) outcome regressions go
-    through one stacked solve; the results are the bits of fitting fold by
-    fold.
+    Each observation's predictions come from fits on the other folds' rows,
+    so no row influences its own nuisances. The outcome regressions use the
+    design [1, x]. The propensity models use [1, (x - c) / s], built once per
+    call (see _propensity_design), so their fits do not depend on the
+    covariates' units. Folds of one training size fit their propensity models
+    as one stacked Newton solve (see `_fold_groups`), and each group's (fold,
+    arm) outcome regressions go through one stacked solve; the results are
+    the bits of fitting fold by fold.
 
     When a group fails, the same body runs again one fold at a time, so the
     error names the first failing fold in fold order. Within a fold the
@@ -369,18 +329,18 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
             f"fold assignment has {folds.n_folds} folds, nuisance config asks for {config.folds}"
         )
     n, m = data.n, data.m
-    z = add_intercept(data.covariates)
+    z_prop, z = _propensity_design(data.covariates), add_intercept(data.covariates)
     held = [folds.members(fold) for fold in range(folds.n_folds)]
     train = [folds.complement(fold) for fold in range(folds.n_folds)]
     out = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))  # propensity, mean, variance
     with np.errstate(over="raise"):
         try:
             for group in _fold_groups(train, z.shape[1]):
-                _fit_folds(z, data, group, held, train, config, out)
+                _fit_folds(z_prop, z, data, group, held, train, config, out)
         except (ValidationError, EstimationError, np.linalg.LinAlgError):
             # Fitted one at a time, the folds raise the first error in their order.
             for fold in range(folds.n_folds):
-                _fit_folds(z, data, [fold], held, train, config, out)
+                _fit_folds(z_prop, z, data, [fold], held, train, config, out)
     prop, mu, var = out
     return NuisanceSet(
         propensity=prop,
@@ -388,6 +348,24 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
         variance=var,
         provenance=f"fitted(K={folds.n_folds})",
     )
+
+
+def _propensity_design(x: np.ndarray) -> np.ndarray:
+    """[1, (x - c) / s]: each column moved by its midrange c and divided by s,
+    the power of two above its half-range (1 for a constant column, and at
+    most 2^1023). The midrange is taken halved, so it cannot overflow; it
+    leaves a constant column exactly 0, and dividing by a power of two rounds
+    nothing, so x * 2^k gives the same design bit for bit. It is built column
+    by column in F order, since numpy reduces and broadcasts over a C-ordered
+    x's short rows one row at a time (5x slower at 20,000 x 4); the fits read
+    it only through row gathers, which come out C-ordered."""
+    z = np.empty((x.shape[0], x.shape[1] + 1), order="F")
+    z[:, 0] = 1.0
+    for j, col in enumerate(x.T, start=1):
+        low, high = col.min(), col.max()
+        np.subtract(col, low / 2 + high / 2, out=z[:, j])
+        z[:, j] /= np.ldexp(1.0, min(np.frexp(high / 2 - low / 2)[1], 1023))
+    return z
 
 
 def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
@@ -402,21 +380,21 @@ def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
                          else [[fold] for fold in group])]
 
 
-def _fit_folds(z, data, group, held, train, config, out) -> None:
+def _fit_folds(z_prop, z, data, group, held, train, config, out) -> None:
     """The nuisances of a group of folds with one training size written into
-    out's rows: one stacked propensity fit, then one stacked solve for the
-    group's (fold, arm) outcome regressions. An error names the group's first
-    fold, and an overflow its stage."""
+    out's rows: one stacked propensity fit on z_prop, then one stacked solve
+    for the group's (fold, arm) outcome regressions on z. An error names the
+    group's first fold, and an overflow its stage."""
     prop, mu, var = out
     m = data.m
     stage = "propensity model"
     try:
         trains = [train[fold] for fold in group]
         stack = np.stack(trains)
-        coefs = fit_propensity(z[stack], data.actions[stack], m)[0]
+        coefs = fit_propensity(z_prop[stack], data.actions[stack], m)[0]
+        for fold, coef in zip(group, coefs):
+            prop[held[fold]] = _propensities(z_prop[held[fold]], coef, config.propensity_clip)
         z_out = [z[held[fold]] for fold in group]
-        for fold, coef, z_fold in zip(group, coefs, z_out):
-            prop[held[fold]] = _propensities(z_fold, coef, config.propensity_clip)
         arm_rows = [rows[data.actions[rows] == arm] for rows in trains for arm in range(m)]
         designs = [z[rows] for rows in arm_rows]
         outcomes = [data.outcomes[rows] for rows in arm_rows]

@@ -476,14 +476,15 @@ def _learn_linear_approx(z, base, gain, seed) -> LinearPolicy:
 
 
 def search_linear(
-    w: WeightScheme | Sequence[WeightScheme],
+    schemes: Sequence[WeightScheme],
     pseudo: PseudoOutcomes,
     data: Dataset,
     seed: int = 0,
     force_approx: bool = False,
-) -> tuple[LinearPolicy, bool] | list[tuple[LinearPolicy, bool]]:
-    """The linear threshold policy (m=2) of largest weighted value, and
-    whether the search certified it exact; learn_linear also values it.
+) -> list[tuple[LinearPolicy, bool]]:
+    """For each weight scheme, the linear threshold policy (m=2) of largest
+    weighted value, and whether the search certified it exact; learn_linear
+    also values it. The pairs are the bits of searching each scheme alone.
 
     Exact at d=1 for any n, with ties to the lexicographically smallest
     unit-norm theta (or, when at large |x| every tied unit vector loses its
@@ -498,22 +499,17 @@ def search_linear(
     numerically, a seeded multi-start coordinate search runs instead, flagged
     exact=False.
 
-    `w` may also be a sequence of weight schemes: the result is then the list
-    of their (policy, exact) pairs, the bits of separate calls; a single
-    scheme is searched as the one-entry list. The gains, and at d=1 the
-    prefix sums over the one sweep of x the call builds, are computed as one
-    (schemes, n) array; only the tie pass, and at d>=2 the search, run per scheme.
+    The gains, and at d=1 the prefix sums over the one sweep of x the call
+    builds, are computed as one (schemes, n) array; only the tie pass, and at
+    d>=2 the search, run per scheme.
     """
-    single = isinstance(w, WeightScheme)
     if data.d < 1:
         raise ValidationError("linear policy search needs at least one covariate")
-    base, gain = _gains([w] if single else w, pseudo, data)
+    base, gain = _gains(schemes, pseudo, data)
     if data.d == 1 and not force_approx:
-        found = [(policy, True) for policy in _learn_threshold_1d(data, base, gain)]
-    else:
-        z = add_intercept(data.covariates)
-        found = [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
-    return found[0] if single else found
+        return [(policy, True) for policy in _learn_threshold_1d(data, base, gain)]
+    z = add_intercept(data.covariates)
+    return [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
 
 
 def _search_design(z, base, gain, seed, force_approx) -> tuple[LinearPolicy, bool]:
@@ -534,7 +530,7 @@ def _search_design(z, base, gain, seed, force_approx) -> tuple[LinearPolicy, boo
 def learn_linear(w: WeightScheme, pseudo: PseudoOutcomes, data: Dataset, seed: int = 0,
                  force_approx: bool = False) -> LearnResult:
     """search_linear's policy with its weighted value."""
-    best, exact = search_linear(w, pseudo, data, seed, force_approx)
+    [(best, exact)] = search_linear([w], pseudo, data, seed, force_approx)
     return LearnResult(best=best, best_value=weighted_value(best, w, pseudo, data), exact=exact)
 
 

@@ -260,8 +260,7 @@ def fit_dv_overlap(
     """
     if data.m != 2:
         raise ValidationError(f"overlap-weighted regression requires m=2, got m={data.m}")
-    if not 0 <= arm < 2:
-        raise ValidationError(f"arm {arm} outside {{0, 1}}")
+    _check_arm(arm, data.m)
     rows, z = _arm_design(data, nuis, arm, zmap)
     y, sample_w = data.outcomes[rows], nuis.propensity[rows, 1 - arm]
     return _solve_wls(z, y, sample_w, "dv_overlap", arm, "overlap-weighted regression")

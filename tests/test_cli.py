@@ -271,13 +271,19 @@ class TestFit:
     @pytest.mark.parametrize("arm", ["5", "2", "-1"])
     def test_best_fit_arm_outside_the_arms_is_invalid(self, binary_csv, tmp_path, capsys, arm):
         # The arm indexed the scores unchecked: 5 escaped as an IndexError and
-        # -1 fitted the last arm.
+        # -1 fitted the last arm. Every equation that reads --arm checks it
+        # before any fit, also on a 4-row file whose cross-fit fails (it
+        # exited 4 with the fit's singular Gram matrix).
+        failing = tmp_path / "four.csv"
+        failing.write_text("x1,a,y\n0.1,0,1\n0.2,1,2\n0.3,0,1\n0.4,1,2\n")
         out = tmp_path / "fit.txt"
-        code = main(["fit", "--equation", "best_fit", "--arm", arm, "--data", binary_csv,
-                     "--out", str(out)])
-        assert code == EXIT_INVALID
-        assert error_lines(capsys) == [f"error[ValidationError]: arm {arm} outside {{0..1}}"]
-        assert not out.exists()
+        for data in (binary_csv, str(failing)):
+            for equation in ("best_fit", "on_arm", "dv"):
+                code = main(["fit", "--equation", equation, "--arm", arm, "--data", data,
+                             "--out", str(out)])
+                assert code == EXIT_INVALID, (data, equation)
+                assert error_lines(capsys) == [f"error[ValidationError]: arm {arm} outside {{0..1}}"]
+                assert not out.exists()
 
     def test_on_arm_modes(self, binary_csv, tmp_path):
         for mode in ("known", "ols", "irls"):
@@ -541,6 +547,36 @@ class TestFit:
         assert code == EXIT_OK
         fit = _fit_file(out)
         assert 1e180 < fit["residual_norm"] <= fit["residual_tol"]
+
+    def test_the_nuisance_set_is_dropped_before_the_regression(self, binary_csv, monkeypatch):
+        # Once the scores and weights exist, best_fit, cate and learn hold no
+        # reference to the cross-fitted nuisances, which are three n x m matrices.
+        import weakref
+
+        import retarget.cli as cli
+
+        refs = []
+
+        def tracked(*args, **kwargs):
+            nuis = cross_fit(*args, **kwargs)
+            refs.append(weakref.ref(nuis))
+            return nuis
+
+        def checked(run):
+            def call(*args, **kwargs):
+                assert refs[-1]() is None
+                return run(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "cross_fit", tracked)
+        for name in ("fit_best_fit", "fit_cate", "learn_linear", "learn_finite"):
+            monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
+        policies = Path(binary_csv).with_name("policies.txt")
+        policies.write_text("const,0\nconst,1\n")
+        for argv in (["fit", "--equation", "best_fit"], ["fit", "--equation", "cate"],
+                     ["learn", "--class", "linear"], ["learn", "--class", f"finite:{policies}"]):
+            assert main(argv + ["--weights", "w0", "--data", binary_csv]) == EXIT_OK
+        assert len(refs) == 4
 
 
 def _reference_on_arm_fit(path, arm, zmap, mode):
@@ -839,9 +875,9 @@ class TestLearn:
         assert "".join(body) == (TEST_REFERENCE / "learn_linear_seed0.txt").read_text()
 
     def test_year_valued_covariate_gives_the_labels_of_the_centred_file(self, tmp_path):
-        # On x = 2020 + N(0, 1) the propensity Newton loop stalls at its
-        # iteration cap; refitted on a centred design, it gives the centred
-        # file's propensities, and the search its cut. x - 2020 is exact.
+        # On [1, x] with x = 2020 + N(0, 1) the propensity Newton loop stalls
+        # at its iteration cap; on the centred, scaled design it gives the
+        # centred file's propensities, and the search its cut. x - 2020 is exact.
         rng = np.random.default_rng(0)
         n = 1_000
         year = 2020.0 + rng.standard_normal(n)

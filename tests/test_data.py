@@ -28,7 +28,20 @@ class TestDataset:
     def test_shapes_and_properties(self):
         data = small_dataset()
         assert (data.n, data.d, data.m) == (3, 2, 2)
-        assert data.arm_counts().tolist() == [2, 1]
+        assert np.bincount(data.actions, minlength=data.m).tolist() == [2, 1]
+
+    def test_the_callers_arrays_stay_writable(self):
+        # The record holds read-only views of the caller's arrays: no copy,
+        # and the caller's own arrays were made read-only before.
+        x, a, y = np.zeros((3, 1)), np.array([0, 1, 0]), np.zeros(3)
+        data = Dataset(covariates=x, actions=a, outcomes=y, m=2)
+        for mine, held in ((x, data.covariates), (a, data.actions), (y, data.outcomes)):
+            assert mine.flags.writeable and not held.flags.writeable
+            assert np.shares_memory(mine, held)
+        x[0, 0] = 2.0
+        assert data.covariates[0, 0] == 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.covariates[0, 0] = 3.0
 
     def test_rejects_label_at_m(self):
         with pytest.raises(ValidationError, match="action label 2"):

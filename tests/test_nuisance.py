@@ -1,6 +1,7 @@
 """Propensity/outcome/variance fitting and the cross-fitting contract."""
 
 import csv
+import math
 import re
 from contextlib import contextmanager
 import warnings
@@ -25,12 +26,14 @@ from retarget import (
     make_folds,
 )
 import retarget.data as data_module
+from retarget.simulation import default_scenarios, generate
 from retarget.nuisance import (
     _STACK_MAX_ENTRIES,
     _fit_folds,
     _fold_groups,
     _mean,
     _propensities,
+    _propensity_design,
     _residual_variance,
     _rows,
     _softmax,
@@ -47,17 +50,34 @@ def balanced_random_data(n, d, m, seed, outcome=None):
     return Dataset(covariates=x, actions=a, outcomes=y, m=m)
 
 
+def fit_one(z, actions, m):
+    """fit_propensity on a one-entry stack: one design's coefficients and flag."""
+    coef, converged = fit_propensity(z[None], actions[None], m)
+    return coef[0], bool(converged[0])
+
+
 def fitted_propensities(data, clip=0.01):
     """In-sample clipped propensities of a fit on all of data's rows."""
-    z = add_intercept(data.covariates)
-    coef, converged = fit_propensity(z, data.actions, data.m)
+    z = _propensity_design(data.covariates)
+    coef, converged = fit_one(z, data.actions, data.m)
     return _propensities(z, coef, clip), converged
 
 
-def arm_rows(data, arm):
-    """[1, x] and y of one arm's rows."""
+def fit_arm(data, arm, ridge=0.0):
+    """The outcome regression of one arm's y on its rows of [1, x]."""
     rows = data.actions == arm
-    return add_intercept(data.covariates[rows]), data.outcomes[rows]
+    z, y = add_intercept(data.covariates[rows]), data.outcomes[rows]
+    return fit_outcome_regression([z], [y], [arm], ridge=ridge)[0]
+
+
+def _reference_scaled_design(x):
+    """The propensity design [1, (x - c) / s] column by column with math.frexp:
+    c the midrange, s the power of two above the half-range."""
+    columns = [np.ones(x.shape[0])]
+    for col in x.T:
+        low, high = float(col.min()), float(col.max())
+        columns.append((col - (low / 2 + high / 2)) / 2.0 ** math.frexp(high / 2 - low / 2)[1])
+    return np.column_stack(columns)
 
 
 class TestFitPropensity:
@@ -91,26 +111,25 @@ class TestFitPropensity:
 
     def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         # The loop reads its cap at call time; two Newton steps from zero
-        # leave the gradient above tolerance, on z and again on the centred
-        # refit's design. One softmax per iteration.
+        # leave the gradient above tolerance. One softmax per iteration.
         import retarget.nuisance as nuisance_module
 
         data = balanced_random_data(300, 2, 3, seed=4)
-        z = add_intercept(data.covariates)
+        z = _propensity_design(data.covariates)
         monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 2)
         calls = []
         softmax = nuisance_module._softmax
         monkeypatch.setattr(nuisance_module, "_softmax", lambda v: calls.append(1) or softmax(v))
         with pytest.warns(RuntimeWarning, match=r"^propensity Newton solver hit the 2-iteration "
                           r"cap without meeting the gradient tolerance; returning the last iterate$"):
-            coef, converged = fit_propensity(z, data.actions, data.m)
+            coef, converged = fit_one(z, data.actions, data.m)
         assert not converged
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert np.all(np.isfinite(coef)) and np.all(coef[:, -1] == 0.0)
         monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 100)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert fit_propensity(z, data.actions, data.m)[1]
+            assert fit_one(z, data.actions, data.m)[1]
 
     def test_missing_arm_rejected(self):
         data = Dataset(
@@ -120,7 +139,7 @@ class TestFitPropensity:
             m=2,
         )
         with pytest.raises(EstimationError, match="arm 1 absent"):
-            fit_propensity(add_intercept(data.covariates), data.actions, data.m)
+            fit_one(_propensity_design(data.covariates), data.actions, data.m)
 
     def test_recovers_logistic_truth(self):
         # Well-specified binary model: fitted probabilities track the truth.
@@ -172,26 +191,19 @@ class TestFitPropensityMatchesReference:
         # Arms in bands of x1, with the top row's arm flipped: near-separated.
         banded = np.minimum(np.argsort(np.argsort(x[:, 0])) * m // n, m - 1)
         banded[np.argmax(x[:, 0])] = 0
-        designs = [(x, random_arms), (x, banded), (np.round(x), random_arms)]
-        # Covariates offset by 1e4: the loop stalls at the 100-iteration cap,
-        # and the centred refit gives the propensities of the fit on x.
-        designs.append((x + 1e4, random_arms))
-        capped = 0
+        # Covariates offset by 1e4, on which the loop on [1, x] stalls at its
+        # cap: their scaled design is that of x up to rounding.
+        designs = [(x, random_arms), (x, banded), (np.round(x), random_arms),
+                   (x + 1e4, random_arms)]
         for xs, a in designs:
-            z = add_intercept(xs)
+            z = _propensity_design(xs)
+            assert z.tobytes() == _reference_scaled_design(xs).tobytes()
             want, want_converged = _reference_fit_propensity(z, a, m)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got, converged = fit_propensity(z, a, m)
-            assert converged
-            if want_converged:
-                assert got.tobytes() == want.tobytes()
-            else:
-                on_x = add_intercept(x)
-                near = _softmax(on_x @ fit_propensity(on_x, a, m)[0])
-                assert np.abs(_softmax(z @ got) - near).max() < 1e-8
-            capped += not want_converged
-        assert capped >= 1
+                got, converged = fit_one(z, a, m)
+            assert converged and want_converged
+            assert got.tobytes() == want.tobytes()
 
 
 def _three_training_designs(m, d, n=96):
@@ -210,7 +222,7 @@ def _three_training_designs(m, d, n=96):
         a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
         a[:m] = np.arange(m)  # every arm present
         stack.append((x, a))
-    return np.stack([add_intercept(x) for x, _ in stack]), np.stack([a for _, a in stack])
+    return np.stack([_propensity_design(x) for x, _ in stack]), np.stack([a for _, a in stack])
 
 
 class TestStackedPropensity:
@@ -228,7 +240,7 @@ class TestStackedPropensity:
         alone, steps = [], []
         for zs, a in zip(z, actions):
             calls.clear()
-            alone.append(fit_propensity(zs, a, m))
+            alone.append(fit_one(zs, a, m))
             steps.append(len(calls))
         assert len(set(steps)) == 3 and alone[0][1]
         coef, converged = fit_propensity(z, actions, m)
@@ -245,7 +257,7 @@ class TestStackedPropensity:
         monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            alone = [fit_propensity(zs, a, m) for zs, a in zip(z, actions)]
+            alone = [fit_one(zs, a, m) for zs, a in zip(z, actions)]
             assert len(caught) == 2  # the two drawn designs; the first meets the tolerance at zero
             caught.clear()
             coef, converged = fit_propensity(z, actions, m)
@@ -264,19 +276,41 @@ class TestStackedPropensity:
             fit_propensity(z, actions, 3)
 
 
-class TestCentredRefit:
-    """On covariates far from 0 the Newton loop on [1, x] stalls at its cap
-    (the damping grows with x^2); fit_propensity then refits on a centred,
-    scaled design and maps the coefficients back."""
+def _default_draws(count, n=200):
+    """count datasets drawn from the default scenarios in turn, with their folds."""
+    scenarios = default_scenarios()
+    for seed in range(count):
+        data, _ = generate(scenarios[seed % len(scenarios)], n, seed)
+        yield data, make_folds(n, 2, seed=seed)
 
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 20),
+
+def _moved(data, x):
+    return Dataset(covariates=x, actions=data.actions, outcomes=data.outcomes, m=data.m)
+
+
+class TestScaledDesign:
+    """cross_fit fits its propensity models on [1, (x - c) / s], so the
+    covariates' units do not move the propensities."""
+
+    def test_covariates_times_a_power_of_two_give_the_same_bits(self):
+        # On [1, x] the Newton loop's absolute gradient tolerance stopped
+        # fits on x * 2^k with k <= -12 early, and the damping stalled fits
+        # with k >= 12 at the cap.
+        for data, folds in _default_draws(40):
+            want = cross_fit(data, folds).propensity
+            for k in range(-22, 23):
+                got = cross_fit(_moved(data, data.covariates * 2.0**k), folds).propensity
+                assert got.tobytes() == want.tobytes(), k
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-22, 22),
            offset=st.floats(-1e6, 1e6), m=st.integers(2, 3), d=st.integers(1, 2))
     def test_covariates_times_a_power_of_two_plus_an_offset(self, seed, k, offset, m, d):
-        # x * s + c with s = 2^k and |c| <= 1e6 * s. Where the loop without a
-        # refit converges, the fit keeps its bits; where it hit the cap, the
-        # propensities are within 1e-8 of the fit on x: mapping back cancels
-        # about u * |c| / s of the logits. A stack gives the same bits.
+        # x * s + c with s = 2^k and |c| <= 1e6 * s: centring cancels about
+        # u * |c| / s of the design, far inside 1e-8 of the propensities. The
+        # outcome regressions stay on [1, x], whose Gram matrix is singular
+        # for columns this far from 0; a ridge keeps them solvable, and the
+        # propensity models do not read it.
         rng = np.random.default_rng(seed)
         n = 200
         x = rng.standard_normal((n, d))
@@ -284,19 +318,40 @@ class TestCentredRefit:
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
         a[:m] = np.arange(m)  # every arm present
-        z, on_x = add_intercept(x * 2.0**k + offset * 2.0**k), add_intercept(x)
+        data = Dataset(covariates=x, actions=a, outcomes=rng.standard_normal(n), m=m)
+        folds, config = make_folds(n, 2, seed=0), NuisanceConfig(ridge_lambda=1e-3)
+        want = cross_fit(data, folds, config).propensity
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            coef, converged = fit_propensity(z, a, m)
-            stacked, _ = fit_propensity(np.stack([z, on_x]), np.stack([a, a]), m)
-            near = _softmax(on_x @ fit_propensity(on_x, a, m)[0])
-        assert converged
-        assert stacked[0].tobytes() == coef.tobytes()
-        want, want_converged = _reference_fit_propensity(z, a, m)
-        if want_converged:
-            assert coef.tobytes() == want.tobytes()
-        else:
-            assert np.abs(_softmax(z @ coef) - near).max() < 1e-8
+            got = cross_fit(_moved(data, x * 2.0**k + offset * 2.0**k), folds, config)
+        assert np.abs(got.propensity - want).max() < 1e-8
+
+    def test_covariates_far_from_zero_converge_without_a_warning(self):
+        # The loop on [1, x + 1e4] stalls at its cap and warns. A ridge keeps
+        # the outcome regressions on that design solvable.
+        data = balanced_random_data(300, 2, 2, seed=5)
+        moved = _moved(data, data.covariates + 1e4)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            fit_one(add_intercept(moved.covariates), data.actions, data.m)
+        folds, config = make_folds(300, 2, seed=0), NuisanceConfig(ridge_lambda=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cross_fit(moved, folds, config).propensity
+        assert np.abs(got - cross_fit(data, folds, config).propensity).max() < 1e-8
+
+    def test_a_half_range_past_2_to_the_1023_warns_nothing(self):
+        # The power of two above such a half-range is 2^1024, which overflows.
+        x = np.array([[-1.7e308], [1.7e308], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = _propensity_design(x)
+        assert z[:, 1].tolist() == [-1.7e308 / 2.0**1023, 1.7e308 / 2.0**1023, 0.0]
+
+    def test_a_constant_column_is_zero(self):
+        x = np.column_stack([np.full(5, 3.5), np.arange(5.0)])
+        z = _propensity_design(x)
+        assert z[:, 1].tolist() == [0.0] * 5
+        assert z[:, 2].tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
 
 
 class TestFoldGroups:
@@ -322,7 +377,8 @@ class TestFitOutcomeRegression:
             betas = fit_outcome_regression(designs, outcomes, [0, 1, 0], ridge=ridge)
             assert betas.shape == (3, 3)
             for z, y, beta in zip(designs, outcomes, betas):
-                assert beta.tobytes() == fit_outcome_regression(z, y, 0, ridge=ridge).tobytes()
+                alone = fit_outcome_regression([z], [y], [0], ridge=ridge)
+                assert alone.shape == (1, 3) and beta.tobytes() == alone[0].tobytes()
 
     def test_a_list_names_its_first_singular_entry(self):
         rng = np.random.default_rng(4)
@@ -358,7 +414,7 @@ class TestFitOutcomeRegression:
             outcomes=np.array([2.0, 4.0, 0.0]),
             m=2,
         )
-        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.0)
+        beta = fit_arm(data, 0)
         assert beta == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_constant_outcome(self):
@@ -371,7 +427,7 @@ class TestFitOutcomeRegression:
             outcomes=np.append(np.full(30, 5.5), 0.0),
             m=2,
         )
-        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0)
+        beta = fit_arm(data, 0)
         assert beta == pytest.approx([5.5, 0, 0, 0], abs=1e-10)
 
     def test_large_ridge_shrinks_slopes(self):
@@ -385,7 +441,7 @@ class TestFitOutcomeRegression:
             outcomes=np.append(y, 0.0),
             m=2,
         )
-        beta = fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=1e9)
+        beta = fit_arm(data, 0, ridge=1e9)
         assert np.max(np.abs(beta[1:])) < 1e-5
 
     def test_singular_advises_ridge(self):
@@ -397,15 +453,15 @@ class TestFitOutcomeRegression:
             m=2,
         )
         with pytest.raises(EstimationError, match="ridge"):
-            fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.0)
-        fit_outcome_regression(*arm_rows(data, 0), arm=0, ridge=0.1)  # ridge path succeeds
+            fit_arm(data, 0)
+        fit_arm(data, 0, ridge=0.1)  # ridge path succeeds
 
     @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
     def test_rejects_a_ridge_that_is_negative_or_not_finite(self, ridge):
         # A nan ridge used to fit as ridge 0; an inf one warned, then made nan coefficients.
         z, y = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0])
         with pytest.raises(ValidationError, match=r"^ridge penalty must be finite and >= 0"):
-            fit_outcome_regression(z, y, arm=0, ridge=ridge)
+            fit_outcome_regression([z], [y], [0], ridge=ridge)
         message = "must be >= 0" if ridge < 0 else "must be finite"
         with pytest.raises(ValidationError, match=f"^ridge_lambda {message}, got {ridge}$"):
             NuisanceConfig(ridge_lambda=ridge)
@@ -515,11 +571,11 @@ class TestCrossFit:
         with pytest.raises(EstimationError) as info:
             cross_fit(data, folds, NuisanceConfig(folds=3))
         assert str(info.value) == "fold 1: arm 1 absent from training data"
-        z = add_intercept(data.covariates)
+        z_prop, z = _propensity_design(data.covariates), add_intercept(data.covariates)
         out = np.empty((13, 2)), np.empty((13, 2)), np.empty((13, 2))
         held = [folds.members(fold) for fold in range(3)]
         with pytest.raises(EstimationError, match=r"^fold 2: singular Gram matrix for arm 0 "):
-            _fit_folds(z, data, [2], held, train, NuisanceConfig(folds=3), out)
+            _fit_folds(z_prop, z, data, [2], held, train, NuisanceConfig(folds=3), out)
 
     def test_config_fold_count_must_match_the_assignment(self):
         data = balanced_random_data(100, 1, 2, seed=3)
@@ -690,17 +746,19 @@ class TestOracleFile:
 
 
 def _reference_cross_fit(data, folds, config):
-    """cross_fit as it was before every fold shared one [1, x] design: a
-    validated Dataset copy of each fold's training rows, [1, x] rebuilt for
-    every fit and prediction, and the training rows predicted again for the
-    residual variance."""
+    """cross_fit as it was before every fold shared its designs: a validated
+    Dataset copy of each fold's training rows, [1, x] rebuilt for every
+    outcome fit and prediction, and the training rows predicted again for the
+    residual variance. The propensity models use the rows of
+    _reference_scaled_design."""
     from retarget.nuisance import _softmax
 
-    def propensity(train):
-        counts = train.arm_counts()
+    scaled = _reference_scaled_design(data.covariates)
+
+    def propensity(train, z):
+        counts = np.bincount(train.actions, minlength=train.m)
         if np.any(counts == 0):
             raise EstimationError(f"arm {int(np.argmax(counts == 0))} absent from training data")
-        z = add_intercept(train.covariates)
         (n, p), k = z.shape, train.m - 1
         onehot = np.zeros((n, k))
         for j in range(k):
@@ -741,7 +799,7 @@ def _reference_cross_fit(data, folds, config):
         train = Dataset(covariates=data.covariates[rows], actions=data.actions[rows],
                         outcomes=data.outcomes[rows], m=m)
         try:
-            coef = propensity(train)
+            coef = propensity(train, scaled[rows])
             betas = [outcome(train, arm) for arm in range(m)]
             resid = np.empty(train.n)
             for arm, beta in enumerate(betas):
@@ -751,7 +809,7 @@ def _reference_cross_fit(data, folds, config):
         except (ValidationError, EstimationError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
         x_out = data.covariates[held_out]
-        p = np.clip(_softmax(add_intercept(x_out) @ coef), config.propensity_clip,
+        p = np.clip(_softmax(scaled[held_out] @ coef), config.propensity_clip,
                     1.0 - config.propensity_clip)
         prop[held_out] = p / _rows(np.add, p)[:, None]
         for arm, beta in enumerate(betas):

@@ -1350,7 +1350,7 @@ class TestPolicyClassFile:
 def _same_search(w, pseudo, data, **kwargs):
     """search_linear gives learn_linear's policy and flag, and learn_linear's
     value is weighted_value's for that policy, bit for bit."""
-    best, exact = search_linear(w, pseudo, data, **kwargs)
+    [(best, exact)] = search_linear([w], pseudo, data, **kwargs)
     res = learn_linear(w, pseudo, data, **kwargs)
     assert best.theta.tobytes() == res.best.theta.tobytes()
     assert exact is res.exact
@@ -1389,7 +1389,7 @@ class TestSearchLinear:
         data = Dataset(covariates=np.empty((3, 0)), actions=np.zeros(3, int),
                        outcomes=np.zeros(3), m=2)
         with pytest.raises(ValidationError, match="at least one covariate"):
-            search_linear(uniform_weights(3), PseudoOutcomes(values=np.zeros((3, 2))), data)
+            search_linear([uniform_weights(3)], PseudoOutcomes(values=np.zeros((3, 2))), data)
 
 
 def _integer_weights(rng, n):
@@ -1404,7 +1404,7 @@ def _assert_stack_searches_alone(schemes, pseudo, data, **kwargs):
     got = search_linear(schemes, pseudo, data, **kwargs)
     assert isinstance(got, list) and len(got) == len(schemes)
     for w, (policy, exact) in zip(schemes, got):
-        alone, alone_exact = search_linear(w, pseudo, replace(data), **kwargs)
+        [(alone, alone_exact)] = search_linear([w], pseudo, replace(data), **kwargs)
         assert policy.theta.tobytes() == alone.theta.tobytes()
         assert exact is alone_exact
 
@@ -1442,7 +1442,7 @@ class TestStackedSearch:
         pseudo = PseudoOutcomes(values=np.column_stack([scores, scores]))
         heavy = WeightScheme(kind="heavy", weights=np.repeat([0.0, 2.0], n // 2))
         with pytest.raises(ValidationError) as alone:
-            search_linear(heavy, pseudo, data)
+            search_linear([heavy], pseudo, data)
         with pytest.raises(ValidationError) as stacked:
             search_linear([uniform_weights(n), heavy], pseudo, data)
         assert str(stacked.value) == str(alone.value)
@@ -1467,7 +1467,7 @@ class TestThresholdCandidatesRealizeTheirLabels:
 
         real_unit = policy_module._unit
         with mock.patch.object(policy_module, "_unit", unit), np.errstate(over="ignore"):
-            _, exact = search_linear(uniform_weights(x.size), pseudo, data)
+            [(_, exact)] = search_linear([uniform_weights(x.size)], pseudo, data)
         assert exact
         cuts = policy_module._sweep_1d(data)[2]
         labelings = [x == x, x != x] + [x > c for c in cuts] + [~(x > c) for c in cuts]
@@ -1504,7 +1504,7 @@ class TestThresholdCandidatesRealizeTheirLabels:
             for force_approx in (False, True):
                 with pytest.raises(ValidationError, match=r"^effect scores overflow: "
                                                           r"psi_1 - psi_0 is not finite$"):
-                    search_linear(w, pseudo, data, force_approx=force_approx)
+                    search_linear([w], pseudo, data, force_approx=force_approx)
 
 
 class TestOverflowBound:
