@@ -57,58 +57,3 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BenchmarkReport",
-    "BenchmarkRow",
-    "ConstantPolicy",
-    "Dataset",
-    "EstimationError",
-    "FeatureMap",
-    "FoldAssignment",
-    "GapStatistics",
-    "LearnResult",
-    "LinearPolicy",
-    "NuisanceConfig",
-    "NuisanceSet",
-    "OracleNuisances",
-    "Policy",
-    "PolicyClass",
-    "PseudoOutcomes",
-    "RegressionFit",
-    "ScenarioSpec",
-    "ValidationError",
-    "WeightScheme",
-    "cross_fit",
-    "curvature_scaled_weights",
-    "default_scenarios",
-    "dr_pseudo_outcomes",
-    "effect_pseudo_outcome",
-    "fit_best_fit",
-    "fit_cate",
-    "fit_dv_overlap",
-    "fit_on_arm_precision",
-    "fit_outcome_regression",
-    "fit_propensity",
-    "gap_statistics",
-    "generate",
-    "homoskedastic_weights",
-    "learn_finite",
-    "learn_linear",
-    "load_dataset",
-    "load_oracle_nuisances",
-    "load_policy_class",
-    "load_report",
-    "load_scenarios",
-    "make_folds",
-    "make_weights",
-    "render_report",
-    "run_benchmark",
-    "save_dataset",
-    "search_linear",
-    "selection_ratio",
-    "true_regret",
-    "uniform_weights",
-    "variance_proxy",
-    "weighted_value",
-]

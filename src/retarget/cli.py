@@ -76,10 +76,11 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dump-psi", default=None, help="optionally dump the score matrix as CSV")
 
 
-def _prepare(args: argparse.Namespace):
-    """The dataset and getters of its nuisances and their doubly robust scores,
-    each built on its first call and at most once. Every option and the oracle
-    file are checked here; --dump-psi builds and writes the scores at once."""
+def _prepare(args: argparse.Namespace, check):
+    """The dataset, getters of its nuisances and their doubly robust scores
+    (each built on its first call and at most once) and check(data). Every
+    option and input file is checked before any fit, the command's own ones
+    by `check`; --dump-psi then builds and writes the scores at once."""
     data = load_dataset(args.data)
     oracle = load_oracle_nuisances(args.oracle) if args.oracle else None
     config = NuisanceConfig(
@@ -90,6 +91,7 @@ def _prepare(args: argparse.Namespace):
     )
     parse_scheme(args.weights, args.delta_floor)
     folds = make_folds(data.n, args.folds, seed=args.seed)
+    checked = check(data)
     nuis = functools.cache(lambda: cross_fit(data, folds, config))
     if oracle is not None:
         with _input_file(args.oracle):
@@ -98,7 +100,7 @@ def _prepare(args: argparse.Namespace):
     pseudo = functools.cache(lambda: dr_pseudo_outcomes(data, nuis()))
     if args.dump_psi:
         dump_pseudo_outcomes(pseudo(), args.dump_psi)
-    return data, nuis, pseudo
+    return data, nuis, pseudo, checked
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -121,9 +123,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     zmap = FeatureMap.parse(args.features)
-    data, nuis, pseudo = _prepare(args)
-    if args.equation != "cate":
-        _check_arm(args.arm, data.m)
+
+    def check(data):
+        zmap._check_width(data.d)
+        if args.equation != "cate":
+            _check_arm(args.arm, data.m)
+
+    data, nuis, pseudo, _ = _prepare(args, check)
     if args.equation in ("best_fit", "cate"):
         # Scores before weights: weights that fail behind bad scores report the scores.
         psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
@@ -169,28 +175,32 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    data, nuis, pseudo = _prepare(args)
+    def finite_class(data):  # None for the linear class
+        if args.policy_class == "linear":
+            return None
+        if not args.policy_class.startswith("finite:"):
+            raise ValidationError(
+                f"unknown policy class {args.policy_class!r}; expected linear or finite:<file>"
+            )
+        return load_policy_class(args.policy_class.split(":", 1)[1], m=data.m, d=data.d)
+
+    data, nuis, pseudo, policy_class = _prepare(args, finite_class)
     psi, w = pseudo(), make_weights(args.weights, nuis(), gap_floor=args.delta_floor)
     del nuis, pseudo  # the search reads only the scores and weights
     lines = [_config_header("learn", args)]
-    if args.policy_class == "linear":
+    if policy_class is None:
         result = learn_linear(w, psi, data, seed=args.seed)
         lines.append("class=linear")
         lines.append(f"exact={result.exact}")
         for j, t in enumerate(result.best.theta):
             lines.append(f"theta_{j}={float(t)!r}")
-    elif args.policy_class.startswith("finite:"):
-        policy_class = load_policy_class(args.policy_class.split(":", 1)[1], m=data.m, d=data.d)
+    else:
         result = learn_finite(policy_class, w, psi, data)
         lines.append(f"class=finite({policy_class.size})")
         lines.append(f"best_index={result.best_index}")
         lines.append(f"value_gap={result.value_gap!r}")
         lines.append(f"second_best_value={result.second_best_value!r}")
         lines.append(f"tied={result.tied}")
-    else:
-        raise ValidationError(
-            f"unknown policy class {args.policy_class!r}; expected linear or finite:<file>"
-        )
     lines.append(f"best_value={result.best_value!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -128,15 +128,15 @@ def _input_file(label: str, *kinds: type[Exception]):
     raise error from None
 
 
-def load_dataset(path: str, m: int | None = None) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Read a comma-separated dataset file into a validated Dataset.
 
     The file must carry a header row with covariate columns x1..xd in order,
     an action column `a` and an outcome column `y`; the action column must
     parse as a nonnegative integer within the int64 range and every other
     column as a finite float, with no blank lines. Every label from 0 up to
-    the largest one present must appear. `m` defaults to (max action label + 1)
-    and must be >= 2. The file must be UTF-8 text.
+    the largest one present must appear. m is (max action label + 1) and
+    must be >= 2. The file must be UTF-8 text.
     """
 
     def columns(header: list[str]) -> list[str]:
@@ -160,8 +160,7 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
         top = int(actions.max())
         # Dataset's checks of the cells come first; m=2 lets an all-zero file
         # through them, to be named below.
-        dataset = Dataset(covariates=x_arr, actions=actions, outcomes=y_arr,
-                          m=max(top + 1, 2) if m is None else m)
+        dataset = Dataset(covariates=x_arr, actions=actions, outcomes=y_arr, m=max(top + 1, 2))
         # n rows cannot hold n + 1 labels, so when the top label is n or more a
         # gap lies below n: counting labels clipped at n finds the first one
         # without allocating a counter per label.
@@ -171,7 +170,7 @@ def load_dataset(path: str, m: int | None = None) -> Dataset:
                 f"action label {int(np.argmax(counts == 0))} never appears, but labels "
                 f"run up to {top}; every label from 0 to the largest must be present"
             )
-        if m is None and top < 1:
+        if top < 1:
             raise ValidationError("every action is 0; at least two arms are needed")
     return dataset
 

@@ -102,10 +102,6 @@ class PolicyClass:
         if not self.policies:
             raise ValidationError("finite policy class must be nonempty")
 
-    @classmethod
-    def finite(cls, policies) -> "PolicyClass":
-        return cls(policies=tuple(policies))
-
     @property
     def size(self) -> int:
         return len(self.policies)
@@ -538,46 +534,39 @@ def true_regret(pi: Policy, scenario, n_eval: int = 100_000, seed: int = 0) -> f
     """Monte Carlo regret of a policy on a synthetic scenario: the mean
     shortfall of the policy's true arm mean against the pointwise-best arm
     mean over covariates drawn from the scenario's law."""
-    return float(_RegretSample().draw(scenario, n_eval, seed).shortfall(pi).mean())
+    return float(_RegretSample(scenario, n_eval).draw(seed).shortfall(pi).mean())
 
 
 class _RegretSample:
-    """A regret evaluation sample in buffers that are filled in place, so a
-    run of replications allocates them once.
+    """A regret evaluation sample of one scenario, in buffers allocated when
+    it is built and refilled in place by each `draw`, so the replications of
+    a scenario allocate them once.
 
-    `draw` fills x with n_eval covariate draws from a scenario's law, the
+    `draw` fills x with n_eval covariate draws from the scenario's law, the
     design [1, x, ..., x^mean_degree], the arm means mu and the arm-major
-    loss table, whose entry a * n_eval + i is max_b mu_b(x_i) - mu_a(x_i). `shortfall` takes a policy's per-row regrets
-    off the table through the row numbers and an index buffer. A buffer is
-    made again only when a scenario of another shape needs it.
+    loss table, whose entry a * n_eval + i is max_b mu_b(x_i) - mu_a(x_i).
+    `shortfall` takes a policy's per-row regrets off the table through the
+    row numbers and an index buffer.
     """
 
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-        self.rows = np.arange(0)
-
-    def _buffer(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape, dtype)
-        return buf
-
-    def draw(self, scenario, n_eval: int, seed: int) -> "_RegretSample":
+    def __init__(self, scenario, n_eval: int):
         d, m = scenario.d, scenario.m
-        rng = np.random.default_rng(seed)
-        self.x = scenario.sample_covariates(n_eval, rng, out=self._buffer("x", (n_eval, d)))
-        mu = scenario.mean_matrix(
-            self.x,
-            out=self._buffer("mu", (n_eval, m)),
-            design=self._buffer("design", (n_eval, 1 + d * scenario.mean_degree)),
-        )
-        self.loss = self._buffer("loss", (m, n_eval))
+        self.scenario = scenario
+        self.x = np.empty((n_eval, d))
+        self.mu = np.empty((n_eval, m))
+        self.design = np.empty((n_eval, 1 + d * scenario.mean_degree))
+        self.loss = np.empty((m, n_eval))
+        self.rows = np.arange(n_eval)
+        self.idx = np.empty(n_eval, np.intp)
+
+    def draw(self, seed: int) -> "_RegretSample":
+        scenario, loss = self.scenario, self.loss
+        scenario.sample_covariates(self.rows.size, np.random.default_rng(seed), out=self.x)
+        mu = scenario.mean_matrix(self.x, out=self.mu, design=self.design)
         # The row maxima wait in the last arm's row, which is filled last.
-        best = _rows(np.maximum, mu, out=self.loss[m - 1])
-        for a in range(m):
-            np.subtract(best, mu[:, a], out=self.loss[a])
-        if self.rows.size != n_eval:
-            self.rows = np.arange(n_eval)
+        best = _rows(np.maximum, mu, out=loss[-1])
+        for a in range(loss.shape[0]):
+            np.subtract(best, mu[:, a], out=loss[a])
         return self
 
     def shortfall(self, pi: Policy) -> np.ndarray:
@@ -586,8 +575,7 @@ class _RegretSample:
         The take gets no out=: in its default mode numpy copies `out` into a
         temporary and back, which measured ~1.8x the time of a fresh result.
         """
-        out = self._buffer("idx", (self.rows.size,), np.intp)
-        return _at_actions(pi, self.x, self.loss.ravel(), self.loss.shape[0], self.rows, out)
+        return _at_actions(pi, self.x, self.loss.ravel(), self.loss.shape[0], self.rows, self.idx)
 
 
 def _parse_policy_line(body: str, m: int | None) -> Policy:
@@ -637,4 +625,4 @@ def load_policy_class(path: str, m: int | None = None, d: int | None = None) -> 
             policies.append(policy)
         if not policies:
             raise ValidationError("no policies found")
-    return PolicyClass.finite(policies)
+    return PolicyClass(tuple(policies))

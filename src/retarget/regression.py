@@ -81,12 +81,16 @@ class FeatureMap:
             f"unknown feature map {spec!r}; expected identity, subset:<idx-list>, or poly:<deg>"
         )
 
+    def _check_width(self, d: int) -> None:
+        """Reject subset indices outside d covariate columns."""
+        bad = [i for i in self.indices if not 0 <= i < d]
+        if bad:
+            raise ValidationError(f"subset indices {bad} outside 0..{d - 1}")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_width(x.shape[1])
         if self.kind == "subset":
-            bad = [i for i in self.indices if not 0 <= i < x.shape[1]]
-            if bad:
-                raise ValidationError(f"subset indices {bad} outside 0..{x.shape[1] - 1}")
             x = x[:, list(self.indices)]
         with np.errstate(over="ignore"):  # an overflowing power is rejected below
             z = add_intercept(x, self.degree)

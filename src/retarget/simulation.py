@@ -99,18 +99,6 @@ class ScenarioSpec:
         p = np.maximum(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12)
         return p / _rows(np.add, p)[:, None]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "d": self.d,
-            "m": self.m,
-            "covariate_law": self.covariate_law,
-            "propensity_coef": self.propensity_coef.tolist(),
-            "mean_coef": self.mean_coef.tolist(),
-            "noise_sd": self.noise_sd.tolist(),
-            "mean_degree": self.mean_degree,
-        }
-
 
 def generate(scenario: ScenarioSpec, n: int, seed: int) -> tuple[Dataset, NuisanceSet]:
     """Draw a dataset from the scenario, plus its true nuisances as an oracle set."""
@@ -266,16 +254,15 @@ def _replicate(
     schemes: tuple[str, ...],
     n: int,
     seed: int,
-    regret_draws: int,
     oracle_nuisances: bool,
     nuisance_config: NuisanceConfig,
-    sample: _RegretSample | None = None,
+    sample: _RegretSample,
 ) -> np.ndarray:
     """One replication: generate, cross-fit, build every scheme's weights and
-    search them in one stacked call each, then the true regret per scheme.
-    The regret sample is drawn into `sample`'s buffers when given, after every
-    scheme is learned: the searches' small arrays stay in cache, and the draw
-    has its own seed, so the order changes no result."""
+    search them in one stacked call each, then the true regret per scheme on
+    the scenario's regret sample. The sample is drawn after every scheme is
+    learned: the searches' small arrays stay in cache, and the draw has its
+    own seed, so the order changes no result."""
     data, oracle = generate(scenario, n, seed)
     if oracle_nuisances:
         nuis = oracle
@@ -286,7 +273,7 @@ def _replicate(
     weights = make_weights(schemes, nuis)
     policies = [policy for policy, _ in search_linear(weights, pseudo, data, seed=seed)]
     # One regret sample and loss table serve all of this replication's schemes.
-    sample = (sample or _RegretSample()).draw(scenario, regret_draws, seed + _REGRET_SEED_OFFSET)
+    sample.draw(seed + _REGRET_SEED_OFFSET)
     return np.array([_mean(sample.shortfall(pi)) for pi in policies])
 
 
@@ -322,14 +309,13 @@ def run_benchmark(
     for scheme in schemes:
         parse_scheme(scheme)
     config = NuisanceConfig(folds=n_folds)
-    sample = _RegretSample()  # one set of regret buffers for the whole run
     rows = []
     for scenario in scenarios:
+        sample = _RegretSample(scenario, regret_draws)  # one set of buffers per scenario
         regrets = np.empty((reps, len(schemes)))
         for r in range(reps):
-            regrets[r] = _replicate(
-                scenario, schemes, n, base_seed + r, regret_draws, oracle_nuisances, config, sample
-            )
+            regrets[r] = _replicate(scenario, schemes, n, base_seed + r, oracle_nuisances, config, sample)
+        del sample  # so the next scenario's buffers are not made beside these
         for s, scheme in enumerate(schemes):
             col = regrets[:, s]
             rows.append(

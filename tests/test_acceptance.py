@@ -231,7 +231,7 @@ def test_criterion_6_policy_learning_oracle_equivalence():
             pseudo = PseudoOutcomes(values=rng.standard_normal((n, 2)))
             w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
             policies = [LinearPolicy(rng.standard_normal(3)) for _ in range(size)]
-            result = learn_finite(PolicyClass.finite(policies), w, pseudo, data)
+            result = learn_finite(PolicyClass(tuple(policies)), w, pseudo, data)
             # independent maximization: plain loops over the same values
             values = [weighted_value(pi, w, pseudo, data) for pi in policies]
             best_idx, best_val = 0, values[0]
@@ -278,7 +278,7 @@ def test_criterion_7_scale_and_shift_invariances():
         raw = 1.0 / ((1.0 / nuis.propensity).sum(axis=1))
         zmap = FeatureMap.identity()
         policies = [LinearPolicy(rng.standard_normal(2)) for _ in range(25)]
-        finite = PolicyClass.finite(policies)
+        finite = PolicyClass(tuple(policies))
 
         base = WeightScheme.from_raw("w", raw)
         ref = {

@@ -34,6 +34,13 @@ def error_lines(capsys) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("error[")]
 
 
+def scenario_json(s: ScenarioSpec) -> dict:
+    """A scenario as one object of the JSON list that load_scenarios reads."""
+    return {"name": s.name, "d": s.d, "m": s.m, "covariate_law": s.covariate_law,
+            "propensity_coef": s.propensity_coef.tolist(), "mean_coef": s.mean_coef.tolist(),
+            "noise_sd": s.noise_sd.tolist(), "mean_degree": s.mean_degree}
+
+
 @pytest.fixture()
 def binary_csv(tmp_path):
     scenario = ScenarioSpec(
@@ -148,7 +155,7 @@ class TestSimulate:
         from retarget import default_scenarios
 
         path = tmp_path / "scn.json"
-        path.write_text(json.dumps([default_scenarios()[2].to_jsonable()]))
+        path.write_text(json.dumps([scenario_json(default_scenarios()[2])]))
         code = main(
             [
                 "simulate", "--scenarios", str(path), "--schemes", "uniform",
@@ -191,7 +198,7 @@ class TestSimulate:
 
         from retarget import default_scenarios
 
-        good = default_scenarios()[0].to_jsonable()
+        good = scenario_json(default_scenarios()[0])
         bad = [1] if change is None else {**good, **change}
         path = tmp_path / "scn.json"
         # json.dumps writes 1e400 as Infinity, which json.load reads back as inf.
@@ -210,9 +217,9 @@ class TestSimulate:
 
         good = default_scenarios()[0]
         path = tmp_path / "scn.json"
-        path.write_text(json.dumps([{**good.to_jsonable(), "d": d, "m": m, "mean_degree": 1.0}]))
+        path.write_text(json.dumps([{**scenario_json(good), "d": d, "m": m, "mean_degree": 1.0}]))
         [loaded] = load_scenarios(str(path))
-        assert loaded.to_jsonable() == good.to_jsonable()
+        assert scenario_json(loaded) == scenario_json(good)
         assert all(type(v) is int for v in (loaded.d, loaded.m, loaded.mean_degree))
 
     @pytest.mark.parametrize(
@@ -1090,6 +1097,33 @@ class TestExitCodes:
         assert error_lines(capsys) == [
             "error[ValidationError]: linear policy search needs at least one covariate"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--equation", "dv", "--arm", "5"], "error[ValidationError]: arm 5 outside {{0..1}}"),
+            (["fit", "--equation", "best_fit", "--features", "subset:7"],
+             "error[ValidationError]: subset indices [7] outside 0..0"),
+            (["learn", "--class", "bogus"],
+             "error[ValidationError]: unknown policy class 'bogus'; expected linear or finite:<file>"),
+            (["learn", "--class", "finite:{missing}"],
+             "error[FileNotFoundError]: [Errno 2] No such file or directory: '{missing}'"),
+        ],
+        ids=["dv-arm", "subset", "class", "policy-file"],
+    )
+    def test_options_and_files_are_checked_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+        # On a 4-row file whose cross-fit fails, each of these exited 4 with
+        # the fit's singular Gram matrix instead of naming its own error.
+        from retarget import cli
+
+        monkeypatch.setattr(cli, "cross_fit", lambda *args: pytest.fail("cross-fitted"))
+        data, psi, missing = tmp_path / "four.csv", tmp_path / "psi.csv", tmp_path / "missing.txt"
+        data.write_text("x1,a,y\n0.1,0,1\n0.2,1,2\n0.3,0,1\n0.4,1,2\n")
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main([*argv, "--data", str(data), "--dump-psi", str(psi)]) == EXIT_INVALID
+        assert error_lines(capsys) == [message.format(missing=missing)]
+        assert not psi.exists()
 
     def test_malformed_policy_file_is_one_error_line(self, binary_csv, tmp_path, capsys):
         policies = tmp_path / "policies.txt"

@@ -158,19 +158,13 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="label 2 never appears.*up to 3"):
             load_dataset(str(path))
 
-    def test_m_override(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("x1,a,y\n0.5,0,2.0\n0.6,1,3.0\n")
-        assert load_dataset(str(path), m=4).m == 4
-
     def test_m_below_two_is_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,a,y\n0.5,0,2.0\n0.6,0,3.0\n")
         with pytest.raises(ValidationError, match=f"^{path}: every action is 0; at least two arms"):
             load_dataset(str(path))
-        with pytest.raises(ValidationError, match=f"^{path}: action count m must be >= 2, got 1$"):
-            load_dataset(str(path), m=1)
-        assert load_dataset(str(path), m=2).m == 2
+        with pytest.raises(ValidationError, match="^action count m must be >= 2, got 1$"):
+            Dataset(covariates=np.zeros((2, 1)), actions=np.zeros(2, int), outcomes=np.zeros(2), m=1)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -256,7 +250,8 @@ def _reference_load(path):
 
 def assert_loads_like_reference(path):
     """`load_dataset` gives the reference loader's arrays bit for bit (dtype,
-    shape and bytes), or raises the same exception type with the same text."""
+    shape and bytes), or raises the same exception type with the same text.
+    A file whose labels are all 0 loads in the reference only."""
     try:
         expected = _reference_load(path)
     except Exception as exc:
@@ -264,8 +259,12 @@ def assert_loads_like_reference(path):
             load_dataset(path)
         assert str(info.value) == str(exc)
         return
-    # the reference took m = max(label + 1, 2); pass it so one-label files compare too
-    data = load_dataset(path, m=max(int(expected[1].max()) + 1, 2))
+    if not expected[1].any():
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: every action is 0; at least two arms are needed"
+        return
+    data = load_dataset(path)
     for want, got in zip(expected, (data.covariates, data.actions, data.outcomes)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

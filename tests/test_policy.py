@@ -156,7 +156,7 @@ class TestLearnFinite:
         )
         pseudo = PseudoOutcomes(values=np.array([values]))
         policies = [ConstantPolicy(a) for a in range(len(values))]
-        return PolicyClass.finite(policies), uniform_weights(1), pseudo, data
+        return PolicyClass(tuple(policies)), uniform_weights(1), pseudo, data
 
     def test_three_value_example(self):
         cls, w, pseudo, data = self._single_point_class([1.0, 0.8, 0.5])
@@ -183,7 +183,7 @@ class TestLearnFinite:
             policies = [
                 LinearPolicy(rng.standard_normal(3)) for _ in range(int(rng.integers(5, 60)))
             ]
-            cls = PolicyClass.finite(policies)
+            cls = PolicyClass(tuple(policies))
             res = learn_finite(cls, w, pseudo, data)
             idx, val, gap = brute_force_argmax(policies, w, pseudo, data)
             assert res.best_index == idx
@@ -196,7 +196,7 @@ class TestLearnFinite:
         data, pseudo = plain_data(rng, n, 1)
         w = WeightScheme.from_raw("w", rng.uniform(0.5, 1.5, n))
         policies = [LinearPolicy(rng.standard_normal(2)) for _ in range(12)]
-        cls = PolicyClass.finite(policies)
+        cls = PolicyClass(tuple(policies))
         res = learn_finite(cls, w, pseudo, data)
         shifted = PseudoOutcomes(values=pseudo.values + 3.25)
         res2 = learn_finite(cls, w, shifted, data)
@@ -228,7 +228,7 @@ class TestFiniteScoring:
         want = np.array(
             [np.mean(w.weights * psi[rows, pi.act(data.covariates)]) for pi in policies]
         )
-        res = learn_finite(PolicyClass.finite(policies), w, pseudo, data)
+        res = learn_finite(PolicyClass(tuple(policies)), w, pseudo, data)
         assert res.values.tobytes() == want.tobytes()
         assert res.best_value == want.max()
         outside = want[want < want.max()]
@@ -1089,7 +1089,7 @@ class TestRegretActionContract:
         scenario = default_scenarios()[0]
         with pytest.raises(ValidationError, match=message):
             true_regret(policy, scenario, n_eval=1_000)
-        sample = policy_module._RegretSample().draw(scenario, 1_000, seed=0)
+        sample = policy_module._RegretSample(scenario, 1_000).draw(0)
         with pytest.raises(ValidationError, match=message):
             sample.shortfall(policy)
 
@@ -1097,14 +1097,14 @@ class TestRegretActionContract:
         # As at take: a float action is not cast (0.5 never reads as arm 0).
         rng = np.random.default_rng(4)
         data, pseudo = plain_data(rng, 25, 1)
-        sample = policy_module._RegretSample().draw(default_scenarios()[0], 1_000, seed=0)
+        sample = policy_module._RegretSample(default_scenarios()[0], 1_000).draw(0)
         for call in (lambda: weighted_value(HalfStep(), uniform_weights(25), pseudo, data),
                      lambda: sample.shortfall(HalfStep())):
             with pytest.raises(TypeError, match="Cannot cast"):
                 call()
 
     def test_an_empty_sample_is_no_error(self):
-        sample = policy_module._RegretSample().draw(default_scenarios()[0], 0, seed=0)
+        sample = policy_module._RegretSample(default_scenarios()[0], 0).draw(0)
         assert sample.shortfall(ConstantPolicy(1)).shape == (0,)
 
 
@@ -1278,7 +1278,7 @@ class TestOneTieRuleAndGather:
         policies += [LinearPolicy(rng.standard_normal(3)) for _ in range(20)]
         scored = policy_module._scored(w, pseudo, data)
         want = np.array([_reference_value(pi, scored, data) for pi in policies])
-        assert learn_finite(PolicyClass.finite(policies), w, pseudo, data).values.tobytes() \
+        assert learn_finite(PolicyClass(tuple(policies)), w, pseudo, data).values.tobytes() \
             == want.tobytes()
         for pi, value in zip(policies, want):
             assert np.float64(weighted_value(pi, w, pseudo, data)).tobytes() == value.tobytes()
@@ -1296,7 +1296,7 @@ class TestOneTieRuleAndGather:
         with pytest.raises(ValidationError) as want:
             _reference_value(policy, scored, data)
         for call in (lambda: weighted_value(policy, w, pseudo, data),
-                     lambda: learn_finite(PolicyClass.finite([ConstantPolicy(0), policy]), w,
+                     lambda: learn_finite(PolicyClass((ConstantPolicy(0), policy)), w,
                                           pseudo, data)):
             with pytest.raises(ValidationError) as got:
                 call()
@@ -1310,9 +1310,8 @@ class TestOneTieRuleAndGather:
             noise_sd=np.ones(3),
         )
         rng = np.random.default_rng(seed)
-        sample = policy_module._RegretSample()
         for scenario in (default_scenarios()[0], three_arms):
-            sample.draw(scenario, 2_001, seed)
+            sample = policy_module._RegretSample(scenario, 2_001).draw(seed)
             policies = [ConstantPolicy(a) for a in range(scenario.m)]
             policies += [LinearPolicy(rng.standard_normal(scenario.d + 1)) for _ in range(3)]
             for pi in policies:

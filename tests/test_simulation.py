@@ -135,7 +135,12 @@ class TestScenarioSpec:
 
         scenarios = default_scenarios()
         path = tmp_path / "scenarios.json"
-        path.write_text(json.dumps([s.to_jsonable() for s in scenarios]))
+        path.write_text(json.dumps([{"name": s.name, "d": s.d, "m": s.m,
+                                     "covariate_law": s.covariate_law,
+                                     "propensity_coef": s.propensity_coef.tolist(),
+                                     "mean_coef": s.mean_coef.tolist(),
+                                     "noise_sd": s.noise_sd.tolist(),
+                                     "mean_degree": s.mean_degree} for s in scenarios]))
         back = load_scenarios(str(path))
         assert [s.name for s in back] == [s.name for s in scenarios]
         for a, b in zip(back, scenarios):
@@ -244,8 +249,8 @@ class TestReplicateMatchesReference:
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_default_scenarios(self, scenario, oracle_nuisances):
         for seed in (0, 1, 17, 123):
-            got = _replicate(scenario, DEFAULT_SCHEMES, 500, seed, 20_000, oracle_nuisances,
-                             NuisanceConfig(folds=2))
+            got = _replicate(scenario, DEFAULT_SCHEMES, 500, seed, oracle_nuisances,
+                             NuisanceConfig(folds=2), _RegretSample(scenario, 20_000))
             want = _reference_replicate(scenario, DEFAULT_SCHEMES, 500, seed, 2, 20_000,
                                         oracle_nuisances)
             assert got.tobytes() == want.tobytes(), seed
@@ -258,8 +263,8 @@ class TestReplicateMatchesReference:
         schemes = ("uniform", "w0", "w0_dp:0", "w0_dp:-0.5", "w0_dp:2")
         for scenario in default_scenarios():
             for seed in (0, 7):
-                got = _replicate(scenario, schemes, n, seed, 5_000, False,
-                                 NuisanceConfig(folds=n_folds))
+                got = _replicate(scenario, schemes, n, seed, False,
+                                 NuisanceConfig(folds=n_folds), _RegretSample(scenario, 5_000))
                 want = _reference_replicate(scenario, schemes, n, seed, n_folds, 5_000, False)
                 assert got.tobytes() == want.tobytes(), (scenario.name, seed)
 
@@ -296,8 +301,8 @@ class TestReplicateMatchesReference:
             noise_sd=np.array([1.0, 0.7]),
         )
         for seed in (0, 5):
-            got = _replicate(scenario, DEFAULT_SCHEMES, 40, seed, 3_000, oracle_nuisances,
-                             NuisanceConfig(folds=2))
+            got = _replicate(scenario, DEFAULT_SCHEMES, 40, seed, oracle_nuisances,
+                             NuisanceConfig(folds=2), _RegretSample(scenario, 3_000))
             want = _reference_replicate(scenario, DEFAULT_SCHEMES, 40, seed, 2, 3_000,
                                         oracle_nuisances)
             assert got.tobytes() == want.tobytes(), seed
@@ -317,8 +322,9 @@ class TestReplicateMatchesReference:
                 return build(obj)
 
             monkeypatch.setattr(module, name, counted)
-        args = (default_scenarios()[0], DEFAULT_SCHEMES, 200, 3, 2_000, oracle_nuisances,
-                NuisanceConfig(folds=2))
+        scenario = default_scenarios()[0]
+        args = (scenario, DEFAULT_SCHEMES, 200, 3, oracle_nuisances, NuisanceConfig(folds=2),
+                _RegretSample(scenario, 2_000))
         for reps in (1, 2):
             _replicate(*args)
             assert built == dict.fromkeys(
@@ -380,8 +386,8 @@ def _reference_shortfall(pi, scenario, n_eval, seed):
 
 
 class TestRegretBuffers:
-    """The regret sample is drawn into buffers kept for a whole run; its bits
-    must be those of freshly allocated arrays."""
+    """The regret sample is drawn into buffers kept for a scenario's
+    replications; its bits must be those of freshly allocated arrays."""
 
     @pytest.mark.parametrize("law", ["uniform", "normal"])
     def test_sample_covariates_into_a_buffer(self, law):
@@ -438,6 +444,8 @@ class TestRegretBuffers:
                     assert design.tobytes() == want_design.tobytes(), (d, degree)
 
     def test_reused_sample_across_shapes_matches_fresh_buffers(self):
+        # Samples of several shapes, each drawn again and again into its own
+        # buffers, give the bits of a freshly made sample and of the reference.
         cases = [
             (toy_scenario(), 3_000),
             (random_scenario(2, 3, 2, "normal", seed=1), 5_001),
@@ -445,27 +453,38 @@ class TestRegretBuffers:
             (toy_scenario(slope=-0.3), 2_000),
         ]
         rng = np.random.default_rng(9)
-        sample = _RegretSample()
-        for seed, (scenario, n_eval) in enumerate(cases):
-            sample.draw(scenario, n_eval, seed)
-            fresh = _RegretSample().draw(scenario, n_eval, seed)
+        for scenario, n_eval in cases:
+            sample = _RegretSample(scenario, n_eval)
             policies = [ConstantPolicy(a) for a in range(scenario.m)]
             policies += [LinearPolicy(rng.standard_normal(scenario.d + 1)) for _ in range(3)]
-            for pi in policies:
-                got = sample.shortfall(pi).tobytes()
-                assert got == fresh.shortfall(pi).tobytes()
-                assert got == _reference_shortfall(pi, scenario, n_eval, seed).tobytes()
+            for seed in (0, 1, 2):
+                sample.draw(seed)
+                fresh = _RegretSample(scenario, n_eval).draw(seed)
+                for pi in policies:
+                    got = sample.shortfall(pi).tobytes()
+                    assert got == fresh.shortfall(pi).tobytes()
+                    assert got == _reference_shortfall(pi, scenario, n_eval, seed).tobytes()
 
     def test_replicate_with_a_reused_sample(self):
-        sample = _RegretSample()
+        # Replications that share one scenario's sample give the regrets of
+        # replications that each draw into a fresh one.
         cases = [
             (default_scenarios()[0], 200, 3_000),
             (random_scenario(2, 2, 2, "normal", seed=3), 50, 2_000),
             (default_scenarios()[1], 200, 3_000),
         ]
         for scenario, n, draws in cases:
-            args = (scenario, DEFAULT_SCHEMES, n, 3, draws, False, NuisanceConfig(folds=2))
-            assert _replicate(*args, sample).tobytes() == _replicate(*args).tobytes()
+            sample = _RegretSample(scenario, draws)
+            for seed in (3, 4):
+                args = (scenario, DEFAULT_SCHEMES, n, seed, False, NuisanceConfig(folds=2))
+                got = _replicate(*args, sample).tobytes()
+                assert got == _replicate(*args, _RegretSample(scenario, draws)).tobytes()
+        # A run over a d=1 scenario and a d=2 one with squared mean terms
+        # gives, row for row, the rows of each scenario run alone.
+        pair = [toy_scenario(), random_scenario(2, 2, 2, "normal", seed=3)]
+        kwargs = dict(schemes=DEFAULT_SCHEMES, reps=3, n=200, regret_draws=3_000)
+        alone = [row for s in pair for row in run_benchmark([s], **kwargs).rows]
+        assert list(run_benchmark(pair, **kwargs).rows) == alone
 
 
 class TestTracedCallPattern:
