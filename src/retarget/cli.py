@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .data import _input_file, load_dataset, make_folds
+from .data import _check_binary, _input_file, load_dataset, make_folds
 from .errors import EstimationError, ValidationError
 from .nuisance import NuisanceConfig, cross_fit, load_oracle_nuisances
 from .policy import learn_linear, learn_finite, load_policy_class
@@ -128,6 +128,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         zmap._check_width(data.d)
         if args.equation != "cate":
             _check_arm(args.arm, data.m)
+        binary_only = {"dv": "overlap-weighted regression", "cate": "effect regression"}
+        if args.equation in binary_only:
+            _check_binary(data.m, binary_only[args.equation])
 
     data, nuis, pseudo, _ = _prepare(args, check)
     if args.equation in ("best_fit", "cate"):
@@ -177,6 +180,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     def finite_class(data):  # None for the linear class
         if args.policy_class == "linear":
+            _check_binary(data.m, "linear policy search")
             return None
         if not args.policy_class.startswith("finite:"):
             raise ValidationError(
@@ -196,7 +200,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             lines.append(f"theta_{j}={float(t)!r}")
     else:
         result = learn_finite(policy_class, w, psi, data)
-        lines.append(f"class=finite({policy_class.size})")
+        lines.append(f"class=finite({len(policy_class.policies)})")
         lines.append(f"best_index={result.best_index}")
         lines.append(f"value_gap={result.value_gap!r}")
         lines.append(f"second_best_value={result.second_best_value!r}")

@@ -28,6 +28,12 @@ def _freeze(record, **arrays: np.ndarray) -> None:
         object.__setattr__(record, name, view)
 
 
+def _check_binary(m: int, method: str) -> None:
+    """Reject an arm count other than 2 for a method defined on binary actions."""
+    if m != 2:
+        raise ValidationError(f"{method} requires m=2, got m={m}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observational sample of (covariates, action, outcome) triples.

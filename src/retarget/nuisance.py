@@ -159,8 +159,8 @@ class OracleNuisances:
             var = np.maximum(var, VARIANCE_FLOOR)
         else:
             resid = data.outcomes - mu[np.arange(data.n), data.actions]
-            var = np.tile(_residual_variance(resid, data.actions, data.m, variance_mode),
-                          (data.n, 1))
+            sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
+            var = np.tile(_residual_variance(sq_by_arm, variance_mode), (data.n, 1))
         return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
 
 
@@ -246,9 +246,10 @@ def fit_propensity(z: np.ndarray, actions: np.ndarray, m: int) -> tuple[np.ndarr
 
 
 def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
-    """Arm probabilities on z, clipped into [clip, 1-clip] and renormalized."""
+    """Arm probabilities on z, or on a stack of designs, clipped into [clip, 1-clip]
+    and renormalized."""
     p = np.minimum(np.maximum(_softmax(z @ coef), clip), 1.0 - clip)
-    return p / _rows(np.add, p)[:, None]
+    return p / _rows(np.add, p)[..., None]
 
 
 def fit_outcome_regression(designs: list[np.ndarray], outcomes: list[np.ndarray],
@@ -287,12 +288,11 @@ def fit_outcome_regression(designs: list[np.ndarray], outcomes: list[np.ndarray]
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
-def _residual_variance(resid: np.ndarray, actions: np.ndarray, m: int, mode: str) -> np.ndarray:
-    """Length-m mean squared residuals, taken arm by arm (per_arm) or over all
-    rows grouped by arm (pooled), floored at 1e-12."""
-    sq_by_arm = [resid[actions == arm] ** 2 for arm in range(m)]
+def _residual_variance(sq_by_arm: list[np.ndarray], mode: str) -> np.ndarray:
+    """Length-m mean squared residuals from each arm's squares, taken arm by
+    arm (per_arm) or over all of them in arm order (pooled), floored at 1e-12."""
     if mode == "pooled":
-        out = np.full(m, float(_mean(np.concatenate(sq_by_arm))))
+        out = np.full(len(sq_by_arm), float(_mean(np.concatenate(sq_by_arm))))
     elif mode == "per_arm":
         for arm, sq in enumerate(sq_by_arm):
             if sq.size == 0:
@@ -381,34 +381,31 @@ def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
 
 
 def _fit_folds(z_prop, z, data, group, held, train, config, out) -> None:
-    """The nuisances of a group of folds with one training size written into
-    out's rows: one stacked propensity fit on z_prop, then one stacked solve
-    for the group's (fold, arm) outcome regressions on z. An error names the
-    group's first fold, and an overflow its stage."""
+    """The nuisances of a group of folds with one training size, and so one
+    held-out size, written into out's rows: one stacked propensity fit and
+    prediction on z_prop, then one stacked solve for the group's (fold, arm)
+    outcome regressions on z. An error names the first fold, an overflow its stage."""
     prop, mu, var = out
     m = data.m
     stage = "propensity model"
     try:
-        trains = [train[fold] for fold in group]
-        stack = np.stack(trains)
-        coefs = fit_propensity(z_prop[stack], data.actions[stack], m)[0]
-        for fold, coef in zip(group, coefs):
-            prop[held[fold]] = _propensities(z_prop[held[fold]], coef, config.propensity_clip)
-        z_out = [z[held[fold]] for fold in group]
+        trains, helds = np.stack([train[f] for f in group]), np.stack([held[f] for f in group])
+        coefs = fit_propensity(z_prop[trains], data.actions[trains], m)[0]
+        prop[helds] = _propensities(z_prop[helds], coefs, config.propensity_clip)
+        z_held = z[helds]
         arm_rows = [rows[data.actions[rows] == arm] for rows in trains for arm in range(m)]
         designs = [z[rows] for rows in arm_rows]
         outcomes = [data.outcomes[rows] for rows in arm_rows]
         betas = fit_outcome_regression(designs, outcomes, list(range(m)) * len(group),
                                        ridge=config.ridge_lambda)
-        for g, (fold, rows) in enumerate(zip(group, trains)):
-            a_train = data.actions[rows]
-            resid = np.empty(rows.size)
+        for g, rows in enumerate(helds):
+            resid = []
             for arm in range(m):
                 stage, i = f"outcome regression of arm {arm}", g * m + arm
-                resid[a_train == arm] = outcomes[i] - designs[i] @ betas[i]
-                mu[held[fold], arm] = z_out[g] @ betas[i]
+                resid.append(outcomes[i] - designs[i] @ betas[i])
+                mu[rows, arm] = z_held[g] @ betas[i]
             stage = "residual variance"
-            var[held[fold]] = _residual_variance(resid, a_train, m, config.variance_mode)
+            var[rows] = _residual_variance([r ** 2 for r in resid], config.variance_mode)
     except FloatingPointError as exc:
         raise EstimationError(f"fold {group[0]}: {stage}: {exc}") from None
     except (ValidationError, EstimationError) as exc:

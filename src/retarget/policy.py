@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .data import Dataset, _freeze, _input_file
+from .data import Dataset, _check_binary, _freeze, _input_file
 from .errors import EstimationError, ValidationError
 from .nuisance import _mean, _rows, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
@@ -101,10 +101,6 @@ class PolicyClass:
     def __post_init__(self):
         if not self.policies:
             raise ValidationError("finite policy class must be nonempty")
-
-    @property
-    def size(self) -> int:
-        return len(self.policies)
 
 
 @dataclass(frozen=True)
@@ -205,8 +201,7 @@ def _gains(schemes: Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Datase
     effect scores, and the error that S separate searches raise first."""
     if not schemes:
         raise ValidationError("need at least one weight scheme")
-    if data.m != 2:
-        raise ValidationError(f"linear policy search requires m=2, got m={data.m}")
+    _check_binary(data.m, "linear policy search")
     if pseudo.n != data.n or any(scheme.n != data.n for scheme in schemes):
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
     stack = np.array([scheme.weights for scheme in schemes])  # (S, n)

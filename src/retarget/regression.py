@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_binary
 from .errors import EstimationError, ValidationError
 from .nuisance import NuisanceSet, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
@@ -29,68 +29,49 @@ IRLS_RESIDUAL_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Deterministic covariate reduction x -> z used as the regression design.
-
-    Kinds: identity, a coordinate subset, or per-coordinate polynomial powers.
-    Every design is add_intercept's [1, x, ..., x^degree], the layout of a
-    scenario's mean_coef.
-    """
+    """Deterministic covariate reduction x -> z used as the regression design,
+    built by parse: identity, a coordinate subset, or per-coordinate polynomial
+    powers. Every design is add_intercept's [1, x, ..., x^degree], the layout
+    of a scenario's mean_coef."""
 
     name: str
-    kind: str
-    indices: tuple[int, ...] = ()
+    indices: tuple[int, ...] | None = None  # None keeps every column
     degree: int = 1
 
     @classmethod
-    def identity(cls) -> "FeatureMap":
-        return cls(name="identity", kind="identity")
-
-    @classmethod
-    def subset(cls, indices: tuple[int, ...]) -> "FeatureMap":
-        return cls(
-            name="subset:" + ",".join(str(i) for i in indices),
-            kind="subset",
-            indices=tuple(int(i) for i in indices),
-        )
-
-    @classmethod
-    def polynomial(cls, degree: int) -> "FeatureMap":
-        if degree < 1:
-            raise ValidationError(f"polynomial degree must be >= 1, got {degree}")
-        return cls(name=f"poly:{degree}", kind="poly", degree=int(degree))
-
-    @classmethod
     def parse(cls, spec: str) -> "FeatureMap":
-        """Parse a CLI feature spec: identity | subset:<i,j,...> | poly:<deg>."""
+        """Parse a feature spec: identity | subset:<i,j,...> | poly:<deg>."""
         if spec == "identity":
-            return cls.identity()
+            return cls(name="identity")
         if spec.startswith("subset:"):
             body = spec.split(":", 1)[1]
             try:
                 indices = tuple(int(tok) for tok in body.split(",") if tok.strip() != "")
             except ValueError:
                 raise ValidationError(f"bad subset indices in {spec!r}") from None
-            return cls.subset(indices)
+            return cls(name="subset:" + ",".join(str(i) for i in indices), indices=indices)
         if spec.startswith("poly:"):
             try:
                 degree = int(spec.split(":", 1)[1])
             except ValueError:
                 raise ValidationError(f"bad polynomial degree in {spec!r}") from None
-            return cls.polynomial(degree)
+            if degree < 1:
+                raise ValidationError(f"polynomial degree must be >= 1, got {degree}")
+            return cls(name=f"poly:{degree}", degree=degree)
         raise ValidationError(
             f"unknown feature map {spec!r}; expected identity, subset:<idx-list>, or poly:<deg>"
         )
 
     def _check_width(self, d: int) -> None:
         """Reject subset indices outside d covariate columns."""
-        bad = [i for i in self.indices if not 0 <= i < d]
+        bad = [i for i in self.indices or () if not 0 <= i < d]
         if bad:
             raise ValidationError(f"subset indices {bad} outside 0..{d - 1}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._check_width(x.shape[1])
-        if self.kind == "subset":
+        if self.indices is not None:
             x = x[:, list(self.indices)]
         with np.errstate(over="ignore"):  # an overflowing power is rejected below
             z = add_intercept(x, self.degree)
@@ -262,8 +243,7 @@ def fit_dv_overlap(
     arm's rows; consistent for the best linear fit of that arm's outcome on
     the population reweighted by the product of both propensities. Binary only.
     """
-    if data.m != 2:
-        raise ValidationError(f"overlap-weighted regression requires m=2, got m={data.m}")
+    _check_binary(data.m, "overlap-weighted regression")
     _check_arm(arm, data.m)
     rows, z = _arm_design(data, nuis, arm, zmap)
     y, sample_w = data.outcomes[rows], nuis.propensity[rows, 1 - arm]
@@ -274,8 +254,7 @@ def fit_cate(
     data: Dataset, pseudo: PseudoOutcomes, w: WeightScheme, zmap: FeatureMap
 ) -> RegressionFit:
     """Weighted least squares of the effect score (arm 1 minus arm 0) on z."""
-    if data.m != 2:
-        raise ValidationError(f"effect regression requires m=2, got m={data.m}")
+    _check_binary(data.m, "effect regression")
     if pseudo.n != data.n or w.n != data.n:
         raise ValidationError("pseudo-outcomes and weights must cover the dataset")
     target = effect_pseudo_outcome(pseudo)

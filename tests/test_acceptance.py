@@ -133,7 +133,7 @@ def test_criterion_3_double_robustness():
 def test_criterion_4_estimating_equation_residuals():
     with criterion(4, "estimating-equation residuals", budget_s=30.0):
         rng = np.random.default_rng(404)
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         modes = ("known_variance", "ols", "irls")
         for trial in range(100):
             n = int(rng.integers(40, 120))
@@ -168,7 +168,7 @@ def test_criterion_5_efficiency_ordering():
         # 3 MC standard errors over paired replications.
         rng = np.random.default_rng(42)
         reps, n = 500, 1000
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         betas_ols, betas_dv = [], []
         for _ in range(reps):
             x = rng.uniform(-1, 1, (n, 1))
@@ -276,7 +276,7 @@ def test_criterion_7_scale_and_shift_invariances():
         pseudo = dr_pseudo_outcomes(data, nuis)
         gaps = gap_statistics(nuis)
         raw = 1.0 / ((1.0 / nuis.propensity).sum(axis=1))
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         policies = [LinearPolicy(rng.standard_normal(2)) for _ in range(25)]
         finite = PolicyClass(tuple(policies))
 

@@ -672,7 +672,8 @@ class TestOnArmWithoutCrossFit:
                                                    "--out", str(out)])
                     assert code == EXIT_OK
                     got = _fit_file(out)
-                    want = _reference_on_arm_fit(path, arm, FeatureMap.polynomial(degree), mode)
+                    zmap = FeatureMap.parse(f"poly:{degree}")
+                    want = _reference_on_arm_fit(path, arm, zmap, mode)
                     assert _bits(got) == _bits(want), (degree, arm, mode)
                     if mode == "irls":
                         assert (got["iterations"], got["converged"]) == (1, True)
@@ -1124,6 +1125,27 @@ class TestExitCodes:
         assert main([*argv, "--data", str(data), "--dump-psi", str(psi)]) == EXIT_INVALID
         assert error_lines(capsys) == [message.format(missing=missing)]
         assert not psi.exists()
+
+    @pytest.mark.parametrize(
+        "argv, method",
+        [
+            (["fit", "--equation", "dv"], "overlap-weighted regression"),
+            (["fit", "--equation", "cate"], "effect regression"),
+            (["learn", "--class", "linear"], "linear policy search"),
+        ],
+        ids=["dv", "cate", "learn-linear"],
+    )
+    def test_binary_only_methods_check_the_arm_count_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, argv, method):
+        # On this 6-row m=3 file each exited 4 with the cross-fit's
+        # "fold 0: arm 0 absent from training data".
+        from retarget import cli
+
+        monkeypatch.setattr(cli, "cross_fit", lambda *args: pytest.fail("cross-fitted"))
+        data = tmp_path / "three_arms.csv"
+        data.write_text("x1,a,y\n0.1,0,1\n0.2,1,2\n0.3,2,1\n0.4,0,2\n0.5,1,1\n0.6,2,2\n")
+        assert _one_error_line(capsys, [*argv, "--data", str(data)], EXIT_INVALID) == (
+            f"error[ValidationError]: {method} requires m=2, got m=3")
 
     def test_malformed_policy_file_is_one_error_line(self, binary_csv, tmp_path, capsys):
         policies = tmp_path / "policies.txt"

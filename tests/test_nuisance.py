@@ -26,6 +26,7 @@ from retarget import (
     make_folds,
 )
 import retarget.data as data_module
+import retarget.nuisance as nuisance_module
 from retarget.simulation import default_scenarios, generate
 from retarget.nuisance import (
     _STACK_MAX_ENTRIES,
@@ -468,28 +469,22 @@ class TestFitOutcomeRegression:
 
 
 class TestEstimateVariance:
-    def _residuals_and_arms(self, residuals_by_arm):
-        resid, acts = [], []
-        for arm, resids in enumerate(residuals_by_arm):
-            for r in resids:
-                acts.append(arm)
-                resid.append(r)
-        return np.array(resid), np.array(acts), len(residuals_by_arm)
+    @staticmethod
+    def _squares(residuals_by_arm):
+        return [np.array(resids, dtype=float) ** 2 for resids in residuals_by_arm]
 
     def test_zero_residuals_hit_floor(self):
-        args = self._residuals_and_arms([[0.0, 0.0], [0.0]])
-        var = _residual_variance(*args, mode="per_arm")
+        var = _residual_variance(self._squares([[0.0, 0.0], [0.0]]), mode="per_arm")
         assert var == pytest.approx([1e-12, 1e-12])
 
     def test_plus_minus_one_gives_unit_variance(self):
-        args = self._residuals_and_arms([[1.0, -1.0], [0.0]])
-        var = _residual_variance(*args, mode="per_arm")
+        var = _residual_variance(self._squares([[1.0, -1.0], [0.0]]), mode="per_arm")
         assert var[0] == pytest.approx(1.0)
 
     def test_pooled_equals_per_arm_on_identical_arms(self):
-        args = self._residuals_and_arms([[1.0, -1.0], [1.0, -1.0]])
-        pooled = _residual_variance(*args, mode="pooled")
-        per_arm = _residual_variance(*args, mode="per_arm")
+        sq = self._squares([[1.0, -1.0], [1.0, -1.0]])
+        pooled = _residual_variance(sq, mode="pooled")
+        per_arm = _residual_variance(sq, mode="per_arm")
         assert pooled == pytest.approx(per_arm)
         assert pooled[0] == pytest.approx(pooled[1])
 
@@ -576,6 +571,24 @@ class TestCrossFit:
         held = [folds.members(fold) for fold in range(3)]
         with pytest.raises(EstimationError, match=r"^fold 2: singular Gram matrix for arm 0 "):
             _fit_folds(z_prop, z, data, [2], held, train, NuisanceConfig(folds=3), out)
+
+    @pytest.mark.parametrize("variance_mode", ["pooled", "per_arm"])
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    @pytest.mark.parametrize("n, k, m", [(499, 3, 2), (500, 2, 2), (300, 3, 3)])
+    def test_fold_groups_give_the_bits_of_fitting_each_fold_alone(
+            self, monkeypatch, n, k, m, ridge, variance_mode):
+        data = (generate(default_scenarios()[0], n, seed=n)[0] if m == 2
+                else balanced_random_data(n, 2, m, seed=n))
+        folds = make_folds(n, k, seed=k)
+        train = [folds.complement(fold) for fold in range(k)]
+        config = NuisanceConfig(folds=k, ridge_lambda=ridge, variance_mode=variance_mode)
+        assert max(len(group) for group in _fold_groups(train, data.d + 1)) > 1
+        grouped = cross_fit(data, folds, config)
+        monkeypatch.setattr(nuisance_module, "_STACK_MAX_ENTRIES", 0)
+        assert max(len(group) for group in _fold_groups(train, data.d + 1)) == 1
+        alone = cross_fit(data, folds, config)
+        for name in ("propensity", "outcome_mean", "variance"):
+            assert getattr(grouped, name).tobytes() == getattr(alone, name).tobytes(), name
 
     def test_config_fold_count_must_match_the_assignment(self):
         data = balanced_random_data(100, 1, 2, seed=3)
@@ -805,7 +818,8 @@ def _reference_cross_fit(data, folds, config):
             for arm, beta in enumerate(betas):
                 on = train.actions == arm
                 resid[on] = train.outcomes[on] - add_intercept(train.covariates[on]) @ beta
-            fold_var = _residual_variance(resid, train.actions, m, config.variance_mode)
+            fold_var = _residual_variance([resid[train.actions == arm] ** 2 for arm in range(m)],
+                                          config.variance_mode)
         except (ValidationError, EstimationError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
         x_out = data.covariates[held_out]

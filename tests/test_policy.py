@@ -1323,7 +1323,7 @@ class TestPolicyClassFile:
         path = tmp_path / "policies.txt"
         path.write_text("# finite class\nconst,0\nconst,1\n0.5,-1.0,2.0\n")
         cls = load_policy_class(str(path))
-        assert cls.size == 3
+        assert len(cls.policies) == 3
         assert isinstance(cls.policies[0], ConstantPolicy)
         assert isinstance(cls.policies[2], LinearPolicy)
 

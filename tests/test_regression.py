@@ -58,35 +58,39 @@ def make_binary_data(rng, n, mu1_fn, phi1_fn, noise=0.5, mu0_fn=None):
 
 class TestFeatureMap:
     def test_identity_prepends_intercept(self):
-        z = FeatureMap.identity()(np.array([[2.0, 3.0]]))
+        z = FeatureMap.parse("identity")(np.array([[2.0, 3.0]]))
         assert z.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_subset(self):
-        z = FeatureMap.subset((1,))(np.array([[2.0, 3.0]]))
+        z = FeatureMap.parse("subset:1")(np.array([[2.0, 3.0]]))
         assert z.tolist() == [[1.0, 3.0]]
 
     def test_poly(self):
-        z = FeatureMap.polynomial(2)(np.array([[2.0]]))
+        z = FeatureMap.parse("poly:2")(np.array([[2.0]]))
         assert z.tolist() == [[1.0, 2.0, 4.0]]
 
     def test_parse(self):
-        assert FeatureMap.parse("identity").kind == "identity"
+        assert FeatureMap.parse("identity") == FeatureMap(name="identity")
         assert FeatureMap.parse("subset:0,2").indices == (0, 2)
+        assert FeatureMap.parse("subset: 0, 2,").name == "subset:0,2"
         assert FeatureMap.parse("poly:3").degree == 3
+        assert FeatureMap.parse("poly:03").name == "poly:3"
+        with pytest.raises(ValidationError, match="polynomial degree must be >= 1, got 0"):
+            FeatureMap.parse("poly:0")
         with pytest.raises(ValidationError):
             FeatureMap.parse("fourier:2")
 
     def test_subset_bounds_checked(self):
         with pytest.raises(ValidationError, match="outside"):
-            FeatureMap.subset((5,))(np.zeros((2, 2)))
+            FeatureMap.parse("subset:5")(np.zeros((2, 2)))
 
     def test_multi_index_subset_is_f_ordered(self):
         x = np.random.default_rng(0).standard_normal((50, 3))
-        z = FeatureMap.subset((2, 0))(x)
+        z = FeatureMap.parse("subset:2,0")(x)
         assert z.flags.f_contiguous and not z.flags.c_contiguous
-        assert z.tobytes() == _reference_features(FeatureMap.subset((2, 0)), x).tobytes()
-        for zmap in (FeatureMap.identity(), FeatureMap.subset((1,)), FeatureMap.polynomial(3)):
-            assert zmap(x).flags.c_contiguous
+        assert z.tobytes() == _reference_features(FeatureMap.parse("subset:2,0"), x).tobytes()
+        for spec in ("identity", "subset:1", "poly:3"):
+            assert FeatureMap.parse(spec)(x).flags.c_contiguous
 
     def test_empty_subset_is_the_intercept(self):
         assert FeatureMap.parse("subset:")(np.array([[2.0, 3.0]])).tolist() == [[1.0]]
@@ -101,7 +105,7 @@ class TestFitBestFit:
             m=2,
         )
         psi_col = np.array([2.0, 4.0])
-        fit = fit_best_fit(psi_col, uniform_weights(2), FeatureMap.identity(), data)
+        fit = fit_best_fit(psi_col, uniform_weights(2), FeatureMap.parse("identity"), data)
         assert fit.beta == pytest.approx([0.0, 2.0], abs=1e-12)
         assert fit.equation == "best_fit"
 
@@ -115,7 +119,7 @@ class TestFitBestFit:
             m=2,
         )
         w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
-        fit = fit_best_fit(np.full(n, 4.25), w, FeatureMap.identity(), data)
+        fit = fit_best_fit(np.full(n, 4.25), w, FeatureMap.parse("identity"), data)
         assert fit.beta == pytest.approx([4.25, 0, 0, 0], abs=1e-10)
 
     def test_matches_independent_solver(self):
@@ -130,8 +134,8 @@ class TestFitBestFit:
         )
         psi_col = rng.standard_normal(n) * 3
         w = WeightScheme.from_raw("w", rng.uniform(0.05, 3.0, n))
-        fit = fit_best_fit(psi_col, w, FeatureMap.identity(), data)
-        z = FeatureMap.identity()(data.covariates)
+        fit = fit_best_fit(psi_col, w, FeatureMap.parse("identity"), data)
+        z = FeatureMap.parse("identity")(data.covariates)
         root = np.sqrt(w.weights)
         expected, *_ = np.linalg.lstsq(z * root[:, None], psi_col * root, rcond=None)
         assert fit.beta == pytest.approx(expected, abs=1e-10)
@@ -144,7 +148,7 @@ class TestFitBestFit:
             m=2,
         )
         with pytest.raises(EstimationError, match="singular"):
-            fit_best_fit(np.ones(5), uniform_weights(5), FeatureMap.identity(), data)
+            fit_best_fit(np.ones(5), uniform_weights(5), FeatureMap.parse("identity"), data)
 
     def test_residual_within_tolerance(self):
         rng = np.random.default_rng(2)
@@ -159,7 +163,7 @@ class TestFitBestFit:
             fit = fit_best_fit(
                 rng.standard_normal(n),
                 WeightScheme.from_raw("w", rng.uniform(0.1, 1.0, n)),
-                FeatureMap.identity(),
+                FeatureMap.parse("identity"),
                 data,
             )
             assert fit.residual_norm <= fit.residual_tol
@@ -173,7 +177,7 @@ class TestFitBestFit:
                        outcomes=np.zeros(n), m=2)
         psi_col = 3.0 * rng.standard_normal(n)
         w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
-        fit, big = (fit_best_fit(t, w, FeatureMap.polynomial(2), data)
+        fit, big = (fit_best_fit(t, w, FeatureMap.parse("poly:2"), data)
                     for t in (psi_col, psi_col * 2.0**40))
         assert fit.residual_norm > 0
         assert big.beta.tobytes() == (fit.beta * 2.0**40).tobytes()
@@ -219,7 +223,7 @@ class TestFitOnArmPrecision:
         data, nuis = make_binary_data(
             rng, 400, lambda x: 1 + x, lambda x: np.full_like(x, 0.5), noise=0.3
         )
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         known = fit_on_arm_precision(data, nuis, 1, zmap, "known_variance")
         ols = fit_on_arm_precision(data, nuis, 1, zmap, "ols")
         assert np.array_equal(known.beta, ols.beta)
@@ -229,7 +233,7 @@ class TestFitOnArmPrecision:
         data, nuis = make_binary_data(
             rng, 200, lambda x: 2 - 3 * x, lambda x: np.full_like(x, 0.5), noise=0.0
         )
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         for mode in ("known_variance", "ols", "irls"):
             fit = fit_on_arm_precision(data, nuis, 1, zmap, mode)
             assert fit.beta == pytest.approx([2.0, -3.0], abs=1e-8)
@@ -243,7 +247,7 @@ class TestFitOnArmPrecision:
         # feasible GLS on estimated variances comes close to the known ones.
         rng = np.random.default_rng(2024)
         reps, n = 500, 300
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         modes = ("known_variance", "ols", "irls")
         betas = {mode: [] for mode in modes}
         for _ in range(reps):
@@ -314,7 +318,7 @@ class TestFitOnArmPrecision:
         rng = np.random.default_rng(6)
         data, nuis = make_binary_data(rng, 50, lambda x: x, lambda x: np.full_like(x, 0.5))
         with pytest.raises(ValidationError, match="mode"):
-            fit_on_arm_precision(data, nuis, 1, FeatureMap.identity(), "wls")
+            fit_on_arm_precision(data, nuis, 1, FeatureMap.parse("identity"), "wls")
 
 
 class TestFitDvOverlap:
@@ -323,7 +327,7 @@ class TestFitDvOverlap:
         data, nuis = make_binary_data(
             rng, 300, lambda x: 1 - 2 * x, lambda x: np.full_like(x, 0.5), noise=0.4
         )
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         dv = fit_dv_overlap(data, nuis, 1, zmap)
         ols = fit_on_arm_precision(data, nuis, 1, zmap, "ols")
         assert np.array_equal(dv.beta, ols.beta)
@@ -344,7 +348,7 @@ class TestFitDvOverlap:
             provenance="oracle",
         )
         with pytest.raises(ValidationError, match="m=2"):
-            fit_dv_overlap(data, nuis, 1, FeatureMap.identity())
+            fit_dv_overlap(data, nuis, 1, FeatureMap.parse("identity"))
 
     def test_well_specified_agrees_with_on_arm_ols(self):
         # Both consistent for the same linear truth; coordinatewise agreement
@@ -354,7 +358,7 @@ class TestFitDvOverlap:
             rng, 20_000, lambda x: 0.5 + 2.0 * x,
             lambda x: 1 / (1 + np.exp(-x)), noise=0.8,
         )
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         dv = fit_dv_overlap(data, nuis, 1, zmap)
         ols = fit_on_arm_precision(data, nuis, 1, zmap, "ols")
         rows = data.actions == 1
@@ -383,10 +387,10 @@ class TestFitDvOverlap:
         beta_star = np.linalg.solve(gram, (zo * wo[:, None]).T @ mu1(xo))
 
         data, nuis = make_binary_data(rng, 50_000, mu1, phi1, noise=0.5)
-        fit = fit_dv_overlap(data, nuis, 1, FeatureMap.identity())
+        fit = fit_dv_overlap(data, nuis, 1, FeatureMap.parse("identity"))
         rows = data.actions == 1
         se = sandwich_se(
-            FeatureMap.identity()(data.covariates[rows]),
+            FeatureMap.parse("identity")(data.covariates[rows]),
             data.outcomes[rows],
             nuis.propensity[rows, 0],
             fit.beta,
@@ -410,8 +414,8 @@ class TestFitCate:
             noise=1.0,
         )
         pseudo = dr_pseudo_outcomes(data, nuis)
-        fit = fit_cate(data, pseudo, uniform_weights(data.n), FeatureMap.identity())
-        z = FeatureMap.identity()(data.covariates)
+        fit = fit_cate(data, pseudo, uniform_weights(data.n), FeatureMap.parse("identity"))
+        z = FeatureMap.parse("identity")(data.covariates)
         target = pseudo.values[:, 1] - pseudo.values[:, 0]
         se = sandwich_se(z, target, np.ones(data.n), fit.beta)
         assert np.all(np.abs(fit.beta - np.array([1.0, 2.0])) < 3 * se)
@@ -427,7 +431,7 @@ class TestFitCate:
         )
         col = rng.standard_normal(n)
         pseudo = PseudoOutcomes(values=np.column_stack([col, col]))
-        fit = fit_cate(data, pseudo, uniform_weights(n), FeatureMap.identity())
+        fit = fit_cate(data, pseudo, uniform_weights(n), FeatureMap.parse("identity"))
         assert fit.beta == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_weight_scale_invariance(self):
@@ -441,8 +445,9 @@ class TestFitCate:
         )
         pseudo = PseudoOutcomes(values=rng.standard_normal((n, 2)))
         raw = rng.uniform(0.2, 2.0, n)
-        a = fit_cate(data, pseudo, WeightScheme.from_raw("a", raw), FeatureMap.identity())
-        b = fit_cate(data, pseudo, WeightScheme.from_raw("b", 12.0 * raw), FeatureMap.identity())
+        zmap = FeatureMap.parse("identity")
+        a = fit_cate(data, pseudo, WeightScheme.from_raw("a", raw), zmap)
+        b = fit_cate(data, pseudo, WeightScheme.from_raw("b", 12.0 * raw), zmap)
         assert a.beta == pytest.approx(b.beta, abs=1e-10)
 
     def test_requires_binary(self):
@@ -456,7 +461,7 @@ class TestFitCate:
         )
         pseudo = PseudoOutcomes(values=np.zeros((n, 3)))
         with pytest.raises(ValidationError, match="m=2"):
-            fit_cate(data, pseudo, uniform_weights(n), FeatureMap.identity())
+            fit_cate(data, pseudo, uniform_weights(n), FeatureMap.parse("identity"))
 
 
 class TestConsistencyTriangle:
@@ -468,7 +473,7 @@ class TestConsistencyTriangle:
             rng, 20_000, lambda x: 0.5 + 2.0 * x,
             lambda x: 1 / (1 + np.exp(-x)), noise=0.8,
         )
-        zmap = FeatureMap.identity()
+        zmap = FeatureMap.parse("identity")
         pseudo = dr_pseudo_outcomes(data, nuis)
         f1 = fit_best_fit(pseudo.values[:, 1], uniform_weights(data.n), zmap, data)
         f2 = fit_on_arm_precision(data, nuis, 1, zmap, "ols")
@@ -487,10 +492,10 @@ def _reference_features(zmap, x):
     """FeatureMap.__call__ before its design came from add_intercept: the
     chosen columns or stacked powers, then the intercept by np.hstack."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if zmap.kind == "identity":
-        cols = x
-    elif zmap.kind == "subset":
+    if zmap.indices is not None:
         cols = x[:, list(zmap.indices)]
+    elif zmap.degree == 1:
+        cols = x
     else:
         cols = np.hstack([x**p for p in range(1, zmap.degree + 1)])
     return np.hstack([np.ones((cols.shape[0], 1)), cols])
