@@ -5,7 +5,6 @@ from .errors import EstimationError, ValidationError
 from .nuisance import (
     NuisanceConfig,
     NuisanceSet,
-    OracleNuisances,
     cross_fit,
     fit_outcome_regression,
     fit_propensity,

@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .data import _check_binary, _input_file, load_dataset, make_folds
+from .data import _check_binary, load_dataset, make_folds
 from .errors import EstimationError, ValidationError
 from .nuisance import NuisanceConfig, cross_fit, load_oracle_nuisances
-from .policy import learn_linear, learn_finite, load_policy_class
+from .policy import _check_linear, learn_linear, learn_finite, load_policy_class
 from .pseudo import dr_pseudo_outcomes, dump_pseudo_outcomes
 from .regression import (
     FeatureMap, _check_arm, fit_best_fit, fit_cate, fit_dv_overlap, fit_on_arm_precision,
@@ -82,7 +82,6 @@ def _prepare(args: argparse.Namespace, check):
     option and input file is checked before any fit, the command's own ones
     by `check`; --dump-psi then builds and writes the scores at once."""
     data = load_dataset(args.data)
-    oracle = load_oracle_nuisances(args.oracle) if args.oracle else None
     config = NuisanceConfig(
         folds=args.folds,
         ridge_lambda=args.ridge,
@@ -93,9 +92,8 @@ def _prepare(args: argparse.Namespace, check):
     folds = make_folds(data.n, args.folds, seed=args.seed)
     checked = check(data)
     nuis = functools.cache(lambda: cross_fit(data, folds, config))
-    if oracle is not None:
-        with _input_file(args.oracle):
-            fixed = oracle.nuisance_set(data, args.variance)
+    if args.oracle:
+        fixed = load_oracle_nuisances(args.oracle, data, args.variance)
         nuis = lambda: fixed
     pseudo = functools.cache(lambda: dr_pseudo_outcomes(data, nuis()))
     if args.dump_psi:
@@ -180,7 +178,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     def finite_class(data):  # None for the linear class
         if args.policy_class == "linear":
-            _check_binary(data.m, "linear policy search")
+            _check_linear(data)
             return None
         if not args.policy_class.startswith("finite:"):
             raise ValidationError(

@@ -2,14 +2,14 @@
 
 All models are linear/logistic in [1, x], the propensity models with x's
 columns centred and scaled. `cross_fit` produces out-of-fold
-predictions for every observation; `OracleNuisances` supplies known values
-in its place.
+predictions for every observation; `load_oracle_nuisances` supplies known
+values in its place.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,42 +126,6 @@ class NuisanceSet:
     @property
     def m(self) -> int:
         return self.propensity.shape[1]
-
-
-@dataclass(frozen=True)
-class OracleNuisances:
-    """Known nuisance values supplied externally, used in place of cross-fitting."""
-
-    propensity: np.ndarray
-    outcome_mean: np.ndarray
-    variance: np.ndarray | None = None
-
-    def nuisance_set(self, data: Dataset, variance_mode: str) -> NuisanceSet:
-        """The supplied values for `data`, unclipped, with variances floored at
-        1e-12, or constant ones from the outcome means' residuals if absent."""
-        prop = np.asarray(self.propensity, dtype=float)
-        mu = np.asarray(self.outcome_mean, dtype=float)
-        expected = (data.n, data.m)
-        if prop.shape != expected or mu.shape != expected:
-            if prop.ndim != 2 or prop.shape != mu.shape:
-                raise ValidationError(
-                    f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
-                )
-            rows, arms = prop.shape
-            have, want = f"{rows} rows", f"{data.n}"
-            if arms != data.m:
-                have, want = f"{rows} rows and {arms} arms", f"{data.n} rows and {data.m} arms"
-            raise ValidationError(f"oracle nuisances have {have}, the dataset {want}")
-        if self.variance is not None:
-            var = np.asarray(self.variance, dtype=float)
-            if var.shape != expected:
-                raise ValidationError(f"oracle variance must have shape {expected}, got {var.shape}")
-            var = np.maximum(var, VARIANCE_FLOOR)
-        else:
-            resid = data.outcomes - mu[np.arange(data.n), data.actions]
-            sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
-            var = np.tile(_residual_variance(sq_by_arm, variance_mode), (data.n, 1))
-        return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
 
 
 @dataclass(frozen=True)
@@ -430,10 +394,10 @@ def _arm_columns(header: list[str], prefix: str) -> list[str]:
     return sorted(cols, key=lambda name: int(name[len(prefix):]))
 
 
-def load_oracle_nuisances(path: str) -> OracleNuisances:
-    """Read oracle nuisances from CSV with columns phi_0..phi_{m-1},
-    mu_0..mu_{m-1}, and optionally var_0..var_{m-1}, under the dataset
-    file's rules for rows and cells; other columns are not read.
+def _oracle_columns(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The (rows, arms) matrices of an oracle file's phi_0..phi_{m-1},
+    mu_0..mu_{m-1} and, when present, var_0..var_{m-1} columns, read under
+    the dataset file's rules for rows and cells; other columns are not read.
     """
     groups = []
 
@@ -446,11 +410,29 @@ def load_oracle_nuisances(path: str) -> OracleNuisances:
             raise ValidationError("var_* columns must match phi_* count")
         return phi_cols + mu_cols + var_cols
 
-    with _input_file(path):
-        cols = _read_csv(path, columns)
+    cols = _read_csv(path, columns)
     phi, mu, var = ([cols[c] for c in group] for group in groups)
-    return OracleNuisances(
-        propensity=np.column_stack(phi),
-        outcome_mean=np.column_stack(mu),
-        variance=np.column_stack(var) if var else None,
-    )
+    return np.column_stack(phi), np.column_stack(mu), np.column_stack(var) if var else None
+
+
+def load_oracle_nuisances(path: str, data: Dataset, variance_mode: str) -> NuisanceSet:
+    """Known nuisances for `data`, used in place of cross-fitting, from a CSV
+    file read by _oracle_columns: unclipped, with variances floored at 1e-12,
+    or constant ones from the outcome means' residuals (see _residual_variance)
+    when the file has no var_* columns. A ValidationError names the file.
+    """
+    with _input_file(path):
+        prop, mu, var = _oracle_columns(path)
+        if prop.shape != (data.n, data.m):
+            rows, arms = prop.shape
+            have, want = f"{rows} rows", f"{data.n}"
+            if arms != data.m:
+                have, want = f"{rows} rows and {arms} arms", f"{data.n} rows and {data.m} arms"
+            raise ValidationError(f"oracle nuisances have {have}, the dataset {want}")
+        if var is not None:
+            var = np.maximum(var, VARIANCE_FLOOR)
+        else:
+            resid = data.outcomes - mu[np.arange(data.n), data.actions]
+            sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
+            var = np.tile(_residual_variance(sq_by_arm, variance_mode), (data.n, 1))
+        return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")

@@ -195,13 +195,20 @@ def learn_finite(
     )
 
 
+def _check_linear(data: Dataset) -> None:
+    """Reject data a linear threshold policy cannot be searched on: an arm
+    count other than 2, then a file without covariates."""
+    _check_binary(data.m, "linear policy search")
+    if data.d < 1:
+        raise ValidationError("linear policy search needs at least one covariate")
+
+
 def _gains(schemes: Sequence[WeightScheme], pseudo: PseudoOutcomes, data: Dataset):
     """Per-row contributions so any 0/1 labeling's value is base + labels . gain:
     for S weight schemes, (S,) bases and (S, n) gains from one build of the
     effect scores, and the error that S separate searches raise first."""
     if not schemes:
         raise ValidationError("need at least one weight scheme")
-    _check_binary(data.m, "linear policy search")
     if pseudo.n != data.n or any(scheme.n != data.n for scheme in schemes):
         raise ValidationError("weights and pseudo-outcomes must cover the dataset")
     stack = np.array([scheme.weights for scheme in schemes])  # (S, n)
@@ -494,8 +501,7 @@ def search_linear(
     builds, are computed as one (schemes, n) array; only the tie pass, and at
     d>=2 the search, run per scheme.
     """
-    if data.d < 1:
-        raise ValidationError("linear policy search needs at least one covariate")
+    _check_linear(data)
     base, gain = _gains(schemes, pseudo, data)
     if data.d == 1 and not force_approx:
         return [(policy, True) for policy in _learn_threshold_1d(data, base, gain)]

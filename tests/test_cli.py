@@ -1147,6 +1147,26 @@ class TestExitCodes:
         assert _one_error_line(capsys, [*argv, "--data", str(data)], EXIT_INVALID) == (
             f"error[ValidationError]: {method} requires m=2, got m=3")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,y\n0,1\n1,2\n0,1\n0,3\n", "linear policy search needs at least one covariate"),
+            ("a,y\n0,1\n1,2\n2,1\n0,3\n", "linear policy search requires m=2, got m=3"),
+        ],
+        ids=["no-covariate", "m3-no-covariate"],
+    )
+    def test_linear_class_checks_the_covariates_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, text, message):
+        # The 4-row covariate-free file exited 4 with the cross-fit's
+        # "fold 0: arm 1 absent from training data"; the arm count is reported first.
+        from retarget import cli
+
+        monkeypatch.setattr(cli, "cross_fit", lambda *args: pytest.fail("cross-fitted"))
+        data = tmp_path / "no_covariates.csv"
+        data.write_text(text)
+        assert _one_error_line(capsys, ["learn", "--class", "linear", "--data", str(data)],
+                               EXIT_INVALID) == f"error[ValidationError]: {message}"
+
     def test_malformed_policy_file_is_one_error_line(self, binary_csv, tmp_path, capsys):
         policies = tmp_path / "policies.txt"
         policies.write_text("const,0\nconst,abc\n")

@@ -17,7 +17,6 @@ from retarget import (
     FoldAssignment,
     NuisanceConfig,
     NuisanceSet,
-    OracleNuisances,
     ValidationError,
     cross_fit,
     fit_outcome_regression,
@@ -33,6 +32,7 @@ from retarget.nuisance import (
     _fit_folds,
     _fold_groups,
     _mean,
+    _oracle_columns,
     _propensities,
     _propensity_design,
     _residual_variance,
@@ -490,14 +490,14 @@ class TestEstimateVariance:
 
 
 class TestCrossFit:
-    def test_oracle_passthrough_exact(self):
+    def test_oracle_passthrough_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         n = 40
         data = balanced_random_data(n, 1, 2, seed=4)
         phi = rng.uniform(0.2, 0.8, n)
         prop = np.column_stack([1 - phi, phi])
         mu = rng.standard_normal((n, 2))
-        nuis = OracleNuisances(propensity=prop, outcome_mean=mu).nuisance_set(data, "pooled")
+        nuis = load_oracle_nuisances(_write_oracle(tmp_path / "oracle.csv", prop, mu), data, "pooled")
         assert np.array_equal(nuis.propensity, prop)
         assert np.array_equal(nuis.outcome_mean, mu)
         assert nuis.provenance == "oracle"
@@ -738,24 +738,117 @@ class TestNuisanceSetValidation:
             )
 
 
+def _write_oracle(path, prop, mu, var=None):
+    """An oracle file of the matrices' cells, written with repr; its path."""
+    groups = [("phi", prop), ("mu", mu)] + [("var", var)] * (var is not None)
+    lines = [",".join(f"{g}_{k}" for g, c in groups for k in range(c.shape[1]))]
+    lines += [",".join(repr(float(c[i, k])) for _, c in groups for k in range(c.shape[1]))
+              for i in range(prop.shape[0])]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _load_columns(path):
+    """The oracle file's matrices, their errors labelled as load_oracle_nuisances
+    labels them."""
+    with data_module._input_file(path):
+        return _oracle_columns(path)
+
+
+def _reference_oracle_nuisance_set(path, data, variance_mode):
+    """load_oracle_nuisances as it was in two steps: the file's matrices, then
+    the nuisance set its frozen holder built for `data`, with the second
+    step's errors labelled by the file as its one caller labelled them."""
+    prop, mu, var = _reference_load_oracle(path)
+    with data_module._input_file(path):
+        expected = (data.n, data.m)
+        if prop.shape != expected or mu.shape != expected:
+            if prop.ndim != 2 or prop.shape != mu.shape:
+                raise ValidationError(
+                    f"oracle matrices must have shape {expected}, got {prop.shape} and {mu.shape}"
+                )
+            rows, arms = prop.shape
+            have, want = f"{rows} rows", f"{data.n}"
+            if arms != data.m:
+                have, want = f"{rows} rows and {arms} arms", f"{data.n} rows and {data.m} arms"
+            raise ValidationError(f"oracle nuisances have {have}, the dataset {want}")
+        if var is not None:
+            if var.shape != expected:
+                raise ValidationError(f"oracle variance must have shape {expected}, got {var.shape}")
+            var = np.maximum(var, 1e-12)
+        else:
+            resid = data.outcomes - mu[np.arange(data.n), data.actions]
+            sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
+            var = np.tile(_residual_variance(sq_by_arm, variance_mode), (data.n, 1))
+        return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")
+
+
 class TestOracleFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "oracle.csv"
         path.write_text(
             "phi_0,phi_1,mu_0,mu_1,var_0,var_1\n"
             "0.25,0.75,1.5,2.5,1.0,2.0\n"
-            "0.5,0.5,-1.0,0.0,1.0,2.0\n"
+            "0.5,0.5,-1.0,0.0,1.0,0.0\n"
         )
-        oracle = load_oracle_nuisances(str(path))
-        assert oracle.propensity.shape == (2, 2)
+        data = Dataset(covariates=np.zeros((2, 1)), actions=np.array([0, 1]),
+                       outcomes=np.zeros(2), m=2)
+        oracle = load_oracle_nuisances(str(path), data, "pooled")
+        assert oracle.propensity.tolist() == [[0.25, 0.75], [0.5, 0.5]]
         assert oracle.outcome_mean[0, 1] == 2.5
-        assert oracle.variance[1, 1] == 2.0
+        assert oracle.variance.tolist() == [[1.0, 2.0], [1.0, 1e-12]]
+        assert oracle.provenance == "oracle"
 
     def test_missing_mu_rejected(self, tmp_path):
         path = tmp_path / "oracle.csv"
         path.write_text("phi_0,phi_1\n0.5,0.5\n")
-        with pytest.raises(ValidationError, match="phi_\\*/mu_\\*"):
-            load_oracle_nuisances(str(path))
+        data = Dataset(covariates=np.zeros((1, 1)), actions=np.array([1]), outcomes=np.zeros(1), m=2)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: need matching phi_"):
+            load_oracle_nuisances(str(path), data, "pooled")
+
+
+class TestOracleLoadMatchesTwoSteps:
+    """One call gives the bytes and the errors of reading the file and then
+    building its nuisance set."""
+
+    @pytest.mark.parametrize("mode", ["pooled", "per_arm"])
+    @pytest.mark.parametrize("with_var", [False, True])
+    def test_same_bytes(self, tmp_path, mode, with_var):
+        for seed, (n, m) in enumerate([(40, 2), (57, 3), (500, 2)]):
+            rng = np.random.default_rng(seed)
+            data = balanced_random_data(n, 2, m, seed=seed)
+            prop = rng.dirichlet(np.ones(m), n)
+            mu = 3.0 * rng.standard_normal((n, m))
+            var = rng.uniform(0.0, 2.0, (n, m)) * (rng.random((n, m)) < 0.8) if with_var else None
+            path = _write_oracle(tmp_path / f"oracle{seed}.csv", prop, mu, var)
+            want = _reference_oracle_nuisance_set(path, data, mode)
+            got = load_oracle_nuisances(path, data, mode)
+            for field in ("propensity", "outcome_mean", "variance"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (seed, field)
+            assert got.provenance == want.provenance == "oracle"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0,1\n" * 3,
+            "phi_0,phi_1,phi_2,mu_0,mu_1,mu_2\n" + "0.25,0.25,0.5,0,1,2\n" * 4,
+            "phi_0,phi_1,phi_2,mu_0,mu_1,mu_2\n" + "0.25,0.25,0.5,0,1,2\n" * 5,
+            "phi_0,phi_1,mu_0,mu_1\n" + "0.0,1.0,0,1\n" * 4,
+            "phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.25,0,1\n" * 4,
+            "phi_0,phi_1,mu_0,mu_1,var_0\n" + "0.5,0.5,0,1,1\n" * 4,
+            "phi_0,phi_1,mu_0,mu_1,var_0,var_1\n" + "0.5,0.5,0,1,inf,1\n" * 4,
+            "phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,0,nan\n" * 4,
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["pooled", "per_arm"])
+    def test_same_errors(self, tmp_path, text, mode):
+        path = tmp_path / "oracle.csv"
+        path.write_text(text)
+        data = balanced_random_data(4, 1, 2, seed=0)
+        want = _outcome_or_error(lambda: _reference_oracle_nuisance_set(str(path), data, mode))
+        got = _outcome_or_error(lambda: load_oracle_nuisances(str(path), data, mode))
+        assert isinstance(want, str) and want.startswith(f"ValidationError: {path}: ")
+        assert got == want
 
 
 def _reference_cross_fit(data, folds, config):
@@ -999,7 +1092,7 @@ class TestOracleLoaderMatchesReference:
             text, bad_row = _oracle_file(rng)
             path.write_text(text, encoding="utf-8", newline="")
             want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
-            got = _outcome_or_error(lambda: load_oracle_nuisances(str(path)))
+            got = _outcome_or_error(lambda: _load_columns(str(path)))
             if isinstance(want, str):
                 outcomes["error"] += 1
                 if bad_row is not None:
@@ -1009,7 +1102,7 @@ class TestOracleLoaderMatchesReference:
                 continue
             outcomes["loaded"] += 1
             assert not isinstance(got, str), (case, text, got)
-            for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
+            for w, g in zip(want, got):
                 if w is None:
                     assert g is None
                     continue
@@ -1033,11 +1126,11 @@ class TestOracleLoaderMatchesReference:
         path = tmp_path / name
         path.write_bytes(text.encode("utf-8"))
         want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
-        got = _outcome_or_error(lambda: load_oracle_nuisances(str(path)))
+        got = _outcome_or_error(lambda: _load_columns(str(path)))
         if isinstance(want, str):
             assert got == want.replace("non-numeric cell:", "non-numeric cell at row 0:")
             return
-        for w, g in zip(want, (got.propensity, got.outcome_mean, got.variance)):
+        for w, g in zip(want, got):
             assert (g is None) if w is None else g.tobytes() == w.tobytes()
 
     def test_header_across_lines_is_skipped_by_loadtxt(self, tmp_path, monkeypatch):
@@ -1046,9 +1139,9 @@ class TestOracleLoaderMatchesReference:
         monkeypatch.setattr(data_module, "_parse_rows", None)
         path = tmp_path / "o.csv"
         path.write_bytes(b'phi_0,"note\n\nmore",mu_0\n0.5,3,1.0\n0.25,4,2.0\n')
-        got = load_oracle_nuisances(str(path))
-        assert got.propensity.tolist() == [[0.5], [0.25]]
-        assert got.outcome_mean.tolist() == [[1.0], [2.0]]
+        prop, mu, _ = _load_columns(str(path))
+        assert prop.tolist() == [[0.5], [0.25]]
+        assert mu.tolist() == [[1.0], [2.0]]
 
     @pytest.mark.parametrize("rows", [1, 3_000])
     def test_non_utf8_byte_after_a_bad_cell(self, tmp_path, rows):
@@ -1056,11 +1149,11 @@ class TestOracleLoaderMatchesReference:
         path.write_bytes(b"phi_0,mu_0\n0.5,oops\n" + b"0.5,1\n" * rows + b"0.5,\xff\n")
         want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
         assert want.endswith("not UTF-8 text: byte 0xff (invalid start byte)")
-        assert _outcome_or_error(lambda: load_oracle_nuisances(str(path))) == want
+        assert _outcome_or_error(lambda: _load_columns(str(path))) == want
 
     def test_non_utf8_byte_is_named_alike(self, tmp_path):
         path = tmp_path / "oracle.csv"
         path.write_bytes(b"phi_0,mu_0\n0.5,1\n0.5,\xff\n")
         want = _outcome_or_error(lambda: _reference_load_oracle(str(path)))
         assert re.search(r"not UTF-8 text: byte 0xff", want)
-        assert _outcome_or_error(lambda: load_oracle_nuisances(str(path))) == want
+        assert _outcome_or_error(lambda: _load_columns(str(path))) == want
