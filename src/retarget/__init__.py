@@ -44,7 +44,6 @@ from .simulation import (
     run_benchmark,
 )
 from .weights import (
-    GapStatistics,
     WeightScheme,
     curvature_scaled_weights,
     gap_statistics,

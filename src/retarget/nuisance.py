@@ -432,7 +432,10 @@ def load_oracle_nuisances(path: str, data: Dataset, variance_mode: str) -> Nuisa
         if var is not None:
             var = np.maximum(var, VARIANCE_FLOOR)
         else:
-            resid = data.outcomes - mu[np.arange(data.n), data.actions]
-            sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
+            with np.errstate(over="ignore"):  # with finite means, an infinite variance is an overflow
+                resid = data.outcomes - mu[np.arange(data.n), data.actions]
+                sq_by_arm = [resid[data.actions == arm] ** 2 for arm in range(data.m)]
             var = np.tile(_residual_variance(sq_by_arm, variance_mode), (data.n, 1))
+            if not np.isfinite(var[0]).all() and np.isfinite(mu).all():
+                raise ValidationError("variances derived from the outcome means' residuals are not finite")
         return NuisanceSet(propensity=prop, outcome_mean=mu, variance=var, provenance="oracle")

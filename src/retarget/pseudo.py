@@ -52,8 +52,9 @@ def dr_pseudo_outcomes(data: Dataset, nuis: NuisanceSet) -> PseudoOutcomes:
     values = nuis.outcome_mean.copy()
     rows = np.arange(data.n)
     observed = data.actions
-    resid = data.outcomes - nuis.outcome_mean[rows, observed]
-    values[rows, observed] += resid / nuis.propensity[rows, observed]
+    with np.errstate(over="ignore"):  # PseudoOutcomes refuses a score that overflows
+        resid = data.outcomes - nuis.outcome_mean[rows, observed]
+        values[rows, observed] += resid / nuis.propensity[rows, observed]
     return PseudoOutcomes(values=values)
 
 

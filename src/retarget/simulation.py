@@ -99,9 +99,17 @@ class ScenarioSpec:
         p = np.maximum(_softmax(_add_intercept(x) @ self.propensity_coef.T), 1e-12)
         return p / _rows(np.add, p)[:, None]
 
+    def nuisances(self, x: np.ndarray) -> NuisanceSet:
+        """The true nuisances at the rows of x, as an oracle set: the arm
+        probabilities, the arm means, and noise_sd**2 floored at 1e-12."""
+        mu = self.mean_matrix(x)
+        variance = np.maximum(np.broadcast_to(self.noise_sd**2, mu.shape), VARIANCE_FLOOR)
+        return NuisanceSet(propensity=self.propensity_matrix(x), outcome_mean=mu, variance=variance,
+                           provenance="oracle")
 
-def generate(scenario: ScenarioSpec, n: int, seed: int) -> tuple[Dataset, NuisanceSet]:
-    """Draw a dataset from the scenario, plus its true nuisances as an oracle set."""
+
+def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
+    """Draw a dataset from the scenario; scenario.nuisances(x) gives its truth."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -117,16 +125,8 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> tuple[Dataset, Nuisan
         cum = cum + prob[:, a]
         actions += cum < draws
     mu = scenario.mean_matrix(x)
-    noise = rng.standard_normal(n) * scenario.noise_sd[actions]
-    outcomes = mu[np.arange(n), actions] + noise
-    data = Dataset(covariates=x, actions=actions, outcomes=outcomes, m=scenario.m)
-    variance = np.maximum(
-        np.broadcast_to(scenario.noise_sd**2, (n, scenario.m)), VARIANCE_FLOOR
-    )
-    oracle = NuisanceSet(
-        propensity=prob, outcome_mean=mu, variance=variance, provenance="oracle"
-    )
-    return data, oracle
+    outcomes = mu[np.arange(n), actions] + rng.standard_normal(n) * scenario.noise_sd[actions]
+    return Dataset(covariates=x, actions=actions, outcomes=outcomes, m=scenario.m)
 
 
 def default_scenarios() -> list[ScenarioSpec]:
@@ -263,9 +263,9 @@ def _replicate(
     the scenario's regret sample. The sample is drawn after every scheme is
     learned: the searches' small arrays stay in cache, and the draw has its
     own seed, so the order changes no result."""
-    data, oracle = generate(scenario, n, seed)
+    data = generate(scenario, n, seed)
     if oracle_nuisances:
-        nuis = oracle
+        nuis = scenario.nuisances(data.covariates)
     else:
         folds = make_folds(n, nuisance_config.folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, nuisance_config)

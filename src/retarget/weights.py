@@ -1,4 +1,4 @@
-"""Weight schemes for retargeted objectives, gap statistics, and the
+"""Weight schemes for retargeted objectives, the outcome-mean gap, and the
 variance proxy / selection ratios used to compare schemes."""
 
 from __future__ import annotations
@@ -48,27 +48,6 @@ class WeightScheme:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class GapStatistics:
-    """Per-observation outcome-mean gaps.
-
-    gap: best arm mean minus the best strictly smaller arm mean (0 on an
-    all-arm tie). spread: best minus worst. gap == spread when m = 2.
-    """
-
-    gap: np.ndarray     # (n,), >= 0
-    spread: np.ndarray  # (n,), >= gap
-
-    def __post_init__(self):
-        g = np.asarray(self.gap, dtype=float)
-        s = np.asarray(self.spread, dtype=float)
-        if g.shape != s.shape or g.ndim != 1:
-            raise ValidationError("gap and spread must be equal-length vectors")
-        if (g < 0).any() or (s < g).any():
-            raise ValidationError("require 0 <= gap <= spread elementwise")
-        _freeze(self, gap=g, spread=s)
-
-
 def uniform_weights(n: int) -> WeightScheme:
     return WeightScheme(kind="uniform", weights=np.ones(n))
 
@@ -86,24 +65,31 @@ def homoskedastic_weights(nuis: NuisanceSet) -> WeightScheme:
     return WeightScheme.from_raw("w0", raw)
 
 
-def gap_statistics(nuis: NuisanceSet) -> GapStatistics:
-    """Best-vs-runner-up and best-vs-worst gaps of the outcome-mean matrix.
+def gap_statistics(nuis: NuisanceSet) -> np.ndarray:
+    """The (n,) gap of the outcome-mean matrix: each row's best arm mean minus
+    its best strictly smaller one.
 
     Ties are exact: if all arms share the top mean the gap is 0; flooring is
     left to the consumers that need it (negative powers, ratio denominators).
     """
     mu = nuis.outcome_mean
     top = _rows(np.maximum, mu)
-    bottom = _rows(np.minimum, mu)
-    below = mu < top[:, None]
-    runner_up = _rows(np.maximum, np.where(below, mu, -np.inf))
-    gap = np.where(np.isfinite(runner_up), top - runner_up, 0.0)
-    return GapStatistics(gap=gap, spread=top - bottom)
+    runner_up = _rows(np.maximum, np.where(mu < top[:, None], mu, -np.inf))
+    return np.where(np.isfinite(runner_up), top - runner_up, 0.0)
+
+
+def _check_gap(gap: np.ndarray, n: int) -> np.ndarray:
+    gap = np.asarray(gap, dtype=float)
+    if gap.shape != (n,):
+        raise ValidationError("gap statistics and weights have mismatched lengths")
+    if (gap < 0).any():
+        raise ValidationError("gap entries must be nonnegative")
+    return gap
 
 
 def curvature_scaled_weights(
     base: WeightScheme,
-    gaps: GapStatistics,
+    gap: np.ndarray,
     power: float,
     floor: float = DEFAULT_GAP_FLOOR,
 ) -> WeightScheme:
@@ -114,13 +100,12 @@ def curvature_scaled_weights(
     `w0_dp:<p>` scheme of make_weights is built here.
     """
     _check_gap_scaling(power, floor)
-    if gaps.gap.shape[0] != base.n:
-        raise ValidationError("gap statistics and weights have mismatched lengths")
+    gap = _check_gap(gap, base.n)
     if power == 0:
         return base
     # A power that overflows leaves an infinite raw mean, which from_raw refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = base.weights * np.maximum(gaps.gap, floor) ** power
+        raw = base.weights * np.maximum(gap, floor) ** power
         return WeightScheme.from_raw(f"{base.kind}_dp:{power:g}", raw)
 
 
@@ -157,7 +142,7 @@ def variance_proxy(w: WeightScheme, nuis: NuisanceSet) -> float:
 
 def selection_ratio(
     w: WeightScheme,
-    gaps: GapStatistics,
+    gap: np.ndarray,
     nuis: NuisanceSet,
     direction: str,
     floor: float = DEFAULT_GAP_FLOOR,
@@ -169,16 +154,13 @@ def selection_ratio(
     (gap floored) — favors weight near the decision margin.
     """
     if direction not in ("times_delta", "over_delta"):
-        raise ValidationError(
-            f"direction must be 'times_delta' or 'over_delta', got {direction!r}"
-        )
-    if gaps.gap.shape[0] != w.n:
-        raise ValidationError("gap statistics and weights have mismatched lengths")
+        raise ValidationError(f"direction must be 'times_delta' or 'over_delta', got {direction!r}")
+    gap = _check_gap(gap, w.n)
     if direction == "times_delta":
-        denom = float(np.mean(w.weights * gaps.gap))
+        denom = float(np.mean(w.weights * gap))
     else:
         _check_floor(floor)
-        denom = float(np.mean(w.weights / np.maximum(gaps.gap, floor)))
+        denom = float(np.mean(w.weights / np.maximum(gap, floor)))
     if denom <= 0:
         raise ValidationError(
             f"selection ratio denominator is {denom!r} for direction {direction!r}; "
@@ -213,13 +195,13 @@ def make_weights(
     A sequence of names gives the tuple of their schemes. Every name is parsed
     before any scheme is built, so the first bad name raises its own error;
     past that, the first name whose build fails raises it. One call builds the
-    homoskedastic weights and the gap statistics at most once, for all of its
+    homoskedastic weights and the gap at most once, for all of its
     names; `w0` and `w0_dp:0` are that one w0 scheme.
     """
     if isinstance(spec, str):
         return make_weights((spec,), nuis, gap_floor)[0]
     parsed = [parse_scheme(name, gap_floor) for name in spec]
-    base = gaps = None
+    base = gap = None
     schemes = []
     for kind, power in parsed:
         if kind == "uniform":
@@ -227,7 +209,7 @@ def make_weights(
             continue
         if base is None:
             base = homoskedastic_weights(nuis)
-        if power != 0 and gaps is None:
-            gaps = gap_statistics(nuis)
-        schemes.append(base if power == 0 else curvature_scaled_weights(base, gaps, power, gap_floor))
+        if power != 0 and gap is None:
+            gap = gap_statistics(nuis)
+        schemes.append(base if power == 0 else curvature_scaled_weights(base, gap, power, gap_floor))
     return tuple(schemes)

@@ -17,7 +17,6 @@ import pytest
 from retarget import (
     Dataset,
     FeatureMap,
-    GapStatistics,
     LinearPolicy,
     NuisanceSet,
     PolicyClass,
@@ -274,7 +273,7 @@ def test_criterion_7_scale_and_shift_invariances():
         a[:2] = [0, 1]
         data = Dataset(covariates=x, actions=a, outcomes=rng.standard_normal(n), m=2)
         pseudo = dr_pseudo_outcomes(data, nuis)
-        gaps = gap_statistics(nuis)
+        gap = gap_statistics(nuis)
         raw = 1.0 / ((1.0 / nuis.propensity).sum(axis=1))
         zmap = FeatureMap.parse("identity")
         policies = [LinearPolicy(rng.standard_normal(2)) for _ in range(25)]
@@ -285,8 +284,8 @@ def test_criterion_7_scale_and_shift_invariances():
             "linear_theta": learn_linear(base, pseudo, data).best.theta,
             "finite": learn_finite(finite, base, pseudo, data),
             "proxy": variance_proxy(base, nuis),
-            "ratio_t": selection_ratio(base, gaps, nuis, "times_delta"),
-            "ratio_o": selection_ratio(base, gaps, nuis, "over_delta"),
+            "ratio_t": selection_ratio(base, gap, nuis, "times_delta"),
+            "ratio_o": selection_ratio(base, gap, nuis, "over_delta"),
             "beta_best": fit_best_fit(pseudo.values[:, 1], base, zmap, data).beta,
             "beta_cate": fit_cate(data, pseudo, base, zmap).beta,
         }
@@ -297,10 +296,10 @@ def test_criterion_7_scale_and_shift_invariances():
             assert scaled.best_index == ref["finite"].best_index
             assert scaled.value_gap == pytest.approx(ref["finite"].value_gap, abs=1e-10)
             assert variance_proxy(w, nuis) == pytest.approx(ref["proxy"], rel=1e-10)
-            assert selection_ratio(w, gaps, nuis, "times_delta") == pytest.approx(
+            assert selection_ratio(w, gap, nuis, "times_delta") == pytest.approx(
                 ref["ratio_t"], rel=1e-10
             )
-            assert selection_ratio(w, gaps, nuis, "over_delta") == pytest.approx(
+            assert selection_ratio(w, gap, nuis, "over_delta") == pytest.approx(
                 ref["ratio_o"], rel=1e-10
             )
             assert fit_best_fit(pseudo.values[:, 1], w, zmap, data).beta == pytest.approx(
@@ -330,11 +329,11 @@ def test_criterion_8_variance_proxy_minimizer():
             nuis = _oracle_nuis(
                 np.column_stack([1 - phi, phi]), rng.standard_normal((n, 2))
             )  # unit variance everywhere: homoskedastic
-            gaps = gap_statistics(nuis)
+            gap = gap_statistics(nuis)
             w0 = homoskedastic_weights(nuis)
             target = variance_proxy(w0, nuis)
             family = [uniform_weights(n)] + [
-                curvature_scaled_weights(w0, gaps, p) for p in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                curvature_scaled_weights(w0, gap, p) for p in (-2.0, -1.0, 0.0, 1.0, 2.0)
             ]
             for other in family:
                 assert target <= variance_proxy(other, nuis) + 1e-12
@@ -346,20 +345,17 @@ def test_criterion_9_gap_identities():
         for _ in range(50):
             n = int(rng.integers(1, 60))
             mu = rng.standard_normal((n, 2))
-            nuis = _oracle_nuis(np.full((n, 2), 0.5), mu)
-            gaps = gap_statistics(nuis)
-            assert np.array_equal(gaps.gap, gaps.spread)
+            gap = gap_statistics(_oracle_nuis(np.full((n, 2), 0.5), mu))
+            assert np.array_equal(gap, np.abs(mu[:, 1] - mu[:, 0]))
         for m in (3, 4, 5):
             for _ in range(20):
                 n = int(rng.integers(1, 60))
                 mu = rng.standard_normal((n, m))
-                nuis = _oracle_nuis(np.full((n, m), 1.0 / m), mu)
-                gaps = gap_statistics(nuis)
-                assert np.all(gaps.gap <= gaps.spread + 1e-15)
+                gap = gap_statistics(_oracle_nuis(np.full((n, m), 1.0 / m), mu))
+                assert np.all(gap <= mu.max(axis=1) - mu.min(axis=1) + 1e-15)
         tie_mu = np.full((5, 4), 2.5)
-        gaps = gap_statistics(_oracle_nuis(np.full((5, 4), 0.25), tie_mu))
-        assert np.array_equal(gaps.gap, np.zeros(5))
-        assert np.array_equal(gaps.spread, np.zeros(5))
+        gap = gap_statistics(_oracle_nuis(np.full((5, 4), 0.25), tie_mu))
+        assert np.array_equal(gap, np.zeros(5))
 
 
 def test_criterion_10_benchmark_structural_replication():

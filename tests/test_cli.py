@@ -52,7 +52,7 @@ def binary_csv(tmp_path):
         mean_coef=np.array([[0.0, 0.0], [0.2, 0.8]]),
         noise_sd=np.array([0.5, 0.5]),
     )
-    data, _ = generate(scenario, 160, seed=21)
+    data = generate(scenario, 160, seed=21)
     path = tmp_path / "data.csv"
     save_dataset(data, str(path))
     return str(path)
@@ -429,6 +429,22 @@ class TestFit:
             f"error[ValidationError]: {oracle}: var_* columns must match phi_* count"
         ]
 
+    @pytest.mark.parametrize("variance", ["pooled", "per_arm"])
+    def test_oracle_means_whose_residuals_overflow_their_variance(
+        self, binary_csv, tmp_path, capsys, variance
+    ):
+        # With no var_* columns the variances come from the squared residuals,
+        # which overflow at means of +-1.7e308.
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("phi_0,phi_1,mu_0,mu_1\n" + "0.5,0.5,-1.7e308,1.7e308\n" * 160)
+        code = _main_without_warnings(["fit", "--equation", "cate", "--data", binary_csv,
+                                       "--oracle", str(oracle), "--variance", variance])
+        assert code == EXIT_INVALID
+        assert error_lines(capsys) == [
+            f"error[ValidationError]: {oracle}: variances derived from the outcome means' "
+            "residuals are not finite"
+        ]
+
     @pytest.mark.parametrize(
         "rows, arms, message",
         [
@@ -654,7 +670,7 @@ class TestOnArmWithoutCrossFit:
             propensity_coef=0.5 * rng.standard_normal((m, 3)),
             mean_coef=rng.standard_normal((m, 3)), noise_sd=np.linspace(0.5, 1.5, m),
         )
-        data, _ = generate(scenario, 2_000, seed=seed)
+        data = generate(scenario, 2_000, seed=seed)
         path = tmp_path / f"m{m}_{seed}.csv"
         save_dataset(data, str(path))
         return str(path)
@@ -728,7 +744,8 @@ class TestOnArmWithoutCrossFit:
                 assert main(argv + extra) == EXIT_OK
 
     def test_overflowing_scores_stop_only_the_fits_that_read_them(self, tmp_path, capsys):
-        # y = 1e300 over a propensity of 1e-16 overflows row 0's arm-0 score.
+        # y = 1e300 over a propensity of 1e-16 overflows row 0's arm-0 score,
+        # and the fits that read the scores refuse it without a numpy warning.
         n = 40
         rng = np.random.default_rng(5)
         y = rng.standard_normal(n)
@@ -744,11 +761,13 @@ class TestOnArmWithoutCrossFit:
         for equation in (["dv"], ["on_arm", "--mode", "known"]):
             assert main(base + ["--equation", *equation]) == EXIT_OK
             assert error_lines(capsys) == []
-        with np.errstate(over="ignore"):
-            assert main(base + ["--equation", "cate"]) == EXIT_INVALID
-        assert error_lines(capsys) == [
-            "error[ValidationError]: pseudo-outcome matrix contains non-finite entries"
-        ]
+        inputs = ["--data", str(path), "--oracle", str(oracle)]
+        for command in (["fit", "--equation", "cate"], ["fit", "--equation", "best_fit"],
+                        ["learn"]):
+            assert _main_without_warnings(command + inputs) == EXIT_INVALID
+            assert error_lines(capsys) == [
+                "error[ValidationError]: pseudo-outcome matrix contains non-finite entries"
+            ]
 
     def test_dump_psi_still_writes_the_scores(self, binary_csv, tmp_path):
         on_arm, cate = tmp_path / "on_arm.csv", tmp_path / "cate.csv"

@@ -281,7 +281,7 @@ def _default_draws(count, n=200):
     """count datasets drawn from the default scenarios in turn, with their folds."""
     scenarios = default_scenarios()
     for seed in range(count):
-        data, _ = generate(scenarios[seed % len(scenarios)], n, seed)
+        data = generate(scenarios[seed % len(scenarios)], n, seed)
         yield data, make_folds(n, 2, seed=seed)
 
 
@@ -577,7 +577,7 @@ class TestCrossFit:
     @pytest.mark.parametrize("n, k, m", [(499, 3, 2), (500, 2, 2), (300, 3, 3)])
     def test_fold_groups_give_the_bits_of_fitting_each_fold_alone(
             self, monkeypatch, n, k, m, ridge, variance_mode):
-        data = (generate(default_scenarios()[0], n, seed=n)[0] if m == 2
+        data = (generate(default_scenarios()[0], n, seed=n) if m == 2
                 else balanced_random_data(n, 2, m, seed=n))
         folds = make_folds(n, k, seed=k)
         train = [folds.complement(fold) for fold in range(k)]

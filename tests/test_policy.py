@@ -871,7 +871,7 @@ class TestThresholdSearch1d:
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_same_theta_bits_as_matrix_search_on_default_grid(self, scenario):
         for seed in (0, 1, 2):
-            data, _ = generate(scenario, 500, seed)
+            data = generate(scenario, 500, seed)
             nuis = cross_fit(data, make_folds(data.n, 2, seed=seed))
             pseudo = dr_pseudo_outcomes(data, nuis)
             for spec in DEFAULT_SCHEMES:
@@ -1370,7 +1370,7 @@ class TestSearchLinear:
     @pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
     def test_default_grid(self, scenario):
         for seed in (0, 1):
-            data, _ = generate(scenario, 500, seed)
+            data = generate(scenario, 500, seed)
             nuis = cross_fit(data, make_folds(data.n, 2, seed=seed))
             pseudo = dr_pseudo_outcomes(data, nuis)
             for spec in DEFAULT_SCHEMES:

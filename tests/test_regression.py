@@ -583,7 +583,8 @@ class TestFitsMatchReference:
             propensity_coef=0.5 * rng.standard_normal((2, 4)),
             mean_coef=rng.standard_normal((2, 4)), noise_sd=np.array([0.5, 1.5]),
         )
-        data, truth = generate(scenario, 2_000, seed=seed)
+        data = generate(scenario, 2_000, seed=seed)
+        truth = scenario.nuisances(data.covariates)
         # Row-varying variances, so known_variance weights differ from ols.
         nuis = NuisanceSet(
             propensity=truth.propensity, outcome_mean=truth.outcome_mean,

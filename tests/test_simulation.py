@@ -7,6 +7,7 @@ import pytest
 
 from retarget import (
     NuisanceConfig,
+    NuisanceSet,
     ScenarioSpec,
     ValidationError,
     cross_fit,
@@ -47,32 +48,39 @@ def toy_scenario(noise=1.0, slope=0.5, prop_slope=1.0):
 class TestGenerate:
     def test_noiseless_outcomes_equal_means(self):
         scenario = toy_scenario(noise=0.0)
-        data, oracle = generate(scenario, 500, seed=3)
-        expected = oracle.outcome_mean[np.arange(500), data.actions]
+        data = generate(scenario, 500, seed=3)
+        expected = scenario.nuisances(data.covariates).outcome_mean[np.arange(500), data.actions]
         assert np.array_equal(data.outcomes, expected)
 
     def test_balanced_constant_propensity_frequencies(self):
         scenario = toy_scenario(prop_slope=0.0)  # phi = (0.5, 0.5) everywhere
         n = 100_000
-        data, _ = generate(scenario, n, seed=4)
+        data = generate(scenario, n, seed=4)
         freq = data.actions.mean()
         se = math.sqrt(0.25 / n)
         assert abs(freq - 0.5) < 3 * se
 
     def test_fixed_seed_bit_identical(self):
         scenario = toy_scenario()
-        d1, o1 = generate(scenario, 300, seed=9)
-        d2, o2 = generate(scenario, 300, seed=9)
+        d1 = generate(scenario, 300, seed=9)
+        d2 = generate(scenario, 300, seed=9)
         assert np.array_equal(d1.covariates, d2.covariates)
         assert np.array_equal(d1.actions, d2.actions)
         assert np.array_equal(d1.outcomes, d2.outcomes)
-        assert np.array_equal(o1.propensity, o2.propensity)
 
     def test_oracle_matrices_are_truth(self):
-        scenario = toy_scenario()
-        data, oracle = generate(scenario, 100, seed=5)
-        assert np.allclose(oracle.outcome_mean, scenario.mean_matrix(data.covariates))
-        assert np.allclose(oracle.propensity, scenario.propensity_matrix(data.covariates))
+        # A zero noise_sd gives the variance floor, not 0.
+        scenario = ScenarioSpec(
+            name="toy", d=1, m=2, covariate_law="uniform",
+            propensity_coef=np.array([[0.0, 0.0], [0.0, 1.0]]),
+            mean_coef=np.array([[0.0, 0.0], [0.0, 0.5]]), noise_sd=np.array([0.0, 0.7]),
+        )
+        x = generate(scenario, 100, seed=5).covariates
+        oracle = scenario.nuisances(x)
+        assert oracle.provenance == "oracle"
+        assert oracle.outcome_mean.tobytes() == scenario.mean_matrix(x).tobytes()
+        assert oracle.propensity.tobytes() == scenario.propensity_matrix(x).tobytes()
+        assert np.array_equal(oracle.variance, np.tile([1e-12, 0.7**2], (100, 1)))
 
 
     @pytest.mark.parametrize("m", range(2, 10))
@@ -86,11 +94,11 @@ class TestGenerate:
         )
         n = 3_000
         for seed in range(3):
-            data, oracle = generate(scenario, n, seed)
+            data = generate(scenario, n, seed)
             draw = np.random.default_rng(seed)
             x = scenario.sample_covariates(n, draw)
             prob = scenario.propensity_matrix(x)
-            assert prob.tobytes() == oracle.propensity.tobytes()
+            assert prob.tobytes() == scenario.nuisances(data.covariates).propensity.tobytes()
             old = np.minimum((prob.cumsum(axis=1) < draw.random(n)[:, None]).sum(axis=1), m - 1)
             assert data.actions.tobytes() == old.tobytes()
 
@@ -222,10 +230,16 @@ class TestRunBenchmark:
 def _reference_replicate(scenario, schemes, n, seed, n_folds, regret_draws, oracle_nuisances):
     """The per-scheme regret loop before the shared d=1 sweep and the loss
     table: learn_linear with no cache, the matmul form of LinearPolicy.act,
-    a 2-d gather of the chosen arm means and the mean shortfall."""
-    data, oracle = generate(scenario, n, seed)
+    a 2-d gather of the chosen arm means and the mean shortfall. The oracle
+    set is built from the scenario's matrices here, the reference for
+    ScenarioSpec.nuisances."""
+    data = generate(scenario, n, seed)
     if oracle_nuisances:
-        nuis = oracle
+        x = data.covariates
+        variance = np.maximum(np.broadcast_to(scenario.noise_sd**2, (n, scenario.m)), 1e-12)
+        nuis = NuisanceSet(propensity=scenario.propensity_matrix(x),
+                           outcome_mean=scenario.mean_matrix(x), variance=variance,
+                           provenance="oracle")
     else:
         folds = make_folds(n, n_folds, seed=seed + _FOLD_SEED_OFFSET)
         nuis = cross_fit(data, folds, NuisanceConfig(folds=n_folds))
@@ -309,9 +323,9 @@ class TestReplicateMatchesReference:
 
     @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
     def test_shared_work_is_built_once_per_replication(self, monkeypatch, oracle_nuisances):
-        # The six default schemes share one w0, one set of gap statistics and
-        # one d=1 sweep; the next replication, on a new dataset and nuisance
-        # set, builds its own.
+        # The six default schemes share one w0, one gap vector and one d=1
+        # sweep; the next replication, on a new dataset and nuisance set,
+        # builds its own.
         from retarget import policy, weights
 
         built = {}
@@ -329,6 +343,18 @@ class TestReplicateMatchesReference:
             _replicate(*args)
             assert built == dict.fromkeys(
                 ("homoskedastic_weights", "gap_statistics", "_sweep_1d"), reps)
+
+    @pytest.mark.parametrize("oracle_nuisances", [False, True], ids=["fitted", "oracle"])
+    def test_one_nuisance_set_per_replication(self, monkeypatch, oracle_nuisances):
+        # generate returns the dataset alone: a fitted replication builds only
+        # cross_fit's set, and an oracle one only the scenario's truth.
+        built = []
+        check = NuisanceSet.__post_init__
+        monkeypatch.setattr(NuisanceSet, "__post_init__",
+                            lambda self: built.append(self.provenance) or check(self))
+        run_benchmark([default_scenarios()[0]], reps=2, n=200, regret_draws=500,
+                      oracle_nuisances=oracle_nuisances)
+        assert built == ["oracle" if oracle_nuisances else "fitted(K=2)"] * 2
 
 
 def random_scenario(d, m, degree, law, seed=0):

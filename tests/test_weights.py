@@ -1,4 +1,4 @@
-"""Weight schemes, gap statistics, the variance proxy, and selection ratios."""
+"""Weight schemes, the outcome-mean gap, the variance proxy, and selection ratios."""
 
 import math
 import warnings
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retarget import (
-    GapStatistics,
     NuisanceSet,
     ValidationError,
     WeightScheme,
@@ -108,38 +107,30 @@ class TestHomoskedasticWeights:
 class TestGapStatistics:
     def test_binary(self):
         nuis = _nuis(np.tile([0.5, 0.5], (1, 1)), mu=[[1.0, 0.4]])
-        gaps = gap_statistics(nuis)
-        assert gaps.gap[0] == pytest.approx(0.6)
-        assert gaps.spread[0] == pytest.approx(0.6)
+        assert gap_statistics(nuis)[0] == pytest.approx(0.6)
 
     def test_three_arm(self):
         nuis = _nuis(np.tile([1 / 3, 1 / 3, 1 / 3], (1, 1)), mu=[[1.0, 0.7, 0.2]])
-        gaps = gap_statistics(nuis)
-        assert gaps.gap[0] == pytest.approx(0.3)
-        assert gaps.spread[0] == pytest.approx(0.8)
+        assert gap_statistics(nuis)[0] == pytest.approx(0.3)
 
     def test_all_tie(self):
         nuis = _nuis(np.tile([0.25, 0.25, 0.25, 0.25], (2, 1)), mu=np.full((2, 4), 1.5))
-        gaps = gap_statistics(nuis)
-        assert np.array_equal(gaps.gap, [0.0, 0.0])
-        assert np.array_equal(gaps.spread, [0.0, 0.0])
+        assert np.array_equal(gap_statistics(nuis), [0.0, 0.0])
 
     def test_partial_tie_at_top(self):
         nuis = _nuis(np.tile([1 / 3, 1 / 3, 1 / 3], (1, 1)), mu=[[1.0, 1.0, 0.2]])
-        gaps = gap_statistics(nuis)
-        assert gaps.gap[0] == pytest.approx(0.8)  # runner-up is the strictly smaller 0.2
-        assert gaps.spread[0] == pytest.approx(0.8)
+        assert gap_statistics(nuis)[0] == pytest.approx(0.8)  # runner-up is the strictly smaller 0.2
 
     @given(st.integers(2, 5), st.integers(1, 30), st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
-    def test_gap_never_exceeds_spread(self, m, n, seed):
+    def test_gap_never_exceeds_max_minus_min(self, m, n, seed):
         rng = np.random.default_rng(seed)
         mu = rng.standard_normal((n, m))
-        nuis = _nuis(np.full((n, m), 1.0 / m), mu=mu)
-        gaps = gap_statistics(nuis)
-        assert np.all(gaps.gap <= gaps.spread + 1e-15)
+        gap = gap_statistics(_nuis(np.full((n, m), 1.0 / m), mu=mu))
+        assert gap.shape == (n,)
+        assert np.all((0 <= gap) & (gap <= mu.max(axis=1) - mu.min(axis=1) + 1e-15))
         if m == 2:
-            assert np.array_equal(gaps.gap, gaps.spread)
+            assert np.array_equal(gap, np.abs(mu[:, 1] - mu[:, 0]))
 
 
 class TestCurvatureScaledWeights:
@@ -150,23 +141,35 @@ class TestCurvatureScaledWeights:
         scaled = curvature_scaled_weights(base, gap_statistics(nuis), power=0.0)
         assert scaled is base
 
+    def test_rejects_a_gap_of_another_length_or_a_negative_gap(self):
+        base = WeightScheme.from_raw("w0", np.ones(3))
+        nuis = _nuis(np.tile([0.5, 0.5], (3, 1)))
+        for gap in (np.ones(2), np.ones((3, 1))):
+            for call in (lambda: curvature_scaled_weights(base, gap, 1.0),
+                         lambda: selection_ratio(base, gap, nuis, "times_delta")):
+                with pytest.raises(ValidationError,
+                                   match="^gap statistics and weights have mismatched lengths$"):
+                    call()
+        gap = np.array([0.5, -0.1, 0.5])
+        for call in (lambda: curvature_scaled_weights(base, gap, 1.0),
+                     lambda: selection_ratio(base, gap, nuis, "over_delta")):
+            with pytest.raises(ValidationError, match="^gap entries must be nonnegative$"):
+                call()
+
     def test_constant_gap_cancels(self):
         base = WeightScheme.from_raw("w0", np.array([0.5, 1.5, 1.0]))
-        gaps = GapStatistics(gap=np.full(3, 0.7), spread=np.full(3, 0.7))
         for power in (-2.0, -1.0, 1.0, 2.0):
-            scaled = curvature_scaled_weights(base, gaps, power)
+            scaled = curvature_scaled_weights(base, np.full(3, 0.7), power)
             assert np.allclose(scaled.weights, base.weights, atol=1e-12)
 
     def test_two_row_hand_case(self):
         base = WeightScheme.from_raw("w0", np.array([1.0, 1.0]))
-        gaps = GapStatistics(gap=np.array([0.2, 0.8]), spread=np.array([0.2, 0.8]))
-        scaled = curvature_scaled_weights(base, gaps, power=1.0)
+        scaled = curvature_scaled_weights(base, np.array([0.2, 0.8]), power=1.0)
         assert scaled.weights == pytest.approx([0.4, 1.6])
 
     def test_floor_applies_to_negative_powers(self):
         base = WeightScheme.from_raw("w0", np.ones(2))
-        gaps = GapStatistics(gap=np.array([0.0, 1.0]), spread=np.array([0.0, 1.0]))
-        scaled = curvature_scaled_weights(base, gaps, power=-1.0, floor=1e-3)
+        scaled = curvature_scaled_weights(base, np.array([0.0, 1.0]), power=-1.0, floor=1e-3)
         assert np.all(np.isfinite(scaled.weights))
         # floored zero-gap row dominates: raw (1000, 1)
         assert scaled.weights[0] / scaled.weights[1] == pytest.approx(1000.0)
@@ -174,26 +177,23 @@ class TestCurvatureScaledWeights:
     def test_rejects_bad_floor(self):
         # A nan floor used to pass: np.maximum(gap, nan) made every weight nan.
         base = WeightScheme.from_raw("w0", np.ones(2))
-        gaps = GapStatistics(gap=np.ones(2), spread=np.ones(2))
         for floor in [0.0, -1.0, np.nan, np.inf]:
             with pytest.raises(ValidationError, match=r"^gap floor must be finite and > 0, got "):
-                curvature_scaled_weights(base, gaps, power=1.0, floor=floor)
+                curvature_scaled_weights(base, np.ones(2), power=1.0, floor=floor)
 
     @pytest.mark.parametrize("base_weights", [[1.0, 1.0], [0.0, 2.0]], ids=["positive", "zero"])
     def test_overflowing_power_names_the_scheme(self, base_weights):
         # (1e-3)^-400 overflows; a zero base weight times it is nan.
         base = WeightScheme(kind="w0", weights=np.array(base_weights))
-        gaps = GapStatistics(gap=np.zeros(2), spread=np.zeros(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError) as info:
-                curvature_scaled_weights(base, gaps, power=-400.0)
+                curvature_scaled_weights(base, np.zeros(2), power=-400.0)
         assert str(info.value).startswith("raw weights of w0_dp:-400 have mean ")
 
     def test_kind_label(self):
         base = WeightScheme.from_raw("w0", np.ones(2))
-        gaps = GapStatistics(gap=np.array([0.5, 1.0]), spread=np.array([0.5, 1.0]))
-        assert curvature_scaled_weights(base, gaps, power=-2).kind == "w0_dp:-2"
+        assert curvature_scaled_weights(base, np.array([0.5, 1.0]), power=-2).kind == "w0_dp:-2"
 
 
 class TestVarianceProxy:
@@ -232,21 +232,20 @@ class TestSelectionRatio:
     def test_constant_gap_identity(self):
         rng = np.random.default_rng(3)
         nuis = random_binary_nuis(rng, 40)
-        gaps = GapStatistics(gap=np.full(40, 0.25), spread=np.full(40, 0.25))
         w = homoskedastic_weights(nuis)
-        ratio = selection_ratio(w, gaps, nuis, "times_delta")
+        ratio = selection_ratio(w, np.full(40, 0.25), nuis, "times_delta")
         assert ratio == pytest.approx(math.sqrt(variance_proxy(w, nuis)) / 0.25)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         nuis = random_binary_nuis(rng, 40)
-        gaps = gap_statistics(nuis)
+        gap = gap_statistics(nuis)
         raw = rng.uniform(0.1, 2.0, 40)
         a = WeightScheme.from_raw("a", raw)
         b = WeightScheme.from_raw("b", 0.01 * raw)
         for direction in ("times_delta", "over_delta"):
-            assert selection_ratio(a, gaps, nuis, direction) == pytest.approx(
-                selection_ratio(b, gaps, nuis, direction), rel=1e-12
+            assert selection_ratio(a, gap, nuis, direction) == pytest.approx(
+                selection_ratio(b, gap, nuis, direction), rel=1e-12
             )
 
     def test_two_point_hand_computation(self):
@@ -258,15 +257,15 @@ class TestSelectionRatio:
             var=np.ones((2, 2)),
         )
         w = WeightScheme(kind="hand", weights=np.array([0.5, 1.5]))
-        gaps = gap_statistics(nuis)
-        assert gaps.gap == pytest.approx([0.4, 0.1])
+        gap = gap_statistics(nuis)
+        assert gap == pytest.approx([0.4, 0.1])
         # noise terms: 1/.5+1/.5 = 4 and 1/.2+1/.8 = 6.25; m/2-1 = 0
         omega = (0.25 * 4 + 2.25 * 6.25) / 2
         assert omega == 7.53125
         assert variance_proxy(w, nuis) == pytest.approx(omega, rel=1e-14)
-        times = selection_ratio(w, gaps, nuis, "times_delta")
+        times = selection_ratio(w, gap, nuis, "times_delta")
         assert times == pytest.approx(math.sqrt(7.53125) / 0.175, rel=1e-12)
-        over = selection_ratio(w, gaps, nuis, "over_delta")
+        over = selection_ratio(w, gap, nuis, "over_delta")
         assert over == pytest.approx(math.sqrt(7.53125) / 8.125, rel=1e-12)
 
     @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf], ids=str)
@@ -291,7 +290,7 @@ class TestMinimizerProperty:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             nuis = random_binary_nuis(rng, 80)
-            gaps = gap_statistics(nuis)
+            gap = gap_statistics(nuis)
             w0 = homoskedastic_weights(nuis)
             target = variance_proxy(w0, nuis)
             inv = 1.0 / ((1.0 / nuis.propensity).sum(axis=1) + nuis.m / 2 - 1)
@@ -300,7 +299,7 @@ class TestMinimizerProperty:
                 WeightScheme.from_raw(f"q={q}", inv**q) for q in (0.25, 0.5, 2.0, 4.0)
             ]
             family += [
-                curvature_scaled_weights(w0, gaps, p) for p in (-2.0, -1.0, 1.0, 2.0)
+                curvature_scaled_weights(w0, gap, p) for p in (-2.0, -1.0, 1.0, 2.0)
             ]
             for other in family:
                 assert target <= variance_proxy(other, nuis) + 1e-12
@@ -337,7 +336,7 @@ class TestMakeWeights:
             make_weights("uniform", random_binary_nuis(np.random.default_rng(5), 4), gap_floor=0.0)
 
     def test_kept_w0_and_gaps_give_the_schemes_of_a_fresh_set(self, monkeypatch):
-        # One make_weights call builds one w0 and one set of gap statistics,
+        # One make_weights call builds one w0 and one gap vector,
         # shared by all of its schemes; they match, bit for bit, schemes from
         # a fresh copy of the nuisance set.
         rng = np.random.default_rng(6)
@@ -390,7 +389,7 @@ class TestMakeWeights:
 
     def test_kept_w0_and_gaps_never_serve_another_nuisance_set(self):
         # Two nuisance sets of one size, used in turn: each gets the w0 and the
-        # gap statistics of its own propensities and means, not the other's.
+        # gap of its own propensities and means, not the other's.
         rng = np.random.default_rng(7)
         first, second = random_binary_nuis(rng, 25), random_binary_nuis(rng, 25)
         for nuis in (first, second, first):
