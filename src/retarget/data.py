@@ -114,16 +114,16 @@ class FoldAssignment:
 
 
 @contextmanager
-def _input_file(label: str, *kinds: type[Exception]):
+def _input_file(label: str):
     """Name an input file in its errors: a ValidationError, a byte that does
-    not decode as UTF-8, a csv.Error or an exception of `kinds`, raised inside
-    the with-block, leaves as one ValidationError "<label>: <message>". Nested
-    blocks label a part of the file (a line, an entry); the innermost wins."""
+    not decode as UTF-8 or a csv.Error, raised inside the with-block, leaves
+    as one ValidationError "<label>: <message>". Nested blocks label a part
+    of the file (a line, an entry); the innermost wins."""
     try:
         yield
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-    except (ValidationError, csv.Error, *kinds) as exc:
+    except (ValidationError, csv.Error) as exc:
         if getattr(exc, "labelled", False):
             raise
         message = str(exc)

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -23,9 +23,23 @@ _FOLD_SEED_OFFSET = 500_000_011
 _REGRET_SEED_OFFSET = 900_000_007
 
 
-@dataclass(frozen=True)
+def _integer(value) -> int:
+    """int(value), refusing a bool and a number that int() would truncate,
+    such as 1.5."""
+    if isinstance(value, bool) or (not isinstance(value, str) and int(value) != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+# The conversion of a ScenarioSpec field, keyed by its annotation, a string
+# under `from __future__ import annotations`.
+_CONVERT = {"str": str, "int": _integer, "np.ndarray": lambda value: np.asarray(value, dtype=float)}
+
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    """Declared synthetic DGP.
+    """Declared synthetic DGP, and the schema of a scenario JSON object: the
+    fields give its keys, their types and the defaults of the optional ones.
 
     Covariates are drawn from a uniform box [-1, 1]^d or a standard normal;
     arm probabilities are a softmax of per-arm linear logits in [1, x]; arm
@@ -35,17 +49,20 @@ class ScenarioSpec:
 
     name: str
     d: int
-    m: int
-    covariate_law: str           # "uniform" | "normal"
+    m: int = 2
+    covariate_law: str = "uniform"  # "uniform" | "normal"
     propensity_coef: np.ndarray  # (m, d+1) softmax logits
     mean_coef: np.ndarray        # (m, 1 + d*mean_degree)
     noise_sd: np.ndarray         # (m,)
     mean_degree: int = 1
 
     def __post_init__(self):
-        pc = np.atleast_2d(np.asarray(self.propensity_coef, dtype=float))
-        mc = np.atleast_2d(np.asarray(self.mean_coef, dtype=float))
-        sd = np.asarray(self.noise_sd, dtype=float)
+        for field in fields(self):
+            try:
+                object.__setattr__(self, field.name, _CONVERT[field.type](getattr(self, field.name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{field.name}: {exc}") from None
+        pc, mc, sd = np.atleast_2d(self.propensity_coef), np.atleast_2d(self.mean_coef), self.noise_sd
         if self.covariate_law not in ("uniform", "normal"):
             raise ValidationError(f"covariate_law must be uniform or normal, got {self.covariate_law!r}")
         if self.d < 1 or self.m < 2 or self.mean_degree < 1:
@@ -114,18 +131,22 @@ def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     x = scenario.sample_covariates(n, rng)
-    prob = scenario.propensity_matrix(x)
-    draws = rng.random(n)
-    # The action is the number of the first m - 1 cumulative probabilities,
-    # summed left to right as cumsum sums them, that fall below the draw: the
-    # count over all m capped at m - 1, as the sums never decrease.
-    cum = prob[:, 0]
-    actions = (cum < draws).astype(int)
-    for a in range(1, scenario.m - 1):
-        cum = cum + prob[:, a]
-        actions += cum < draws
-    mu = scenario.mean_matrix(x)
-    outcomes = mu[np.arange(n), actions] + rng.standard_normal(n) * scenario.noise_sd[actions]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        prob = scenario.propensity_matrix(x)
+        mu = scenario.mean_matrix(x)
+        draws = rng.random(n)
+        # The action is the number of the first m - 1 cumulative probabilities,
+        # summed left to right as cumsum sums them, that fall below the draw:
+        # the count over all m capped at m - 1, as the sums never decrease.
+        cum = prob[:, 0]
+        actions = (cum < draws).astype(int)
+        for a in range(1, scenario.m - 1):
+            cum = cum + prob[:, a]
+            actions += cum < draws
+        outcomes = mu[np.arange(n), actions] + rng.standard_normal(n) * scenario.noise_sd[actions]
+    if not (np.isfinite(prob).all() and np.isfinite(mu).all() and np.isfinite(outcomes).all()):
+        raise ValidationError(f"scenario {scenario.name!r} at seed {seed}: "
+                              "arm probabilities, means or outcomes overflow")
     return Dataset(covariates=x, actions=actions, outcomes=outcomes, m=scenario.m)
 
 
@@ -171,31 +192,6 @@ def default_scenarios() -> list[ScenarioSpec]:
     ]
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _integer(value) -> int:
-    """int(value), refusing a bool and a number that int() would truncate,
-    such as 1.5."""
-    if isinstance(value, bool) or (not isinstance(value, str) and int(value) != value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-# (key, conversion, default or None when required) of a scenario object.
-_SCENARIO_FIELDS = (
-    ("name", str, None),
-    ("d", _integer, None),
-    ("m", _integer, 2),
-    ("covariate_law", str, "uniform"),
-    ("propensity_coef", _float_array, None),
-    ("mean_coef", _float_array, None),
-    ("noise_sd", _float_array, None),
-    ("mean_degree", _integer, 1),
-)
-
-
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Read scenarios from a JSON file holding a list of scenario objects."""
     with _input_file(path):
@@ -209,21 +205,19 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
             raw = [raw]
         if not isinstance(raw, list) or not raw:
             raise ValidationError("expected a nonempty list of scenario objects")
+        names = [field.name for field in fields(ScenarioSpec)]
+        required = [field.name for field in fields(ScenarioSpec) if field.default is MISSING]
         out = []
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict):
                 raise ValidationError(
                     f"scenario {i}: expected an object, got {type(entry).__name__}"
                 )
-            fields = {}
-            for key, convert, default in _SCENARIO_FIELDS:
-                if default is None and key not in entry:
+            for key in required:
+                if key not in entry:
                     raise ValidationError(f"scenario missing key {key!r}")
-                with _input_file(f"{path}: scenario {i}: {key}",
-                                 TypeError, ValueError, OverflowError):
-                    fields[key] = convert(entry.get(key, default))
             with _input_file(f"{path}: scenario {i}"):
-                out.append(ScenarioSpec(**fields))
+                out.append(ScenarioSpec(**{key: entry[key] for key in names if key in entry}))
     return out
 
 

@@ -225,8 +225,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--regret-draws", "-1", "regret_draws"), ("--regret-draws", "0", "regret_draws"),
-         ("--reps", "0", "reps")],
-        ids=["-1", "0", "reps-0"],
+         ("--reps", "0", "reps"), ("--n", "0", "sample size")],
+        ids=["-1", "0", "reps-0", "n-0"],
     )
     def test_regret_draws_below_one_is_invalid(self, capsys, flag, value, name):
         # The replication count has the same floor.
@@ -236,6 +236,27 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error[ValidationError]: {name} must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "change, argv",
+        [({"mean_coef": [[0.0, 1e308], [0.0, -1e308]]}, ["--n", "100"]),
+         ({"propensity_coef": [[0.0, 0.0], [0.0, 1e308]]}, ["--n", "200"]),
+         ({"propensity_coef": [[0.0, 0.0], [0.0, 1e308]]}, ["--n", "200", "--oracle-nuisances"])],
+        ids=["means", "probabilities", "probabilities-oracle"],
+    )
+    def test_overflowing_scenario_is_invalid(self, tmp_path, capsys, change, argv):
+        # Each printed numpy's RuntimeWarning first. Overflowing means then
+        # failed as "non-finite outcome at row 12, column 'y'", and overflowing
+        # probabilities exited 0 with actions drawn from nan probabilities.
+        from retarget import default_scenarios
+
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps([{**scenario_json(default_scenarios()[0]),
+                                     "covariate_law": "normal", **change}]))
+        line = _one_error_line(capsys, ["simulate", "--scenarios", str(path), "--reps", "2"] + argv,
+                               EXIT_INVALID)
+        assert line == ("error[ValidationError]: scenario 'S-A' at seed 0: "
+                        "arm probabilities, means or outcomes overflow")
 
     def test_oracle_nuisances_flag(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -509,6 +530,17 @@ class TestFit:
             "error[EstimationError]: fold 0: outcome regression of arm 0: "
             "overflow encountered in matmul"
         ]
+
+    def test_residuals_that_overflow_their_variance_name_the_stage(self, tmp_path, capsys):
+        # Outcomes of +-1e200, flipping sign every two rows, fit each arm's
+        # regression, but their squared residuals overflow.
+        path = tmp_path / "variance.csv"
+        path.write_text("x1,a,y\n" + "".join(f"{i / 40!r},{i % 2},{(1e200, -1e200)[i // 2 % 2]!r}\n"
+                                              for i in range(40)))
+        line = _one_error_line(capsys, ["fit", "--equation", "dv", "--data", str(path)],
+                               EXIT_ESTIMATION)
+        assert line == ("error[EstimationError]: fold 0: residual variance: "
+                        "overflow encountered in square")
 
     @pytest.mark.parametrize("mode", ["ols", "irls"])
     def test_outcomes_that_overflow_the_on_arm_fit_are_an_estimation_failure(

@@ -115,9 +115,6 @@ class TestInputFile:
         with pytest.raises(TypeError):
             with _input_file("f.json"):
                 raise TypeError("boom")
-        with pytest.raises(ValidationError, match=r"^f.json: scenario 0: d: boom$"):
-            with _input_file("f.json"), _input_file("f.json: scenario 0: d", TypeError):
-                raise TypeError("boom")
 
 
 class TestLoadDataset:

@@ -1,6 +1,7 @@
 """Synthetic DGPs, the replicated benchmark, and report rendering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestGenerate:
         assert oracle.propensity.tobytes() == scenario.propensity_matrix(x).tobytes()
         assert np.array_equal(oracle.variance, np.tile([1e-12, 0.7**2], (100, 1)))
 
+    def test_overflowing_outcomes_name_the_scenario_and_seed(self):
+        # Noise of sd 1e308 overflows wherever a normal draw passes 1.8.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^scenario 'toy' at seed 3: .* overflow$"):
+                generate(toy_scenario(noise=1e308), 100, seed=3)
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_actions_follow_the_cumsum_rule(self, m):
@@ -137,6 +144,33 @@ class TestScenarioSpec:
             ScenarioSpec(name="bad", d=1, m=10**30, covariate_law="uniform",
                          propensity_coef=np.zeros((2, 2)), mean_coef=np.zeros((2, 2)),
                          noise_sd=1.0)
+
+    # A scenario from keyword arguments alone, leaving out every field that
+    # has a default.
+    KWARGS = dict(name="toy", d=1, propensity_coef=[[0.0, 0.0], [0.0, 1.0]],
+                  mean_coef=[[0.0, 0.0], [0.0, 0.5]], noise_sd=1.0)
+
+    def test_omitted_fields_take_the_file_format_defaults(self):
+        scenario = ScenarioSpec(**self.KWARGS)
+        assert (scenario.m, scenario.covariate_law, scenario.mean_degree) == (2, "uniform", 1)
+        assert scenario.noise_sd.tolist() == [1.0, 1.0]
+        with pytest.raises(TypeError):
+            ScenarioSpec("toy", 1)  # keyword arguments only
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"d": 1.5}, "d: expected an integer, got 1.5"),
+         ({"d": True}, "d: expected an integer, got True"),
+         ({"m": "two"}, "m: invalid literal for int() with base 10: 'two'"),
+         ({"mean_coef": [[0.0, 0.0], [0.5]]}, "mean_coef: setting an array element with a sequence.")],
+        ids=["fractional-d", "bool-d", "string-m", "ragged"],
+    )
+    def test_fields_convert_by_their_declared_type(self, change, message):
+        # A fractional d was truncated to the wrong shape error, a bool d was
+        # accepted, and a ragged matrix raised numpy's own ValueError.
+        with pytest.raises(ValidationError) as info:
+            ScenarioSpec(**{**self.KWARGS, **change})
+        assert str(info.value).startswith(message)
 
     def test_json_round_trip(self, tmp_path):
         import json
@@ -218,6 +252,14 @@ class TestRunBenchmark:
         ]
         assert combined.rows[0].mean_regret == pytest.approx(np.mean(singles), rel=1e-12)
         assert combined.rows[0].std_regret == pytest.approx(np.std(singles, ddof=1), rel=1e-12)
+
+    def test_no_scenarios_is_invalid(self):
+        with pytest.raises(ValidationError, match="^need at least one scenario$"):
+            run_benchmark([])
+
+    def test_no_schemes_is_invalid(self):
+        with pytest.raises(ValidationError, match="^need at least one weight scheme$"):
+            run_benchmark([toy_scenario()], schemes=())
 
     def test_single_rep_has_nan_std(self):
         scenario = toy_scenario()
@@ -619,6 +661,11 @@ class TestRenderReport:
         text = render_report(self.sample_report(), "csv")
         header = text.splitlines()[0]
         assert header == "scenario,scheme,mean_regret,std_regret,R,n,seed"
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_empty_report_is_invalid(self, fmt):
+        with pytest.raises(ValidationError, match="^cannot render an empty report$"):
+            render_report(BenchmarkReport(rows=()), fmt)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError, match="format"):
