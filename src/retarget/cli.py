@@ -57,7 +57,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--folds", type=int, default=2, help="cross-fitting folds (default 2)")
-    parser.add_argument("--ridge", type=float, default=0.0, help="outcome-model ridge penalty")
+    parser.add_argument("--ridge", type=float, default=0.0, help="unit-free ridge penalty of the outcome models")
     parser.add_argument("--clip", type=float, default=0.01, help="propensity clipping constant")
     parser.add_argument(
         "--variance", choices=["pooled", "per_arm"], default="pooled",

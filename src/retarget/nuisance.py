@@ -1,9 +1,9 @@
 """Nuisance models: propensity, per-arm outcome means, residual variances.
 
-All models are linear/logistic in [1, x], the propensity models with x's
-columns centred and scaled. `cross_fit` produces out-of-fold
-predictions for every observation; `load_oracle_nuisances` supplies known
-values in its place.
+All models are linear/logistic in one design, [1, (x - c) / s], x's columns
+centred and scaled by powers of two, so the fits do not depend on the
+covariates' units. `cross_fit` produces out-of-fold predictions for every
+observation; `load_oracle_nuisances` supplies known values in its place.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def _propensities(z: np.ndarray, coef: np.ndarray, clip: float) -> np.ndarray:
 
 def fit_outcome_regression(designs: list[np.ndarray], outcomes: list[np.ndarray],
                            arms: list[int], ridge: float = 0.0) -> np.ndarray:
-    """Least-squares fits of outcome vectors on their designs z = [1, x], with
-    an optional ridge penalty lambda * ||beta||^2 on all coefficients.
+    """Least-squares fits of outcome vectors on their designs z, with an
+    optional ridge penalty lambda * ||beta||^2 on all coefficients.
 
     The designs share one column count, and arms holds the arm numbers that
     name them in errors. The coefficients come back as the rows of one array,
@@ -271,13 +271,12 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     """Out-of-fold nuisance predictions for every observation.
 
     Each observation's predictions come from fits on the other folds' rows,
-    so no row influences its own nuisances. The outcome regressions use the
-    design [1, x]. The propensity models use [1, (x - c) / s], built once per
-    call (see _propensity_design), so their fits do not depend on the
-    covariates' units. Folds of one training size fit their propensity models
-    as one stacked Newton solve (see `_fold_groups`), and each group's (fold,
-    arm) outcome regressions go through one stacked solve; the results are
-    the bits of fitting fold by fold.
+    so no row influences its own nuisances. Both models fit on one design,
+    [1, (x - c) / s], built once per call (see _propensity_design): x * 2^k
+    gives the same bits, and the ridge penalty, on every coefficient, is
+    unit-free. Folds of one training size fit their propensity models as one
+    stacked Newton solve (see `_fold_groups`), and each group's (fold, arm)
+    outcome regressions one stacked solve, the bits of fitting fold by fold.
 
     When a group fails, the same body runs again one fold at a time, so the
     error names the first failing fold in fold order. Within a fold the
@@ -293,18 +292,18 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
             f"fold assignment has {folds.n_folds} folds, nuisance config asks for {config.folds}"
         )
     n, m = data.n, data.m
-    z_prop, z = _propensity_design(data.covariates), add_intercept(data.covariates)
+    z = _propensity_design(data.covariates)
     held = [folds.members(fold) for fold in range(folds.n_folds)]
     train = [folds.complement(fold) for fold in range(folds.n_folds)]
     out = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))  # propensity, mean, variance
     with np.errstate(over="raise"):
         try:
             for group in _fold_groups(train, z.shape[1]):
-                _fit_folds(z_prop, z, data, group, held, train, config, out)
+                _fit_folds(z, data, group, held, train, config, out)
         except (ValidationError, EstimationError, np.linalg.LinAlgError):
             # Fitted one at a time, the folds raise the first error in their order.
             for fold in range(folds.n_folds):
-                _fit_folds(z_prop, z, data, [fold], held, train, config, out)
+                _fit_folds(z, data, [fold], held, train, config, out)
     prop, mu, var = out
     return NuisanceSet(
         propensity=prop,
@@ -315,14 +314,14 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
 
 
 def _propensity_design(x: np.ndarray) -> np.ndarray:
-    """[1, (x - c) / s]: each column moved by its midrange c and divided by s,
-    the power of two above its half-range (1 for a constant column, and at
-    most 2^1023). The midrange is taken halved, so it cannot overflow; it
-    leaves a constant column exactly 0, and dividing by a power of two rounds
-    nothing, so x * 2^k gives the same design bit for bit. It is built column
-    by column in F order, since numpy reduces and broadcasts over a C-ordered
-    x's short rows one row at a time (5x slower at 20,000 x 4); the fits read
-    it only through row gathers, which come out C-ordered."""
+    """The nuisance models' design [1, (x - c) / s]: each column moved by its
+    midrange c and divided by s, the power of two above its half-range (1 for
+    a constant column, and at most 2^1023). The halved midrange cannot
+    overflow and leaves a constant column exactly 0, and dividing by a power
+    of two rounds nothing, so x * 2^k gives the same design bit for bit. It
+    is built column by column in F order, since numpy reduces and broadcasts
+    over a C-ordered x's short rows one row at a time (5x slower at 20,000 x
+    4); the fits read it only through row gathers, which come out C-ordered."""
     z = np.empty((x.shape[0], x.shape[1] + 1), order="F")
     z[:, 0] = 1.0
     for j, col in enumerate(x.T, start=1):
@@ -344,19 +343,19 @@ def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:
                          else [[fold] for fold in group])]
 
 
-def _fit_folds(z_prop, z, data, group, held, train, config, out) -> None:
+def _fit_folds(z, data, group, held, train, config, out) -> None:
     """The nuisances of a group of folds with one training size, and so one
-    held-out size, written into out's rows: one stacked propensity fit and
-    prediction on z_prop, then one stacked solve for the group's (fold, arm)
-    outcome regressions on z. An error names the first fold, an overflow its stage."""
+    held-out size, written into out's rows: one stacked propensity fit, then
+    one stacked solve for the group's (fold, arm) outcome regressions, both on
+    z and its held-out rows. An error names the first fold, an overflow its stage."""
     prop, mu, var = out
     m = data.m
     stage = "propensity model"
     try:
         trains, helds = np.stack([train[f] for f in group]), np.stack([held[f] for f in group])
-        coefs = fit_propensity(z_prop[trains], data.actions[trains], m)[0]
-        prop[helds] = _propensities(z_prop[helds], coefs, config.propensity_clip)
         z_held = z[helds]
+        coefs = fit_propensity(z[trains], data.actions[trains], m)[0]
+        prop[helds] = _propensities(z_held, coefs, config.propensity_clip)
         arm_rows = [rows[data.actions[rows] == arm] for rows in trains for arm in range(m)]
         designs = [z[rows] for rows in arm_rows]
         outcomes = [data.outcomes[rows] for rows in arm_rows]

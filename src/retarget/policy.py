@@ -545,9 +545,9 @@ class _RegretSample:
 
     `draw` fills x with n_eval covariate draws from the scenario's law, the
     design [1, x, ..., x^mean_degree], the arm means mu and the arm-major
-    loss table, whose entry a * n_eval + i is max_b mu_b(x_i) - mu_a(x_i).
-    `shortfall` takes a policy's per-row regrets off the table through the
-    row numbers and an index buffer.
+    loss table, whose entry a * n_eval + i is max_b mu_b(x_i) - mu_a(x_i),
+    refusing a table that is not finite. `shortfall` takes a policy's per-row
+    regrets off the table through the row numbers and an index buffer.
     """
 
     def __init__(self, scenario, n_eval: int):
@@ -563,11 +563,14 @@ class _RegretSample:
     def draw(self, seed: int) -> "_RegretSample":
         scenario, loss = self.scenario, self.loss
         scenario.sample_covariates(self.rows.size, np.random.default_rng(seed), out=self.x)
-        mu = scenario.mean_matrix(self.x, out=self.mu, design=self.design)
-        # The row maxima wait in the last arm's row, which is filled last.
-        best = _rows(np.maximum, mu, out=loss[-1])
-        for a in range(loss.shape[0]):
-            np.subtract(best, mu[:, a], out=loss[a])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean leaves a non-finite loss
+            mu = scenario.mean_matrix(self.x, out=self.mu, design=self.design)
+            # The row maxima wait in the last arm's row, which is filled last.
+            best = _rows(np.maximum, mu, out=loss[-1])
+            for a in range(loss.shape[0]):
+                np.subtract(best, mu[:, a], out=loss[a])
+        if not np.isfinite(loss).all():
+            raise ValidationError(f"scenario {scenario.name!r}: regret sample arm means or gaps overflow")
         return self
 
     def shortfall(self, pi: Policy) -> np.ndarray:

@@ -119,10 +119,11 @@ class ScenarioSpec:
     def nuisances(self, x: np.ndarray) -> NuisanceSet:
         """The true nuisances at the rows of x, as an oracle set: the arm
         probabilities, the arm means, and noise_sd**2 floored at 1e-12."""
-        mu = self.mean_matrix(x)
-        variance = np.maximum(np.broadcast_to(self.noise_sd**2, mu.shape), VARIANCE_FLOOR)
-        return NuisanceSet(propensity=self.propensity_matrix(x), outcome_mean=mu, variance=variance,
-                           provenance="oracle")
+        with np.errstate(over="ignore", invalid="ignore"):  # NuisanceSet refuses what is not finite
+            mu = self.mean_matrix(x)
+            variance = np.maximum(np.broadcast_to(self.noise_sd**2, mu.shape), VARIANCE_FLOOR)
+            propensity = self.propensity_matrix(x)
+        return NuisanceSet(propensity=propensity, outcome_mean=mu, variance=variance, provenance="oracle")
 
 
 def generate(scenario: ScenarioSpec, n: int, seed: int) -> Dataset:

@@ -187,11 +187,18 @@ class TestSimulate:
              "{path}: scenario 1: covariate_law must be uniform or normal, got 'cauchy'"),
             ({"propensity_coef": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]},
              "{path}: scenario 1: propensity_coef must be (2, 2), got (2, 3)"),
+            ({"d": 0}, "{path}: scenario 1: need d >= 1, m >= 2, mean_degree >= 1"),
+            ({"mean_coef": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]},
+             "{path}: scenario 1: mean_coef must be (2, 2), got (2, 3)"),
+            ({"noise_sd": [1.0, -1.0]}, "{path}: scenario 1: noise_sd must be nonnegative"),
+            ({"propensity_coef": [[0.0, 0.0], [0.0, 1e400]]},
+             "{path}: scenario 1: scenario coefficients must be finite"),
             (None, "{path}: scenario 1: expected an object, got list"),
         ],
         ids=["d", "m", "noise_sd", "null", "infinite-d", "fractional-d", "fractional-m",
              "fractional-degree", "bool-d", "bool-m", "bool-degree", "ragged", "noise-length",
-             "law", "propensity-shape", "not-an-object"],
+             "law", "propensity-shape", "zero-d", "mean-shape", "negative-noise",
+             "infinite-coefficient", "not-an-object"],
     )
     def test_malformed_scenario_is_invalid(self, tmp_path, capsys, change, message):
         import json
@@ -257,6 +264,39 @@ class TestSimulate:
                                EXIT_INVALID)
         assert line == ("error[ValidationError]: scenario 'S-A' at seed 0: "
                         "arm probabilities, means or outcomes overflow")
+
+    @pytest.mark.parametrize("seed", ["2", "5"])
+    def test_regret_sample_whose_means_overflow_is_invalid(self, tmp_path, capsys, seed):
+        # The 20 drawn rows stay finite, but 2.5e306 * x^3 overflows on the
+        # regret sample's 20,000: seed 2 printed numpy's warnings and exited 0
+        # with a nan regret, seed 5 one warning and a finite one.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps([{
+            "name": "cubic", "d": 1, "covariate_law": "normal", "mean_degree": 3,
+            "mean_coef": [[0, 0, 0, 0], [0, 0, 0, 2.5e306]], "propensity_coef": [[0, 0], [0, 0.5]],
+            "noise_sd": [1, 1]}]))
+        argv = ["simulate", "--scenarios", str(path), "--oracle-nuisances", "--n", "20", "--reps", "1",
+                "--schemes", "uniform", "--seed", seed]
+        line = _one_error_line(capsys, argv, EXIT_INVALID)
+        assert line == "error[ValidationError]: scenario 'cubic': regret sample arm means or gaps overflow"
+
+    @pytest.mark.parametrize("noise_sd, code", [([1, 1], EXIT_OK), ([1, 1e200], EXIT_INVALID)])
+    def test_oracle_nuisances_compute_without_a_warning(self, tmp_path, capsys, noise_sd, code):
+        # Logits of -1e308 * (1 + x) overflow to -inf and leave finite
+        # probabilities; they printed numpy's overflow warning, then exited 0.
+        # A noise_sd**2 that overflows is refused by NuisanceSet's own check.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps([{
+            "name": "far", "d": 1, "propensity_coef": [[0, 0], [-1e308, -1e308]],
+            "mean_coef": [[0, 0], [0, 1]], "noise_sd": noise_sd}]))
+        argv = ["simulate", "--scenarios", str(path), "--oracle-nuisances", "--reps", "2", "--n", "50",
+                "--schemes", "uniform", "--out", str(tmp_path / "report.csv")]
+        if code == EXIT_OK:
+            assert _main_without_warnings(argv) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        else:
+            line = _one_error_line(capsys, argv, code)
+            assert line == "error[ValidationError]: nuisance matrices must be finite"
 
     def test_oracle_nuisances_flag(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -955,6 +995,35 @@ class TestLearn:
             values.append(float(lines["best_value"]))
         assert np.array_equal(labels[0], labels[1])
         assert values[0] == pytest.approx(values[1], rel=1e-8)
+
+    @pytest.mark.parametrize("d, offset, spread", [(1, 1.7e9, 3.15e7), (2, 1e4, 2.0)])
+    def test_covariates_far_from_zero_give_the_value_of_the_centred_file(
+            self, tmp_path, capsys, d, offset, spread):
+        # A Unix-seconds covariate over one year, and uniform(-1, 1) + 1e4 at
+        # d=2: on [1, x] the outcome regressions' Gram matrix failed its rank
+        # check (exit 4). x - offset is exact.
+        rng = np.random.default_rng(0)
+        n = 500
+        moved = offset + rng.uniform(0, spread, (n, d))
+        a = rng.integers(0, 2, n)
+        y = a * ((moved[:, 0] - offset) / spread - 0.5) + rng.standard_normal(n)
+        values = []
+        for x in (moved, moved - offset):
+            path, out = tmp_path / "data.csv", tmp_path / "learn.txt"
+            save_dataset(Dataset(covariates=x, actions=a, outcomes=y, m=2), str(path))
+            assert _main_without_warnings(["learn", "--weights", "w0", "--data", str(path),
+                                           "--out", str(out)]) == EXIT_OK
+            lines = dict(line.split("=", 1) for line in out.read_text().splitlines()[1:])
+            assert d > 1 or lines["exact"] == "True"
+            values.append(float(lines["best_value"]))
+        assert values[0] == pytest.approx(values[1], rel=1e-8)
+        if d == 1:
+            # fit's effect regression runs on the raw [1, x]: still singular.
+            path = tmp_path / "moved.csv"
+            save_dataset(Dataset(covariates=moved, actions=a, outcomes=y, m=2), str(path))
+            assert main(["fit", "--equation", "cate", "--data", str(path)]) == EXIT_ESTIMATION
+            [line] = error_lines(capsys)
+            assert line.startswith("error[EstimationError]: singular weighted design in effect regression")
 
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"

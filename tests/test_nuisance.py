@@ -290,8 +290,8 @@ def _moved(data, x):
 
 
 class TestScaledDesign:
-    """cross_fit fits its propensity models on [1, (x - c) / s], so the
-    covariates' units do not move the propensities."""
+    """cross_fit fits its propensity models and outcome regressions on
+    [1, (x - c) / s], so the covariates' units do not move the nuisances."""
 
     def test_covariates_times_a_power_of_two_give_the_same_bits(self):
         # On [1, x] the Newton loop's absolute gradient tolerance stopped
@@ -303,15 +303,30 @@ class TestScaledDesign:
                 got = cross_fit(_moved(data, data.covariates * 2.0**k), folds).propensity
                 assert got.tobytes() == want.tobytes(), k
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_every_nuisance_keeps_its_bits_under_a_power_of_two(self, d, m, ridge):
+        # On [1, x] the outcome regressions' Gram matrix rounded differently
+        # at each scale, failed its rank check at 2^-40 and 2^60, and the
+        # ridge penalized x's units.
+        data = balanced_random_data(
+            200, d, m, seed=10 * d + m,
+            outcome=lambda x, a, rng: x.sum(axis=1) * (a + 1) + rng.standard_normal(x.shape[0]))
+        folds, config = make_folds(200, 2, seed=d), NuisanceConfig(ridge_lambda=ridge)
+        want = cross_fit(data, folds, config)
+        for k in (-40, -23, 7, 60):
+            got = cross_fit(_moved(data, np.ldexp(data.covariates, k)), folds, config)
+            for name in ("propensity", "outcome_mean", "variance"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-22, 22),
            offset=st.floats(-1e6, 1e6), m=st.integers(2, 3), d=st.integers(1, 2))
     def test_covariates_times_a_power_of_two_plus_an_offset(self, seed, k, offset, m, d):
         # x * s + c with s = 2^k and |c| <= 1e6 * s: centring cancels about
-        # u * |c| / s of the design, far inside 1e-8 of the propensities. The
-        # outcome regressions stay on [1, x], whose Gram matrix is singular
-        # for columns this far from 0; a ridge keeps them solvable, and the
-        # propensity models do not read it.
+        # u * |c| / s of the design, far inside 1e-8 of the propensities,
+        # which do not read the outcome regressions' ridge.
         rng = np.random.default_rng(seed)
         n = 200
         x = rng.standard_normal((n, d))
@@ -328,8 +343,7 @@ class TestScaledDesign:
         assert np.abs(got.propensity - want).max() < 1e-8
 
     def test_covariates_far_from_zero_converge_without_a_warning(self):
-        # The loop on [1, x + 1e4] stalls at its cap and warns. A ridge keeps
-        # the outcome regressions on that design solvable.
+        # The loop on [1, x + 1e4] stalls at its cap and warns.
         data = balanced_random_data(300, 2, 2, seed=5)
         moved = _moved(data, data.covariates + 1e4)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
@@ -566,11 +580,11 @@ class TestCrossFit:
         with pytest.raises(EstimationError) as info:
             cross_fit(data, folds, NuisanceConfig(folds=3))
         assert str(info.value) == "fold 1: arm 1 absent from training data"
-        z_prop, z = _propensity_design(data.covariates), add_intercept(data.covariates)
+        z = _propensity_design(data.covariates)
         out = np.empty((13, 2)), np.empty((13, 2)), np.empty((13, 2))
         held = [folds.members(fold) for fold in range(3)]
         with pytest.raises(EstimationError, match=r"^fold 2: singular Gram matrix for arm 0 "):
-            _fit_folds(z_prop, z, data, [2], held, train, NuisanceConfig(folds=3), out)
+            _fit_folds(z, data, [2], held, train, NuisanceConfig(folds=3), out)
 
     @pytest.mark.parametrize("variance_mode", ["pooled", "per_arm"])
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
@@ -853,9 +867,9 @@ class TestOracleLoadMatchesTwoSteps:
 
 def _reference_cross_fit(data, folds, config):
     """cross_fit as it was before every fold shared its designs: a validated
-    Dataset copy of each fold's training rows, [1, x] rebuilt for every
-    outcome fit and prediction, and the training rows predicted again for the
-    residual variance. The propensity models use the rows of
+    Dataset copy of each fold's training rows, the design's rows gathered
+    again for every outcome fit and prediction, and the training rows
+    predicted again for the residual variance. Both models use the rows of
     _reference_scaled_design."""
     from retarget.nuisance import _softmax
 
@@ -884,9 +898,9 @@ def _reference_cross_fit(data, folds, config):
             coef[:, :k] += np.linalg.solve(a, grad.T.ravel()).reshape(k, p).T
         return coef
 
-    def outcome(train, arm):
+    def outcome(train, z_train, arm):
         rows = np.flatnonzero(train.actions == arm)
-        z = add_intercept(train.covariates[rows])
+        z = z_train[rows]
         gram = z.T @ z
         if config.ridge_lambda > 0:
             gram = gram + config.ridge_lambda * np.eye(z.shape[1])
@@ -906,21 +920,20 @@ def _reference_cross_fit(data, folds, config):
                         outcomes=data.outcomes[rows], m=m)
         try:
             coef = propensity(train, scaled[rows])
-            betas = [outcome(train, arm) for arm in range(m)]
+            betas = [outcome(train, scaled[rows], arm) for arm in range(m)]
             resid = np.empty(train.n)
             for arm, beta in enumerate(betas):
                 on = train.actions == arm
-                resid[on] = train.outcomes[on] - add_intercept(train.covariates[on]) @ beta
+                resid[on] = train.outcomes[on] - scaled[rows][on] @ beta
             fold_var = _residual_variance([resid[train.actions == arm] ** 2 for arm in range(m)],
                                           config.variance_mode)
         except (ValidationError, EstimationError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
-        x_out = data.covariates[held_out]
         p = np.clip(_softmax(scaled[held_out] @ coef), config.propensity_clip,
                     1.0 - config.propensity_clip)
         prop[held_out] = p / _rows(np.add, p)[:, None]
         for arm, beta in enumerate(betas):
-            mu[held_out, arm] = add_intercept(x_out) @ beta
+            mu[held_out, arm] = scaled[held_out] @ beta
         var[held_out] = fold_var
     return prop, mu, var
 
