@@ -272,7 +272,7 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
 
     Each observation's predictions come from fits on the other folds' rows,
     so no row influences its own nuisances. Both models fit on one design,
-    [1, (x - c) / s], built once per call (see _propensity_design): x * 2^k
+    [1, (x - c) / s], built once per call (see _scaled_design): x * 2^k
     gives the same bits, and the ridge penalty, on every coefficient, is
     unit-free. Folds of one training size fit their propensity models as one
     stacked Newton solve (see `_fold_groups`), and each group's (fold, arm)
@@ -292,7 +292,7 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
             f"fold assignment has {folds.n_folds} folds, nuisance config asks for {config.folds}"
         )
     n, m = data.n, data.m
-    z = _propensity_design(data.covariates)
+    z = _scaled_design(data.covariates)[0]
     held = [folds.members(fold) for fold in range(folds.n_folds)]
     train = [folds.complement(fold) for fold in range(folds.n_folds)]
     out = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))  # propensity, mean, variance
@@ -313,8 +313,9 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
     )
 
 
-def _propensity_design(x: np.ndarray) -> np.ndarray:
-    """The nuisance models' design [1, (x - c) / s]: each column moved by its
+def _scaled_design(x: np.ndarray):
+    """The design [1, (x - c) / s] of the nuisance models and the d>=2 policy
+    search, with its column shifts c and scales s: each column moved by its
     midrange c and divided by s, the power of two above its half-range (1 for
     a constant column, and at most 2^1023). The halved midrange cannot
     overflow and leaves a constant column exactly 0, and dividing by a power
@@ -324,11 +325,14 @@ def _propensity_design(x: np.ndarray) -> np.ndarray:
     4); the fits read it only through row gathers, which come out C-ordered."""
     z = np.empty((x.shape[0], x.shape[1] + 1), order="F")
     z[:, 0] = 1.0
-    for j, col in enumerate(x.T, start=1):
+    shift, scale = np.empty(x.shape[1]), np.empty(x.shape[1])
+    for j, col in enumerate(x.T):
         low, high = col.min(), col.max()
-        np.subtract(col, low / 2 + high / 2, out=z[:, j])
-        z[:, j] /= np.ldexp(1.0, min(np.frexp(high / 2 - low / 2)[1], 1023))
-    return z
+        shift[j] = low / 2 + high / 2
+        scale[j] = np.ldexp(1.0, min(np.frexp(high / 2 - low / 2)[1], 1023))
+        np.subtract(col, shift[j], out=z[:, j + 1])
+        z[:, j + 1] /= scale[j]
+    return z, shift, scale
 
 
 def _fold_groups(train: list[np.ndarray], p: int) -> list[list[int]]:

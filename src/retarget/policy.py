@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, _check_binary, _freeze, _input_file
 from .errors import EstimationError, ValidationError
-from .nuisance import _mean, _rows, add_intercept
+from .nuisance import _mean, _rows, _scaled_design, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
 from .weights import WeightScheme
 
@@ -411,19 +411,6 @@ def _best_cell(z: np.ndarray, gain: np.ndarray, tol: float, rank_tol: float):
     return best_value, best_theta, lost
 
 
-def _column_scale(z: np.ndarray):
-    """1.0 when the design's column maxima lie within a factor 2^30 of one
-    another, else per-column powers of two that bring each maximum into
-    [1, 2): the cell search's tolerances are relative to the largest entry,
-    and would take a column far below it for rounding noise. Where a scale
-    would pass 2^1022 (a maximum below ~2e-308), all scales shrink together."""
-    top = np.abs(z).max(axis=0)
-    if top.max() <= 2.0 ** 30 * top[top > 0].min():
-        return 1.0
-    exp = 1 - np.frexp(top)[1]
-    return np.ldexp(1.0, exp - max(int(exp.max()) - 1022, 0))
-
-
 def _refine_coordinate(z, theta, j, base, gain):
     """Best value over theta_j with other coordinates fixed: piecewise constant
     in theta_j, so scan midpoints between (subsampled) sign-change breakpoints.
@@ -488,14 +475,13 @@ def search_linear(
     unit-norm theta (or, when at large |x| every tied unit vector loses its
     cut, the smallest unscaled theta that keeps it); at d>=2 when
     n^(d+1) <= EXACT_MAX_WORK (n <= 500 at d=2, 105 at d=3, 41 at d=4), with
-    ties to the first realized cell of `_best_cell` on the design z = [1, x],
-    its columns scaled by `_column_scale` (rows within 1e-12 * max|z| of a
-    hyperplane count as on it; when such a row lies off it by more than
-    rounding noise, or the scaled theta's labels change on the unscaled
-    design, that cell's theta returns flagged exact=False; a scaled theta is
-    not unit-norm). Otherwise, or when the d>=2 optimum cannot be realized
-    numerically, a seeded multi-start coordinate search runs instead, flagged
-    exact=False.
+    ties to the first realized cell of `_best_cell` on the nuisance models'
+    design [1, (x - c) / s] (rows within 1e-12 of a hyperplane count as on
+    it; when such a row lies off it by more than rounding noise, or the
+    theta mapped back to [1, x], which is not unit-norm, changes a label
+    there, that cell's theta returns flagged exact=False). Otherwise, or when
+    the d>=2 optimum cannot be realized numerically, a seeded multi-start
+    coordinate search on [1, x] runs instead, flagged exact=False.
 
     The gains, and at d=1 the prefix sums over the one sweep of x the call
     builds, are computed as one (schemes, n) array; only the tie pass, and at
@@ -506,21 +492,30 @@ def search_linear(
     if data.d == 1 and not force_approx:
         return [(policy, True) for policy in _learn_threshold_1d(data, base, gain)]
     z = add_intercept(data.covariates)
-    return [_search_design(z, b, g, seed, force_approx) for b, g in zip(base.tolist(), gain)]
+    exact = not force_approx and data.n ** (data.d + 1) <= EXACT_MAX_WORK
+    scaled = _scaled_design(data.covariates) if exact else None
+    return [_search_design(z, scaled, b, g, seed) for b, g in zip(base.tolist(), gain)]
 
 
-def _search_design(z, base, gain, seed, force_approx) -> tuple[LinearPolicy, bool]:
-    """search_linear's d>=2 and heuristic search for one scheme's gains."""
-    n, k = z.shape
-    if not force_approx and n ** k <= EXACT_MAX_WORK:
-        scale = _column_scale(z)
-        zs = z * scale
-        tol = _BOUNDARY_TOL * float(np.abs(zs).max())
-        value, theta, lost = _best_cell(zs, gain, tol, 2.0 * tol * np.sqrt(n))
-        if not value < lost < np.inf:  # else a better labeling was not realized: the heuristic runs
-            unscaled = theta * scale  # the same margins unless a product leaves the normal range
-            kept = np.array_equal(z @ unscaled > 0, zs @ theta > 0)
-            return LinearPolicy(theta=unscaled), lost <= value and kept
+def _search_design(z, scaled, base, gain, seed) -> tuple[LinearPolicy, bool]:
+    """search_linear's d>=2 search for one scheme's gains: the cell search on
+    the scaled design when one is given, else (or when a better labeling was
+    not realized) the heuristic on z = [1, x]."""
+    if scaled is not None:
+        zs, shift, scale = scaled
+        rank_tol = 2.0 * _BOUNDARY_TOL * np.sqrt(zs.shape[0])
+        value, theta, lost = _best_cell(zs, gain, _BOUNDARY_TOL, rank_tol)
+        if not value < lost < np.inf:
+            # theta' on [1, (x - c) / s] is theta_j = theta'_j / s_j and
+            # theta_0 = theta'_0 - sum_j theta_j c_j on [1, x]. Where a 1 / s_j
+            # would pass 2^1022 (a subnormal column), every coordinate first
+            # shrinks by one power of two. The labels stay unless a product
+            # leaves the normal range or the shift rounds a margin across 0.
+            exp = 1 - np.frexp(scale)[1]
+            raw = theta * np.ldexp(1.0, np.append(0, exp) - max(int(exp.max()) - 1022, 0))
+            raw[0] -= raw[1:] @ shift
+            kept = np.array_equal(z @ raw > 0, zs @ theta > 0)
+            return LinearPolicy(theta=raw), lost <= value and kept
     return _learn_linear_approx(z, base, gain, seed), False
 
 

@@ -163,8 +163,8 @@ def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, con
     if np.linalg.matrix_rank(gram) < z.shape[1]:
         raise EstimationError(
             f"singular weighted design in {context} ({z.shape[0]} rows, "
-            f"{z.shape[1]} features); use a smaller feature map or a ridge-"
-            "regularized preprocessing"
+            f"{z.shape[1]} features); use a smaller feature map or centre "
+            "covariates far from 0"
         )
     return np.linalg.solve(gram, wz.T @ target), wz, gram
 

@@ -624,8 +624,8 @@ class TestFit:
         else:
             assert error_lines(capsys) == [
                 "error[EstimationError]: singular weighted design in on-arm regression "
-                "(arm 1, mode irls) (16 rows, 2 features); use a smaller feature map or a "
-                "ridge-regularized preprocessing"
+                "(arm 1, mode irls) (16 rows, 2 features); use a smaller feature map or "
+                "centre covariates far from 0"
             ]
 
     @pytest.mark.parametrize("mode", ["ols", "irls"])
@@ -999,7 +999,7 @@ class TestLearn:
     @pytest.mark.parametrize("d, offset, spread", [(1, 1.7e9, 3.15e7), (2, 1e4, 2.0)])
     def test_covariates_far_from_zero_give_the_value_of_the_centred_file(
             self, tmp_path, capsys, d, offset, spread):
-        # A Unix-seconds covariate over one year, and uniform(-1, 1) + 1e4 at
+        # A Unix-seconds covariate over one year, and uniform(0, 2) + 1e4 at
         # d=2: on [1, x] the outcome regressions' Gram matrix failed its rank
         # check (exit 4). x - offset is exact.
         rng = np.random.default_rng(0)
@@ -1014,7 +1014,7 @@ class TestLearn:
             assert _main_without_warnings(["learn", "--weights", "w0", "--data", str(path),
                                            "--out", str(out)]) == EXIT_OK
             lines = dict(line.split("=", 1) for line in out.read_text().splitlines()[1:])
-            assert d > 1 or lines["exact"] == "True"
+            assert lines["exact"] == "True"
             values.append(float(lines["best_value"]))
         assert values[0] == pytest.approx(values[1], rel=1e-8)
         if d == 1:
@@ -1024,6 +1024,27 @@ class TestLearn:
             assert main(["fit", "--equation", "cate", "--data", str(path)]) == EXIT_ESTIMATION
             [line] = error_lines(capsys)
             assert line.startswith("error[EstimationError]: singular weighted design in effect regression")
+
+    @pytest.mark.parametrize("n", [200, 500])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_d2_covariates_far_from_zero_are_searched_exactly(self, tmp_path, seed, n):
+        # uniform(-1, 1) + 1e4 at d=2: on [1, x] the cell search took rows
+        # within 1e-12 * 1e4 of a hyperplane as on it and lost `exact` in 5
+        # of these 12 draws; on the scaled design it keeps it. x - 1e4 is exact.
+        rng = np.random.default_rng(seed)
+        moved = 1e4 + rng.uniform(-1, 1, (n, 2))
+        a = rng.integers(0, 2, n)
+        y = a * (moved[:, 0] - 1e4) + rng.standard_normal(n)
+        values = []
+        for x in (moved, moved - 1e4):
+            path, out = tmp_path / "data.csv", tmp_path / "learn.txt"
+            save_dataset(Dataset(covariates=x, actions=a, outcomes=y, m=2), str(path))
+            assert _main_without_warnings(["learn", "--weights", "w0", "--data", str(path),
+                                           "--out", str(out)]) == EXIT_OK
+            lines = dict(line.split("=", 1) for line in out.read_text().splitlines()[1:])
+            assert lines["exact"] == "True"
+            values.append(float(lines["best_value"]))
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
 
     def test_finite_class(self, binary_csv, tmp_path):
         policies = tmp_path / "policies.txt"

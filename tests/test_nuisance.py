@@ -34,7 +34,7 @@ from retarget.nuisance import (
     _mean,
     _oracle_columns,
     _propensities,
-    _propensity_design,
+    _scaled_design,
     _residual_variance,
     _rows,
     _softmax,
@@ -59,7 +59,7 @@ def fit_one(z, actions, m):
 
 def fitted_propensities(data, clip=0.01):
     """In-sample clipped propensities of a fit on all of data's rows."""
-    z = _propensity_design(data.covariates)
+    z = _scaled_design(data.covariates)[0]
     coef, converged = fit_one(z, data.actions, data.m)
     return _propensities(z, coef, clip), converged
 
@@ -72,7 +72,7 @@ def fit_arm(data, arm, ridge=0.0):
 
 
 def _reference_scaled_design(x):
-    """The propensity design [1, (x - c) / s] column by column with math.frexp:
+    """The scaled design [1, (x - c) / s] column by column with math.frexp:
     c the midrange, s the power of two above the half-range."""
     columns = [np.ones(x.shape[0])]
     for col in x.T:
@@ -116,7 +116,7 @@ class TestFitPropensity:
         import retarget.nuisance as nuisance_module
 
         data = balanced_random_data(300, 2, 3, seed=4)
-        z = _propensity_design(data.covariates)
+        z = _scaled_design(data.covariates)[0]
         monkeypatch.setattr(nuisance_module, "_NEWTON_MAX_ITER", 2)
         calls = []
         softmax = nuisance_module._softmax
@@ -140,7 +140,7 @@ class TestFitPropensity:
             m=2,
         )
         with pytest.raises(EstimationError, match="arm 1 absent"):
-            fit_one(_propensity_design(data.covariates), data.actions, data.m)
+            fit_one(_scaled_design(data.covariates)[0], data.actions, data.m)
 
     def test_recovers_logistic_truth(self):
         # Well-specified binary model: fitted probabilities track the truth.
@@ -197,7 +197,7 @@ class TestFitPropensityMatchesReference:
         designs = [(x, random_arms), (x, banded), (np.round(x), random_arms),
                    (x + 1e4, random_arms)]
         for xs, a in designs:
-            z = _propensity_design(xs)
+            z = _scaled_design(xs)[0]
             assert z.tobytes() == _reference_scaled_design(xs).tobytes()
             want, want_converged = _reference_fit_propensity(z, a, m)
             with warnings.catch_warnings():
@@ -223,7 +223,7 @@ def _three_training_designs(m, d, n=96):
         a = (p.cumsum(axis=1) < rng.random(n)[:, None]).sum(axis=1).clip(0, m - 1)
         a[:m] = np.arange(m)  # every arm present
         stack.append((x, a))
-    return np.stack([_propensity_design(x) for x, _ in stack]), np.stack([a for _, a in stack])
+    return np.stack([_scaled_design(x)[0] for x, _ in stack]), np.stack([a for _, a in stack])
 
 
 class TestStackedPropensity:
@@ -359,14 +359,15 @@ class TestScaledDesign:
         x = np.array([[-1.7e308], [1.7e308], [0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z = _propensity_design(x)
+            z = _scaled_design(x)[0]
         assert z[:, 1].tolist() == [-1.7e308 / 2.0**1023, 1.7e308 / 2.0**1023, 0.0]
 
     def test_a_constant_column_is_zero(self):
         x = np.column_stack([np.full(5, 3.5), np.arange(5.0)])
-        z = _propensity_design(x)
+        z, shift, scale = _scaled_design(x)
         assert z[:, 1].tolist() == [0.0] * 5
         assert z[:, 2].tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        assert shift.tolist() == [3.5, 2.0] and scale.tolist() == [1.0, 4.0]
 
 
 class TestFoldGroups:
@@ -580,7 +581,7 @@ class TestCrossFit:
         with pytest.raises(EstimationError) as info:
             cross_fit(data, folds, NuisanceConfig(folds=3))
         assert str(info.value) == "fold 1: arm 1 absent from training data"
-        z = _propensity_design(data.covariates)
+        z = _scaled_design(data.covariates)[0]
         out = np.empty((13, 2)), np.empty((13, 2)), np.empty((13, 2))
         held = [folds.members(fold) for fold in range(3)]
         with pytest.raises(EstimationError, match=r"^fold 2: singular Gram matrix for arm 0 "):

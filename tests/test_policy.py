@@ -34,7 +34,7 @@ from retarget import (
     weighted_value,
 )
 from retarget import policy as policy_module
-from retarget.nuisance import _rows
+from retarget.nuisance import _rows, _scaled_design
 from retarget.simulation import DEFAULT_SCHEMES
 
 
@@ -365,14 +365,15 @@ class TestLearnLinear:
         assert res.exact == (d == 1)
 
     @pytest.mark.parametrize(
-        "n, d, force_approx, lift, intercepts",
-        [(30, 1, False, True, 0), (30, 1, True, True, 1), (30, 2, False, True, 1),
-         (30, 2, False, False, 1), (30, 2, True, True, 1), (200, 3, False, True, 1)],
+        "n, d, force_approx, lift, intercepts, scaled",
+        [(30, 1, False, True, 0, 0), (30, 1, True, True, 1, 0), (30, 2, False, True, 1, 1),
+         (30, 2, False, False, 1, 1), (30, 2, True, True, 1, 0), (200, 3, False, True, 1, 0)],
         ids=["d1", "d1-heuristic", "d2", "d2-hand-off", "d2-heuristic", "d3-past-the-gate"],
     )
-    def test_one_setup_per_search(self, monkeypatch, n, d, force_approx, lift, intercepts):
+    def test_one_setup_per_search(self, monkeypatch, n, d, force_approx, lift, intercepts, scaled):
         # The gains and the design [1, x] are built once per search, also when
-        # the exact d>=2 search hands off to the heuristic (no cell realized).
+        # the exact d>=2 search hands off to the heuristic (no cell realized),
+        # and the scaled design once where the exact d>=2 search runs.
         calls = []
 
         def counted(name, real):
@@ -381,6 +382,8 @@ class TestLearnLinear:
         monkeypatch.setattr(policy_module, "_gains", counted("gains", policy_module._gains))
         monkeypatch.setattr(policy_module, "add_intercept",
                             counted("add_intercept", policy_module.add_intercept))
+        monkeypatch.setattr(policy_module, "_scaled_design",
+                            counted("scaled", policy_module._scaled_design))
         if not lift:
             monkeypatch.setattr(policy_module, "_lift", lambda *args: None)
         data, pseudo = plain_data(np.random.default_rng(4), n, d)
@@ -388,6 +391,7 @@ class TestLearnLinear:
         assert res.exact == (lift and not force_approx and n ** (d + 1) <= policy_module.EXACT_MAX_WORK)
         assert calls.count("gains") == 1
         assert calls.count("add_intercept") == intercepts
+        assert calls.count("scaled") == scaled
 
     def test_d3_beyond_the_work_bound_returns_the_heuristic(self):
         # The exact search took ~9 s here on 2 vCPUs; the heuristic ~0.2 s.
@@ -539,9 +543,10 @@ class TestLearnLinear:
         assert tiny.best_value == plain.best_value
 
     def test_labels_lost_to_the_column_scale_are_not_certified(self, monkeypatch):
-        # x1 (largest entry 2^1020) is scaled by 2^-1020. A theta_1 of 1e-20
-        # on the scaled design maps back to 1e-20 * 2^-1020, which rounds to
-        # 0, so rows 0 and 2 lose the label the search gave them.
+        # x1 (half-range 2^1020) is divided by s = 2^1021 in the scaled
+        # design. A theta_1 of 1e-20 there maps back to 1e-20 * 2^-1021 on
+        # [1, x], which rounds to 0, so rows 0 and 2 lose the label the
+        # search gave them.
         theta = np.array([0.0, 1e-20, 1.0])
         monkeypatch.setattr(policy_module, "_best_cell", lambda *args: (0.0, theta, -np.inf))
         x = np.column_stack([[2.0 ** 1020, -2.0 ** 1020, 2.0 ** 1019], np.zeros(3)])
@@ -571,11 +576,24 @@ class TestLearnLinear:
         for scale in (1e15, 1e-15, 1e300, 1e-300, np.array([1e7, 1e-7])):
             res = run(x * scale)
             assert not res.exact or res.best_value == plain.best_value, scale
+        # On a dyadic grid (spread ~2^-8, steps of 2^-24), grid + 2^13 and
+        # grid * 2^k have the grid's scaled design bit for bit, so the search
+        # gives its labels, value bits and exact flag; on [1, x] the shifted
+        # grid lost the flag in over half the draws.
+        grid = np.round(x * 2.0 ** 16) / 2.0 ** 24
+        on_grid = run(grid)
+        assume(on_grid.exact)
+        for moved in (grid + 2.0 ** 13, grid * 2.0 ** 40, grid * 2.0 ** -40, grid * 2.0 ** 900):
+            res = run(moved)
+            assert res.exact
+            assert res.best_value.hex() == on_grid.best_value.hex()
+            assert np.array_equal(res.best.act(moved), on_grid.best.act(grid))
 
     def test_band_check_keeps_the_search_result(self):
         # Near-collinear rows (1e-10 off a line) fall inside the band of some
         # hyperplanes; the flag turns off `exact`, and the theta and value stay
-        # the ones the search found.
+        # the ones the search found on the scaled design [1, (x - c) / s],
+        # mapped back to [1, x].
         rng = np.random.default_rng(12)
         x1 = rng.uniform(-1, 1, 40)
         x = np.column_stack([x1, 2.0 * x1 + 0.5 + 1e-10 * rng.standard_normal(40)])
@@ -583,12 +601,14 @@ class TestLearnLinear:
         pseudo, w = PseudoOutcomes(values=rng.standard_normal((40, 2))), uniform_weights(40)
         res = learn_linear(w, pseudo, data)
         _, (gain,) = policy_module._gains([w], pseudo, data)
-        z = np.column_stack([np.ones(40), x])
-        tol = 1e-12 * float(np.abs(z).max())
+        z, shift, scale = _scaled_design(x)
+        tol = 1e-12
         value, theta, lost = policy_module._best_cell(z, gain, tol, 2.0 * tol * np.sqrt(40))
+        raw = np.append(theta[0], theta[1:] / scale)
+        raw[0] -= raw[1:] @ shift
         assert lost == np.inf
         assert not res.exact
-        assert res.best.theta.tobytes() == theta.tobytes()
+        assert res.best.theta.tobytes() == raw.tobytes()
         assert res.best_value == weighted_value(res.best, w, pseudo, data)
 
     @pytest.mark.parametrize(
