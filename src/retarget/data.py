@@ -7,6 +7,7 @@ import io
 import os
 import stat
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ def _check_binary(m: int, method: str) -> None:
     """Reject an arm count other than 2 for a method defined on binary actions."""
     if m != 2:
         raise ValidationError(f"{method} requires m=2, got m={m}")
+
+
+def _repeated(items) -> list:
+    """The items that occur more than once, each once, in order of first occurrence."""
+    return [item for item, count in Counter(items).items() if count > 1]
 
 
 @dataclass(frozen=True)

@@ -314,15 +314,15 @@ def cross_fit(data: Dataset, folds: FoldAssignment, config: NuisanceConfig = Nui
 
 
 def _scaled_design(x: np.ndarray):
-    """The design [1, (x - c) / s] of the nuisance models and the d>=2 policy
-    search, with its column shifts c and scales s: each column moved by its
-    midrange c and divided by s, the power of two above its half-range (1 for
-    a constant column, and at most 2^1023). The halved midrange cannot
-    overflow and leaves a constant column exactly 0, and dividing by a power
-    of two rounds nothing, so x * 2^k gives the same design bit for bit. It
-    is built column by column in F order, since numpy reduces and broadcasts
-    over a C-ordered x's short rows one row at a time (5x slower at 20,000 x
-    4); the fits read it only through row gathers, which come out C-ordered."""
+    """The design [1, (x - c) / s] of the nuisance models, the d>=2 policy
+    search and fit's regressions, with its column shifts c and scales s:
+    each column moved by its midrange c and divided by s, the power of two
+    above its half-range (1 for a constant column, and at most 2^1023). The
+    halved midrange cannot overflow and leaves a constant column exactly 0,
+    and dividing by a power of two rounds nothing, so x * 2^k gives the same
+    design bit for bit. It is built column by column in F order, since numpy
+    reduces and broadcasts over a C-ordered x's short rows one row at a time
+    (5x slower at 20,000 x 4); the nuisance fits gather its rows (C order)."""
     z = np.empty((x.shape[0], x.shape[1] + 1), order="F")
     z[:, 0] = 1.0
     shift, scale = np.empty(x.shape[1]), np.empty(x.shape[1])

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_binary
+from .data import Dataset, _check_binary, _repeated
 from .errors import EstimationError, ValidationError
-from .nuisance import NuisanceSet, add_intercept
+from .nuisance import NuisanceSet, _scaled_design, add_intercept
 from .pseudo import PseudoOutcomes, effect_pseudo_outcome
 from .weights import WeightScheme
 
@@ -49,6 +49,9 @@ class FeatureMap:
                 indices = tuple(int(tok) for tok in body.split(",") if tok.strip() != "")
             except ValueError:
                 raise ValidationError(f"bad subset indices in {spec!r}") from None
+            repeated = _repeated(indices)
+            if repeated:
+                raise ValidationError(f"repeated subset indices {repeated} in {spec!r}")
             return cls(name="subset:" + ",".join(str(i) for i in indices), indices=indices)
         if spec.startswith("poly:"):
             try:
@@ -84,10 +87,10 @@ class FeatureMap:
 class RegressionFit:
     """Solved coefficient vector plus estimating-equation diagnostics.
 
-    residual_norm is the infinity norm of the estimating equation at beta with
-    the reported weights; it must not exceed residual_tol (= 1e-8 * rows used
-    * max(1, max|z|) * max(1, max|target|)), which scales with the target as
-    the residual does.
+    residual_norm is the infinity norm of the estimating equation with the
+    reported weights on the conditioned design the fit solves (_solve_wls);
+    it must not exceed residual_tol (= 1e-8 * rows used * max(1, max|target|)),
+    which scales with the target as the residual does.
     """
 
     beta: np.ndarray
@@ -100,21 +103,30 @@ class RegressionFit:
     converged: bool = True
 
 
-def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation: str,
-               arm: int | None, context: str, irls: bool = False) -> RegressionFit:
-    """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 over the rows of z and
-    return the fit with its residual: the one place a RegressionFit is built.
-
-    Weights are rescaled by their maximum first (the solution is invariant),
-    so constant weights reduce to the literally identical unweighted system.
-    With irls (unit weights only), the fit is two-stage feasible GLS: gamma
-    is the least-squares fit of log(max(r_i^2, 1e-6)) on z for the plain
-    fit's residuals r (computed as 2 log max(|r_i|, 1e-3), which cannot
-    overflow), and the returned solve weights each row by exp(min(s) - s)
-    for s = z @ gamma, its inverse fitted variance scaled to a maximum of 1.
-    At most z and one weighted copy of it are held at once, plus row vectors.
-    An overflow anywhere is an EstimationError naming the context.
+def _solve_wls(zmap: FeatureMap, x: np.ndarray, rows: np.ndarray | None, target: np.ndarray,
+               sample_w: np.ndarray, equation: str, arm: int | None, context: str,
+               irls: bool = False) -> RegressionFit:
+    """Solve sum_i w_i (target_i - beta ' z_i) z_i = 0 over z = zmap(x[rows])
+    (x for rows=None; an arm needs as many rows as features): the one place a
+    RegressionFit is built. Every solve, rank check and residual runs on
+    [1, (z - c) / s], the _scaled_design of z's feature columns, and beta
+    maps back as beta_j = beta'_j / s_j, beta_0 = beta'_0 - sum_j beta_j c_j,
+    so z_j * 2^k gives beta_j * 2^-k bit for bit. Weights are rescaled by
+    their maximum first (the solution is invariant), so constant weights
+    reduce to the identical unweighted system. With irls (unit weights only),
+    the fit is two-stage feasible GLS: gamma is the least-squares fit of
+    log(max(r_i^2, 1e-6)) on the design for the plain fit's residuals r
+    (computed as 2 log max(|r_i|, 1e-3), which cannot overflow), and the
+    returned solve weights each row by exp(min(s) - s) for s = z @ gamma,
+    its inverse fitted variance scaled to a maximum of 1. z goes before the
+    first weighted copy, so at most one design and one weighted copy of it
+    are held at once, plus row vectors. An overflow anywhere, the map-back's
+    too, is an EstimationError naming the context.
     """
+    z = zmap(x if rows is None else x[rows])
+    if arm is not None and z.shape[0] < z.shape[1]:
+        raise EstimationError(f"arm {arm} has {z.shape[0]} rows, fewer than the {z.shape[1]} features")
+    z, shift, scale = _scaled_design(z[:, 1:])
     try:
         with np.errstate(over="raise"):
             beta, wz, gram = _weighted_solve(z, target, sample_w, context)
@@ -132,15 +144,15 @@ def _solve_wls(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, equation
                 beta, wz, _ = _weighted_solve(z, target, v, context)
                 del v
             residual_norm = float(np.abs(wz.T @ _residual(z, beta, target)).max())
+            beta[1:] /= scale
+            beta[0] -= beta[1:] @ shift
     except FloatingPointError as exc:
         raise EstimationError(f"{context}: {exc}") from None
-    # max|.| as max(max, -min), so no |z| copy of the design is made.
-    z_scale = max(1.0, float(z.max()), -float(z.min()))
     target_scale = max(1.0, float(target.max()), -float(target.min()))
     return RegressionFit(
         beta=beta, equation=equation, arm=arm, residual_norm=residual_norm,
-        residual_tol=RESIDUAL_REL_TOL * z.shape[0] * z_scale * target_scale,
-        n_used=z.shape[0], iterations=int(irls), converged=True,
+        residual_tol=RESIDUAL_REL_TOL * target.size * target_scale,
+        n_used=target.size, iterations=int(irls), converged=True,
     )
 
 
@@ -161,11 +173,8 @@ def _weighted_solve(z: np.ndarray, target: np.ndarray, sample_w: np.ndarray, con
     wz = z * sample_w[:, None]
     gram = wz.T @ z
     if np.linalg.matrix_rank(gram) < z.shape[1]:
-        raise EstimationError(
-            f"singular weighted design in {context} ({z.shape[0]} rows, "
-            f"{z.shape[1]} features); use a smaller feature map or centre "
-            "covariates far from 0"
-        )
+        raise EstimationError(f"singular weighted design in {context} ({z.shape[0]} rows, "
+                              f"{z.shape[1]} features); use a smaller feature map")
     return np.linalg.solve(gram, wz.T @ target), wz, gram
 
 
@@ -175,17 +184,11 @@ def _check_arm(arm: int, m: int) -> None:
         raise ValidationError(f"arm {arm} outside {{0..{m - 1}}}")
 
 
-def _arm_design(data: Dataset, nuis: NuisanceSet | None, arm: int, zmap: FeatureMap):
-    """One arm's row indices and their design z, with at least as many rows as features."""
+def _arm_rows(data: Dataset, nuis: NuisanceSet | None, arm: int) -> np.ndarray:
+    """One arm's row indices, once the nuisances conform to the dataset."""
     if nuis is not None and (nuis.n != data.n or nuis.m != data.m):
         raise ValidationError("nuisance matrices do not conform to the dataset")
-    rows = np.flatnonzero(data.actions == arm)
-    z = zmap(data.covariates[rows])
-    if rows.size < z.shape[1]:
-        raise EstimationError(
-            f"arm {arm} has {rows.size} rows, fewer than the {z.shape[1]} features"
-        )
-    return rows, z
+    return np.flatnonzero(data.actions == arm)
 
 
 def fit_best_fit(
@@ -204,8 +207,8 @@ def fit_best_fit(
         raise ValidationError(
             f"score column ({psi_col.shape}) and weights ({w.n}) must both cover n={data.n}"
         )
-    z = zmap(data.covariates)
-    return _solve_wls(z, psi_col, w.weights, "best_fit", None, "best-fit regression")
+    return _solve_wls(zmap, data.covariates, None, psi_col, w.weights, "best_fit", None,
+                      "best-fit regression")
 
 
 def fit_on_arm_precision(
@@ -228,12 +231,12 @@ def fit_on_arm_precision(
     _check_arm(arm, data.m)
     if nuis is None and mode == "known_variance":
         raise ValidationError("known_variance mode needs nuisance variances")
-    rows, z = _arm_design(data, nuis, arm, zmap)
+    rows = _arm_rows(data, nuis, arm)
     context = f"on-arm regression (arm {arm}, mode {mode})"
     # irls starts from the plain fit.
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
-    return _solve_wls(z, data.outcomes[rows], sample_w, "on_arm_precision", arm, context,
-                      irls=mode == "irls")
+    return _solve_wls(zmap, data.covariates, rows, data.outcomes[rows], sample_w,
+                      "on_arm_precision", arm, context, irls=mode == "irls")
 
 
 def fit_dv_overlap(
@@ -245,9 +248,9 @@ def fit_dv_overlap(
     """
     _check_binary(data.m, "overlap-weighted regression")
     _check_arm(arm, data.m)
-    rows, z = _arm_design(data, nuis, arm, zmap)
-    y, sample_w = data.outcomes[rows], nuis.propensity[rows, 1 - arm]
-    return _solve_wls(z, y, sample_w, "dv_overlap", arm, "overlap-weighted regression")
+    rows = _arm_rows(data, nuis, arm)
+    return _solve_wls(zmap, data.covariates, rows, data.outcomes[rows],
+                      nuis.propensity[rows, 1 - arm], "dv_overlap", arm, "overlap-weighted regression")
 
 
 def fit_cate(
@@ -258,5 +261,5 @@ def fit_cate(
     if pseudo.n != data.n or w.n != data.n:
         raise ValidationError("pseudo-outcomes and weights must cover the dataset")
     target = effect_pseudo_outcome(pseudo)
-    z = zmap(data.covariates)
-    return _solve_wls(z, target, w.weights, "cate", None, "effect regression")
+    return _solve_wls(zmap, data.covariates, None, target, w.weights, "cate", None,
+                      "effect regression")

@@ -10,7 +10,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, _freeze, _input_file, make_folds
+from .data import Dataset, _freeze, _input_file, _repeated, make_folds
 from .errors import ValidationError
 from .nuisance import VARIANCE_FLOOR, NuisanceConfig, NuisanceSet, _mean, _rows, _softmax, cross_fit
 from .nuisance import add_intercept as _add_intercept
@@ -289,8 +289,9 @@ def run_benchmark(
     order, so the report is a pure function of the arguments. Regret is
     evaluated on the unweighted population. `threads` is accepted for
     compatibility with older callers and ignored. Scheme names are options,
-    checked before the first replication: a bad one raises its own error
-    however the replications would fail.
+    checked before the first replication: a bad or repeated one, or a
+    repeated scenario name, raises its own error however the replications
+    would fail.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -303,6 +304,10 @@ def run_benchmark(
         raise ValidationError("need at least one weight scheme")
     for scheme in schemes:
         parse_scheme(scheme)
+    for kind, names in (("weight schemes", schemes), ("scenario names", [s.name for s in scenarios])):
+        repeated = _repeated(names)
+        if repeated:
+            raise ValidationError(f"repeated {kind} {repeated}")
     config = NuisanceConfig(folds=n_folds)
     rows = []
     for scenario in scenarios:
@@ -395,4 +400,8 @@ def load_report(path: str) -> BenchmarkReport:
                 raise ValidationError(f"malformed report row {rec!r}: {exc}") from None
         if not rows:
             raise ValidationError("no report rows")
+        repeated = _repeated((row.scenario, row.scheme) for row in rows)
+        if repeated:
+            scenario, scheme = repeated[0]
+            raise ValidationError(f"repeated row for scenario {scenario!r} and scheme {scheme!r}")
     return BenchmarkReport(rows=tuple(rows))

@@ -23,6 +23,7 @@ from retarget import (
     save_dataset,
 )
 from retarget.cli import EXIT_ESTIMATION, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from retarget.nuisance import _scaled_design
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
@@ -148,6 +149,29 @@ class TestSimulate:
             assert code == EXIT_INVALID
             assert capsys.readouterr().err == ("error[ValidationError]: unknown weight scheme "
                                                "'bogus'; expected uniform, w0, or w0_dp:<p>\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--schemes", "uniform,w0,uniform"], "repeated weight schemes ['uniform']"),
+            (["--schemes", "w0,w0_dp:0,w0_dp:1,w0_dp:1,w0"], "repeated weight schemes ['w0', 'w0_dp:1']"),
+            (["--scenarios", "SCENARIOS"], "repeated scenario names ['S-C']"),
+        ],
+        ids=["scheme", "schemes", "scenario"],
+    )
+    def test_repeated_names_exit_invalid(self, tmp_path, capsys, monkeypatch, argv, message):
+        # Checked before any replication; uniform was searched twice and its
+        # row printed twice.
+        import json
+
+        from retarget import default_scenarios, simulation
+
+        monkeypatch.setattr(simulation, "generate", lambda *args: pytest.fail("replicated"))
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps([scenario_json(default_scenarios()[2])] * 2))
+        argv = [arg.replace("SCENARIOS", str(path)) for arg in argv]
+        assert main(["simulate", "--reps", "1", *argv]) == EXIT_INVALID
+        assert error_lines(capsys) == [f"error[ValidationError]: {message}"]
 
     def test_scenario_file(self, tmp_path, capsys):
         import json
@@ -624,8 +648,7 @@ class TestFit:
         else:
             assert error_lines(capsys) == [
                 "error[EstimationError]: singular weighted design in on-arm regression "
-                "(arm 1, mode irls) (16 rows, 2 features); use a smaller feature map or "
-                "centre covariates far from 0"
+                "(arm 1, mode irls) (16 rows, 2 features); use a smaller feature map"
             ]
 
     @pytest.mark.parametrize("mode", ["ols", "irls"])
@@ -678,7 +701,9 @@ def _reference_on_arm_fit(path, arm, zmap, mode):
     """The on-arm path before ols and irls skipped the cross-fit: the old
     _prepare cross-fitted every nuisance and built the scores for any fit.
     irls is two-stage feasible GLS: OLS of the floored log squared residuals
-    on z, then one solve weighted by the inverse fitted variances."""
+    on the design, then one solve weighted by the inverse fitted variances.
+    Every solve runs on the conditioned design [1, (z - c) / s], and beta
+    maps back to z."""
     data = load_dataset(path)
     config = NuisanceConfig(folds=2, ridge_lambda=0.0, propensity_clip=0.01,
                             variance_mode="pooled")
@@ -690,20 +715,20 @@ def _reference_on_arm_fit(path, arm, zmap, mode):
         sample_w = sample_w / float(sample_w.max())
         wz = z * sample_w[:, None]
         beta = np.linalg.solve(wz.T @ z, wz.T @ target)
-        resid = wz.T @ (target - z @ beta)
-        residual_tol = (1e-8 * z.shape[0] * max(1.0, float(np.abs(z).max()))
-                        * max(1.0, float(np.abs(target).max())))
-        return beta, float(np.abs(resid).max()), residual_tol
+        return beta, float(np.abs(wz.T @ (target - z @ beta)).max())
 
     rows = np.flatnonzero(data.actions == arm)
-    z = zmap(data.covariates[rows])
+    z, shift, scale = _scaled_design(zmap(data.covariates[rows])[:, 1:])
     y = data.outcomes[rows]
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known" else np.ones(rows.size)
-    beta, norm, tol = solve(z, y, sample_w)
+    beta, norm = solve(z, y, sample_w)
     if mode == "irls":
         log_r2 = 2 * np.log(np.maximum(np.abs(y - z @ beta), 1e-3))
         s = z @ solve(z, log_r2, sample_w)[0]
-        beta, norm, tol = solve(z, y, np.exp(s.min() - s))
+        beta, norm = solve(z, y, np.exp(s.min() - s))
+    beta[1:] /= scale
+    beta[0] -= beta[1:] @ shift
+    tol = 1e-8 * rows.size * max(1.0, float(np.abs(y).max()))
     return {"beta": beta.tolist(), "residual_norm": norm, "residual_tol": tol,
             "iterations": int(mode == "irls"), "converged": True}
 
@@ -1001,7 +1026,7 @@ class TestLearn:
             self, tmp_path, capsys, d, offset, spread):
         # A Unix-seconds covariate over one year, and uniform(0, 2) + 1e4 at
         # d=2: on [1, x] the outcome regressions' Gram matrix failed its rank
-        # check (exit 4). x - offset is exact.
+        # check (exit 4), and so did fit's regressions. x - offset is exact.
         rng = np.random.default_rng(0)
         n = 500
         moved = offset + rng.uniform(0, spread, (n, d))
@@ -1018,12 +1043,21 @@ class TestLearn:
             values.append(float(lines["best_value"]))
         assert values[0] == pytest.approx(values[1], rel=1e-8)
         if d == 1:
-            # fit's effect regression runs on the raw [1, x]: still singular.
-            path = tmp_path / "moved.csv"
-            save_dataset(Dataset(covariates=moved, actions=a, outcomes=y, m=2), str(path))
-            assert main(["fit", "--equation", "cate", "--data", str(path)]) == EXIT_ESTIMATION
-            [line] = error_lines(capsys)
-            assert line.startswith("error[EstimationError]: singular weighted design in effect regression")
+            # Every fit equation and mode gives the centred file's fitted values.
+            fits = [["--equation", "best_fit"], ["--equation", "cate"], ["--equation", "dv"]]
+            fits += [["--equation", "on_arm", "--mode", mode] for mode in ("known", "ols", "irls")]
+            for flags in fits:
+                fitted = []
+                for x in (moved, moved - offset):
+                    path, out = tmp_path / "data.csv", tmp_path / "fit.txt"
+                    save_dataset(Dataset(covariates=x, actions=a, outcomes=y, m=2), str(path))
+                    assert _main_without_warnings(["fit", *flags, "--data", str(path),
+                                                   "--out", str(out)]) == EXIT_OK
+                    beta = _fit_file(out)["beta"]
+                    fitted.append(beta[0] + beta[1] * x[:, 0])
+                gap = np.abs(fitted[0] - fitted[1]).max()
+                assert gap <= 1e-9 * np.abs(fitted[1]).max(), (flags, gap)
+            assert error_lines(capsys) == []
 
     @pytest.mark.parametrize("n", [200, 500])
     @pytest.mark.parametrize("seed", range(6))
@@ -1187,8 +1221,10 @@ class TestReport:
              "malformed report row {'scenario': 'S-A', 'scheme': 'uniform', 'mean_regret': "
              "'0.1', 'std_regret': None, 'R': None, 'n': None, 'seed': None}: too few fields"),
             ("", "no report rows"),
+            ("S-A,uniform,0.1,0.01,4,500,0\nS-A,w0,0.2,0.01,4,500,0\nS-A,uniform,0.3,0.01,4,500,0\n",
+             "repeated row for scenario 'S-A' and scheme 'uniform'"),
         ],
-        ids=["non-numeric-mean", "short-row", "header-only"],
+        ids=["non-numeric-mean", "short-row", "header-only", "repeated-row"],
     )
     def test_malformed_report_is_invalid(self, tmp_path, capsys, body, message):
         path = tmp_path / "r.csv"
@@ -1246,12 +1282,14 @@ class TestExitCodes:
             (["fit", "--equation", "dv", "--arm", "5"], "error[ValidationError]: arm 5 outside {{0..1}}"),
             (["fit", "--equation", "best_fit", "--features", "subset:7"],
              "error[ValidationError]: subset indices [7] outside 0..0"),
+            (["fit", "--equation", "cate", "--features", "subset:0,0"],
+             "error[ValidationError]: repeated subset indices [0] in 'subset:0,0'"),
             (["learn", "--class", "bogus"],
              "error[ValidationError]: unknown policy class 'bogus'; expected linear or finite:<file>"),
             (["learn", "--class", "finite:{missing}"],
              "error[FileNotFoundError]: [Errno 2] No such file or directory: '{missing}'"),
         ],
-        ids=["dv-arm", "subset", "class", "policy-file"],
+        ids=["dv-arm", "subset", "subset-repeated", "class", "policy-file"],
     )
     def test_options_and_files_are_checked_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                                           argv, message):

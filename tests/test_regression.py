@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retarget import (
     Dataset,
@@ -26,6 +28,7 @@ from retarget import (
     make_weights,
     uniform_weights,
 )
+from retarget.nuisance import _scaled_design
 
 
 def sandwich_se(z, target, sample_w, beta):
@@ -79,6 +82,12 @@ class TestFeatureMap:
             FeatureMap.parse("poly:0")
         with pytest.raises(ValidationError):
             FeatureMap.parse("fourier:2")
+
+    def test_repeated_subset_indices_rejected(self):
+        # subset:0,0 gave a design with two equal columns, singular in every fit.
+        with pytest.raises(ValidationError,
+                           match=r"^repeated subset indices \[2, 0\] in 'subset:2,0,1,0,2'$"):
+            FeatureMap.parse("subset:2,0,1,0,2")
 
     def test_subset_bounds_checked(self):
         with pytest.raises(ValidationError, match="outside"):
@@ -215,6 +224,66 @@ class TestPeakMemory:
             lambda: fit_on_arm_precision(data, None, 1, zmap, mode="irls"), n // 2)
         assert best_fit < 2.4, best_fit
         assert irls < 2.4, irls
+
+
+class TestCovariateUnits:
+    """Every fit solves on the conditioned design [1, (z - c) / s], so the
+    covariates' units and origin do not move it: x * 2^k gives beta_j *
+    2^(-k p_j) bit for bit (p_j is column j's power) with the same residual
+    and tolerance bits, and an exact shift of x gives the same fitted values."""
+
+    FEATURES = ("identity", "subset:1", "poly:3")
+
+    @staticmethod
+    def _fits(x, a, y, nuis, w, spec):
+        """Every equation and mode on covariates x, keyed by its name."""
+        data = Dataset(covariates=x, actions=a, outcomes=y, m=2)
+        zmap = FeatureMap.parse(spec)
+        pseudo = dr_pseudo_outcomes(data, nuis)
+        fits = {"best_fit": fit_best_fit(pseudo.values[:, 1], w, zmap, data),
+                "cate": fit_cate(data, pseudo, w, zmap)}
+        for arm in (0, 1):
+            fits[f"dv{arm}"] = fit_dv_overlap(data, nuis, arm, zmap)
+            for mode in ("known_variance", "ols", "irls"):
+                fits[f"{mode}{arm}"] = fit_on_arm_precision(data, nuis, arm, zmap, mode)
+        return fits
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_scale_and_shift_of_the_covariates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 120
+        # A dyadic grid in [-1, 1) on which x + 3, x * 2^k and every cube are
+        # exact: np.power can round the cube of x * 2^k otherwise than 2^(3k)
+        # times the cube of x (6 of 100,000 uniform draws), so poly:3 features
+        # of other x need not scale exactly.
+        x = rng.integers(-2 ** 16, 2 ** 16, (n, 2)) / 2.0 ** 16
+        a = (rng.permutation(n) < n // 2).astype(int)
+        y = x[:, 0] - x[:, 1] ** 2 + a + rng.standard_normal(n)
+        p1 = rng.uniform(0.2, 0.8, n)
+        nuis = NuisanceSet(propensity=np.column_stack([1 - p1, p1]),
+                           outcome_mean=rng.standard_normal((n, 2)),
+                           variance=rng.uniform(0.5, 2.0, (n, 2)), provenance="oracle")
+        w = WeightScheme.from_raw("w", rng.uniform(0.1, 2.0, n))
+        for spec in self.FEATURES:
+            zmap = FeatureMap.parse(spec)
+            width = 1 if zmap.indices is not None else x.shape[1]
+            power = np.repeat(np.arange(zmap.degree + 1), [1] + [width] * zmap.degree)
+            base = self._fits(x, a, y, nuis, w, spec)
+            for k in (-40, 40):
+                moved = self._fits(x * 2.0 ** k, a, y, nuis, w, spec)
+                for name, fit in base.items():
+                    got = moved[name]
+                    want = fit.beta * np.ldexp(1.0, -k * power)
+                    assert got.beta.tobytes() == want.tobytes(), (spec, k, name)
+                    assert got.residual_norm == fit.residual_norm, (spec, k, name)
+                    assert got.residual_tol == fit.residual_tol, (spec, k, name)
+            shifted = self._fits(x + 3.0, a, y, nuis, w, spec)
+            for name, fit in base.items():
+                want = zmap(x) @ fit.beta
+                got = zmap(x + 3.0) @ shifted[name].beta
+                gap = np.abs(got - want).max()
+                assert gap <= 1e-9 * np.abs(want).max(), (spec, name, gap)
 
 
 class TestFitOnArmPrecision:
@@ -501,14 +570,29 @@ def _reference_features(zmap, x):
     return np.hstack([np.ones((cols.shape[0], 1)), cols])
 
 
-def _reference_solve_wls(z, target, sample_w):
-    """_solve_wls before it built the RegressionFit: beta, residual, tolerance."""
+def _reference_conditioned_solve(z, target, sample_w):
+    """One weighted solve on a conditioned design: beta' and the residual norm."""
     sample_w = sample_w / float(sample_w.max())
     wz = z * sample_w[:, None]
     beta = np.linalg.solve(wz.T @ z, wz.T @ target)
-    resid = wz.T @ (target - z @ beta)
-    z_scale, target_scale = (max(1.0, float(np.abs(v).max())) for v in (z, target))
-    return beta, float(np.abs(resid).max()), 1e-8 * z.shape[0] * z_scale * target_scale
+    return beta, float(np.abs(wz.T @ (target - z @ beta)).max())
+
+
+def _reference_solve_wls(z, target, sample_w, irls=False):
+    """_solve_wls before it built the RegressionFit: every solve on the
+    conditioned design [1, (z - c) / s], then beta mapped back to z, with the
+    residual and tolerance. With irls, two-stage feasible GLS: least squares
+    of the floored log squared residuals, then one solve weighted by the
+    inverse fitted variances."""
+    zs, shift, scale = _scaled_design(z[:, 1:])
+    beta, norm = _reference_conditioned_solve(zs, target, sample_w)
+    if irls:
+        log_r2 = 2 * np.log(np.maximum(np.abs(target - zs @ beta), 1e-3))
+        s = zs @ _reference_conditioned_solve(zs, log_r2, sample_w)[0]
+        beta, norm = _reference_conditioned_solve(zs, target, np.exp(s.min() - s))
+    beta[1:] /= scale
+    beta[0] -= beta[1:] @ shift
+    return beta, norm, 1e-8 * z.shape[0] * max(1.0, float(np.abs(target).max()))
 
 
 def _reference_fit_best_fit(psi_col, w, zmap, data):
@@ -525,13 +609,7 @@ def _reference_fit_on_arm_precision(data, nuis, arm, zmap, mode):
     z = _reference_features(zmap, data.covariates[rows])
     y = data.outcomes[rows]
     sample_w = 1.0 / nuis.variance[rows, arm] if mode == "known_variance" else np.ones(rows.size)
-    beta, norm, tol = _reference_solve_wls(z, y, sample_w)
-    if mode == "irls":
-        # Two-stage feasible GLS: OLS of the floored log squared residuals on
-        # z, then one solve weighted by the inverse fitted variances.
-        log_r2 = 2 * np.log(np.maximum(np.abs(y - z @ beta), 1e-3))
-        s = z @ _reference_solve_wls(z, log_r2, sample_w)[0]
-        beta, norm, tol = _reference_solve_wls(z, y, np.exp(s.min() - s))
+    beta, norm, tol = _reference_solve_wls(z, y, sample_w, irls=mode == "irls")
     return RegressionFit(
         beta=beta, equation="on_arm_precision", arm=arm,
         residual_norm=norm, residual_tol=tol, n_used=rows.size,

@@ -261,6 +261,21 @@ class TestRunBenchmark:
         with pytest.raises(ValidationError, match="^need at least one weight scheme$"):
             run_benchmark([toy_scenario()], schemes=())
 
+    def test_repeated_names_are_invalid(self, monkeypatch):
+        # Before any replication; w0 and w0_dp:0 are one scheme but two names.
+        from retarget import simulation
+
+        monkeypatch.setattr(simulation, "generate", lambda *args: pytest.fail("replicated"))
+        scenario = toy_scenario()
+        with pytest.raises(ValidationError, match=r"^repeated weight schemes \['uniform'\]$"):
+            run_benchmark([scenario], schemes=("uniform", "w0", "uniform"))
+        with pytest.raises(ValidationError, match=r"^repeated scenario names \['toy'\]$"):
+            run_benchmark([scenario, scenario], schemes=("uniform",))
+        monkeypatch.undo()
+        report = run_benchmark([scenario], schemes=("w0", "w0_dp:0"), reps=1, n=80,
+                               regret_draws=500)
+        assert [row.scheme for row in report.rows] == ["w0", "w0_dp:0"]
+
     def test_single_rep_has_nan_std(self):
         scenario = toy_scenario()
         report = run_benchmark(
@@ -656,6 +671,15 @@ class TestRenderReport:
             assert a.mean_regret == pytest.approx(b.mean_regret, rel=1e-5)
             assert a.std_regret == pytest.approx(b.std_regret, rel=1e-5)
             assert (a.reps, a.n, a.seed) == (b.reps, b.n, b.seed)
+
+    def test_repeated_row_is_invalid(self, tmp_path):
+        # The markdown grid kept the first of two rows for a cell.
+        path = tmp_path / "report.csv"
+        row = self.sample_report().rows[0]
+        path.write_text(render_report(BenchmarkReport(rows=self.sample_report().rows + (row,)), "csv"))
+        with pytest.raises(ValidationError,
+                           match=f"^{path}: repeated row for scenario 'S-A' and scheme 'uniform'$"):
+            load_report(str(path))
 
     def test_csv_columns(self):
         text = render_report(self.sample_report(), "csv")
